@@ -16,7 +16,12 @@ from .concentrations import (
     compute_weights,
     weight_co_moments,
 )
-from .covariance import AsymptoticCovariance, analytic_sigma, plug_in_covariance
+from .covariance import (
+    AsymptoticCovariance,
+    analytic_sigma,
+    plug_in_covariance,
+    plug_in_covariances,
+)
 from .errors import (
     ConfigError,
     DataFormatError,
@@ -115,6 +120,7 @@ __all__ = [
     "load_config_file",
     "objective",
     "plug_in_covariance",
+    "plug_in_covariances",
     "reference_study_config",
     "run_study",
     "simulation_config_from_dict",

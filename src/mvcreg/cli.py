@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dataio
 from .concentrations import DEFAULT_DET_TOL, build_gramian, compute_weights
-from .covariance import plug_in_covariance
+from .covariance import plug_in_covariances
 from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian
 from .estimator import DEFAULT_XTX_TOL, fit_all
 from .moments import Dataset
@@ -53,16 +53,16 @@ def cmd_fit(args) -> int:
     data, p = dataio.read_csv(args.input, row_sum_tol=_CSV_ROW_SUM_TOL)
     if args.intercept:
         data = _with_intercept(data)
-    fit = fit_all(data, p, det_tol=args.det_tol, xtx_tol=args.xtx_tol)
+    gramian = build_gramian(p)
+    weights = compute_weights(p, gramian, det_tol=args.det_tol)
+    fit = fit_all(data, p, xtx_tol=args.xtx_tol, gramian=gramian, weights=weights)
     warnings: list[str] = []
     if not fit.errors:
-        covs = [
-            plug_in_covariance(data, p, fit, m, det_tol=args.det_tol)
-            for m in range(fit.n_components)
-        ]
+        covs = plug_in_covariances(data, p, fit, weights=weights)
         fit = fit.with_plug_in_cov(tuple(c.v for c in covs))
-        for cov in covs:
-            warnings.extend(cov.warnings)
+        # every target carries the shared clamp notes; report each note once:
+        # clamps in component order, then negative-V notes in target order
+        warnings = list(dict.fromkeys(note for c in covs for note in c.warnings))
     if args.format == "table":
         text = dataio.format_fit_table(fit)
     else:

@@ -18,11 +18,17 @@ four-index product tensor but O(M^2 d^2).
 
 Two modes are provided: analytic (true component moments supplied, used to
 validate simulations) and plug-in (every population quantity replaced by its
-weighted-empirical estimate from one dataset).
+weighted-empirical estimate from one dataset).  Both feed one assembler with
+the d x d contraction ``delta_s' L4_s delta_s``.  The analytic mode contracts
+its closed-form L4.  The plug-in mode never forms L4: it evaluates the
+contraction as ``(1/N) sum_j a[j, s] (x_j' delta_s)^2 x_j x_j'``, at O(N d^2)
+per (target, component) pair, and shares each component's D2 and error
+variance across all targets.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,12 +43,12 @@ from .concentrations import (
 )
 from .errors import SingularD
 from .estimator import FitResult
-from .moments import (
-    ComponentMoments,
-    Dataset,
-    component_regression_moments,
-    weighted_fourth_moment,
-)
+from .moments import ComponentMoments, Dataset, component_regression_moments
+
+# Unused here since the plug-in mode contracts L4 without forming it; kept so
+# code that reaches the tensor route through this module (the benchmark's
+# tracer self-test does) still finds it.
+from .moments import weighted_fourth_moment  # noqa: F401
 
 _D_CONDITION_LIMIT = 1e12
 
@@ -76,11 +82,19 @@ class AsymptoticCovariance:
 
 
 def _assemble_sigma(
-    moments: list[ComponentMoments] | tuple[ComponentMoments, ...],
+    d2: Sequence[np.ndarray],
+    sigma2: Sequence[float],
+    b: Sequence[np.ndarray],
     co_moments: np.ndarray,
     m: int,
+    quartic: Callable[[int, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    n_comp = len(moments)
+    """Sigma for target ``m`` from per-component D2, sigma^2 and b.
+
+    ``quartic(s, delta)`` returns the d x d contraction ``delta' L4_s delta``
+    of component ``s``'s fourth moments with ``delta = b_s - b_m``.
+    """
+    n_comp = len(d2)
     co = np.asarray(co_moments, dtype=float)
     if co.shape != (n_comp, n_comp):
         raise ValueError("co_moments must be M x M")
@@ -88,15 +102,14 @@ def _assemble_sigma(
         raise ValueError("co_moments must be symmetric")
     if not 0 <= m < n_comp:
         raise ValueError(f"component index {m} out of range")
-    d = moments[m].d2.shape[0]
+    d = d2[m].shape[0]
     w = co.sum(axis=1)  # <(a^m)^2 p^s>: rows of p sum to one
-    b_m = moments[m].b
     sigma = np.zeros((d, d))
     u = np.zeros((d, n_comp))  # u[:, s] = D2_s (b_s - b_m)
-    for s, mom in enumerate(moments):
-        delta = mom.b - b_m
-        sigma += w[s] * (mom.d2 * mom.sigma2 + np.einsum("iklq,l,q->ik", mom.l4, delta, delta))
-        u[:, s] = mom.d2 @ delta
+    for s in range(n_comp):
+        delta = b[s] - b[m]
+        sigma += w[s] * (d2[s] * sigma2[s] + quartic(s, delta))
+        u[:, s] = d2[s] @ delta
     sigma -= u @ co @ u.T
     return (sigma + sigma.T) / 2.0
 
@@ -135,11 +148,66 @@ def analytic_sigma(
     SingularD
         If the target component's second-moment matrix is singular.
     """
-    sigma = _assemble_sigma(moments, co_moments, m)
+    sigma = _assemble_sigma(
+        [mom.d2 for mom in moments],
+        [mom.sigma2 for mom in moments],
+        [mom.b for mom in moments],
+        co_moments,
+        m,
+        lambda s, delta: np.einsum("iklq,l,q->ik", moments[s].l4, delta, delta),
+    )
     v = _sandwich(moments[m].d2, sigma, m)
     return AsymptoticCovariance(
         sigma=sigma, v=v, component=m, mode="analytic", d_matrix=moments[m].d2
     )
+
+
+def plug_in_covariances(
+    data: Dataset,
+    p: ConcentrationMatrix,
+    fit: FitResult,
+    det_tol: float = DEFAULT_DET_TOL,
+    weights: WeightMatrix | None = None,
+) -> tuple[AsymptoticCovariance, ...]:
+    """Plug-in estimates of the sandwich covariance of every component.
+
+    Every population quantity in Sigma is replaced by its weighted-empirical
+    counterpart: component ``s``'s moments use the weights of component
+    ``s``, the error variance is the weighted mean squared residual at that
+    component's fitted coefficients, and the co-moment limits are replaced by
+    their finite-sample averages.  Each component's D2 and error variance are
+    computed once and shared by all targets; the fourth-moment term enters
+    only contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'``.
+
+    A negative weighted residual variance (possible with signed weights) is
+    clamped to zero and reported through ``warnings`` instead of failing the
+    whole covariance.  Every target's Sigma depends on every component's
+    error variance, so each result's ``warnings`` carries all clamp notes,
+    followed by that target's own note when its V has a negative diagonal.
+
+    Parameters
+    ----------
+    data, p : Dataset, ConcentrationMatrix
+        The observations the fit was computed from.
+    fit : FitResult
+        Successful fit of *all* components; their coefficient differences
+        enter Sigma.
+    det_tol : float, optional
+        Floor for det(Gamma) when weights are recomputed here.
+    weights : WeightMatrix, optional
+        Precomputed minimax weights for ``p``.
+
+    Returns
+    -------
+    tuple of AsymptoticCovariance
+        One entry per component, in component order.
+
+    Raises
+    ------
+    SingularD
+        If some component's second-moment matrix is singular.
+    """
+    return _plug_in(data, p, fit, range(p.n_components), det_tol, weights)
 
 
 def plug_in_covariance(
@@ -150,32 +218,24 @@ def plug_in_covariance(
     det_tol: float = DEFAULT_DET_TOL,
     weights: WeightMatrix | None = None,
 ) -> AsymptoticCovariance:
-    """Plug-in estimate of the sandwich covariance from one dataset.
+    """Plug-in sandwich covariance of component ``m`` alone.
 
-    Every population quantity in Sigma is replaced by its weighted-empirical
-    counterpart: component ``s``'s moments use the weights of component
-    ``s``, the error variance is the weighted mean squared residual at that
-    component's fitted coefficients, and the co-moment limits are replaced by
-    their finite-sample averages.
-
-    A negative weighted residual variance (possible with signed weights) is
-    clamped to zero and reported through ``warnings`` instead of failing the
-    whole covariance.
-
-    Parameters
-    ----------
-    data, p : Dataset, ConcentrationMatrix
-        The observations the fit was computed from.
-    fit : FitResult
-        Successful fit of *all* components; their coefficient differences
-        enter Sigma.
-    m : int
-        Target component, 0-based.
-    det_tol : float, optional
-        Floor for det(Gamma) when weights are recomputed here.
-    weights : WeightMatrix, optional
-        Precomputed minimax weights for ``p``.
+    Runs the same computation as :func:`plug_in_covariances` for the single
+    target ``m`` and returns exactly its entry ``m``; to cover every
+    component, call :func:`plug_in_covariances` once, which shares the
+    per-component statistics across targets.
     """
+    return _plug_in(data, p, fit, (m,), det_tol, weights)[0]
+
+
+def _plug_in(
+    data: Dataset,
+    p: ConcentrationMatrix,
+    fit: FitResult,
+    targets: Iterable[int],
+    det_tol: float,
+    weights: WeightMatrix | None,
+) -> tuple[AsymptoticCovariance, ...]:
     if fit.errors:
         bad = sorted(fit.errors)
         raise ValueError(
@@ -186,39 +246,51 @@ def plug_in_covariance(
     if weights is None:
         weights = compute_weights(p, det_tol=det_tol)
     n = data.n_obs
-    notes: list[str] = []
-    moments = []
+    x = data.x
+    a = weights.values
+    b = fit.coefficients
+    clamp_notes: list[str] = []
+    d2 = []
+    sigma2 = []
     for s in range(p.n_components):
-        a_s = weights.values[:, s]
-        xtx, _ = component_regression_moments(data, a_s)
-        l4 = weighted_fourth_moment(data, a_s)
-        resid = data.y - data.x @ fit.coefficients[s]
-        sigma2 = float(np.einsum("j,j->", a_s, resid**2) / n)
-        if sigma2 < 0.0:
-            notes.append(
+        xtx, _ = component_regression_moments(data, a[:, s])
+        resid = data.y - x @ b[s]
+        sigma2_s = float(np.einsum("j,j->", a[:, s], resid**2) / n)
+        if sigma2_s < 0.0:
+            clamp_notes.append(
                 f"degenerate-variance: component index {s} plug-in error variance "
-                f"{sigma2:.6g} clamped to 0"
+                f"{sigma2_s:.6g} clamped to 0"
             )
-            sigma2 = 0.0
-        moments.append(
-            ComponentMoments(d2=xtx, l4=l4, sigma2=sigma2, b=fit.coefficients[s])
+            sigma2_s = 0.0
+        d2.append(xtx)
+        sigma2.append(sigma2_s)
+
+    def quartic(s: int, delta: np.ndarray) -> np.ndarray:
+        # delta' L4_s delta without L4: a fixed-order reduction over rows
+        r = x @ delta
+        return np.einsum("j,ji,jk->ik", a[:, s] * r**2, x, x) / n
+
+    covs = []
+    for m in targets:
+        co = weight_co_moments(weights, p, m)
+        sigma = _assemble_sigma(d2, sigma2, b, co, m, quartic)
+        v = _sandwich(d2[m], sigma, m)
+        notes = list(clamp_notes)
+        variances = np.diag(v).copy()
+        if np.any(variances < -1e-10):
+            notes.append(
+                f"degenerate-variance: component index {m} plug-in V has negative "
+                f"diagonal entries (min {variances.min():.6g}); standard errors clamped"
+            )
+        covs.append(
+            AsymptoticCovariance(
+                sigma=sigma,
+                v=v,
+                component=m,
+                mode="plug_in",
+                d_matrix=d2[m],
+                std_errors=np.sqrt(np.maximum(variances, 0.0) / n),
+                warnings=tuple(notes),
+            )
         )
-    co = weight_co_moments(weights, p, m)
-    sigma = _assemble_sigma(moments, co, m)
-    v = _sandwich(moments[m].d2, sigma, m)
-    variances = np.diag(v).copy()
-    if np.any(variances < -1e-10):
-        notes.append(
-            f"degenerate-variance: component index {m} plug-in V has negative "
-            f"diagonal entries (min {variances.min():.6g}); standard errors clamped"
-        )
-    std_errors = np.sqrt(np.maximum(variances, 0.0) / n)
-    return AsymptoticCovariance(
-        sigma=sigma,
-        v=v,
-        component=m,
-        mode="plug_in",
-        d_matrix=moments[m].d2,
-        std_errors=std_errors,
-        warnings=tuple(notes),
-    )
+    return tuple(covs)

@@ -182,6 +182,10 @@ def weighted_fourth_moment(data: Dataset, a_col: np.ndarray) -> np.ndarray:
 
     The raw sum of rank-one fourth powers is symmetric already; the explicit
     symmetrization only irons out floating-point asymmetry.
+
+    This is the reference form, at O(N d^4).  No command uses it: the
+    plug-in covariance only needs the contraction ``delta' L4 delta`` and
+    evaluates it directly at O(N d^2) without forming the tensor.
     """
     a_col = np.asarray(a_col, dtype=float)
     if a_col.shape != (data.n_obs,):

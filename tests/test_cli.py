@@ -1,8 +1,10 @@
 import json
+import sys
 
 import numpy as np
 import pytest
 
+import mvcreg.moments
 from mvcreg import fit_all, generate, reference_study_config
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, write_csv
@@ -114,6 +116,44 @@ class TestFit:
         doc = json.loads(capsys.readouterr().out)
         assert doc["coefficients"][0][0] == pytest.approx(1.5, abs=0.02)
         assert doc["coefficients"][0][1] == pytest.approx(2.0, abs=0.02)
+
+    def test_clamp_warnings_reported_once(self, tmp_path, capsys):
+        # seed 12345 of the bundled design clamps a plug-in error variance;
+        # every target's covariance carries that note, the report only once
+        config, _ = reference_study_config()
+        sim = generate(with_seed(config, 12345))
+        path = tmp_path / "clamp.csv"
+        write_csv(path, sim.data, sim.p)
+        assert main(["fit", "-i", str(path)]) == 0
+        captured = capsys.readouterr()
+        notes = json.loads(captured.out)["warnings"]
+        clamps = [note for note in notes if "clamped to 0" in note]
+        assert clamps
+        assert len(set(notes)) == len(notes)
+        stderr_notes = [
+            line.removeprefix("mvcreg: warning: ") for line in captured.err.splitlines()
+        ]
+        assert stderr_notes == notes
+        assert notes[: len(clamps)] == clamps
+        assert clamps == sorted(clamps, key=lambda note: int(note.split()[3]))
+
+    def test_fit_never_builds_the_fourth_moment_tensor(
+        self, dataset_csv, monkeypatch
+    ):
+        original = mvcreg.moments.weighted_fourth_moment
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("mvcreg fit built the d^4 fourth-moment tensor")
+
+        patched = []
+        for name, module in list(sys.modules.items()):
+            if name != "mvcreg" and not name.startswith("mvcreg."):
+                continue
+            if getattr(module, "weighted_fourth_moment", None) is original:
+                monkeypatch.setattr(module, "weighted_fourth_moment", forbidden)
+                patched.append(name)
+        assert {"mvcreg", "mvcreg.moments"} <= set(patched)
+        assert main(["fit", "-i", str(dataset_csv)]) == 0
 
     def test_table_format(self, dataset_csv, capsys):
         assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0

@@ -9,12 +9,17 @@ from mvcreg import (
     Dataset,
     SingularD,
     analytic_sigma,
+    component_regression_moments,
+    compute_weights,
     fit_all,
     generate,
     limit_co_moments,
     plug_in_covariance,
+    plug_in_covariances,
     reference_study_config,
     true_component_moments,
+    weight_co_moments,
+    weighted_fourth_moment,
 )
 from mvcreg.simgen import with_n_obs, with_seed
 
@@ -165,3 +170,105 @@ class TestPlugInCovariance:
         acc /= reps
         np.testing.assert_allclose(acc[0], V_COMPONENT_1, rtol=0.15)
         np.testing.assert_allclose(acc[1], V_COMPONENT_2, rtol=0.15)
+
+
+def dirichlet_design(seed, n_comp, d, n=300):
+    """Mixture sample with Dirichlet(1) concentrations: intercept plus d-1 regressors."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n_comp), size=n)
+    labels = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+    labels = np.minimum(labels, n_comp - 1)  # guard the cumsum's last rounding
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, d - 1)) + labels[:, None]])
+    coef = rng.normal(size=(n_comp, d))
+    noise = rng.uniform(0.1, 1.0, size=n_comp)[labels] * rng.normal(size=n)
+    y = np.einsum("ji,ji->j", x, coef[labels]) + noise
+    return Dataset(y=y, x=x), ConcentrationMatrix(p)
+
+
+def tensor_route(data, p, fit, m):
+    """Plug-in covariance of component m through the full d^4 tensor."""
+    weights = compute_weights(p)
+    moments = []
+    for s in range(p.n_components):
+        a_s = weights.values[:, s]
+        d2, _ = component_regression_moments(data, a_s)
+        resid = data.y - data.x @ fit.coefficients[s]
+        sigma2 = float(np.einsum("j,j->", a_s, resid**2) / data.n_obs)
+        moments.append(
+            ComponentMoments(
+                d2=d2,
+                l4=weighted_fourth_moment(data, a_s),
+                sigma2=max(sigma2, 0.0),
+                b=fit.coefficients[s],
+            )
+        )
+    return analytic_sigma(moments, weight_co_moments(weights, p, m), m)
+
+
+def assert_matches_tensor_route(data, p, fit):
+    covs = plug_in_covariances(data, p, fit)
+    assert [c.component for c in covs] == list(range(p.n_components))
+    for m, cov in enumerate(covs):
+        oracle = tensor_route(data, p, fit, m)
+        for name in ("sigma", "v"):
+            expected = getattr(oracle, name)
+            err = np.max(np.abs(getattr(cov, name) - expected))
+            assert err <= 1e-10 * np.max(np.abs(expected)), (m, name, err)
+    return covs
+
+
+def assert_same_bytes(a, b):
+    for name in ("sigma", "v", "d_matrix", "std_errors"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert (a.component, a.mode, a.warnings) == (b.component, b.mode, b.warnings)
+
+
+def clamped_design():
+    """Bundled design at a seed whose plug-in error variance goes negative."""
+    config, _ = reference_study_config()
+    sim = generate(with_seed(config, 12345))
+    return sim.data, sim.p
+
+
+class TestContractedPlugIn:
+    """The O(N d^2) contraction against the d^4 tensor it replaces."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("n_comp", range(1, 5))
+    def test_matches_tensor_route(self, n_comp, d):
+        data, p = dirichlet_design(100 * n_comp + d, n_comp, d)
+        fit = fit_all(data, p)
+        assert fit.ok
+        assert_matches_tensor_route(data, p, fit)
+
+    def test_matches_tensor_route_with_clamped_variance(self):
+        data, p = clamped_design()
+        covs = assert_matches_tensor_route(data, p, fit_all(data, p))
+        assert all(any("clamped to 0" in w for w in c.warnings) for c in covs)
+
+    @pytest.mark.parametrize(
+        "design",
+        [
+            lambda: dirichlet_design(9, 1, 2),
+            lambda: dirichlet_design(25, 3, 4),
+            lambda: dirichlet_design(34, 4, 6),
+            clamped_design,
+        ],
+        ids=["M1-d2", "M3-d4", "M4-d6", "clamped"],
+    )
+    def test_single_target_is_entry_of_all_targets(self, design):
+        data, p = design()
+        fit = fit_all(data, p)
+        weights = compute_weights(p)
+        covs = plug_in_covariances(data, p, fit)
+        for m in range(p.n_components):
+            assert_same_bytes(plug_in_covariance(data, p, fit, m), covs[m])
+            single = plug_in_covariance(data, p, fit, m, weights=weights)
+            assert_same_bytes(single, covs[m])
+
+    def test_rejects_target_out_of_range(self):
+        data, p = dirichlet_design(3, 2, 2)
+        fit = fit_all(data, p)
+        for m in (-1, 2):
+            with pytest.raises(ValueError):
+                plug_in_covariance(data, p, fit, m)
