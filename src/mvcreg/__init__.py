@@ -8,7 +8,7 @@ coefficients, and a sandwich formula gives their asymptotic covariance.
 """
 
 from .concentrations import (
-    DEFAULT_DET_TOL,
+    DEFAULT_GAMMA_TOL,
     ConcentrationMatrix,
     GramianSummary,
     WeightMatrix,
@@ -77,7 +77,7 @@ from .simgen import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_DET_TOL",
+    "DEFAULT_GAMMA_TOL",
     "DEFAULT_XTX_TOL",
     "AsymptoticCovariance",
     "ComparisonReport",

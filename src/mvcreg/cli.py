@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import dataio
-from .concentrations import DEFAULT_DET_TOL, build_gramian, compute_weights
+from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .covariance import plug_in_covariances
 from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian
 from .estimator import DEFAULT_XTX_TOL, fit_all
@@ -54,7 +54,7 @@ def cmd_fit(args) -> int:
     if args.intercept:
         data = _with_intercept(data)
     gramian = build_gramian(p)
-    weights = compute_weights(p, gramian, det_tol=args.det_tol)
+    weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
     fit = fit_all(data, p, xtx_tol=args.xtx_tol, gramian=gramian, weights=weights)
     warnings: list[str] = []
     if not fit.errors:
@@ -83,7 +83,7 @@ def cmd_fit(args) -> int:
 def cmd_weights(args) -> int:
     data, p = dataio.read_csv(args.input, row_sum_tol=_CSV_ROW_SUM_TOL)
     gramian = build_gramian(p)
-    weights = compute_weights(p, gramian, det_tol=args.det_tol)
+    weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
     if args.format == "csv":
         import csv as _csv
         import io as _io
@@ -174,14 +174,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--intercept", action="store_true",
         help="prepend a constant regressor column before fitting",
     )
-    p_fit.add_argument("--det-tol", type=float, default=DEFAULT_DET_TOL)
+    p_fit.add_argument("--gamma-tol", type=float, default=DEFAULT_GAMMA_TOL)
     p_fit.add_argument("--xtx-tol", type=float, default=DEFAULT_XTX_TOL)
     p_fit.set_defaults(func=cmd_fit)
 
     p_w = sub.add_parser("weights", help="emit the minimax weight matrix")
     p_w.add_argument("--input", "-i", required=True, help="CSV dataset path")
     common(p_w, formats=("json", "csv"), default_format="json")
-    p_w.add_argument("--det-tol", type=float, default=DEFAULT_DET_TOL)
+    p_w.add_argument("--gamma-tol", type=float, default=DEFAULT_GAMMA_TOL)
     p_w.set_defaults(func=cmd_weights)
 
     p_sim = sub.add_parser("simulate", help="draw a synthetic dataset from a config")

@@ -3,13 +3,19 @@
 The mixing probabilities of the observations form an N x M row-stochastic
 matrix ``p``.  Averaging products of its columns gives the M x M Gramian
 ``Gamma = (1/N) p'p`` whose nonsingularity is the identifiability condition
-for the mixture.  The minimax weight for component ``m`` at observation ``j``
-is the cofactor combination
+for the mixture.  The minimax weights are
 
-    a[j, m] = (1/det Gamma) * sum_k (-1)**(k+m) * minor(m, k) * p[j, k],
+    a = p Gamma^-1,
 
-which is the unique linear-in-p weight system satisfying the biorthogonality
-identity ``(1/N) sum_j a[j, m] p[j, k] = delta(m, k)``.
+the unique linear-in-p weight system satisfying the biorthogonality identity
+``(1/N) sum_j a[j, m] p[j, k] = delta(m, k)``.
+
+Identifiability is judged by ``cond(Gamma)``, not by ``det(Gamma)``: the
+determinant of a well-conditioned Gramian still shrinks geometrically with M
+(uniform Dirichlet rows give about 1e-9 at M=6 and 1e-20 at M=10), so an
+absolute floor on it refuses good designs.  Every eigenvalue of ``Gamma`` is
+at most ``trace Gamma <= 1``, hence ``det(Gamma) > 1e-8`` implies
+``cond(Gamma) < 1e8``, the default ceiling.
 """
 
 from __future__ import annotations
@@ -17,16 +23,13 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import SingularGramian
 
-#: default absolute floor for det(Gamma); the theory only requires a positive
-#: constant, so callers with better knowledge of their design should tighten it
-DEFAULT_DET_TOL = 1e-8
-
-# explicit cofactor expansion up to M=4 keeps the minors exact; larger M falls
-# back to LU-based determinants of the deleted submatrices
-_CLOSED_FORM_LIMIT = 4
+#: default ceiling on cond(Gamma); beyond it the concentration columns are
+#: treated as linearly dependent and the components as not identifiable
+DEFAULT_GAMMA_TOL = 1e8
 
 
 @dataclass(frozen=True)
@@ -81,22 +84,22 @@ class ConcentrationMatrix:
 
 @dataclass(frozen=True)
 class GramianSummary:
-    """Gramian of the concentration columns with determinant and minors.
+    """Gramian of the concentration columns with determinant and condition.
 
-    ``minors[l, m]`` is the determinant of ``gamma`` with row ``l`` and column
-    ``m`` deleted (for M=1 the empty determinant is 1 by convention).
+    ``condition`` is the ratio of the largest to the smallest eigenvalue of
+    ``gamma``, infinite when the smallest is not positive.
     """
 
     gamma: np.ndarray
     det_gamma: float
-    minors: np.ndarray
+    condition: float
 
     def __post_init__(self):
-        for name in ("gamma", "minors"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        gamma = np.array(self.gamma, dtype=float)
+        gamma.flags.writeable = False
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "det_gamma", float(self.det_gamma))
+        object.__setattr__(self, "condition", float(self.condition))
 
 
 @dataclass(frozen=True)
@@ -128,53 +131,8 @@ class WeightMatrix:
         return self.values.shape[1]
 
 
-def _det_small(a: np.ndarray) -> float:
-    """Determinant by closed form for order <= 3, LU beyond."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    if n == 1:
-        return float(a[0, 0])
-    if n == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if n == 3:
-        return float(
-            a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-            - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-            + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-        )
-    return float(np.linalg.det(a))
-
-
-def _minor(gamma: np.ndarray, row: int, col: int) -> float:
-    sub = np.delete(np.delete(gamma, row, axis=0), col, axis=1)
-    return _det_small(sub)
-
-
-def _minor_matrix(gamma: np.ndarray, det: float) -> np.ndarray:
-    m = gamma.shape[0]
-    if m <= _CLOSED_FORM_LIMIT:
-        minors = np.empty((m, m))
-        for l in range(m):
-            for k in range(m):
-                minors[l, k] = _minor(gamma, l, k)
-        return minors
-    # adjugate route: adj = det * inv, so minor(l, m) = (-1)**(l+m) adj[m, l];
-    # near-singular Gamma falls back to per-submatrix determinants
-    scale = float(np.abs(gamma).max()) or 1.0
-    if abs(det) > 1e-12 * scale**m:
-        adj = det * np.linalg.inv(gamma)
-        signs = (-1.0) ** (np.add.outer(np.arange(m), np.arange(m)))
-        return signs * adj.T
-    minors = np.empty((m, m))
-    for l in range(m):
-        for k in range(m):
-            minors[l, k] = _minor(gamma, l, k)
-    return minors
-
-
 def build_gramian(p: ConcentrationMatrix) -> GramianSummary:
-    """Compute the concentration Gramian, its determinant, and all minors.
+    """Compute the concentration Gramian with its determinant and condition.
 
     Parameters
     ----------
@@ -184,25 +142,25 @@ def build_gramian(p: ConcentrationMatrix) -> GramianSummary:
     Returns
     -------
     GramianSummary
-        ``gamma = (1/N) p'p`` with ``det_gamma`` and the full matrix of
-        first minors.  Singularity is diagnosed downstream, not here: a
-        degenerate design still gets its Gramian reported.
+        ``gamma = (1/N) p'p`` with ``det_gamma`` and ``condition``, both
+        from its eigenvalues.  Singularity is diagnosed downstream, not
+        here: a degenerate design still gets its Gramian reported.
     """
     values = p.values
     n = p.n_obs
     gamma = np.einsum("jl,jm->lm", values, values) / n
     gamma = (gamma + gamma.T) / 2.0
-    det = _det_small(gamma) if gamma.shape[0] <= _CLOSED_FORM_LIMIT else float(np.linalg.det(gamma))
-    minors = _minor_matrix(gamma, det)
-    return GramianSummary(gamma=gamma, det_gamma=det, minors=minors)
+    eig = np.linalg.eigvalsh(gamma)  # ascending
+    condition = np.inf if eig[0] <= 0.0 else float(eig[-1] / eig[0])
+    return GramianSummary(gamma=gamma, det_gamma=float(np.prod(eig)), condition=condition)
 
 
 def compute_weights(
     p: ConcentrationMatrix,
     g: GramianSummary | None = None,
-    det_tol: float = DEFAULT_DET_TOL,
+    gamma_tol: float = DEFAULT_GAMMA_TOL,
 ) -> WeightMatrix:
-    """Build the minimax weight matrix from the Gramian cofactors.
+    """Build the minimax weight matrix ``a = p Gamma^-1``.
 
     Parameters
     ----------
@@ -210,29 +168,34 @@ def compute_weights(
         Concentrations the weights are built from.
     g : GramianSummary, optional
         Precomputed Gramian of ``p``; computed here when omitted.
-    det_tol : float, optional
-        Positive floor for ``det(Gamma)``.
+    gamma_tol : float, optional
+        Ceiling for ``cond(Gamma)``.
 
     Returns
     -------
     WeightMatrix
-        ``a[j, m] = (1/det) * sum_k (-1)**(k+m) * minors[m, k] * p[j, k]``.
+        ``p`` times the inverse Gramian, which comes from one symmetric LDL'
+        factor-and-solve of the M x M ``Gamma`` against the identity (the
+        square-root-free form of Cholesky, so hand values such as
+        ``1 / 0.5`` stay exact).  Nothing of size N is reduced over.
 
     Raises
     ------
     SingularGramian
-        If ``det(Gamma) <= det_tol``: the concentration columns are
+        If ``cond(Gamma) > gamma_tol``: the concentration columns are
         (near-)linearly dependent and the components are not identifiable.
     """
     if g is None:
         g = build_gramian(p)
-    if g.det_gamma <= det_tol:
-        raise SingularGramian(g.det_gamma, det_tol)
+    if not g.condition <= gamma_tol:
+        raise SingularGramian(g.det_gamma, g.condition, gamma_tol)
     m = p.n_components
-    signs = (-1.0) ** (np.add.outer(np.arange(m), np.arange(m)))
-    cof = signs * g.minors  # cofactor matrix of Gamma
-    a = p.values @ cof.T / g.det_gamma
-    return WeightMatrix(values=a)
+    try:
+        inv = scipy.linalg.solve(g.gamma, np.eye(m), assume_a="sym")
+    except np.linalg.LinAlgError:
+        # only a ceiling near 1/eps lets a Gramian this close to singular through
+        raise SingularGramian(g.det_gamma, np.inf, gamma_tol) from None
+    return WeightMatrix(values=p.values @ inv)
 
 
 def weight_co_moments(a: WeightMatrix, p: ConcentrationMatrix, m: int) -> np.ndarray:

@@ -35,7 +35,6 @@ import numpy as np
 import scipy.linalg
 
 from .concentrations import (
-    DEFAULT_DET_TOL,
     ConcentrationMatrix,
     WeightMatrix,
     compute_weights,
@@ -43,7 +42,7 @@ from .concentrations import (
 )
 from .errors import SingularD
 from .estimator import FitResult
-from .moments import ComponentMoments, Dataset, component_regression_moments
+from .moments import ComponentMoments, Dataset
 
 # Unused here since the plug-in mode contracts L4 without forming it; kept so
 # code that reaches the tensor route through this module (the benchmark's
@@ -166,7 +165,6 @@ def plug_in_covariances(
     data: Dataset,
     p: ConcentrationMatrix,
     fit: FitResult,
-    det_tol: float = DEFAULT_DET_TOL,
     weights: WeightMatrix | None = None,
 ) -> tuple[AsymptoticCovariance, ...]:
     """Plug-in estimates of the sandwich covariance of every component.
@@ -175,8 +173,9 @@ def plug_in_covariances(
     counterpart: component ``s``'s moments use the weights of component
     ``s``, the error variance is the weighted mean squared residual at that
     component's fitted coefficients, and the co-moment limits are replaced by
-    their finite-sample averages.  Each component's D2 and error variance are
-    computed once and shared by all targets; the fourth-moment term enters
+    their finite-sample averages.  Each component's D2 is the normal matrix
+    its fit already solved; D2 and the error variance are computed once and
+    shared by all targets; the fourth-moment term enters
     only contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'``.
 
     A negative weighted residual variance (possible with signed weights) is
@@ -190,12 +189,11 @@ def plug_in_covariances(
     data, p : Dataset, ConcentrationMatrix
         The observations the fit was computed from.
     fit : FitResult
-        Successful fit of *all* components; their coefficient differences
-        enter Sigma.
-    det_tol : float, optional
-        Floor for det(Gamma) when weights are recomputed here.
+        Successful fit of *all* components from these data and weights;
+        their coefficient differences and normal matrices enter Sigma.
     weights : WeightMatrix, optional
-        Precomputed minimax weights for ``p``.
+        Precomputed minimax weights for ``p``; computed with the default
+        identifiability ceiling when omitted.
 
     Returns
     -------
@@ -207,7 +205,7 @@ def plug_in_covariances(
     SingularD
         If some component's second-moment matrix is singular.
     """
-    return _plug_in(data, p, fit, range(p.n_components), det_tol, weights)
+    return _plug_in(data, p, fit, range(p.n_components), weights)
 
 
 def plug_in_covariance(
@@ -215,7 +213,6 @@ def plug_in_covariance(
     p: ConcentrationMatrix,
     fit: FitResult,
     m: int,
-    det_tol: float = DEFAULT_DET_TOL,
     weights: WeightMatrix | None = None,
 ) -> AsymptoticCovariance:
     """Plug-in sandwich covariance of component ``m`` alone.
@@ -225,7 +222,7 @@ def plug_in_covariance(
     component, call :func:`plug_in_covariances` once, which shares the
     per-component statistics across targets.
     """
-    return _plug_in(data, p, fit, (m,), det_tol, weights)[0]
+    return _plug_in(data, p, fit, (m,), weights)[0]
 
 
 def _plug_in(
@@ -233,7 +230,6 @@ def _plug_in(
     p: ConcentrationMatrix,
     fit: FitResult,
     targets: Iterable[int],
-    det_tol: float,
     weights: WeightMatrix | None,
 ) -> tuple[AsymptoticCovariance, ...]:
     if fit.errors:
@@ -244,16 +240,15 @@ def _plug_in(
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
     if weights is None:
-        weights = compute_weights(p, det_tol=det_tol)
+        weights = compute_weights(p)
     n = data.n_obs
     x = data.x
     a = weights.values
     b = fit.coefficients
+    d2 = fit.normal_matrices
     clamp_notes: list[str] = []
-    d2 = []
     sigma2 = []
     for s in range(p.n_components):
-        xtx, _ = component_regression_moments(data, a[:, s])
         resid = data.y - x @ b[s]
         sigma2_s = float(np.einsum("j,j->", a[:, s], resid**2) / n)
         if sigma2_s < 0.0:
@@ -262,7 +257,6 @@ def _plug_in(
                 f"{sigma2_s:.6g} clamped to 0"
             )
             sigma2_s = 0.0
-        d2.append(xtx)
         sigma2.append(sigma2_s)
 
     def quartic(s: int, delta: np.ndarray) -> np.ndarray:

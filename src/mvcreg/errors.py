@@ -13,20 +13,22 @@ class MvcregError(Exception):
 class SingularGramian(MvcregError):
     """Concentration Gramian is (near-)singular; components not identifiable.
 
-    Raised when ``det(Gamma)`` falls at or below the configured floor.  The
+    Raised when ``cond(Gamma)`` exceeds the configured ceiling.  The
     consistency theory requires ``det(Gamma)`` bounded away from zero: the
-    concentration vectors must stay linearly independent.
+    concentration vectors must stay linearly independent.  ``det`` is kept
+    as a diagnostic; the gate is the scale-free condition number.
     """
 
     code = "singular-gramian"
 
-    def __init__(self, det: float, tol: float):
+    def __init__(self, det: float, condition: float, tol: float):
         self.det = float(det)
+        self.condition = float(condition)
         self.tol = float(tol)
         super().__init__(
-            f"det(Gamma)={det:.6g} <= tol={tol:.6g}; concentration columns are "
-            "(near-)linearly dependent, violating the identifiability condition "
-            "det(Gamma) > C > 0 required for consistency"
+            f"cond(Gamma)={condition:.6g} > tol={tol:.6g} (det(Gamma)={det:.6g}); "
+            "concentration columns are (near-)linearly dependent, violating the "
+            "identifiability condition det(Gamma) > C > 0 required for consistency"
         )
 
 

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .concentrations import (
-    DEFAULT_DET_TOL,
     ConcentrationMatrix,
     GramianSummary,
     WeightMatrix,
@@ -37,16 +36,22 @@ _WEIGHT_FLOOR = 1e-12  # mean |a| below this means the component got no mass
 
 @dataclass(frozen=True)
 class ComponentFit:
-    """Fit of a single component: coefficients plus solver diagnostics."""
+    """Fit of a single component: coefficients plus solver diagnostics.
+
+    ``normal_matrix`` is the weighted normal matrix ``X'AX / N`` that was
+    solved, which is also the component's plug-in second-moment matrix D2.
+    """
 
     coefficients: np.ndarray
     condition: float
     negative_eigenvalues: int
+    normal_matrix: np.ndarray
 
     def __post_init__(self):
-        coef = np.array(self.coefficients, dtype=float)
-        coef.flags.writeable = False
-        object.__setattr__(self, "coefficients", coef)
+        for name in ("coefficients", "normal_matrix"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,10 @@ class FitResult:
 
     ``coefficients`` row ``m`` solves that component's normal equations; rows
     of failed components are NaN and the failure is recorded in ``errors``
-    keyed by component index.  ``plug_in_cov`` stays ``None`` until filled by
-    the covariance module.
+    keyed by component index.  ``normal_matrices`` holds each component's
+    ``X'AX / N`` (``None`` where the fit failed) for reuse by the plug-in
+    covariance.  ``plug_in_cov`` stays ``None`` until filled by the
+    covariance module.
     """
 
     coefficients: np.ndarray
@@ -65,6 +72,7 @@ class FitResult:
     negative_eigenvalues: tuple[int, ...]
     n_obs: int
     errors: dict[int, SingularNormalMatrix | DegenerateWeights]
+    normal_matrices: tuple[np.ndarray | None, ...]
     plug_in_cov: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
@@ -108,6 +116,7 @@ def _solve_component(
         coefficients=coef,
         condition=condition,
         negative_eigenvalues=int(np.sum(eig < 0.0)),
+        normal_matrix=xtx,
     )
 
 
@@ -115,7 +124,6 @@ def fit_component(
     data: Dataset,
     p: ConcentrationMatrix,
     m: int,
-    det_tol: float = DEFAULT_DET_TOL,
     xtx_tol: float = DEFAULT_XTX_TOL,
     weights: WeightMatrix | None = None,
 ) -> ComponentFit:
@@ -129,10 +137,12 @@ def fit_component(
         Known mixing probabilities.
     m : int
         Target component, 0-based.
-    det_tol, xtx_tol : float, optional
-        Floors for det(Gamma) and cond(X'AX).
+    xtx_tol : float, optional
+        Ceiling for cond(X'AX).
     weights : WeightMatrix, optional
-        Precomputed minimax weights for ``p`` (skips the Gramian solve).
+        Precomputed minimax weights for ``p`` (skips the Gramian solve);
+        pass ``compute_weights(p, gamma_tol=...)`` for a non-default
+        identifiability ceiling.
 
     Raises
     ------
@@ -148,14 +158,13 @@ def fit_component(
     if not 0 <= m < p.n_components:
         raise ValueError(f"component index {m} out of range")
     if weights is None:
-        weights = compute_weights(p, det_tol=det_tol)
+        weights = compute_weights(p)
     return _solve_component(data, weights.values[:, m], m, xtx_tol)
 
 
 def fit_all(
     data: Dataset,
     p: ConcentrationMatrix,
-    det_tol: float = DEFAULT_DET_TOL,
     xtx_tol: float = DEFAULT_XTX_TOL,
     gramian: GramianSummary | None = None,
     weights: WeightMatrix | None = None,
@@ -164,19 +173,22 @@ def fit_all(
 
     A singular Gramian aborts the whole fit; a singular normal matrix only
     fails its own component, which gets a NaN coefficient row and an entry in
-    ``FitResult.errors``.
+    ``FitResult.errors``.  ``weights``, when given, must be those of ``p``;
+    build them with ``compute_weights(p, gramian, gamma_tol=...)`` for a
+    non-default identifiability ceiling.
     """
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
     if gramian is None:
         gramian = build_gramian(p)
     if weights is None:
-        weights = compute_weights(p, gramian, det_tol=det_tol)
+        weights = compute_weights(p, gramian)
     n_comp = p.n_components
     d = data.n_regressors
     coef = np.full((n_comp, d), np.nan)
     cond = np.full(n_comp, np.nan)
     neg = []
+    normal: list[np.ndarray | None] = []
     failures: dict[int, SingularNormalMatrix | DegenerateWeights] = {}
     for m in range(n_comp):
         try:
@@ -186,10 +198,12 @@ def fit_all(
             if isinstance(exc, SingularNormalMatrix):
                 cond[m] = exc.condition
             neg.append(0)
+            normal.append(None)
             continue
         coef[m] = fit.coefficients
         cond[m] = fit.condition
         neg.append(fit.negative_eigenvalues)
+        normal.append(fit.normal_matrix)
     return FitResult(
         coefficients=coef,
         det_gamma=gramian.det_gamma,
@@ -197,4 +211,5 @@ def fit_all(
         negative_eigenvalues=tuple(neg),
         n_obs=data.n_obs,
         errors=failures,
+        normal_matrices=tuple(normal),
     )

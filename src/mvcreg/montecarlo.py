@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .covariance import analytic_sigma
 from .errors import ConfigError, ExcessiveFailures, MvcregError
 from .estimator import DEFAULT_XTX_TOL, fit_all
-from .concentrations import DEFAULT_DET_TOL
 from .simgen import (
     SimulationConfig,
     StudyOptions,
@@ -99,12 +99,14 @@ def resolve_threads(threads: int | None = None) -> int:
     return threads
 
 
-def _replicate(config: SimulationConfig, n_obs: int, rep: int, det_tol: float, xtx_tol: float):
+def _replicate(config: SimulationConfig, n_obs: int, rep: int, gamma_tol: float, xtx_tol: float):
     """One generate-then-fit replication; None marks a failed fit."""
     cfg = with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep))
     sim = generate(cfg)
     try:
-        fit = fit_all(sim.data, sim.p, det_tol=det_tol, xtx_tol=xtx_tol)
+        gramian = build_gramian(sim.p)
+        weights = compute_weights(sim.p, gramian, gamma_tol=gamma_tol)
+        fit = fit_all(sim.data, sim.p, xtx_tol=xtx_tol, gramian=gramian, weights=weights)
     except MvcregError:
         return None
     if fit.errors:
@@ -117,7 +119,7 @@ def run_study(
     rep_count: int,
     n_grid: tuple[int, ...] | None = None,
     threads: int | None = None,
-    det_tol: float = DEFAULT_DET_TOL,
+    gamma_tol: float = DEFAULT_GAMMA_TOL,
     xtx_tol: float = DEFAULT_XTX_TOL,
     keep_estimates: bool = False,
 ) -> MonteCarloReport:
@@ -149,13 +151,13 @@ def run_study(
     for n_obs in grid:
         if workers == 1:
             results = [
-                _replicate(config, n_obs, rep, det_tol, xtx_tol) for rep in range(rep_count)
+                _replicate(config, n_obs, rep, gamma_tol, xtx_tol) for rep in range(rep_count)
             ]
         else:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 results = list(
                     pool.map(
-                        lambda rep: _replicate(config, n_obs, rep, det_tol, xtx_tol),
+                        lambda rep: _replicate(config, n_obs, rep, gamma_tol, xtx_tol),
                         range(rep_count),
                     )
                 )

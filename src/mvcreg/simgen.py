@@ -22,7 +22,6 @@ from itertools import product
 from typing import Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .concentrations import ConcentrationMatrix, compute_weights, weight_co_moments
 from .errors import ConfigError
@@ -285,33 +284,26 @@ def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:
 def limit_co_moments(config: SimulationConfig, m: int) -> np.ndarray:
     """Limiting weight co-moments ``<(a^m)^2 p^s p^t>`` of the design.
 
-    For the linear ramp the concentration columns converge to functions of
-    t = j/N, so the limits are integrals over [0, 1], evaluated by adaptive
-    quadrature.  An explicit concentration matrix has no limiting structure;
-    its finite-sample co-moments are returned instead.
+    For the linear ramp the concentration columns converge to t and 1 - t
+    with t = j/N, so the limits are integrals over [0, 1] of polynomials of
+    degree at most 4 in t.  Three-point Gauss-Legendre quadrature is exact
+    for them, and the Gramian, the weights ``a = p Gamma^-1`` and the
+    co-moments become the same matrix products as the finite-sample path,
+    with the quadrature weights in place of 1/N.  An explicit concentration
+    matrix has no limiting structure; its finite-sample co-moments are
+    returned instead.
     """
     if not 0 <= m < config.n_components:
         raise ValueError(f"component index {m} out of range")
     model = config.concentrations
     if isinstance(model, LinearRamp):
-        funcs = (lambda t: t, lambda t: 1.0 - t)
-        gram = np.array(
-            [[quad(lambda t: fl(t) * fm(t), 0.0, 1.0)[0] for fm in funcs] for fl in funcs]
-        )
-        inv = np.linalg.inv(gram)
-
-        def a_m(t: float) -> float:
-            return sum(f(t) * inv[k, m] for k, f in enumerate(funcs))
-
-        co = np.array(
-            [
-                [
-                    quad(lambda t: a_m(t) ** 2 * fs(t) * ft(t), 0.0, 1.0)[0]
-                    for ft in funcs
-                ]
-                for fs in funcs
-            ]
-        )
+        nodes, node_weights = np.polynomial.legendre.leggauss(3)
+        t = (nodes + 1.0) / 2.0  # mapped from [-1, 1] to [0, 1]
+        w = node_weights / 2.0
+        conc = np.column_stack([t, 1.0 - t])
+        gram = conc.T @ (w[:, None] * conc)
+        a_m = conc @ np.linalg.inv(gram)[:, m]
+        co = conc.T @ ((w * a_m**2)[:, None] * conc)
         return (co + co.T) / 2.0
     p = model.matrix(config.n_obs)
     weights = compute_weights(p)

@@ -1,5 +1,8 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -155,6 +158,16 @@ class TestFit:
         assert {"mvcreg", "mvcreg.moments"} <= set(patched)
         assert main(["fit", "-i", str(dataset_csv)]) == 0
 
+    def test_cli_import_does_not_load_scipy_integrate(self):
+        # a fresh interpreter, so modules loaded by other tests do not count
+        src = str(Path(mvcreg.moments.__file__).parents[1])
+        code = "import sys, mvcreg.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
+
     def test_table_format(self, dataset_csv, capsys):
         assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0
         out = capsys.readouterr().out
@@ -178,6 +191,22 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("mvcreg: singular-gramian:")
         assert "identifiability" in err
+
+    def test_many_components_with_tiny_determinant_fit(self, tmp_path, capsys):
+        # uniform Dirichlet rows at M=6: det(Gamma) ~ 1e-9 but cond ~ 7
+        rng = np.random.default_rng(6)
+        n, n_comp = 2000, 6
+        p = rng.dirichlet(np.ones(n_comp), size=n)
+        x = rng.normal(size=n)
+        y = 1.0 + x + rng.normal(size=n)
+        rows = ["y,x1," + ",".join(f"p{k + 1}" for k in range(n_comp))]
+        rows += [",".join(repr(float(v)) for v in (y[j], x[j], *p[j])) for j in range(n)]
+        path = tmp_path / "dirichlet6.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "-i", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert 0.0 < doc["det_gamma"] < 1e-8
+        assert doc["errors"] == {}
 
     def test_collinear_regressors_exit_4(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

@@ -50,7 +50,7 @@ class TestBuildGramian:
         g = build_gramian(p)
         np.testing.assert_allclose(g.gamma, [[1.0]])
         assert g.det_gamma == 1.0
-        np.testing.assert_allclose(g.minors, [[1.0]])
+        assert g.condition == 1.0
 
     def test_ramp_large_n_limits(self):
         # column averages approach integrals of t*t, t*(1-t), (1-t)^2
@@ -98,23 +98,43 @@ class TestComputeWeights:
         assert exc_info.value.det == pytest.approx(0.0, abs=1e-15)
         assert "identifiability" in str(exc_info.value)
 
-    def test_det_tol_gate(self):
-        # well-conditioned matrix rejected only when tol is raised above det
-        p = ConcentrationMatrix(np.eye(4).repeat(3, axis=0))
-        compute_weights(p)
+    def test_condition_gate(self):
+        # Gamma = diag(3/4, 1/4): cond exactly 3, accepted at the ceiling,
+        # rejected just below it
+        p = ConcentrationMatrix(np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]]))
+        assert build_gramian(p).condition == 3.0
+        compute_weights(p, gamma_tol=3.0)
+        with pytest.raises(SingularGramian) as exc_info:
+            compute_weights(p, gamma_tol=2.9)
+        assert exc_info.value.condition == 3.0
+        assert exc_info.value.tol == 2.9
+        assert exc_info.value.det == pytest.approx(3 / 16)
+        # Gamma = I/10: det 1e-10, yet perfectly conditioned and accepted
+        a = compute_weights(ConcentrationMatrix(np.eye(10)))
+        np.testing.assert_allclose(a.values, 10 * np.eye(10), rtol=1e-14)
+        # even an infinite ceiling does not let an exactly singular Gramian through
         with pytest.raises(SingularGramian):
-            compute_weights(p, det_tol=0.5)
+            compute_weights(ConcentrationMatrix(np.full((10, 2), 0.5)), gamma_tol=np.inf)
 
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 4))
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 10))
     def test_biorthogonality(self, seed, n, m):
         rng = np.random.default_rng(seed)
         assume(n >= m)
         p = ConcentrationMatrix(random_stochastic_rows(rng, n, m))
         g = build_gramian(p)
-        assume(g.det_gamma > 0.01)
+        assume(g.condition < 1e6)
         a = compute_weights(p, g)
         cross = a.values.T @ p.values / n
         np.testing.assert_allclose(cross, np.eye(m), atol=1e-10)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 10))
+    def test_well_conditioned_designs_never_refused(self, seed, n, m):
+        # condition judged independently of build_gramian, by SVD
+        rng = np.random.default_rng(seed)
+        assume(n >= m)
+        rows = random_stochastic_rows(rng, n, m)
+        assume(np.linalg.cond(rows.T @ rows / n) < 1e6)
+        compute_weights(ConcentrationMatrix(rows))
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
     def test_row_permutation_permutes_weights(self, seed, n):

@@ -87,10 +87,10 @@ class TestRunStudy:
         assert np.all(np.abs(report.points[0].scaled_cov) < 1e-12)
 
     def test_excessive_failures_abort(self):
-        # det tolerance far above the design's Gramian determinant makes
+        # the ramp's Gramian has cond about 3, so a ceiling of 1.5 makes
         # every replication fail
         with pytest.raises(ExcessiveFailures):
-            run_study(small_config(), rep_count=10, n_grid=(100,), det_tol=0.5)
+            run_study(small_config(), rep_count=10, n_grid=(100,), gamma_tol=1.5)
 
     def test_rep_count_floor(self):
         with pytest.raises(ConfigError):
