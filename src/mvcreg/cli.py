@@ -15,6 +15,7 @@ codes: 0 success, 2 bad input or config, 3 singular concentration Gramian,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -36,12 +37,18 @@ def _diag(exc: MvcregError) -> None:
     print(f"mvcreg: {exc.code}: {exc}", file=sys.stderr)
 
 
-def _write_output(args, text: str) -> None:
+@contextlib.contextmanager
+def _open_output(args):
     if args.output is None or args.output == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _write_output(args, text: str) -> None:
+    with _open_output(args) as fh:
+        fh.write(text)
 
 
 def _with_intercept(data: Dataset) -> Dataset:
@@ -85,16 +92,7 @@ def cmd_weights(args) -> int:
     gramian = build_gramian(p)
     weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
     if args.format == "csv":
-        import csv as _csv
-        import io as _io
-
-        buf = _io.StringIO()
-        writer = _csv.writer(buf, lineterminator="\n")
-        n_comp = weights.values.shape[1]
-        writer.writerow([f"a{m + 1}" for m in range(n_comp)])
-        for row in weights.values:
-            writer.writerow([repr(float(v)) for v in row])
-        text = buf.getvalue()
+        text = dataio.render_weights_csv(weights)
     else:
         text = dataio.dumps(dataio.weights_to_dict(gramian, weights, p))
     _write_output(args, text)
@@ -106,7 +104,8 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = with_seed(config, args.seed)
     sim = generate(config)
-    _write_output(args, dataio.render_csv(sim.data, sim.p))
+    with _open_output(args) as fh:
+        dataio.write_csv(fh, sim.data, sim.p)  # chunk by chunk, never the whole text
     return 0
 
 

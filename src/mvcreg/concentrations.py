@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularGramian
 
@@ -174,10 +173,10 @@ def compute_weights(
     Returns
     -------
     WeightMatrix
-        ``p`` times the inverse Gramian, which comes from one symmetric LDL'
-        factor-and-solve of the M x M ``Gamma`` against the identity (the
-        square-root-free form of Cholesky, so hand values such as
-        ``1 / 0.5`` stay exact).  Nothing of size N is reduced over.
+        ``p`` times the inverse Gramian, which comes from one LU solve
+        (partial pivoting) of the M x M ``Gamma`` against the identity; it
+        takes no square roots, so hand values such as ``1 / 0.5`` stay
+        exact.  Nothing of size N is reduced over.
 
     Raises
     ------
@@ -191,7 +190,7 @@ def compute_weights(
         raise SingularGramian(g.det_gamma, g.condition, gamma_tol)
     m = p.n_components
     try:
-        inv = scipy.linalg.solve(g.gamma, np.eye(m), assume_a="sym")
+        inv = np.linalg.solve(g.gamma, np.eye(m))
     except np.linalg.LinAlgError:
         # only a ceiling near 1/eps lets a Gramian this close to singular through
         raise SingularGramian(g.det_gamma, np.inf, gamma_tol) from None

@@ -32,7 +32,6 @@ from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .concentrations import (
     ConcentrationMatrix,
@@ -119,8 +118,8 @@ def _sandwich(d2: np.ndarray, sigma: np.ndarray, component: int) -> np.ndarray:
     smallest = float(np.min(np.abs(eig)))
     if smallest == 0.0 or largest / smallest > _D_CONDITION_LIMIT:
         raise SingularD(component, f"condition number {largest / max(smallest, 1e-300):.3g}")
-    half = scipy.linalg.solve(d2, sigma, assume_a="sym")  # D^-1 Sigma
-    v = scipy.linalg.solve(d2, half.T, assume_a="sym").T  # (D^-1 Sigma) D^-1
+    half = np.linalg.solve(d2, sigma)  # D^-1 Sigma
+    v = np.linalg.solve(d2, half.T).T  # (D^-1 Sigma) D^-1
     return (v + v.T) / 2.0
 
 

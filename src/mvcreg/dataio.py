@@ -5,6 +5,17 @@ The CSV layout is one observation per row with header
 the concentration columns.  Floats are written with ``repr`` so a write/read
 round trip reproduces the array bytes exactly.
 
+The writer renders fixed chunks of rows: one ``repr`` map over a chunk's
+cells, joined row by row, so it holds one chunk's text at a time when it
+writes to a file.  The reader checks the header, then hands the open stream
+to ``np.loadtxt``, which parses the rows line by line without holding the
+whole text, so memory is of the order of the N x (1+d+M) float array.
+Input ``np.loadtxt`` refuses (quoted cells, ``1_0``, or a genuine error) is
+parsed again by the row-wise ``csv.reader`` path, which accepts exactly what
+``float`` accepts, names the line of the first bad record, and holds one
+Python list per row.  Both paths convert with CPython's string-to-double
+routine, so they give the same values.
+
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
 byte-identical reports.
@@ -17,6 +28,7 @@ import io
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 
@@ -33,32 +45,56 @@ _HEADER_RE = re.compile(r"^y(,x\d+)+(,p\d+)+$")
 # CSV
 # --------------------------------------------------------------------------
 
+#: rows rendered per chunk; bounds the writer's transient text, not a tuning knob
+_CHUNK_ROWS = 8192
 
-def render_csv(data: Dataset, p: ConcentrationMatrix) -> str:
-    """Serialize a dataset and its concentration rows to CSV text."""
+
+def _csv_chunks(header: list[str], table: np.ndarray):
+    """Yield CSV text for ``header`` and the rows of ``table``, chunk by chunk.
+
+    Every cell is ``repr`` of a Python float, exactly what ``csv.writer``
+    writes for ``repr(float(v))``: a float's repr never needs quoting.
+    """
+    n_col = len(header)
+    yield ",".join(header) + "\n"
+    for start in range(0, table.shape[0], _CHUNK_ROWS):
+        cells = map(repr, table[start : start + _CHUNK_ROWS].ravel().tolist())
+        yield "\n".join(map(",".join, zip(*[cells] * n_col))) + "\n"
+
+
+def _header(d: int, n_comp: int) -> list[str]:
+    return ["y"] + [f"x{i + 1}" for i in range(d)] + [f"p{k + 1}" for k in range(n_comp)]
+
+
+def _dataset_chunks(data: Dataset, p: ConcentrationMatrix):
     if p.values.shape[0] != data.n_obs:
         raise ValueError(
             f"dataset has {data.n_obs} rows but concentration matrix has "
             f"{p.values.shape[0]}"
         )
-    d = data.n_regressors
-    n_comp = p.values.shape[1]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["y"] + [f"x{i + 1}" for i in range(d)] + [f"p{k + 1}" for k in range(n_comp)]
-    )
-    for j in range(data.n_obs):
-        row = [repr(float(data.y[j]))]
-        row += [repr(float(v)) for v in data.x[j]]
-        row += [repr(float(v)) for v in p.values[j]]
-        writer.writerow(row)
-    return out.getvalue()
+    header = _header(data.n_regressors, p.values.shape[1])
+    return _csv_chunks(header, np.column_stack([data.y, data.x, p.values]))
+
+
+def render_csv(data: Dataset, p: ConcentrationMatrix) -> str:
+    """Serialize a dataset and its concentration rows to CSV text."""
+    return "".join(_dataset_chunks(data, p))
 
 
 def write_csv(path, data: Dataset, p: ConcentrationMatrix) -> None:
+    """Write ``render_csv``'s text to a path or an open text stream, chunk by chunk."""
+    chunks = _dataset_chunks(data, p)
+    if hasattr(path, "write"):
+        path.writelines(chunks)
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_csv(data, p))
+        fh.writelines(chunks)
+
+
+def render_weights_csv(weights) -> str:
+    """The weight matrix as CSV: header ``a1,...,aM``, one row per observation."""
+    a = weights.values
+    return "".join(_csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], a))
 
 
 def parse_csv_text(
@@ -70,43 +106,33 @@ def parse_csv_text(
     1..d and ``p`` columns 1..M, in order.  Any malformed cell raises
     DataFormatError naming the line.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise DataFormatError(f"{source}: empty file") from None
-    joined = ",".join(h.strip() for h in header)
-    if not _HEADER_RE.match(joined):
-        raise DataFormatError(
-            f"{source}: header must be y,x1,...,xd,p1,...,pM, got {joined!r}"
-        )
-    names = joined.split(",")
-    d = sum(1 for h in names if h.startswith("x"))
-    n_comp = len(names) - 1 - d
-    expected = ["y"] + [f"x{i + 1}" for i in range(d)] + [f"p{k + 1}" for k in range(n_comp)]
-    if names != expected:
-        raise DataFormatError(
-            f"{source}: columns out of order; expected {','.join(expected)}, got {joined!r}"
-        )
+    return _parse_stream(io.StringIO(text), row_sum_tol, source)
 
-    rows = []
-    for lineno, cells in enumerate(reader, start=2):
-        if not cells:
-            continue
-        if len(cells) != len(names):
-            raise DataFormatError(
-                f"{source}: line {lineno}: expected {len(names)} fields, got {len(cells)}"
-            )
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError:
-            bad = next(c for c in cells if not _is_float(c))
-            raise DataFormatError(
-                f"{source}: line {lineno}: not a number: {bad!r}"
-            ) from None
-    if not rows:
-        raise DataFormatError(f"{source}: no data rows")
-    arr = np.array(rows)
+
+def read_csv(path, row_sum_tol: float = 1e-6) -> tuple[Dataset, ConcentrationMatrix]:
+    """Parse a CSV file as ``parse_csv_text`` would, without holding its text.
+
+    Lines end at ``\\n`` only, as in ``io.StringIO``, so the file and its
+    text give the same result.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            return _parse_stream(fh, row_sum_tol, str(path))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
+def _parse_stream(fh, row_sum_tol: float, source: str):
+    try:
+        names = _read_header(fh, source)
+        start = fh.tell()
+        arr = _load_table(fh, len(names))
+        if arr is None:
+            fh.seek(start)
+            arr = _parse_rows(csv.reader(fh), len(names), source)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
+    d = sum(1 for h in names if h.startswith("x"))
     try:
         data = Dataset(y=arr[:, 0], x=arr[:, 1 : 1 + d])
         p = ConcentrationMatrix(arr[:, 1 + d :], row_sum_tol=row_sum_tol)
@@ -115,13 +141,69 @@ def parse_csv_text(
     return data, p
 
 
-def read_csv(path, row_sum_tol: float = 1e-6) -> tuple[Dataset, ConcentrationMatrix]:
+def _read_header(fh, source: str) -> list[str]:
+    # readline, not iteration, so that fh.tell() still works afterwards
+    reader = csv.reader(iter(fh.readline, ""))
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return parse_csv_text(text, row_sum_tol=row_sum_tol, source=str(path))
+        header = next(reader)
+    except StopIteration:
+        raise DataFormatError(f"{source}: empty file") from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{source}: line 1: {exc}") from None
+    joined = ",".join(h.strip() for h in header)
+    if not _HEADER_RE.match(joined):
+        raise DataFormatError(
+            f"{source}: header must be y,x1,...,xd,p1,...,pM, got {joined!r}"
+        )
+    names = joined.split(",")
+    d = sum(1 for h in names if h.startswith("x"))
+    expected = _header(d, len(names) - 1 - d)
+    if names != expected:
+        raise DataFormatError(
+            f"{source}: columns out of order; expected {','.join(expected)}, got {joined!r}"
+        )
+    return names
+
+
+def _load_table(fh, n_col: int) -> np.ndarray | None:
+    """All data rows via ``np.loadtxt``, or None where it refuses the input.
+
+    ``np.loadtxt`` converts cells with the same string-to-double routine as
+    ``float``, so whatever it accepts parses to the row-wise path's values.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # "input contained no data" and kin
+        try:
+            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return arr if arr.shape[1] == n_col else None
+
+
+def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:
+    """Row-wise parse of the data records; names the line of the first bad one."""
+    rows = []
+    lineno = 1
+    try:
+        for lineno, cells in enumerate(reader, start=2):
+            if not cells:
+                continue
+            if len(cells) != n_col:
+                raise DataFormatError(
+                    f"{source}: line {lineno}: expected {n_col} fields, got {len(cells)}"
+                )
+            try:
+                rows.append([float(c) for c in cells])
+            except ValueError:
+                bad = next(c for c in cells if not _is_float(c))
+                raise DataFormatError(
+                    f"{source}: line {lineno}: not a number: {bad!r}"
+                ) from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{source}: line {lineno + 1}: {exc}") from None
+    if not rows:
+        raise DataFormatError(f"{source}: no data rows")
+    return np.array(rows)
 
 
 def _is_float(cell: str) -> bool:

@@ -6,8 +6,8 @@ For target component ``m`` the estimate solves the weighted normal equations
 
 with the signed minimax weights from :mod:`mvcreg.concentrations`.  Because
 some weights are negative, ``X'AX`` is symmetric but possibly indefinite: the
-solve uses a symmetric-indefinite factorization and the eigenvalue signs are
-surfaced as a diagnostic rather than assumed away.
+solve is LU with partial pivoting, which needs no definiteness, and the
+eigenvalue signs are surfaced as a diagnostic rather than assumed away.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .concentrations import (
     ConcentrationMatrix,
@@ -109,9 +108,9 @@ def _solve_component(
     condition = np.inf if smallest == 0.0 else largest / smallest
     if not np.isfinite(condition) or condition > xtx_tol:
         raise SingularNormalMatrix(m, condition, xtx_tol)
-    # Bunch-Kaufman (assume_a="sym"): valid for the indefinite case, unlike
+    # LU with partial pivoting: valid for the indefinite case, unlike
     # Cholesky; never form the explicit inverse
-    coef = scipy.linalg.solve(xtx, xty, assume_a="sym")
+    coef = np.linalg.solve(xtx, xty)
     return ComponentFit(
         coefficients=coef,
         condition=condition,

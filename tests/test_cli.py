@@ -158,10 +158,10 @@ class TestFit:
         assert {"mvcreg", "mvcreg.moments"} <= set(patched)
         assert main(["fit", "-i", str(dataset_csv)]) == 0
 
-    def test_cli_import_does_not_load_scipy_integrate(self):
+    def test_cli_import_does_not_load_scipy(self):
         # a fresh interpreter, so modules loaded by other tests do not count
         src = str(Path(mvcreg.moments.__file__).parents[1])
-        code = "import sys, mvcreg.cli; print('scipy.integrate' in sys.modules)"
+        code = "import sys, mvcreg.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -179,6 +179,22 @@ class TestFit:
         assert main(["fit", "-i", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("mvcreg: data-format:")
+
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_cr_only_line_endings_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"y,x1,p1\r1.0,2.0,1.0\r4.0,3.0,1.0\r")
+        assert main([command, "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mvcreg: data-format: {path}: line 1:")
+
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_non_utf8_byte_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,x1,p1\n1.0,2.0,1.0\n4.0,3.0,1.0\n\xe9,1.0,1.0\n")
+        assert main([command, "-i", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"mvcreg: data-format: {path}: not UTF-8 text")
 
     def test_duplicate_concentrations_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

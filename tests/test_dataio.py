@@ -1,7 +1,14 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import mvcreg.dataio
 
 from mvcreg import (
     ConcentrationMatrix,
@@ -21,11 +28,12 @@ from mvcreg.dataio import (
     parse_csv_text,
     read_csv,
     render_csv,
+    render_weights_csv,
     report_to_dict,
     weights_to_dict,
     write_csv,
 )
-from mvcreg.concentrations import build_gramian, compute_weights
+from mvcreg.concentrations import WeightMatrix, build_gramian, compute_weights
 from mvcreg.montecarlo import compare_report, run_study
 from mvcreg.simgen import with_n_obs, with_seed
 
@@ -94,6 +102,147 @@ class TestCsv:
         p = ConcentrationMatrix(sim.p.values[:-1])
         with pytest.raises(ValueError):
             render_csv(sim.data, p)
+
+
+#: where repr switches notation or loses its shortest form: signed zero,
+#: subnormals, and the fixed/exponent boundaries at 1e16 and 1e-5
+_SPECIAL_FLOATS = [
+    -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, 9999999999999998.0,
+    -1e16, 1e-5, 9.999999999999999e-06, 0.0001, 1e22, 0.1, 1 / 3, 1.7976931348623157e308,
+]
+_FINITE = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+_UNIT = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-5, 9.999999999999999e-06, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+def reference_csv(header, rows) -> str:
+    """What the row-wise csv.writer with ``repr(float(v))`` cells wrote."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([repr(float(v)) for v in row])
+    return out.getvalue()
+
+
+def dataset_reference_csv(data, p) -> str:
+    header = ["y"] + [f"x{i + 1}" for i in range(data.n_regressors)]
+    header += [f"p{k + 1}" for k in range(p.n_components)]
+    return reference_csv(header, np.column_stack([data.y, data.x, p.values]))
+
+
+def outcome(parse, *args, **kwargs):
+    """The parsed arrays' bytes, or the DataFormatError text."""
+    try:
+        data, p = parse(*args, **kwargs)
+    except DataFormatError as exc:
+        return ("error", str(exc))
+    return ("ok", data.y.tobytes(), data.x.tobytes(), p.values.tobytes())
+
+
+_HEADER = "y,x1,p1\n"
+_ROWS = "1.5,2.0,1.0\n-3.25,0.5,1.0\n"
+#: (text, parsed by the row-wise path?) for inputs at the edge of the format
+_EDGE_CASES = {
+    "plain": (_HEADER + _ROWS, True),
+    "whitespace-only line": (_HEADER + "1.5,2.0,1.0\n   \n-3.25,0.5,1.0\n", False),
+    "hash line": (_HEADER + "# note\n" + _ROWS, False),
+    "short row": (_HEADER + "1.5,2.0\n-3.25,0.5,1.0\n", False),
+    "every row short": (_HEADER + "1.5,2.0\n-3.25,0.5\n", False),
+    "extra field": (_HEADER + "1.5,2.0,1.0,4.0\n-3.25,0.5,1.0\n", False),
+    "trailing comma": (_HEADER + "1.5,2.0,1.0,\n-3.25,0.5,1.0\n", False),
+    "empty cell": (_HEADER + "1.5,,1.0\n-3.25,0.5,1.0\n", False),
+    "hex cell": (_HEADER + "0x1,2.0,1.0\n-3.25,0.5,1.0\n", False),
+    "quoted cells": (_HEADER + '"1.5","2.0",1.0\n-3.25,0.5,1.0\n', True),
+    "underscore digits": (_HEADER + "1_5,2.0,1.0\n-3.25,0.5,1.0\n", True),
+    "full-width digits": (_HEADER + "１.5,2.0,1.0\n-3.25,0.5,1.0\n", True),
+    "spaces around cells": (_HEADER + " 1.5 ,2.0 , 1.0\n-3.25,0.5,1.0\n", True),
+    "late bad cell": (_HEADER + _ROWS * 3 + "1.5,oops,1.0\n", False),
+    "crlf": ((_HEADER + _ROWS).replace("\n", "\r\n"), True),
+    "blank lines": (_HEADER + "\n1.5,2.0,1.0\n\n\r\n-3.25,0.5,1.0\n\n", True),
+    "no final newline": (_HEADER + _ROWS.rstrip("\n"), True),
+    "nan cell": (_HEADER + "nan,2.0,1.0\n-3.25,0.5,1.0\n", False),
+    "inf cell": (_HEADER + "1.5,-inf,1.0\n-3.25,0.5,1.0\n", False),
+    "header only": (_HEADER, False),
+    "header and blank lines": (_HEADER + "\n\n", False),
+    "cr-only line endings": (_HEADER.replace("\n", "\r") + _ROWS.replace("\n", "\r"), False),
+    "bare cr in a row": (_HEADER + "1.5,2.0\r,1.0\n-3.25,0.5,1.0\n", False),
+    "rows not stochastic": (_HEADER + "1.5,2.0,0.5\n-3.25,0.5,1.0\n", False),
+}
+
+
+class TestCsvParity:
+    @given(
+        data=st.integers(3, 12).flatmap(
+            lambda n: st.tuples(
+                arrays(np.float64, n, elements=_FINITE),
+                arrays(np.float64, (n, 2), elements=_FINITE),
+                arrays(np.float64, n, elements=_UNIT),
+            )
+        )
+    )
+    def test_render_matches_row_writer(self, data):
+        y, x, u = data
+        dataset = Dataset(y=y, x=x)
+        p = ConcentrationMatrix(np.column_stack([u, 1.0 - u]))
+        assert render_csv(dataset, p) == dataset_reference_csv(dataset, p)
+
+    def test_render_across_chunk_boundaries(self):
+        n = 2 * mvcreg.dataio._CHUNK_ROWS + 3
+        rng = np.random.default_rng(5)
+        data = Dataset(y=rng.standard_normal(n) * 1e12, x=rng.standard_normal((n, 3)))
+        u = rng.random(n)
+        p = ConcentrationMatrix(np.column_stack([u, 1.0 - u]))
+        text = render_csv(data, p)
+        assert text == dataset_reference_csv(data, p)
+        assert outcome(parse_csv_text, text) == (
+            "ok", data.y.tobytes(), data.x.tobytes(), p.values.tobytes()
+        )
+
+    def test_weights_csv_matches_row_writer(self):
+        a = np.array([[2.0, -0.0], [1e16, 1e-5], [5e-324, -1 / 3]])
+        expected = reference_csv(["a1", "a2"], a)
+        assert render_weights_csv(WeightMatrix(a)) == expected
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_edge_case_matches_row_wise_path(self, case, monkeypatch):
+        text, accepted = _EDGE_CASES[case]
+        got = outcome(parse_csv_text, text)
+        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda fh, n_col: None)
+        assert got == outcome(parse_csv_text, text)
+        assert (got[0] == "ok") == accepted
+
+    @pytest.mark.parametrize("case", list(_EDGE_CASES))
+    def test_file_and_text_agree(self, case, tmp_path):
+        text = _EDGE_CASES[case][0]
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_csv, path) == outcome(parse_csv_text, text, source=str(path))
+
+    def test_header_only_warns_nothing(self, recwarn):
+        with pytest.raises(DataFormatError, match="no data rows"):
+            parse_csv_text(_HEADER)
+        assert len(recwarn) == 0
+
+    def test_non_utf8_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes((_HEADER + _ROWS * 2000).encode() + b"\xe9,1.0,1.0\n")
+        with pytest.raises(DataFormatError, match="latin1.csv: not UTF-8"):
+            read_csv(path)
+
+    def test_well_formed_output_never_takes_the_fallback(self, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a well-formed CSV took the row-wise path")
+
+        monkeypatch.setattr(mvcreg.dataio, "_parse_rows", forbidden)
+        sim = small_sim(n=3000)
+        path = tmp_path / "sim.csv"
+        write_csv(path, sim.data, sim.p)
+        for data, p in (read_csv(path), parse_csv_text(render_csv(sim.data, sim.p))):
+            assert data.x.tobytes() == sim.data.x.tobytes()
+            assert p.values.tobytes() == sim.p.values.tobytes()
 
 
 class TestJson:
