@@ -113,10 +113,7 @@ def cmd_study(args) -> int:
     config, options = load_configuration(args)
     if args.seed is not None:
         config = with_seed(config, args.seed)
-    threads = 1 if args.deterministic else None
-    report = study_from_options(
-        config, options, rep_count=args.reps, threads=threads
-    )
+    report = study_from_options(config, options, rep_count=args.reps)
     rel_tol = args.rel_tol if args.rel_tol is not None else options.rel_tol
     comparison = None
     if rel_tol is not None:
@@ -203,10 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_st.add_argument(
         "--rel-tol", type=float, default=None,
         help="enforce this relative tolerance against the analytic limit",
-    )
-    p_st.add_argument(
-        "--deterministic", action="store_true",
-        help="force single-threaded execution",
     )
     p_st.set_defaults(func=cmd_study)
 

@@ -21,6 +21,7 @@ at most ``trace Gamma <= 1``, hence ``det(Gamma) > 1e-8`` implies
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,15 @@ class WeightMatrix:
     @property
     def n_components(self) -> int:
         return self.values.shape[1]
+
+    @cached_property
+    def mean_abs(self) -> np.ndarray:
+        """Mean |a| of each column, computed on first use and then kept.
+
+        The estimator's degenerate-weight floor reads it, so fitting many
+        datasets with one weight matrix pays for it once.
+        """
+        return np.array([np.mean(np.abs(col)) for col in self.values.T])
 
 
 def build_gramian(p: ConcentrationMatrix) -> GramianSummary:

@@ -96,15 +96,17 @@ class FitResult:
 
 
 def _solve_component(
-    data: Dataset, a_col: np.ndarray, m: int, xtx_tol: float
+    data: Dataset, weights: WeightMatrix, m: int, xtx_tol: float
 ) -> ComponentFit:
-    mean_abs = float(np.mean(np.abs(a_col)))
+    """The one solve of a component's normal equations, behind every gate."""
+    mean_abs = float(weights.mean_abs[m])
     if mean_abs < _WEIGHT_FLOOR:
         raise DegenerateWeights(m, mean_abs)
-    xtx, xty = component_regression_moments(data, a_col)
+    xtx, xty = component_regression_moments(data, weights.values[:, m])
     eig = np.linalg.eigvalsh(xtx)
-    largest = float(np.max(np.abs(eig)))
-    smallest = float(np.min(np.abs(eig)))
+    magnitudes = np.abs(eig)
+    largest = float(magnitudes.max())
+    smallest = float(magnitudes.min())
     condition = np.inf if smallest == 0.0 else largest / smallest
     if not np.isfinite(condition) or condition > xtx_tol:
         raise SingularNormalMatrix(m, condition, xtx_tol)
@@ -114,7 +116,7 @@ def _solve_component(
     return ComponentFit(
         coefficients=coef,
         condition=condition,
-        negative_eigenvalues=int(np.sum(eig < 0.0)),
+        negative_eigenvalues=int(np.count_nonzero(eig < 0.0)),
         normal_matrix=xtx,
     )
 
@@ -158,7 +160,7 @@ def fit_component(
         raise ValueError(f"component index {m} out of range")
     if weights is None:
         weights = compute_weights(p)
-    return _solve_component(data, weights.values[:, m], m, xtx_tol)
+    return _solve_component(data, weights, m, xtx_tol)
 
 
 def fit_all(
@@ -169,6 +171,11 @@ def fit_all(
     weights: WeightMatrix | None = None,
 ) -> FitResult:
     """Fit every component, sharing one Gramian and weight computation.
+
+    This is the one solve path: ``mvcreg fit`` calls it once, and a
+    replication study once per replication with the Gramian and weights of
+    its grid point, so work that depends on the weights alone (the
+    degenerate-weight floor) is done once per weight matrix.
 
     A singular Gramian aborts the whole fit; a singular normal matrix only
     fails its own component, which gets a NaN coefficient row and an entry in
@@ -191,7 +198,7 @@ def fit_all(
     failures: dict[int, SingularNormalMatrix | DegenerateWeights] = {}
     for m in range(n_comp):
         try:
-            fit = _solve_component(data, weights.values[:, m], m, xtx_tol)
+            fit = _solve_component(data, weights, m, xtx_tol)
         except (SingularNormalMatrix, DegenerateWeights) as exc:
             failures[m] = exc
             if isinstance(exc, SingularNormalMatrix):

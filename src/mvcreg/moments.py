@@ -5,9 +5,12 @@ Given the signed minimax weights for component ``m``, the weighted average
 ``E[g | component m]``.  This module keeps to those integrals: the weighted
 empirical measure itself is never materialized.
 
-All reductions here run in a fixed sequential order (plain loops or
-non-optimized einsum), so results are reproducible bit-for-bit regardless of
-thread settings.
+The weighted normal equations are summed over fixed blocks of
+``_CHUNK_ROWS`` rows, one matrix product per block, and the blocks are added
+in row order, so the blocks and their order depend on N alone.  Within a
+block the order is the BLAS library's; the tests check that results are
+byte-identical under one and two BLAS threads.  The remaining reductions
+are plain loops or non-optimized einsum, in a fixed sequential order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteMoment
+
+#: rows per block of the normal-equation sums; a constant, so the blocks and
+#: the order they are added in depend on N alone
+_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -171,9 +178,19 @@ def component_regression_moments(
     if a_col.shape != (data.n_obs,):
         raise ValueError("weight vector length must match the number of observations")
     n = data.n_obs
-    xtx = np.einsum("j,ji,jk->ik", a_col, data.x, data.x) / n
+    x, y = data.x, data.y
+    xtx = xty = None
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        xa = x[rows].T * a_col[rows]
+        if xtx is None:
+            xtx, xty = xa @ x[rows], xa @ y[rows]
+        else:
+            xtx += xa @ x[rows]
+            xty += xa @ y[rows]
+    xtx /= n
     xtx = (xtx + xtx.T) / 2.0
-    xty = np.einsum("j,j,ji->i", a_col, data.y, data.x) / n
+    xty /= n
     return xtx, xty
 
 

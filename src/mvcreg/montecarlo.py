@@ -4,33 +4,35 @@ Runs many seeded replications of generate-then-fit over a grid of sample
 sizes, summarizes the empirical distribution of the estimates, and puts the
 closed-form asymptotic covariance next to it.  Every replication derives its
 own seed from (base seed, sample size, replication index), so the report is
-reproducible replication by replication and independent of thread count.
+reproducible replication by replication, and ``generate`` with that seed
+redraws any one replication's dataset.
+
+The concentrations are a deterministic function of the sample size, so each
+grid point builds them, their Gramian and the weights once, then draws and
+fits every replication against them through the same ``fit_all`` that
+``mvcreg fit`` uses.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .covariance import analytic_sigma
-from .errors import ConfigError, ExcessiveFailures, MvcregError
+from .errors import ConfigError, ExcessiveFailures, SingularGramian
 from .estimator import DEFAULT_XTX_TOL, fit_all
 from .simgen import (
     SimulationConfig,
     StudyOptions,
     derive_seed,
-    generate,
+    draw,
     limit_co_moments,
+    plan_draws,
     true_component_moments,
     with_n_obs,
-    with_seed,
 )
-
-_THREADS_ENV = "MVCREG_THREADS"
 
 
 @dataclass(frozen=True)
@@ -84,41 +86,33 @@ class MonteCarloReport:
         return self.points[-1]
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else MVCREG_THREADS, else 1."""
-    if threads is None:
-        raw = os.environ.get(_THREADS_ENV)
-        if raw is None:
-            return 1
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ConfigError(_THREADS_ENV, f"must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise ConfigError(_THREADS_ENV, f"must be a positive integer, got {threads}")
-    return threads
+def _replicate_grid_point(
+    config: SimulationConfig, n_obs: int, rep_count: int, gamma_tol: float, xtx_tol: float
+) -> list[np.ndarray]:
+    """Coefficient estimates of the replications at ``n_obs`` that fitted.
 
-
-def _replicate(config: SimulationConfig, n_obs: int, rep: int, gamma_tol: float, xtx_tol: float):
-    """One generate-then-fit replication; None marks a failed fit."""
-    cfg = with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep))
-    sim = generate(cfg)
+    A replication whose fit fails is left out.  A Gramian refused by the
+    ``gamma_tol`` gate fails every replication of the grid point at once.
+    """
+    plan = plan_draws(with_n_obs(config, n_obs))
     try:
-        gramian = build_gramian(sim.p)
-        weights = compute_weights(sim.p, gramian, gamma_tol=gamma_tol)
-        fit = fit_all(sim.data, sim.p, xtx_tol=xtx_tol, gramian=gramian, weights=weights)
-    except MvcregError:
-        return None
-    if fit.errors:
-        return None
-    return fit.coefficients
+        gramian = build_gramian(plan.p)
+        weights = compute_weights(plan.p, gramian, gamma_tol=gamma_tol)
+    except SingularGramian:
+        return []
+    kept = []
+    for rep in range(rep_count):
+        sim = draw(plan, derive_seed(config.seed, n_obs, rep))
+        fit = fit_all(sim.data, plan.p, xtx_tol=xtx_tol, gramian=gramian, weights=weights)
+        if not fit.errors:
+            kept.append(fit.coefficients)
+    return kept
 
 
 def run_study(
     config: SimulationConfig,
     rep_count: int,
     n_grid: tuple[int, ...] | None = None,
-    threads: int | None = None,
     gamma_tol: float = DEFAULT_GAMMA_TOL,
     xtx_tol: float = DEFAULT_XTX_TOL,
     keep_estimates: bool = False,
@@ -137,7 +131,6 @@ def run_study(
     if rep_count < 2:
         raise ConfigError("rep_count", "must be at least 2")
     grid = tuple(sorted(n_grid)) if n_grid else (config.n_obs,)
-    workers = resolve_threads(threads)
 
     moments = true_component_moments(config)
     analytic = np.stack(
@@ -149,19 +142,7 @@ def run_study(
 
     points = []
     for n_obs in grid:
-        if workers == 1:
-            results = [
-                _replicate(config, n_obs, rep, gamma_tol, xtx_tol) for rep in range(rep_count)
-            ]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(
-                    pool.map(
-                        lambda rep: _replicate(config, n_obs, rep, gamma_tol, xtx_tol),
-                        range(rep_count),
-                    )
-                )
-        kept = [r for r in results if r is not None]
+        kept = _replicate_grid_point(config, n_obs, rep_count, gamma_tol, xtx_tol)
         failures = rep_count - len(kept)
         if failures * 2 > rep_count:
             raise ExcessiveFailures(n_obs, failures, rep_count)
@@ -266,7 +247,6 @@ def study_from_options(
     config: SimulationConfig,
     options: StudyOptions,
     rep_count: int | None = None,
-    threads: int | None = None,
     keep_estimates: bool = False,
 ) -> MonteCarloReport:
     """Run a study with settings merged from config-file options and overrides."""
@@ -277,6 +257,5 @@ def study_from_options(
         config,
         rep_count=reps,
         n_grid=options.n_grid,
-        threads=threads,
         keep_estimates=keep_estimates,
     )

@@ -206,17 +206,40 @@ class SimulatedDataset:
         object.__setattr__(self, "labels", labels)
 
 
-def generate(config: SimulationConfig) -> SimulatedDataset:
-    """Draw one dataset from the configured mixture.
+@dataclass(frozen=True)
+class DrawPlan:
+    """The part of a draw that depends on the config but not on its seed.
 
-    Deterministic in ``config`` (including the seed): the Philox stream is
-    consumed in a fixed layout regardless of component specs, so datasets are
-    reproducible byte-for-byte.
+    ``thresholds`` holds the cumulative row sums of the first M-1
+    concentration columns as an (M-1) x N array: observation ``j`` belongs to
+    component ``k`` when exactly ``k`` of its thresholds lie at or below its
+    label uniform.  ``means``, ``sds`` and ``coefficients`` are M x d, one row
+    per component (a constant regressor has mean 1 and sd 0), and
+    ``error_sds`` has length M.  A study builds one plan per sample size and
+    draws every replication from it.
     """
-    n = config.n_obs
+
+    p: ConcentrationMatrix
+    thresholds: np.ndarray
+    means: np.ndarray
+    sds: np.ndarray
+    coefficients: np.ndarray
+    error_sds: np.ndarray
+
+    def __post_init__(self):
+        for name in ("thresholds", "means", "sds", "coefficients", "error_sds"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def n_obs(self) -> int:
+        return self.p.n_obs
+
+
+def plan_draws(config: SimulationConfig) -> DrawPlan:
+    """Build the concentrations and per-component arrays of ``config``."""
     n_comp = config.n_components
     d = config.n_regressors
-    p = config.concentrations.matrix(n)
+    p = config.concentrations.matrix(config.n_obs)
 
     means = np.zeros((n_comp, d))
     sds = np.zeros((n_comp, d))
@@ -227,22 +250,53 @@ def generate(config: SimulationConfig) -> SimulatedDataset:
                 sds[k, i] = reg.sd
             else:
                 means[k, i] = 1.0
-                sds[k, i] = 0.0
-    error_sds = np.array([c.error_sd for c in config.components])
-    coef = config.true_coefficients
+    return DrawPlan(
+        p=p,
+        # the same sequential prefix sums as a row-wise cumsum, laid out by column
+        thresholds=np.cumsum(p.values.T[:-1], axis=0),
+        means=means,
+        sds=sds,
+        coefficients=config.true_coefficients,
+        error_sds=np.array([c.error_sd for c in config.components]),
+    )
 
-    rng = np.random.Generator(np.random.Philox(config.seed))
+
+def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
+    """Draw one dataset from ``plan`` with the Philox stream keyed by ``seed``.
+
+    The stream is consumed in a fixed layout whatever the component specs:
+    N label uniforms, then the N x d regressor normals, then N error normals.
+    """
+    n = plan.n_obs
+    rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(n)
-    z = rng.standard_normal((n, d))
+    z = rng.standard_normal((n, plan.means.shape[1]))
     e = rng.standard_normal(n)
 
-    cum = np.cumsum(p.values, axis=1)
-    labels = np.sum(cum[:, :-1] <= u[:, None], axis=1)
-    np.clip(labels, 0, n_comp - 1, out=labels)
+    labels = np.zeros(n, dtype=np.int64)
+    for row in plan.thresholds:
+        labels += row <= u
 
-    x = means[labels] + sds[labels] * z
-    y = np.einsum("ji,ji->j", x, coef[labels]) + error_sds[labels] * e
-    return SimulatedDataset(data=Dataset(y=y, x=x), p=p, labels=labels)
+    # np.take gathers the per-row parameters far faster than fancy indexing
+    x = np.take(plan.sds, labels, axis=0)
+    x *= z
+    x += np.take(plan.means, labels, axis=0)
+    y = np.einsum("ji,ji->j", x, np.take(plan.coefficients, labels, axis=0))
+    noise = np.take(plan.error_sds, labels)
+    noise *= e
+    y += noise
+    return SimulatedDataset(data=Dataset(y=y, x=x), p=plan.p, labels=labels)
+
+
+def generate(config: SimulationConfig) -> SimulatedDataset:
+    """Draw one dataset from the configured mixture.
+
+    Deterministic in ``config`` (including the seed): the Philox stream is
+    consumed in a fixed layout regardless of component specs, so datasets are
+    reproducible byte-for-byte.  Equivalent to
+    ``draw(plan_draws(config), config.seed)``.
+    """
+    return draw(plan_draws(config), config.seed)
 
 
 def derive_seed(base_seed: int, n_obs: int, replication: int) -> int:

@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import hypothesis
 import numpy as np
 import pytest
 
+import mvcreg
 from mvcreg import reference_study_config, run_study
 
 hypothesis.settings.register_profile(
@@ -56,3 +61,21 @@ def random_stochastic_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarr
 @pytest.fixture
 def stochastic_rows():
     return random_stochastic_rows
+
+
+@pytest.fixture
+def fresh_python():
+    """Run ``python <args>`` in a new interpreter with a set BLAS thread count.
+
+    Returns its standard output as bytes; a nonzero exit fails the test.
+    """
+    src = str(Path(mvcreg.__file__).parents[1])
+
+    def run(args, blas_threads: int) -> bytes:
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=str(blas_threads))
+        out = subprocess.run(
+            [sys.executable, *args], env=env, capture_output=True, check=True
+        )
+        return out.stdout
+
+    return run

@@ -185,9 +185,9 @@ def test_error_decay_with_sample_size(capsys, ref_config):
             )
 
 
-def test_deterministic_study_reports(capsys, tmp_path, monkeypatch):
-    # identical config and seed give byte-identical JSON, and in
-    # deterministic mode the thread setting cannot change the bytes
+def test_deterministic_study_reports(capsys, tmp_path, fresh_python):
+    # identical config and seed give byte-identical JSON, and the BLAS
+    # thread count of a fresh process cannot change the bytes
     with criterion(capsys, 7, "deterministic study reports"):
         config = {
             "n_obs": 300,
@@ -217,17 +217,16 @@ def test_deterministic_study_reports(capsys, tmp_path, monkeypatch):
         path.write_text(json.dumps(config))
 
         def run():
-            assert main(["study", "-i", str(path), "--deterministic"]) == 0
+            assert main(["study", "-i", str(path)]) == 0
             return capsys.readouterr().out.encode()
 
-        monkeypatch.setenv("MVCREG_THREADS", "1")
         first = run()
         second = run()
         assert first == second
 
-        monkeypatch.setenv("MVCREG_THREADS", "4")
-        threaded = run()
-        assert threaded == first
+        for blas_threads in (1, 2):
+            fresh = fresh_python(["-m", "mvcreg.cli", "study", "-i", str(path)], blas_threads)
+            assert fresh == first
 
 
 def test_failure_diagnostics(capsys, tmp_path):

@@ -168,6 +168,18 @@ class TestFit:
         )
         assert out.stdout.strip() == "False"
 
+    def test_chunked_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path, fresh_python):
+        # more than two row blocks of the normal-equation sums
+        n = 2 * mvcreg.moments._CHUNK_ROWS + 1000
+        config, _ = reference_study_config()
+        sim = generate(with_seed(with_n_obs(config, n), 5))
+        data_path, out = tmp_path / "tall.csv", tmp_path / "fit.json"
+        write_csv(data_path, sim.data, sim.p)
+        assert main(["fit", "-i", str(data_path), "-o", str(out)]) == 0
+        args = ["-m", "mvcreg.cli", "fit", "-i", str(data_path)]
+        for blas_threads in (1, 2):
+            assert fresh_python(args, blas_threads) == out.read_bytes()
+
     def test_table_format(self, dataset_csv, capsys):
         assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0
         out = capsys.readouterr().out
@@ -312,16 +324,12 @@ class TestStudy:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_env_does_not_change_bytes(
-        self, tmp_path, smoke_config_path, monkeypatch
-    ):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["study", "-i", str(smoke_config_path), "--reps", "6", "--deterministic"]
-        monkeypatch.setenv("MVCREG_THREADS", "1")
-        assert main(args + ["-o", str(a)]) == 0
-        monkeypatch.setenv("MVCREG_THREADS", "4")
-        assert main(args + ["-o", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
+    def test_thread_env_does_not_change_bytes(self, tmp_path, smoke_config_path, fresh_python):
+        out = tmp_path / "a.json"
+        args = ["study", "-i", str(smoke_config_path), "--reps", "6"]
+        assert main(args + ["-o", str(out)]) == 0
+        for blas_threads in (1, 2):
+            assert fresh_python(["-m", "mvcreg.cli", *args], blas_threads) == out.read_bytes()
 
 
 def test_csv_round_trip_fit_matches_in_memory(tmp_path):

@@ -116,6 +116,20 @@ class TestFitAll:
         for err in fit.errors.values():
             assert isinstance(err, SingularNormalMatrix)
 
+    def test_degenerate_weights_recorded_per_component(self):
+        # a zero weight column fails its own component; the other still fits
+        data, _, _ = single_component(40, 2, seed=6)
+        t = np.arange(1, 41) / 40
+        p = ConcentrationMatrix(np.column_stack([t, 1 - t]))
+        a = compute_weights(p).values.copy()
+        a[:, 1] = 0.0
+        fit = fit_all(data, p, weights=WeightMatrix(a))
+        assert set(fit.errors) == {1}
+        assert isinstance(fit.errors[1], DegenerateWeights)
+        assert fit.errors[1].mean_abs == 0.0
+        assert np.all(np.isfinite(fit.coefficients[0]))
+        assert np.all(np.isnan(fit.coefficients[1]))
+
     def test_normal_equation_residual(self):
         config, _ = reference_study_config()
         sim = generate(with_seed(with_n_obs(config, 2000), 21))

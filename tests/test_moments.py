@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from mvcreg import (
     weighted_fourth_moment,
     weighted_moment,
 )
+import mvcreg.moments
 from mvcreg.simgen import with_n_obs, with_seed
 
 
@@ -116,6 +119,25 @@ class TestRegressionMoments:
         a = compute_weights(sim.p)
         xtx, _ = component_regression_moments(sim.data, a.values[:, 0])
         np.testing.assert_allclose(xtx, [[1.0, 1.0], [1.0, 2.0]], atol=0.06)
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 8197])
+    def test_row_blocks_sum_to_the_whole(self, extra):
+        # N on and around the row-block boundaries, against an exactly
+        # rounded sum per entry
+        n = mvcreg.moments._CHUNK_ROWS + extra
+        rng = np.random.default_rng(n)
+        data = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, 3)))
+        a = rng.normal(size=n)
+        xtx, xty = component_regression_moments(data, a)
+        ax = a[:, None] * data.x
+        ref_xtx = np.array(
+            [[math.fsum(ax[:, i] * data.x[:, k]) / n for k in range(3)] for i in range(3)]
+        )
+        ref_xty = np.array([math.fsum(ax[:, i] * data.y) / n for i in range(3)])
+        scale = np.abs(ref_xtx).max()
+        assert np.abs(xtx - ref_xtx).max() <= 1e-12 * scale
+        assert np.abs(xty - ref_xty).max() <= 1e-12 * np.abs(ref_xty).max()
+        assert xtx.tobytes() == xtx.T.tobytes()
 
 
 class TestFourthMoment:

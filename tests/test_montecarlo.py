@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mvcreg.montecarlo
 from mvcreg import (
     ComponentSpec,
     ConfigError,
@@ -11,11 +14,14 @@ from mvcreg import (
     MonteCarloReport,
     SimulationConfig,
     compare_report,
+    derive_seed,
+    fit_all,
+    generate,
     run_study,
     study_from_options,
 )
-from mvcreg.montecarlo import GridPointSummary, resolve_threads
-from mvcreg.simgen import StudyOptions
+from mvcreg.montecarlo import GridPointSummary
+from mvcreg.simgen import StudyOptions, with_n_obs, with_seed
 
 
 def small_config(seed=17):
@@ -60,11 +66,19 @@ class TestRunStudy:
         assert a.points[0].mean_b.tobytes() == b.points[0].mean_b.tobytes()
         assert a.points[0].scaled_cov.tobytes() == b.points[0].scaled_cov.tobytes()
 
-    def test_thread_count_does_not_change_results(self):
-        a = run_study(small_config(), rep_count=24, n_grid=(150,), threads=1)
-        b = run_study(small_config(), rep_count=24, n_grid=(150,), threads=4)
-        assert a.points[0].mean_b.tobytes() == b.points[0].mean_b.tobytes()
-        assert a.points[0].scaled_cov.tobytes() == b.points[0].scaled_cov.tobytes()
+    def test_thread_count_does_not_change_results(self, fresh_python):
+        # fresh interpreters, so each reads its BLAS thread count at start-up
+        code = (
+            f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_montecarlo import small_config\n"
+            "from mvcreg import run_study\n"
+            "pt = run_study(small_config(), rep_count=24, n_grid=(150,)).points[0]\n"
+            "print(pt.mean_b.tobytes().hex(), pt.scaled_cov.tobytes().hex())\n"
+        )
+        here = run_study(small_config(), rep_count=24, n_grid=(150,)).points[0]
+        expected = f"{here.mean_b.tobytes().hex()} {here.scaled_cov.tobytes().hex()}\n"
+        for blas_threads in (1, 2):
+            assert fresh_python(["-c", code], blas_threads).decode() == expected
 
     def test_keep_estimates(self):
         report = run_study(small_config(), rep_count=12, n_grid=(100,), keep_estimates=True)
@@ -88,9 +102,58 @@ class TestRunStudy:
 
     def test_excessive_failures_abort(self):
         # the ramp's Gramian has cond about 3, so a ceiling of 1.5 makes
-        # every replication fail
-        with pytest.raises(ExcessiveFailures):
+        # every replication fail; the refusal is made once for the grid point
+        with pytest.raises(ExcessiveFailures) as info:
             run_study(small_config(), rep_count=10, n_grid=(100,), gamma_tol=1.5)
+        assert info.value.n_obs == 100
+        assert info.value.failures == info.value.rep_count == 10
+
+    def test_replications_match_generate_then_fit(self):
+        # every kept estimate is the fit of the dataset `generate` draws with
+        # the replication's derived seed, so `mvcreg simulate` reproduces it
+        config = small_config()
+        report = run_study(config, rep_count=6, n_grid=(60, 120), keep_estimates=True)
+        for pt in report.points:
+            assert pt.failures == 0
+            for rep, estimate in enumerate(pt.estimates):
+                cfg = with_seed(with_n_obs(config, pt.n_obs), derive_seed(config.seed, pt.n_obs, rep))
+                sim = generate(cfg)
+                expected = fit_all(sim.data, sim.p).coefficients
+                assert estimate.tobytes() == expected.tobytes()
+
+    def test_failures_match_per_replication_fits(self):
+        # a cond(X'AX) ceiling between the replications' conditions fails
+        # some of them; the study must drop exactly those
+        config, n_obs, rep_count = small_config(), 40, 30
+        sims = [
+            generate(with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep)))
+            for rep in range(rep_count)
+        ]
+        worst = [np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]
+        xtx_tol = float(np.quantile(worst, 0.7))
+        fits = [fit_all(s.data, s.p, xtx_tol=xtx_tol) for s in sims]
+        expected = [f.coefficients for f in fits if not f.errors]
+        assert 0 < rep_count - len(expected) <= rep_count // 2
+
+        report = run_study(
+            config, rep_count=rep_count, n_grid=(n_obs,), xtx_tol=xtx_tol, keep_estimates=True
+        )
+        pt = report.points[0]
+        assert pt.failures == rep_count - len(expected)
+        assert pt.estimates.tobytes() == np.stack(expected).tobytes()
+
+    def test_gramian_and_weights_built_once_per_grid_point(self, monkeypatch):
+        calls = {"build_gramian": 0, "compute_weights": 0}
+        for name in calls:
+            original = getattr(mvcreg.montecarlo, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(mvcreg.montecarlo, name, counted)
+        run_study(small_config(), rep_count=7, n_grid=(50, 80, 110))
+        assert calls == {"build_gramian": 3, "compute_weights": 3}
 
     def test_rep_count_floor(self):
         with pytest.raises(ConfigError):
@@ -142,29 +205,6 @@ class TestStudyFromOptions:
             small_config(), StudyOptions(rep_count=50, n_grid=(80,)), rep_count=8
         )
         assert report.points[0].rep_count == 8
-
-
-class TestResolveThreads:
-    def test_default_single(self, monkeypatch):
-        monkeypatch.delenv("MVCREG_THREADS", raising=False)
-        assert resolve_threads() == 1
-
-    def test_env_parsed(self, monkeypatch):
-        monkeypatch.setenv("MVCREG_THREADS", "3")
-        assert resolve_threads() == 3
-
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("MVCREG_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            resolve_threads()
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("MVCREG_THREADS", "3")
-        assert resolve_threads(2) == 2
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ConfigError):
-            resolve_threads(0)
 
 
 def test_mean_error_shrinks_with_more_replications():
