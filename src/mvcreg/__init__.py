@@ -28,7 +28,6 @@ from .errors import (
     DegenerateWeights,
     ExcessiveFailures,
     MvcregError,
-    NonFiniteMoment,
     SingularD,
     SingularGramian,
     SingularNormalMatrix,
@@ -38,15 +37,12 @@ from .estimator import (
     ComponentFit,
     FitResult,
     fit_all,
-    fit_component,
 )
 from .moments import (
     ComponentMoments,
     Dataset,
     component_regression_moments,
-    objective,
     weighted_fourth_moment,
-    weighted_moment,
 )
 from .montecarlo import (
     ComparisonReport,
@@ -99,7 +95,6 @@ __all__ = [
     "LinearRamp",
     "MonteCarloReport",
     "MvcregError",
-    "NonFiniteMoment",
     "SimulatedDataset",
     "SimulationConfig",
     "SingularD",
@@ -114,11 +109,9 @@ __all__ = [
     "compute_weights",
     "derive_seed",
     "fit_all",
-    "fit_component",
     "generate",
     "limit_co_moments",
     "load_config_file",
-    "objective",
     "plug_in_covariance",
     "plug_in_covariances",
     "reference_study_config",
@@ -128,5 +121,4 @@ __all__ = [
     "true_component_moments",
     "weight_co_moments",
     "weighted_fourth_moment",
-    "weighted_moment",
 ]

@@ -1,0 +1,34 @@
+"""How the package's frozen value classes take the arrays they are given.
+
+``Dataset``, ``ConcentrationMatrix``, ``WeightMatrix`` and
+``SimulatedDataset`` hold read-only arrays that nothing else can write to.
+A producer that has just made an array (a draw, a CSV read, a weight solve)
+marks it read-only and hands it over, and the class takes it as is; every
+other array is copied.  At N = 500000 a copy is megabytes, so the hand-over
+is what keeps each N-sized array in memory once.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def frozen(values, dtype=float) -> np.ndarray:
+    """``values`` as a read-only ``dtype`` array that no caller can write.
+
+    An ``ndarray`` that owns its memory, already has ``dtype`` and is not
+    writeable is handed over: it is returned as is, and its producer must
+    keep no writeable view of it.  Anything else (a list, a view, a
+    writeable array, another dtype) is copied, so a caller's own array is
+    never shared.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out

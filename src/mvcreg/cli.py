@@ -52,8 +52,11 @@ def _write_output(args, text: str) -> None:
 
 
 def _with_intercept(data: Dataset) -> Dataset:
-    ones = np.ones((data.n_obs, 1))
-    return Dataset(y=data.y, x=np.hstack([ones, data.x]))
+    x = np.empty((data.n_obs, data.n_regressors + 1))
+    x[:, 0] = 1.0
+    x[:, 1:] = data.x
+    x.flags.writeable = False  # handed over to Dataset, which keeps data.y as is
+    return Dataset(y=data.y, x=x)
 
 
 def cmd_fit(args) -> int:
@@ -92,10 +95,10 @@ def cmd_weights(args) -> int:
     gramian = build_gramian(p)
     weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
     if args.format == "csv":
-        text = dataio.render_weights_csv(weights)
+        with _open_output(args) as fh:
+            dataio.write_weights_csv(fh, weights)  # chunk by chunk, never the whole text
     else:
-        text = dataio.dumps(dataio.weights_to_dict(gramian, weights, p))
-    _write_output(args, text)
+        _write_output(args, dataio.dumps(dataio.weights_to_dict(gramian, weights, p)))
     return 0
 
 

@@ -25,6 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._arrays import frozen
 from .errors import SingularGramian
 
 #: default ceiling on cond(Gamma); beyond it the concentration columns are
@@ -45,13 +46,17 @@ class ConcentrationMatrix:
     row_sum_tol : float, optional
         Tolerance for the row-sum check.  Rows are validated, never
         renormalized: off-simplex input is a modeling error, not noise.
+
+    ``values`` is kept read-only.  A float array that owns its memory and is
+    already read-only is handed over and kept as is, without a copy; its
+    producer must not write to it again.  Any other array is copied.
     """
 
     values: np.ndarray
     row_sum_tol: InitVar[float] = 1e-9
 
     def __post_init__(self, row_sum_tol: float):
-        values = np.array(self.values, dtype=float)
+        values = frozen(self.values)
         if values.ndim != 2:
             raise ValueError("concentration matrix must be two-dimensional")
         n, m = values.shape
@@ -63,14 +68,15 @@ class ConcentrationMatrix:
             raise ValueError("concentration matrix contains non-finite entries")
         if values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("concentration entries must lie in [0, 1]")
-        row_err = np.abs(values.sum(axis=1) - 1.0)
+        row_err = values.sum(axis=1)  # the one N-sized temporary, worked in place
+        row_err -= 1.0
+        np.abs(row_err, out=row_err)
         worst = int(np.argmax(row_err))
         if row_err[worst] > row_sum_tol:
             raise ValueError(
                 f"row {worst} sums to {values[worst].sum():.12g}, "
                 f"off 1 by more than {row_sum_tol:g}"
             )
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -109,17 +115,20 @@ class WeightMatrix:
     Column ``m`` weights the observations when component ``m`` is the
     estimation target.  Entries are signed: whenever M > 1 some weights must
     be negative for the biorthogonality identity to hold.
+
+    ``values`` is kept read-only.  A float array that owns its memory and is
+    already read-only is handed over and kept as is, without a copy; its
+    producer must not write to it again.  Any other array is copied.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
+        values = frozen(self.values)
         if values.ndim != 2:
             raise ValueError("weights must be an N x M matrix")
         if not np.all(np.isfinite(values)):
             raise ValueError("weights must be finite")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
 
     @property
@@ -204,7 +213,9 @@ def compute_weights(
     except np.linalg.LinAlgError:
         # only a ceiling near 1/eps lets a Gramian this close to singular through
         raise SingularGramian(g.det_gamma, np.inf, gamma_tol) from None
-    return WeightMatrix(values=p.values @ inv)
+    a = p.values @ inv
+    a.flags.writeable = False  # handed over to WeightMatrix without a copy
+    return WeightMatrix(values=a)
 
 
 def weight_co_moments(a: WeightMatrix, p: ConcentrationMatrix, m: int) -> np.ndarray:

@@ -245,11 +245,19 @@ def _plug_in(
     a = weights.values
     b = fit.coefficients
     d2 = fit.normal_matrices
+
+    def error_variance(s: int) -> float:
+        # weighted mean squared residual; the squares are formed in place in
+        # one N-sized array, freed on return
+        resid_sq = x @ b[s]
+        np.subtract(data.y, resid_sq, out=resid_sq)
+        np.square(resid_sq, out=resid_sq)
+        return float(np.einsum("j,j->", a[:, s], resid_sq) / n)
+
     clamp_notes: list[str] = []
     sigma2 = []
     for s in range(p.n_components):
-        resid = data.y - x @ b[s]
-        sigma2_s = float(np.einsum("j,j->", a[:, s], resid**2) / n)
+        sigma2_s = error_variance(s)
         if sigma2_s < 0.0:
             clamp_notes.append(
                 f"degenerate-variance: component index {s} plug-in error variance "
@@ -259,9 +267,12 @@ def _plug_in(
         sigma2.append(sigma2_s)
 
     def quartic(s: int, delta: np.ndarray) -> np.ndarray:
-        # delta' L4_s delta without L4: a fixed-order reduction over rows
-        r = x @ delta
-        return np.einsum("j,ji,jk->ik", a[:, s] * r**2, x, x) / n
+        # delta' L4_s delta without L4: a fixed-order reduction over rows of
+        # the weights a_s r^2, formed in place in one N-sized array
+        quartic_weights = x @ delta
+        np.square(quartic_weights, out=quartic_weights)
+        quartic_weights *= a[:, s]
+        return np.einsum("j,ji,jk->ik", quartic_weights, x, x) / n
 
     covs = []
     for m in targets:

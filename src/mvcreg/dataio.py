@@ -5,11 +5,12 @@ The CSV layout is one observation per row with header
 the concentration columns.  Floats are written with ``repr`` so a write/read
 round trip reproduces the array bytes exactly.
 
-The writer renders fixed chunks of rows: one ``repr`` map over a chunk's
-cells, joined row by row, so it holds one chunk's text at a time when it
-writes to a file.  The reader checks the header, then hands the open stream
-to ``np.loadtxt``, which parses the rows line by line without holding the
-whole text, so memory is of the order of the N x (1+d+M) float array.
+The writer renders fixed chunks of rows: it stacks one chunk of the
+columns, maps ``repr`` over its cells and joins them row by row, so it holds
+one chunk's table and text at a time when it writes to a file.  The reader
+checks the header, counts the data lines in one pass over the open stream,
+and fills preallocated y, x and p from ``np.loadtxt`` one chunk of rows at a
+time, so it holds the parsed arrays once, with nothing N-sized beside them.
 Input ``np.loadtxt`` refuses (quoted cells, ``1_0``, or a genuine error) is
 parsed again by the row-wise ``csv.reader`` path, which accepts exactly what
 ``float`` accepts, names the line of the first bad record, and holds one
@@ -35,7 +36,7 @@ import numpy as np
 from .concentrations import ConcentrationMatrix
 from .errors import DataFormatError
 from .estimator import FitResult
-from .moments import Dataset
+from .moments import _CHUNK_ROWS, Dataset
 from .montecarlo import ComparisonReport, MonteCarloReport
 
 _HEADER_RE = re.compile(r"^y(,x\d+)+(,p\d+)+$")
@@ -45,21 +46,29 @@ _HEADER_RE = re.compile(r"^y(,x\d+)+(,p\d+)+$")
 # CSV
 # --------------------------------------------------------------------------
 
-#: rows rendered per chunk; bounds the writer's transient text, not a tuning knob
-_CHUNK_ROWS = 8192
 
+def _csv_chunks(header: list[str], columns: list[np.ndarray]):
+    """Yield CSV text for ``header`` and the rows of ``columns``, chunk by chunk.
 
-def _csv_chunks(header: list[str], table: np.ndarray):
-    """Yield CSV text for ``header`` and the rows of ``table``, chunk by chunk.
-
-    Every cell is ``repr`` of a Python float, exactly what ``csv.writer``
-    writes for ``repr(float(v))``: a float's repr never needs quoting.
+    ``columns`` are stacked side by side one chunk of rows at a time.  Every
+    cell is ``repr`` of a Python float, exactly what ``csv.writer`` writes for
+    ``repr(float(v))``: a float's repr never needs quoting.
     """
     n_col = len(header)
     yield ",".join(header) + "\n"
-    for start in range(0, table.shape[0], _CHUNK_ROWS):
-        cells = map(repr, table[start : start + _CHUNK_ROWS].ravel().tolist())
+    for start in range(0, columns[0].shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        block = np.column_stack([column[rows] for column in columns])
+        cells = map(repr, block.ravel().tolist())
         yield "\n".join(map(",".join, zip(*[cells] * n_col))) + "\n"
+
+
+def _write_chunks(path, chunks) -> None:
+    if hasattr(path, "write"):
+        path.writelines(chunks)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
 
 
 def _header(d: int, n_comp: int) -> list[str]:
@@ -73,7 +82,12 @@ def _dataset_chunks(data: Dataset, p: ConcentrationMatrix):
             f"{p.values.shape[0]}"
         )
     header = _header(data.n_regressors, p.values.shape[1])
-    return _csv_chunks(header, np.column_stack([data.y, data.x, p.values]))
+    return _csv_chunks(header, [data.y, data.x, p.values])
+
+
+def _weights_chunks(weights):
+    a = weights.values
+    return _csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], [a])
 
 
 def render_csv(data: Dataset, p: ConcentrationMatrix) -> str:
@@ -83,18 +97,17 @@ def render_csv(data: Dataset, p: ConcentrationMatrix) -> str:
 
 def write_csv(path, data: Dataset, p: ConcentrationMatrix) -> None:
     """Write ``render_csv``'s text to a path or an open text stream, chunk by chunk."""
-    chunks = _dataset_chunks(data, p)
-    if hasattr(path, "write"):
-        path.writelines(chunks)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    _write_chunks(path, _dataset_chunks(data, p))
 
 
 def render_weights_csv(weights) -> str:
     """The weight matrix as CSV: header ``a1,...,aM``, one row per observation."""
-    a = weights.values
-    return "".join(_csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], a))
+    return "".join(_weights_chunks(weights))
+
+
+def write_weights_csv(path, weights) -> None:
+    """Write ``render_weights_csv``'s text to a path or an open text stream, chunk by chunk."""
+    _write_chunks(path, _weights_chunks(weights))
 
 
 def parse_csv_text(
@@ -125,17 +138,19 @@ def read_csv(path, row_sum_tol: float = 1e-6) -> tuple[Dataset, ConcentrationMat
 def _parse_stream(fh, row_sum_tol: float, source: str):
     try:
         names = _read_header(fh, source)
+        d = sum(1 for h in names if h.startswith("x"))
         start = fh.tell()
-        arr = _load_table(fh, len(names))
-        if arr is None:
+        columns = _load_table(fh, d, len(names) - 1 - d)
+        if columns is None:
             fh.seek(start)
             arr = _parse_rows(csv.reader(fh), len(names), source)
+            columns = arr[:, 0], arr[:, 1 : 1 + d], arr[:, 1 + d :]
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    d = sum(1 for h in names if h.startswith("x"))
+    y, x, p_values = columns
     try:
-        data = Dataset(y=arr[:, 0], x=arr[:, 1 : 1 + d])
-        p = ConcentrationMatrix(arr[:, 1 + d :], row_sum_tol=row_sum_tol)
+        data = Dataset(y=y, x=x)
+        p = ConcentrationMatrix(p_values, row_sum_tol=row_sum_tol)
     except ValueError as exc:
         raise DataFormatError(f"{source}: {exc}") from None
     return data, p
@@ -165,19 +180,48 @@ def _read_header(fh, source: str) -> list[str]:
     return names
 
 
-def _load_table(fh, n_col: int) -> np.ndarray | None:
-    """All data rows via ``np.loadtxt``, or None where it refuses the input.
+#: lines ``np.loadtxt`` skips as empty; every other line is a row or an error
+_BLANK_LINES = ("\n", "\r\n")
 
-    ``np.loadtxt`` converts cells with the same string-to-double routine as
-    ``float``, so whatever it accepts parses to the row-wise path's values.
+
+def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
+    """Read-only y, x and p of all data rows, or None where ``np.loadtxt`` refuses.
+
+    One pass counts the data lines; the arrays are then allocated once and
+    filled from ``np.loadtxt`` one chunk of rows at a time, so nothing
+    N-sized exists beside them.  ``np.loadtxt`` converts cells with the same
+    string-to-double routine as ``float``, so whatever it accepts parses to
+    the row-wise path's values.
     """
+    start = fh.tell()
+    try:
+        n = sum(line not in _BLANK_LINES for line in fh)
+    except UnicodeDecodeError:
+        return None  # the row-wise path reports it where it meets it
+    if n == 0:
+        return None  # the row-wise path names the empty input
+    fh.seek(start)
+    y, x, p = np.empty(n), np.empty((n, d)), np.empty((n, n_comp))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data" and kin
-        try:
-            arr = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except (ValueError, Warning):
-            return None
-    return arr if arr.shape[1] == n_col else None
+        # a blank line is skipped, as without max_rows; only the note is new
+        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        for begin in range(0, n, _CHUNK_ROWS):
+            stop = min(begin + _CHUNK_ROWS, n)
+            try:
+                block = np.loadtxt(
+                    fh, delimiter=",", comments=None, ndmin=2, max_rows=stop - begin
+                )
+            except (ValueError, Warning):
+                return None
+            if block.shape != (stop - begin, 1 + d + n_comp):
+                return None
+            y[begin:stop] = block[:, 0]
+            x[begin:stop] = block[:, 1 : 1 + d]
+            p[begin:stop] = block[:, 1 + d :]
+    for arr in (y, x, p):
+        arr.flags.writeable = False  # handed over to Dataset and ConcentrationMatrix
+    return y, x, p
 
 
 def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:

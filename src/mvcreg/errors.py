@@ -86,16 +86,6 @@ class DegenerateWeights(MvcregError):
         )
 
 
-class NonFiniteMoment(MvcregError):
-    """A moment callback produced a non-finite value on some observation."""
-
-    code = "non-finite-moment"
-
-    def __init__(self, row: int):
-        self.row = int(row)
-        super().__init__(f"moment function returned a non-finite value at row {row}")
-
-
 class DataFormatError(MvcregError):
     """Input data file does not follow the expected layout."""
 

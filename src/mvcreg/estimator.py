@@ -121,48 +121,6 @@ def _solve_component(
     )
 
 
-def fit_component(
-    data: Dataset,
-    p: ConcentrationMatrix,
-    m: int,
-    xtx_tol: float = DEFAULT_XTX_TOL,
-    weights: WeightMatrix | None = None,
-) -> ComponentFit:
-    """Estimate the coefficient vector of component ``m``.
-
-    Parameters
-    ----------
-    data : Dataset
-        Observations; ``data.n_obs`` must match ``p.n_obs``.
-    p : ConcentrationMatrix
-        Known mixing probabilities.
-    m : int
-        Target component, 0-based.
-    xtx_tol : float, optional
-        Ceiling for cond(X'AX).
-    weights : WeightMatrix, optional
-        Precomputed minimax weights for ``p`` (skips the Gramian solve);
-        pass ``compute_weights(p, gamma_tol=...)`` for a non-default
-        identifiability ceiling.
-
-    Raises
-    ------
-    SingularGramian
-        Concentration columns (near-)linearly dependent.
-    SingularNormalMatrix
-        cond(X'AX) exceeds ``xtx_tol`` for this component.
-    DegenerateWeights
-        The component's weights are numerically all zero.
-    """
-    if data.n_obs != p.n_obs:
-        raise ValueError("dataset and concentration matrix disagree on N")
-    if not 0 <= m < p.n_components:
-        raise ValueError(f"component index {m} out of range")
-    if weights is None:
-        weights = compute_weights(p)
-    return _solve_component(data, weights, m, xtx_tol)
-
-
 def fit_all(
     data: Dataset,
     p: ConcentrationMatrix,

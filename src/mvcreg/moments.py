@@ -9,22 +9,22 @@ The weighted normal equations are summed over fixed blocks of
 ``_CHUNK_ROWS`` rows, one matrix product per block, and the blocks are added
 in row order, so the blocks and their order depend on N alone.  Within a
 block the order is the BLAS library's; the tests check that results are
-byte-identical under one and two BLAS threads.  The remaining reductions
-are plain loops or non-optimized einsum, in a fixed sequential order.
+byte-identical under one and two BLAS threads.  The reference fourth-moment
+tensor is a non-optimized einsum, in a fixed sequential order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteMoment
+from ._arrays import frozen
 
-#: rows per block of the normal-equation sums; a constant, so the blocks and
-#: the order they are added in depend on N alone
+#: rows per block of the normal-equation sums, and the package's one block
+#: size for work over rows (the draw's gathers, CSV rendering and parsing); a
+#: constant, so the blocks and the order they are added in depend on N alone
 _CHUNK_ROWS = 8192
 
 
@@ -39,14 +39,18 @@ class Dataset:
     x : ndarray
         N x d regressor matrix.  An intercept, if wanted, is an ordinary
         column of ones supplied by the caller; nothing here special-cases it.
+
+    Both are kept read-only.  A float array that owns its memory and is
+    already read-only is handed over and kept as is, without a copy; its
+    producer must not write to it again.  Any other array is copied.
     """
 
     y: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.array(self.y, dtype=float)
-        x = np.array(self.x, dtype=float)
+        y = frozen(self.y)
+        x = frozen(self.x)
         if y.ndim != 1:
             raise ValueError("y must be one-dimensional")
         if x.ndim != 2:
@@ -60,8 +64,6 @@ class Dataset:
             raise ValueError(f"need more observations than regressors (N={n}, d={d})")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("dataset contains non-finite entries")
-        y.flags.writeable = False
-        x.flags.writeable = False
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -116,52 +118,6 @@ class ComponentMoments:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
-def weighted_moment(
-    data: Dataset,
-    a_col: np.ndarray,
-    g: Callable[[float, np.ndarray], object],
-):
-    """Weighted empirical moment of a row-wise function.
-
-    Parameters
-    ----------
-    data : Dataset
-        Observations.
-    a_col : ndarray
-        Length-N weight vector for the target component.
-    g : callable
-        Called as ``g(y_j, x_j)`` per row; may return a scalar or an array.
-        The average is linear in ``g``.
-
-    Returns
-    -------
-    float or ndarray
-        ``(1/N) sum_j a_col[j] * g(y_j, x_j)``, summed in row order.
-
-    Raises
-    ------
-    NonFiniteMoment
-        If ``g`` produces a non-finite value on some row.
-    """
-    a_col = np.asarray(a_col, dtype=float)
-    n = data.n_obs
-    if a_col.shape != (n,):
-        raise ValueError("weight vector length must match the number of observations")
-    y = data.y
-    x = data.x
-    total = None
-    for j in range(n):
-        value = np.asarray(g(y[j], x[j]), dtype=float)
-        if not np.all(np.isfinite(value)):
-            raise NonFiniteMoment(j)
-        term = a_col[j] * value
-        total = term if total is None else total + term
-    total = total / n
-    if total.shape == ():
-        return float(total)
-    return total
-
-
 def component_regression_moments(
     data: Dataset, a_col: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -213,20 +169,3 @@ def weighted_fourth_moment(data: Dataset, a_col: np.ndarray) -> np.ndarray:
     for perm in permutations(range(4)):
         sym += np.transpose(l4, perm)
     return sym / 24.0
-
-
-def objective(data: Dataset, a_col: np.ndarray, b: np.ndarray) -> float:
-    """Weighted residual sum of squares at coefficient vector ``b``.
-
-    With signed weights this can be unbounded below, so the estimator is not
-    defined as its argmin; the function exists to test the normal-equation
-    stationarity of the fitted coefficients.
-    """
-    a_col = np.asarray(a_col, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a_col.shape != (data.n_obs,):
-        raise ValueError("weight vector length must match the number of observations")
-    if b.shape != (data.n_regressors,):
-        raise ValueError("coefficient vector length must match the number of regressors")
-    resid = data.y - data.x @ b
-    return float(np.einsum("j,j->", a_col, resid**2) / data.n_obs)

@@ -23,9 +23,10 @@ from typing import Union
 
 import numpy as np
 
+from ._arrays import frozen
 from .concentrations import ConcentrationMatrix, compute_weights, weight_co_moments
 from .errors import ConfigError
-from .moments import ComponentMoments, Dataset
+from .moments import _CHUNK_ROWS, ComponentMoments, Dataset
 
 _MAX_SEED = 2**64
 
@@ -83,8 +84,11 @@ class LinearRamp:
     model = "linear_ramp"
 
     def matrix(self, n_obs: int) -> ConcentrationMatrix:
-        ramp = np.arange(1, n_obs + 1, dtype=float) / n_obs
-        return ConcentrationMatrix(np.column_stack([ramp, 1.0 - ramp]))
+        values = np.empty((n_obs, 2))
+        np.divide(np.arange(1, n_obs + 1, dtype=float), n_obs, out=values[:, 0])
+        np.subtract(1.0, values[:, 0], out=values[:, 1])
+        values.flags.writeable = False  # handed over to ConcentrationMatrix
+        return ConcentrationMatrix(values)
 
     @property
     def n_components(self) -> int:
@@ -162,6 +166,15 @@ class SimulationConfig:
                     raise ConfigError(
                         f"components[{i}].regressors[{j}].sd", "must be positive"
                     )
+        if self.n_obs <= d:
+            raise ConfigError(
+                "n_obs", f"is {self.n_obs}; it must exceed the {d} regressors per component"
+            )
+        if self.n_obs < len(self.components):
+            raise ConfigError(
+                "n_obs",
+                f"is {self.n_obs}; it must be at least the {len(self.components)} components",
+            )
         if self.concentrations.n_components != len(self.components):
             raise ConfigError(
                 "components",
@@ -193,7 +206,10 @@ class SimulatedDataset:
     """Generated observations plus the truth that produced them.
 
     ``labels`` records the latent component of each observation for
-    diagnostics; the estimator never sees it.
+    diagnostics; the estimator never sees it.  It is kept read-only: an
+    int64 array that owns its memory and is already read-only is handed over
+    and kept as is, without a copy, and its producer must not write to it
+    again.  Any other array is copied.
     """
 
     data: Dataset
@@ -201,9 +217,7 @@ class SimulatedDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        labels = np.array(self.labels, dtype=np.int64)
-        labels.flags.writeable = False
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "labels", frozen(self.labels, np.int64))
 
 
 @dataclass(frozen=True)
@@ -266,25 +280,36 @@ def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
 
     The stream is consumed in a fixed layout whatever the component specs:
     N label uniforms, then the N x d regressor normals, then N error normals.
+    Each draw becomes its output in place, a block of rows at a time: the
+    regressor normals become ``x`` and the error normals ``y``, which go to
+    the ``Dataset`` without a copy.
     """
     n = plan.n_obs
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(n)
-    z = rng.standard_normal((n, plan.means.shape[1]))
-    e = rng.standard_normal(n)
-
     labels = np.zeros(n, dtype=np.int64)
     for row in plan.thresholds:
         labels += row <= u
+    del u  # freed before the normals are drawn
+    x = rng.standard_normal((n, plan.means.shape[1]))
+    y = rng.standard_normal(n)
 
-    # np.take gathers the per-row parameters far faster than fancy indexing
-    x = np.take(plan.sds, labels, axis=0)
-    x *= z
-    x += np.take(plan.means, labels, axis=0)
-    y = np.einsum("ji,ji->j", x, np.take(plan.coefficients, labels, axis=0))
-    noise = np.take(plan.error_sds, labels)
-    noise *= e
-    y += noise
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        block_labels = labels[rows]
+        # np.take gathers the per-row parameters far faster than fancy indexing
+        x_block = x[rows]
+        x_block *= np.take(plan.sds, block_labels, axis=0)
+        x_block += np.take(plan.means, block_labels, axis=0)
+        # sd_e * e + x . coef: addition and multiplication commute exactly, so
+        # these are the bytes of x . coef + sd_e * e
+        y_block = y[rows]
+        y_block *= np.take(plan.error_sds, block_labels)
+        y_block += np.einsum(
+            "ji,ji->j", x_block, np.take(plan.coefficients, block_labels, axis=0)
+        )
+    for arr in (labels, x, y):
+        arr.flags.writeable = False  # handed over without a copy
     return SimulatedDataset(data=Dataset(y=y, x=x), p=plan.p, labels=labels)
 
 

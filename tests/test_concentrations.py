@@ -182,3 +182,25 @@ class TestWeightCoMoments:
 def test_weight_matrix_requires_2d():
     with pytest.raises(ValueError):
         WeightMatrix(np.ones(4))
+
+
+class TestHandOver:
+    def test_writable_values_are_copied(self):
+        values = np.array([[0.3, 0.7], [0.9, 0.1]])
+        p = ConcentrationMatrix(values)
+        a = WeightMatrix(values)
+        for held in (p.values, a.values):
+            assert not np.shares_memory(held, values) and not held.flags.writeable
+        assert values.flags.writeable
+
+    def test_read_only_owned_values_are_handed_over(self):
+        values = np.array([[0.3, 0.7], [0.9, 0.1]])
+        values.flags.writeable = False
+        assert ConcentrationMatrix(values).values is values
+        assert WeightMatrix(values).values is values
+
+    def test_weights_own_their_memory(self):
+        p = ramp(50)
+        a = compute_weights(p).values
+        assert a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable
+        assert not np.shares_memory(a, p.values)

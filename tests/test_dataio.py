@@ -210,7 +210,7 @@ class TestCsvParity:
     def test_edge_case_matches_row_wise_path(self, case, monkeypatch):
         text, accepted = _EDGE_CASES[case]
         got = outcome(parse_csv_text, text)
-        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda fh, n_col: None)
+        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
         assert got == outcome(parse_csv_text, text)
         assert (got[0] == "ok") == accepted
 
@@ -220,6 +220,85 @@ class TestCsvParity:
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(read_csv, path) == outcome(parse_csv_text, text, source=str(path))
+
+    @staticmethod
+    def tall_text(case):
+        """A CSV of 2 * chunk + 3 rows, altered at the chunk boundaries by ``case``."""
+        chunk = mvcreg.dataio._CHUNK_ROWS
+        n = 2 * chunk + 3
+        rng = np.random.default_rng(12)
+        u = rng.random(n)
+        table = np.column_stack([rng.standard_normal(n) * 1e3, rng.standard_normal(n), u, 1.0 - u])
+        lines = [",".join(map(repr, row)) for row in table.tolist()]
+        if case == "blank lines at chunk ends":
+            for at in (2 * chunk, chunk, 1):
+                lines.insert(at, "" if at != chunk else "\r")
+        elif case == "bad cell in the last chunk":
+            lines[2 * chunk + 1] = "1.0,oops,0.5,0.5"
+        elif case == "short row in the second chunk":
+            lines[chunk + 7] = "1.0,2.0,1.0"
+        elif case == "trailing whitespace line":
+            lines.append("   ")
+        return "y,x1,p1,p2\n" + "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "plain",
+            "blank lines at chunk ends",
+            "bad cell in the last chunk",
+            "short row in the second chunk",
+            "trailing whitespace line",
+        ],
+    )
+    def test_tall_file_matches_row_wise_path(self, case, tmp_path, monkeypatch):
+        text = self.tall_text(case)
+        path = tmp_path / "tall.csv"
+        path.write_bytes(text.encode("utf-8"))
+        row_wise = []
+        parse_rows = mvcreg.dataio._parse_rows
+
+        def recording_parse_rows(*args):
+            row_wise.append(args)
+            return parse_rows(*args)
+
+        monkeypatch.setattr(mvcreg.dataio, "_parse_rows", recording_parse_rows)
+        got = outcome(read_csv, path)
+        accepted = case in ("plain", "blank lines at chunk ends")
+        assert (got[0] == "ok") == accepted
+        assert bool(row_wise) != accepted  # accepted input never falls back
+        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
+        assert got == outcome(read_csv, path)
+
+    def test_read_arrays_are_handed_over_once(self, tmp_path):
+        sim = small_sim(n=2 * mvcreg.dataio._CHUNK_ROWS + 3)
+        path = tmp_path / "sim.csv"
+        write_csv(path, sim.data, sim.p)
+        data, p = read_csv(path)
+        held = [data.y, data.x, p.values]
+        for arr in held:
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous and arr.flags.owndata
+        for i, first in enumerate(held):
+            for second in held[i + 1 :]:
+                assert not np.shares_memory(first, second)
+        assert data.x.tobytes() == sim.data.x.tobytes()
+
+    def test_parsed_arrays_are_kept_without_a_copy(self, tmp_path, monkeypatch):
+        filled = []
+        load_table = mvcreg.dataio._load_table
+
+        def recording_load_table(*args):
+            filled.append(load_table(*args))
+            return filled[-1]
+
+        monkeypatch.setattr(mvcreg.dataio, "_load_table", recording_load_table)
+        sim = small_sim(n=1000)
+        path = tmp_path / "sim.csv"
+        write_csv(path, sim.data, sim.p)
+        data, p = read_csv(path)
+        y, x, p_values = filled[0]
+        assert data.y is y and data.x is x and p.values is p_values
 
     def test_header_only_warns_nothing(self, recwarn):
         with pytest.raises(DataFormatError, match="no data rows"):

@@ -13,7 +13,6 @@ from mvcreg import (
     component_regression_moments,
     compute_weights,
     fit_all,
-    fit_component,
     generate,
     reference_study_config,
 )
@@ -33,14 +32,17 @@ HAND_P = ConcentrationMatrix(np.eye(2))
 
 
 class TestFitComponent:
+    """One component's solve and its gates, as ``fit_all`` reports them."""
+
     def test_noiseless_interpolation(self):
         data, p, b = single_component(40, 3, seed=0)
-        fit = fit_component(data, p, 0)
-        np.testing.assert_allclose(fit.coefficients, b, atol=1e-10)
+        fit = fit_all(data, p)
+        np.testing.assert_allclose(fit.coefficients[0], b, atol=1e-10)
 
     def test_two_point_hand_solve(self):
-        assert fit_component(HAND_DATA, HAND_P, 0).coefficients == pytest.approx([1.0])
-        assert fit_component(HAND_DATA, HAND_P, 1).coefficients == pytest.approx([2.0])
+        fit = fit_all(HAND_DATA, HAND_P)
+        assert fit.coefficients[0] == pytest.approx([1.0])
+        assert fit.coefficients[1] == pytest.approx([2.0])
 
     def test_reference_design_single_run(self):
         config, _ = reference_study_config()
@@ -54,25 +56,25 @@ class TestFitComponent:
         # still go through and the sign diagnostic must record it
         p = ConcentrationMatrix(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
         data = Dataset(y=np.array([1.0, 20.0, 1.0]), x=np.array([[1.0], [10.0], [1.0]]))
-        fit = fit_component(data, p, 0)
-        assert fit.negative_eigenvalues == 1
+        fit = fit_all(data, p)
+        assert 0 not in fit.errors
+        assert fit.negative_eigenvalues[0] == 1
         xtx, xty = component_regression_moments(data, np.array([2.5, -0.5, 1.0]))
-        assert fit.coefficients[0] == pytest.approx(xty[0] / xtx[0, 0])
+        assert fit.coefficients[0, 0] == pytest.approx(xty[0] / xtx[0, 0])
 
     def test_collinear_regressors_raise(self):
         rng = np.random.default_rng(1)
         x1 = rng.normal(size=30)
         data = Dataset(y=rng.normal(size=30), x=np.column_stack([x1, 2.0 * x1]))
         p = ConcentrationMatrix(np.ones((30, 1)))
-        with pytest.raises(SingularNormalMatrix) as exc_info:
-            fit_component(data, p, 0)
-        assert "nonsingular" in str(exc_info.value)
+        err = fit_all(data, p).errors[0]
+        assert isinstance(err, SingularNormalMatrix)
+        assert "nonsingular" in str(err)
 
     def test_degenerate_weights_raise(self):
         data, p, _ = single_component(10, 1, seed=2)
         zeros = WeightMatrix(np.zeros((10, 1)))
-        with pytest.raises(DegenerateWeights):
-            fit_component(data, p, 0, weights=zeros)
+        assert isinstance(fit_all(data, p, weights=zeros).errors[0], DegenerateWeights)
 
 
 class TestFitAll:

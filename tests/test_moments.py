@@ -9,15 +9,12 @@ from mvcreg import (
     ComponentMoments,
     ConcentrationMatrix,
     Dataset,
-    NonFiniteMoment,
     component_regression_moments,
     compute_weights,
     fit_all,
     generate,
-    objective,
     reference_study_config,
     weighted_fourth_moment,
-    weighted_moment,
 )
 import mvcreg.moments
 from mvcreg.simgen import with_n_obs, with_seed
@@ -42,6 +39,33 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y=np.array([1.0, np.nan, 0.0]), x=np.ones((3, 1)))
 
+    def test_writable_arrays_are_copied(self):
+        y, x = np.arange(3.0), np.ones((3, 1))
+        d = Dataset(y=y, x=x)
+        assert not np.shares_memory(d.y, y) and not np.shares_memory(d.x, x)
+        y[0] = 99.0
+        assert d.y[0] == 0.0
+        assert y.flags.writeable and x.flags.writeable
+
+    def test_read_only_owned_arrays_are_handed_over(self):
+        y, x = np.arange(3.0), np.ones((3, 1))
+        y.flags.writeable = False
+        x.flags.writeable = False
+        d = Dataset(y=y, x=x)
+        assert d.y is y and d.x is x
+
+    def test_views_and_other_dtypes_are_copied(self):
+        table = np.ones((4, 3))
+        table.flags.writeable = False  # its column views are read-only too
+        d = Dataset(y=table[:, 0], x=table[:, 1:])
+        assert not np.shares_memory(d.y, table) and not np.shares_memory(d.x, table)
+        assert d.y.flags.owndata and d.x.flags.owndata
+        ints = np.arange(4)
+        ints.flags.writeable = False
+        d = Dataset(y=ints, x=table[:, 1:])
+        assert d.y.dtype == np.float64 and not np.shares_memory(d.y, ints)
+        assert not d.y.flags.writeable
+
 
 class TestComponentMoments:
     def test_rejects_asymmetric_d2(self):
@@ -60,43 +84,65 @@ class TestComponentMoments:
             )
 
 
+def weighted_rss(data, a_col, b):
+    """(1/N) sum_j a_j (y_j - x_j'b)^2, the weighted residual sum of squares.
+
+    With signed weights it can be unbounded below, so the estimator is not
+    its argmin; its gradient in b is 2 (X'AX b - X'Ay) / N, which vanishes at
+    the fitted coefficients.
+    """
+    resid = data.y - data.x @ b
+    return float(np.einsum("j,j->", a_col, resid**2) / data.n_obs)
+
+
 class TestWeightedMoment:
+    """Weighted moments read off the normal-equation blocks."""
+
     def test_constant_function_is_one(self):
+        # the design's first regressor is constant, so X'AX[0, 0] = mean(a)
         sim = _design(200)
         a = compute_weights(sim.p)
         for m in range(2):
-            v = weighted_moment(sim.data, a.values[:, m], lambda y, x: 1.0)
-            assert v == pytest.approx(1.0, abs=1e-10)
+            xtx, _ = component_regression_moments(sim.data, a.values[:, m])
+            assert xtx[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_single_component_reduces_to_mean(self):
         rng = np.random.default_rng(1)
-        data = Dataset(y=rng.normal(size=20), x=rng.normal(size=(20, 2)))
-        v = weighted_moment(data, np.ones(20), lambda y, x: y)
-        assert v == pytest.approx(data.y.mean(), abs=1e-12)
+        x = np.column_stack([np.ones(20), rng.normal(size=20)])
+        data = Dataset(y=rng.normal(size=20), x=x)
+        _, xty = component_regression_moments(data, np.ones(20))
+        assert xty[0] == pytest.approx(data.y.mean(), abs=1e-12)
 
     def test_component_mean_of_regressor(self):
         # weighted first moment of the non-constant regressor targets E[X] = 1
         sim = _design(10**5, seed=11)
         a = compute_weights(sim.p)
-        v = weighted_moment(sim.data, a.values[:, 0], lambda y, x: x[1])
-        assert v == pytest.approx(1.0, abs=0.05)
+        xtx, _ = component_regression_moments(sim.data, a.values[:, 0])
+        assert xtx[0, 1] == pytest.approx(1.0, abs=0.05)
 
     def test_non_finite_row_reported(self):
-        data = Dataset(y=np.arange(5.0), x=np.ones((5, 1)))
-        with pytest.raises(NonFiniteMoment) as exc_info:
-            weighted_moment(data, np.ones(5), lambda y, x: np.inf if y == 3.0 else 1.0)
-        assert exc_info.value.row == 3
+        # a non-finite row never reaches a moment: the dataset refuses it
+        x = np.ones((5, 1))
+        x[3, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            Dataset(y=np.arange(5.0), x=x)
 
     @given(st.integers(0, 2**32 - 1))
     def test_linear_in_g(self, seed):
+        # linear in the weights, and X'Ay linear in the response
         rng = np.random.default_rng(seed)
-        data = Dataset(y=rng.normal(size=15), x=rng.normal(size=(15, 2)))
-        a = rng.normal(size=15)
-        g1 = lambda y, x: y * x[0]
-        g2 = lambda y, x: x[1] ** 2
-        lhs = weighted_moment(data, a, lambda y, x: 2.0 * g1(y, x) - 3.0 * g2(y, x))
-        rhs = 2.0 * weighted_moment(data, a, g1) - 3.0 * weighted_moment(data, a, g2)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
+        x = rng.normal(size=(15, 2))
+        y1, y2 = rng.normal(size=15), rng.normal(size=15)
+        a1, a2 = rng.normal(size=15), rng.normal(size=15)
+        data = Dataset(y=y1, x=x)
+        lhs = component_regression_moments(data, 2.0 * a1 - 3.0 * a2)
+        first = component_regression_moments(data, a1)
+        second = component_regression_moments(data, a2)
+        for got, u, v in zip(lhs, first, second):
+            np.testing.assert_allclose(got, 2.0 * u - 3.0 * v, rtol=0, atol=1e-12)
+        _, xty = component_regression_moments(Dataset(y=2.0 * y1 - 3.0 * y2, x=x), a1)
+        _, xty2 = component_regression_moments(Dataset(y=y2, x=x), a1)
+        np.testing.assert_allclose(xty, 2.0 * first[1] - 3.0 * xty2, rtol=0, atol=1e-12)
 
 
 class TestRegressionMoments:
@@ -155,16 +201,28 @@ class TestFourthMoment:
 
 
 class TestObjective:
+    """The fitted coefficients are stationary points of the weighted RSS."""
+
     def test_zero_residuals(self):
         x = np.arange(1.0, 5.0)[:, None]
         data = Dataset(y=2.0 * x[:, 0], x=x)
-        assert objective(data, np.ones(4), np.array([2.0])) == 0.0
+        b = fit_all(data, ConcentrationMatrix(np.ones((4, 1)))).coefficients[0]
+        assert b == pytest.approx([2.0], abs=1e-12)
+        assert weighted_rss(data, np.ones(4), b) == pytest.approx(0.0, abs=1e-24)
 
     def test_unit_weights_zero_coefficient(self):
+        # the RSS expands into the normal-equation blocks:
+        # mean(a y^2) - 2 b'X'Ay/N + b'X'AX b/N, which is mean(y^2) at b = 0
         rng = np.random.default_rng(6)
-        data = Dataset(y=rng.normal(size=25), x=rng.normal(size=(25, 1)))
-        v = objective(data, np.ones(25), np.zeros(1))
-        assert v == pytest.approx(np.mean(data.y**2), abs=1e-12)
+        data = Dataset(y=rng.normal(size=25), x=rng.normal(size=(25, 2)))
+        a = np.ones(25)
+        xtx, xty = component_regression_moments(data, a)
+        assert weighted_rss(data, a, np.zeros(2)) == pytest.approx(
+            np.mean(data.y**2), abs=1e-12
+        )
+        b = rng.normal(size=2)
+        expanded = np.mean(data.y**2) - 2.0 * b @ xty + b @ xtx @ b
+        assert weighted_rss(data, a, b) == pytest.approx(expanded, abs=1e-12)
 
     def test_minimized_at_least_squares_solution(self):
         rng = np.random.default_rng(7)
@@ -174,12 +232,12 @@ class TestObjective:
         p = ConcentrationMatrix(np.ones((60, 1)))
         b = fit_all(data, p).coefficients[0]
         a = np.ones(60)
-        base = objective(data, a, b)
+        base = weighted_rss(data, a, b)
         for i in range(2):
             for eps in (-0.01, 0.01):
                 shifted = b.copy()
                 shifted[i] += eps
-                assert objective(data, a, shifted) > base
+                assert weighted_rss(data, a, shifted) > base
 
 
 def test_moment_error_decays_with_sample_size():

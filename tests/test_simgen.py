@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from mvcreg import (
     simulation_config_from_dict,
     true_component_moments,
 )
-from mvcreg.simgen import study_options_from_dict, with_n_obs, with_seed
+import mvcreg.moments
+from mvcreg.simgen import draw, plan_draws, study_options_from_dict, with_n_obs, with_seed
 
 
 def one_component_config(n=100, error_sd=0.5, seed=0):
@@ -124,6 +126,24 @@ class TestConfigValidation:
         opts = study_options_from_dict({"rep_count": 10, "n_grid": [50, 100]})
         assert opts.n_grid == (50, 100)
 
+    @pytest.mark.parametrize("n_obs", [1, 2])
+    def test_n_obs_must_exceed_the_regressors(self, n_obs):
+        config, _ = reference_study_config()  # d = 2
+        with pytest.raises(ConfigError, match="regressors") as exc_info:
+            with_n_obs(config, n_obs)
+        assert exc_info.value.field == "n_obs"
+        assert with_n_obs(config, 3).n_obs == 3
+
+    def test_n_obs_must_cover_the_components(self):
+        spec = ComponentSpec(regressors=(ConstantRegressor(),), error_sd=1.0, coefficients=(1.0,))
+        with pytest.raises(ConfigError, match="components") as exc_info:
+            SimulationConfig(
+                n_obs=2,
+                components=(spec,) * 3,
+                concentrations=ExplicitConcentrations(np.full((2, 3), 1 / 3)),
+            )
+        assert exc_info.value.field == "n_obs"
+
     def test_explicit_rows_must_match_n_obs(self):
         config = one_component_config(n=100)
         with pytest.raises(ConfigError):
@@ -171,6 +191,87 @@ class TestGenerate:
         sim = generate(one_component_config(n=50, seed=3))
         assert sim.labels.shape == (50,)
         assert not sim.labels.flags.writeable
+
+
+def whole_array_draw(plan, seed):
+    """The draw as one whole-array formula over fancy-indexed parameters."""
+    n = plan.n_obs
+    rng = np.random.Generator(np.random.Philox(seed))
+    u = rng.random(n)
+    z = rng.standard_normal((n, plan.means.shape[1]))
+    e = rng.standard_normal(n)
+    labels = np.zeros(n, dtype=np.int64)
+    for row in plan.thresholds:
+        labels += row <= u
+    x = plan.sds[labels] * z + plan.means[labels]
+    y = np.einsum("ji,ji->j", x, plan.coefficients[labels]) + plan.error_sds[labels] * e
+    return y, x, labels
+
+
+class TestDraw:
+    N = 2 * mvcreg.moments._CHUNK_ROWS + 3  # two full row blocks and a partial one
+
+    def three_component_config(self):
+        rng = np.random.default_rng(17)
+        specs = tuple(
+            ComponentSpec(
+                regressors=(
+                    ConstantRegressor(),
+                    GaussianRegressor(mean=float(k), sd=0.5 + k),
+                    GaussianRegressor(mean=-1.0, sd=2.0),
+                ),
+                error_sd=0.1 * (k + 1),
+                coefficients=(1.0 - k, 0.5 * k, 2.0),
+            )
+            for k in range(3)
+        )
+        values = rng.dirichlet(np.ones(3), size=self.N)
+        return SimulationConfig(
+            n_obs=self.N, components=specs, concentrations=ExplicitConcentrations(values)
+        )
+
+    @pytest.mark.parametrize("seed", [0, 2**63 + 5])
+    def test_blocked_draw_matches_whole_array_formula(self, seed):
+        plan = plan_draws(self.three_component_config())
+        sim = draw(plan, seed)
+        y, x, labels = whole_array_draw(plan, seed)
+        assert sim.labels.tobytes() == labels.tobytes()
+        assert sim.data.x.tobytes() == x.tobytes()
+        assert sim.data.y.tobytes() == y.tobytes()
+
+    def test_arrays_are_handed_over_once(self):
+        config, _ = reference_study_config()
+        sim = draw(plan_draws(with_n_obs(config, self.N)), 3)
+        held = [sim.data.y, sim.data.x, sim.labels, sim.p.values]
+        for arr in held:
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous and arr.flags.owndata
+        for i, first in enumerate(held):
+            for second in held[i + 1 :]:
+                assert not np.shares_memory(first, second)
+
+    def test_no_n_sized_float_beside_the_outputs(self):
+        # the outputs are the draws themselves, so the traced peak stays under
+        # one float per row above them (a copy of y alone would add one)
+        config, _ = reference_study_config()
+        n = 8 * mvcreg.moments._CHUNK_ROWS + 3
+        plan = plan_draws(with_n_obs(config, n))
+        draw(plan, 1)  # first-call set-up is not the draw's memory
+        tracemalloc.start()
+        try:
+            sim = draw(plan, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sim.data.y.nbytes + sim.data.x.nbytes + sim.labels.nbytes
+        assert peak - held < 8 * n
+
+    def test_caller_labels_are_copied(self):
+        sim = generate(one_component_config(n=20, seed=1))
+        labels = np.zeros(20, dtype=np.int64)
+        copied = type(sim)(data=sim.data, p=sim.p, labels=labels)
+        assert not np.shares_memory(copied.labels, labels)
+        assert not copied.labels.flags.writeable and labels.flags.writeable
 
 
 class TestDeriveSeed:
