@@ -209,9 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tolerances(args) -> None:
+    for name in ("gamma_tol", "xtx_tol", "rel_tol"):
+        value = getattr(args, name, None)
+        if value is not None and not value > 0:  # NaN is not positive either
+            raise ConfigError("--" + name.replace("_", "-"), f"must be positive, got {value}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_tolerances(args)
         return args.func(args)
     except (DataFormatError, ConfigError) as exc:
         _diag(exc)

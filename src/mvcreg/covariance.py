@@ -19,11 +19,15 @@ four-index product tensor but O(M^2 d^2).
 Two modes are provided: analytic (true component moments supplied, used to
 validate simulations) and plug-in (every population quantity replaced by its
 weighted-empirical estimate from one dataset).  Both feed one assembler with
-the d x d contraction ``delta_s' L4_s delta_s``.  The analytic mode contracts
-its closed-form L4.  The plug-in mode never forms L4: it evaluates the
-contraction as ``(1/N) sum_j a[j, s] (x_j' delta_s)^2 x_j x_j'``, at O(N d^2)
-per (target, component) pair, and shares each component's D2 and error
-variance across all targets.
+the d x d contraction ``delta_s' L4_s delta_s`` and never form L4.  The
+analytic mode assumes Gaussian regressors (a constant has sd 0), for which
+Isserlis' theorem gives, with means mu and ``u = D2 delta``,
+
+    delta' L4 delta = (delta' D2 delta) D2 + 2 (u u' - (mu' delta)^2 mu mu').
+
+The plug-in mode evaluates it as ``(1/N) sum_j a[j, s] (x_j' delta_s)^2 x_j
+x_j'``, at O(N d^2) per (target, component) pair, and shares each
+component's D2 and error variance across all targets.
 """
 
 from __future__ import annotations
@@ -43,9 +47,9 @@ from .errors import SingularD
 from .estimator import FitResult
 from .moments import ComponentMoments, Dataset
 
-# Unused here since the plug-in mode contracts L4 without forming it; kept so
-# code that reaches the tensor route through this module (the benchmark's
-# tracer self-test does) still finds it.
+# Unused here since neither mode forms L4; kept so code that reaches the
+# tensor route through this module (the benchmark's tracer self-test does)
+# still finds it.
 from .moments import weighted_fourth_moment  # noqa: F401
 
 _D_CONDITION_LIMIT = 1e12
@@ -123,6 +127,14 @@ def _sandwich(d2: np.ndarray, sigma: np.ndarray, component: int) -> np.ndarray:
     return (v + v.T) / 2.0
 
 
+def _gaussian_quartic(moments: ComponentMoments, delta: np.ndarray) -> np.ndarray:
+    """``delta' L4 delta`` of Gaussian regressors, by Isserlis' theorem."""
+    d2, mean = moments.d2, moments.mean
+    u = d2 @ delta
+    shift = mean * (mean @ delta)
+    return (delta @ u) * d2 + 2.0 * (np.outer(u, u) - np.outer(shift, shift))
+
+
 def analytic_sigma(
     moments: list[ComponentMoments] | tuple[ComponentMoments, ...],
     co_moments: np.ndarray,
@@ -133,8 +145,8 @@ def analytic_sigma(
     Parameters
     ----------
     moments : sequence of ComponentMoments
-        One entry per component: second moments, fourth moments, error
-        variance, and coefficient vector.
+        One entry per component: second moments and means of its Gaussian
+        regressors, error variance, and coefficient vector.
     co_moments : ndarray
         M x M symmetric matrix of the limits ``<(a^m)^2 p^s p^t>`` for the
         target component's weights.
@@ -152,7 +164,7 @@ def analytic_sigma(
         [mom.b for mom in moments],
         co_moments,
         m,
-        lambda s, delta: np.einsum("iklq,l,q->ik", moments[s].l4, delta, delta),
+        lambda s, delta: _gaussian_quartic(moments[s], delta),
     )
     v = _sandwich(moments[m].d2, sigma, m)
     return AsymptoticCovariance(

@@ -108,7 +108,7 @@ def _solve_component(
     largest = float(magnitudes.max())
     smallest = float(magnitudes.min())
     condition = np.inf if smallest == 0.0 else largest / smallest
-    if not np.isfinite(condition) or condition > xtx_tol:
+    if not (np.isfinite(condition) and condition <= xtx_tol):
         raise SingularNormalMatrix(m, condition, xtx_tol)
     # LU with partial pivoting: valid for the indefinite case, unlike
     # Cholesky; never form the explicit inverse

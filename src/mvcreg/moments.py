@@ -9,8 +9,9 @@ The weighted normal equations are summed over fixed blocks of
 ``_CHUNK_ROWS`` rows, one matrix product per block, and the blocks are added
 in row order, so the blocks and their order depend on N alone.  Within a
 block the order is the BLAS library's; the tests check that results are
-byte-identical under one and two BLAS threads.  The reference fourth-moment
-tensor is a non-optimized einsum, in a fixed sequential order.
+byte-identical under one and two BLAS threads.  The fourth-moment tensor
+is formed only as a test reference, by a non-optimized einsum in a fixed
+sequential order.
 """
 
 from __future__ import annotations
@@ -78,42 +79,38 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ComponentMoments:
-    """Population moments of one component, analytic or plugged in.
+    """Population moments of one component with Gaussian regressors.
 
-    ``d2`` is the d x d second-moment matrix of the regressors, ``l4`` the
-    d^4 fourth-moment tensor (symmetric in all four indices), ``sigma2`` the
-    error variance and ``b`` the coefficient vector.
+    ``d2`` is the d x d second-moment matrix of the regressors, ``mean`` their
+    means (a constant regressor is a Gaussian with sd 0), ``sigma2`` the error
+    variance and ``b`` the coefficient vector.  The fourth moments follow
+    from ``d2`` and ``mean`` by Isserlis' theorem.
     """
 
     d2: np.ndarray
-    l4: np.ndarray
+    mean: np.ndarray
     sigma2: float
     b: np.ndarray
 
     def __post_init__(self):
         d2 = np.array(self.d2, dtype=float)
-        l4 = np.array(self.l4, dtype=float)
+        mean = np.array(self.mean, dtype=float)
         b = np.array(self.b, dtype=float)
         d = d2.shape[0]
         if d2.shape != (d, d):
             raise ValueError("d2 must be square")
-        if l4.shape != (d, d, d, d):
-            raise ValueError("l4 must be d x d x d x d")
+        if mean.shape != (d,):
+            raise ValueError("mean must have one entry per regressor")
         if b.shape != (d,):
             raise ValueError("b must have one entry per regressor")
         if not np.allclose(d2, d2.T, atol=1e-10):
             raise ValueError("d2 must be symmetric")
-        # full symmetry of l4: all permutations of a product of four scalars
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1)):
-            if not np.allclose(l4, np.transpose(l4, perm), atol=1e-8):
-                raise ValueError("l4 must be symmetric under index permutations")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        d2.flags.writeable = False
-        l4.flags.writeable = False
-        b.flags.writeable = False
+        for arr in (d2, mean, b):
+            arr.flags.writeable = False
         object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "l4", l4)
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 

@@ -217,7 +217,7 @@ def compare_report(
                 else:
                     rel = err / denom
                 worst_rel = max(worst_rel, rel)
-                if rel > rel_tol:
+                if not rel <= rel_tol:
                     # 1-based labels, matching the report table headings
                     cov_failures.append(
                         f"component {m + 1} cov[{i + 1},{k + 1}]: empirical "
@@ -227,7 +227,7 @@ def compare_report(
         for i in range(d):
             err = abs(point.mean_b[m, i] - report.true_b[m, i])
             worst_abs = max(worst_abs, err)
-            if err > mean_abs_tol:
+            if not err <= mean_abs_tol:
                 mean_failures.append(
                     f"component {m + 1} mean b[{i + 1}]: {point.mean_b[m, i]:.4f} vs "
                     f"true {report.true_b[m, i]:.4f} (abs err {err:.4f} > {mean_abs_tol})"

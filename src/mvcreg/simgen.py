@@ -15,10 +15,10 @@ which is what the analytic covariance is validated against.
 from __future__ import annotations
 
 import json
-from collections import Counter
+import sys
 from dataclasses import dataclass, field, replace
 from importlib import resources
-from itertools import product
+from itertools import accumulate
 from typing import Union
 
 import numpy as np
@@ -38,31 +38,10 @@ class GaussianRegressor:
     mean: float
     sd: float
 
-    kind = "gaussian"
-
-    def raw_moment(self, order: int) -> float:
-        mu, s2 = self.mean, self.sd**2
-        if order == 0:
-            return 1.0
-        if order == 1:
-            return mu
-        if order == 2:
-            return mu**2 + s2
-        if order == 3:
-            return mu**3 + 3.0 * mu * s2
-        if order == 4:
-            return mu**4 + 6.0 * mu**2 * s2 + 3.0 * s2**2
-        raise ValueError(f"raw moment of order {order} not implemented")
-
 
 @dataclass(frozen=True)
 class ConstantRegressor:
     """Column identically one; the conventional intercept regressor."""
-
-    kind = "constant"
-
-    def raw_moment(self, order: int) -> float:
-        return 1.0
 
 
 RegressorSpec = Union[GaussianRegressor, ConstantRegressor]
@@ -114,7 +93,10 @@ class ExplicitConcentrations:
                 "concentrations.values",
                 f"has {self.values.shape[0]} rows but n_obs is {n_obs}",
             )
-        return ConcentrationMatrix(self.values)
+        try:
+            return ConcentrationMatrix(self.values)
+        except ValueError as exc:
+            raise ConfigError("concentrations.values", str(exc)) from None
 
     @property
     def n_components(self) -> int:
@@ -224,24 +206,20 @@ class SimulatedDataset:
 class DrawPlan:
     """The part of a draw that depends on the config but not on its seed.
 
-    ``thresholds`` holds the cumulative row sums of the first M-1
-    concentration columns as an (M-1) x N array: observation ``j`` belongs to
-    component ``k`` when exactly ``k`` of its thresholds lie at or below its
-    label uniform.  ``means``, ``sds`` and ``coefficients`` are M x d, one row
-    per component (a constant regressor has mean 1 and sd 0), and
-    ``error_sds`` has length M.  A study builds one plan per sample size and
-    draws every replication from it.
+    ``means``, ``sds`` and ``coefficients`` are M x d, one row per component
+    (a constant regressor has mean 1 and sd 0), and ``error_sds`` has length
+    M.  A study builds one plan per sample size and draws every replication
+    from it.
     """
 
     p: ConcentrationMatrix
-    thresholds: np.ndarray
     means: np.ndarray
     sds: np.ndarray
     coefficients: np.ndarray
     error_sds: np.ndarray
 
     def __post_init__(self):
-        for name in ("thresholds", "means", "sds", "coefficients", "error_sds"):
+        for name in ("means", "sds", "coefficients", "error_sds"):
             getattr(self, name).flags.writeable = False
 
     @property
@@ -249,14 +227,10 @@ class DrawPlan:
         return self.p.n_obs
 
 
-def plan_draws(config: SimulationConfig) -> DrawPlan:
-    """Build the concentrations and per-component arrays of ``config``."""
-    n_comp = config.n_components
-    d = config.n_regressors
-    p = config.concentrations.matrix(config.n_obs)
-
-    means = np.zeros((n_comp, d))
-    sds = np.zeros((n_comp, d))
+def _regressor_laws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Regressor means and sds, M x d; a constant is a Gaussian of mean 1, sd 0."""
+    means = np.zeros((config.n_components, config.n_regressors))
+    sds = np.zeros_like(means)
     for k, comp in enumerate(config.components):
         for i, reg in enumerate(comp.regressors):
             if isinstance(reg, GaussianRegressor):
@@ -264,10 +238,14 @@ def plan_draws(config: SimulationConfig) -> DrawPlan:
                 sds[k, i] = reg.sd
             else:
                 means[k, i] = 1.0
+    return means, sds
+
+
+def plan_draws(config: SimulationConfig) -> DrawPlan:
+    """Build the concentrations and per-component arrays of ``config``."""
+    means, sds = _regressor_laws(config)
     return DrawPlan(
-        p=p,
-        # the same sequential prefix sums as a row-wise cumsum, laid out by column
-        thresholds=np.cumsum(p.values.T[:-1], axis=0),
+        p=config.concentrations.matrix(config.n_obs),
         means=means,
         sds=sds,
         coefficients=config.true_coefficients,
@@ -288,8 +266,12 @@ def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
     rng = np.random.Generator(np.random.Philox(seed))
     u = rng.random(n)
     labels = np.zeros(n, dtype=np.int64)
-    for row in plan.thresholds:
-        labels += row <= u
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        block_labels = labels[rows]
+        # label k: exactly k of the left-to-right prefix sums of p's row are <= u
+        for threshold in accumulate(plan.p.values[rows, :-1].T):
+            block_labels += threshold <= u[rows]
     del u  # freed before the normals are drawn
     x = rng.standard_normal((n, plan.means.shape[1]))
     y = rng.standard_normal(n)
@@ -333,31 +315,19 @@ def derive_seed(base_seed: int, n_obs: int, replication: int) -> int:
 def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:
     """Closed-form population moments of every component.
 
-    Regressors are independent within a component, so any product moment
-    factorizes into per-regressor raw moments (Gaussian up to fourth order,
-    constants trivially).
+    Regressors are independent Gaussians within a component (a constant has
+    sd 0), so ``D2 = diag(sd^2) + mu mu'``.
     """
-    out = []
-    d = config.n_regressors
-    for comp in config.components:
-        regs = comp.regressors
-
-        def cross(idx: tuple[int, ...]) -> float:
-            value = 1.0
-            for r, count in Counter(idx).items():
-                value *= regs[r].raw_moment(count)
-            return value
-
-        d2 = np.array([[cross((i, k)) for k in range(d)] for i in range(d)])
-        l4 = np.zeros((d, d, d, d))
-        for idx in product(range(d), repeat=4):
-            l4[idx] = cross(idx)
-        out.append(
-            ComponentMoments(
-                d2=d2, l4=l4, sigma2=comp.error_sd**2, b=np.array(comp.coefficients)
-            )
+    means, sds = _regressor_laws(config)
+    return [
+        ComponentMoments(
+            d2=np.diag(sd**2) + np.outer(mean, mean),
+            mean=mean,
+            sigma2=comp.error_sd**2,
+            b=np.array(comp.coefficients),
         )
-    return out
+        for comp, mean, sd in zip(config.components, means, sds)
+    ]
 
 
 def limit_co_moments(config: SimulationConfig, m: int) -> np.ndarray:
@@ -445,6 +415,8 @@ def _as_int(value, path: str) -> int:
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(path, f"must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, huge ints
+        raise ConfigError(path, f"must be a finite number, got {value!r}")
     return float(value)
 
 

@@ -88,6 +88,64 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("mvcreg: config-error: n_obs:")
 
 
+def _explicit_off_simplex(raw):
+    values = [[0.5, 0.5]] * raw["n_obs"]
+    values[4] = [0.4, 0.7]
+    raw["concentrations"] = {"model": "explicit", "values": values}
+    return "concentrations.values"
+
+
+@pytest.mark.parametrize("command", ["simulate", "study"])
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda raw: raw["components"][0]["regressors"][1].update(mean=float("nan"))
+        or "components[0].regressors[1].mean",
+        lambda raw: raw["components"][1].update(coefficients=[float("inf"), 1.0])
+        or "components[1].coefficients[0]",
+        lambda raw: raw["components"][1]["regressors"][1].update(sd=float("inf"))
+        or "components[1].regressors[1].sd",
+        lambda raw: raw["components"][0].update(error_sd=float("inf"))
+        or "components[0].error_sd",
+        lambda raw: raw["components"][0]["regressors"][1].update(mean=10**400)
+        or "components[0].regressors[1].mean",
+        _explicit_off_simplex,
+    ],
+    ids=["mean-nan", "coefficient-inf", "sd-inf", "error-sd-inf", "mean-huge-int", "row-sum"],
+)
+def test_bad_numbers_in_config_exit_2(tmp_path, capsys, command, edit):
+    raw = json.loads(json.dumps(SMOKE_CONFIG))
+    field = edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))  # NaN and Infinity are JSON extensions Python reads
+    assert main([command, "-i", str(path), "-o", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"mvcreg: config-error: {field}:")
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("fit", "--xtx-tol", "nan"),
+        ("fit", "--xtx-tol", "0"),
+        ("fit", "--gamma-tol", "nan"),
+        ("fit", "--gamma-tol", "-1e8"),
+        ("weights", "--gamma-tol", "nan"),
+        ("study", "--rel-tol", "nan"),
+        ("study", "--rel-tol", "0"),
+    ],
+)
+def test_bad_tolerance_exit_2(
+    tmp_path, capsys, dataset_csv, smoke_config_path, command, flag, value
+):
+    source = smoke_config_path if command == "study" else dataset_csv
+    out = tmp_path / "out"
+    assert main([command, f"{flag}={value}", "-i", str(source), "-o", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"mvcreg: config-error: {flag}: must be positive, got {float(value)}\n"
+    )
+    assert not out.exists()
+
+
 class TestFit:
     def test_round_trip_matches_library(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "fit.json"

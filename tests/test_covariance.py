@@ -1,12 +1,19 @@
-from itertools import permutations
+import time
+from collections import Counter
+from itertools import product
 
 import numpy as np
 import pytest
 
 from mvcreg import (
     ComponentMoments,
+    ComponentSpec,
     ConcentrationMatrix,
+    ConstantRegressor,
     Dataset,
+    ExplicitConcentrations,
+    GaussianRegressor,
+    SimulationConfig,
     SingularD,
     analytic_sigma,
     component_regression_moments,
@@ -33,15 +40,11 @@ def random_moments(rng, d, n_comp):
     out = []
     for _ in range(n_comp):
         root = rng.normal(size=(d, d))
-        d2 = root @ root.T + d * np.eye(d)
-        z = rng.normal(size=(d, d, d, d))
-        l4 = np.zeros_like(z)
-        for perm in permutations(range(4)):
-            l4 += np.transpose(z, perm)
-        l4 /= 24.0
+        mean = rng.normal(size=d)
+        d2 = root @ root.T + d * np.eye(d) + np.outer(mean, mean)
         out.append(
             ComponentMoments(
-                d2=d2, l4=l4, sigma2=float(rng.uniform(0.1, 2.0)), b=rng.normal(size=d)
+                d2=d2, mean=mean, sigma2=float(rng.uniform(0.1, 2.0)), b=rng.normal(size=d)
             )
         )
     return out
@@ -68,7 +71,7 @@ class TestAnalyticSigma:
         moments = random_moments(rng, 2, 3)
         b = moments[0].b
         moments = [
-            ComponentMoments(d2=mo.d2, l4=mo.l4, sigma2=mo.sigma2, b=b) for mo in moments
+            ComponentMoments(d2=mo.d2, mean=mo.mean, sigma2=mo.sigma2, b=b) for mo in moments
         ]
         co = random_co(rng, 3)
         cov = analytic_sigma(moments, co, 1)
@@ -95,10 +98,120 @@ class TestAnalyticSigma:
     def test_singular_d_raises(self):
         d2 = np.array([[1.0, 1.0], [1.0, 1.0]])
         moments = [
-            ComponentMoments(d2=d2, l4=np.zeros((2, 2, 2, 2)), sigma2=1.0, b=np.zeros(2))
+            ComponentMoments(d2=d2, mean=np.ones(2), sigma2=1.0, b=np.zeros(2))
         ]
         with pytest.raises(SingularD):
             analytic_sigma(moments, np.array([[1.0]]), 0)
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_closed_form_matches_raw_moment_tensor(self, d):
+        rng = np.random.default_rng(40 + d)
+        for trial in range(10):
+            config = random_gaussian_design(rng, d)
+            moments = true_component_moments(config)
+            l4 = [raw_moment_tensor(comp) for comp in config.components]
+            co = random_co(rng, config.n_components)
+            for m in range(config.n_components):
+                cov = analytic_sigma(moments, co, m)
+                expected = tensor_sigma_v(
+                    [mo.d2 for mo in moments],
+                    l4,
+                    [mo.sigma2 for mo in moments],
+                    [mo.b for mo in moments],
+                    co,
+                    m,
+                )
+                for got, want in zip((cov.sigma, cov.v), expected):
+                    err = np.max(np.abs(got - want))
+                    assert err <= 1e-13 * np.max(np.abs(want)), (trial, m, err)
+
+    def test_wide_design_under_a_second(self):
+        # O(d^2) per component; a d^4 tensor built entry by entry takes seconds here
+        d = 30
+
+        def spec(shift):
+            return ComponentSpec(
+                regressors=(ConstantRegressor(),)
+                + tuple(GaussianRegressor(mean=shift + 0.1 * i, sd=1.0) for i in range(d - 1)),
+                error_sd=0.5,
+                coefficients=tuple(shift + 0.05 * i for i in range(d)),
+            )
+
+        config = SimulationConfig(n_obs=100, components=(spec(0.0), spec(1.0)))
+        co = [limit_co_moments(config, m) for m in range(2)]
+        start = time.perf_counter()
+        moments = true_component_moments(config)
+        for m in range(2):
+            analytic_sigma(moments, co[m], m)
+        elapsed = time.perf_counter() - start
+        assert elapsed < 1.0, f"analytic covariance at d={d} took {elapsed:.2f}s"
+
+
+def raw_moment(reg, order):
+    """E[x^order] of one simulator regressor; a constant is identically one."""
+    if isinstance(reg, ConstantRegressor):
+        return 1.0
+    mu, s2 = reg.mean, reg.sd**2
+    table = (1.0, mu, mu**2 + s2, mu**3 + 3.0 * mu * s2, mu**4 + 6.0 * mu**2 * s2 + 3.0 * s2**2)
+    return table[order]
+
+
+def raw_moment_tensor(component):
+    """Fourth-moment tensor of independent regressors, entry by entry.
+
+    Each product moment factorizes into per-regressor raw moments.
+    """
+    regs = component.regressors
+    d = len(regs)
+    l4 = np.zeros((d, d, d, d))
+    for idx in product(range(d), repeat=4):
+        value = 1.0
+        for r, count in Counter(idx).items():
+            value *= raw_moment(regs[r], count)
+        l4[idx] = value
+    return l4
+
+
+def random_gaussian_design(rng, d):
+    """One to three components of d regressors, each component with at most one constant."""
+    n_comp = int(rng.integers(1, 4))
+    components = []
+    for _ in range(n_comp):
+        constant_at = int(rng.integers(-1, d))  # -1: no constant regressor
+        regs = tuple(
+            ConstantRegressor()
+            if i == constant_at
+            else GaussianRegressor(mean=float(rng.normal()), sd=float(rng.uniform(0.3, 2.0)))
+            for i in range(d)
+        )
+        components.append(
+            ComponentSpec(
+                regressors=regs,
+                error_sd=float(rng.uniform(0.1, 1.0)),
+                coefficients=tuple(rng.normal(size=d).tolist()),
+            )
+        )
+    values = rng.dirichlet(np.ones(n_comp), size=10)
+    return SimulationConfig(
+        n_obs=10, components=tuple(components), concentrations=ExplicitConcentrations(values)
+    )
+
+
+def tensor_sigma_v(d2, l4, sigma2, b, co, m):
+    """Sigma and V of target m from full fourth-moment tensors, term by term."""
+    n_comp = len(d2)
+    w = co.sum(axis=1)
+    delta = [b[s] - b[m] for s in range(n_comp)]
+    u = [d2[s] @ delta[s] for s in range(n_comp)]
+    sigma = sum(
+        w[s] * (d2[s] * sigma2[s] + np.einsum("iklq,l,q->ik", l4[s], delta[s], delta[s]))
+        for s in range(n_comp)
+    )
+    for s in range(n_comp):
+        for t in range(n_comp):
+            sigma = sigma - co[s, t] * np.outer(u[s], u[t])
+    d_inv = np.linalg.inv(d2[m])
+    return sigma, d_inv @ sigma @ d_inv
 
 
 class TestPlugInCovariance:
@@ -186,23 +299,17 @@ def dirichlet_design(seed, n_comp, d, n=300):
 
 
 def tensor_route(data, p, fit, m):
-    """Plug-in covariance of component m through the full d^4 tensor."""
+    """Plug-in Sigma and V of component m through the full d^4 tensor."""
     weights = compute_weights(p)
-    moments = []
+    d2, l4, sigma2 = [], [], []
     for s in range(p.n_components):
         a_s = weights.values[:, s]
-        d2, _ = component_regression_moments(data, a_s)
+        d2.append(component_regression_moments(data, a_s)[0])
+        l4.append(weighted_fourth_moment(data, a_s))
         resid = data.y - data.x @ fit.coefficients[s]
-        sigma2 = float(np.einsum("j,j->", a_s, resid**2) / data.n_obs)
-        moments.append(
-            ComponentMoments(
-                d2=d2,
-                l4=weighted_fourth_moment(data, a_s),
-                sigma2=max(sigma2, 0.0),
-                b=fit.coefficients[s],
-            )
-        )
-    return analytic_sigma(moments, weight_co_moments(weights, p, m), m)
+        sigma2.append(max(float(np.einsum("j,j->", a_s, resid**2) / data.n_obs), 0.0))
+    co = weight_co_moments(weights, p, m)
+    return tensor_sigma_v(d2, l4, sigma2, fit.coefficients, co, m)
 
 
 def assert_matches_tensor_route(data, p, fit):
@@ -210,8 +317,7 @@ def assert_matches_tensor_route(data, p, fit):
     assert [c.component for c in covs] == list(range(p.n_components))
     for m, cov in enumerate(covs):
         oracle = tensor_route(data, p, fit, m)
-        for name in ("sigma", "v"):
-            expected = getattr(oracle, name)
+        for name, expected in zip(("sigma", "v"), oracle):
             err = np.max(np.abs(getattr(cov, name) - expected))
             assert err <= 1e-10 * np.max(np.abs(expected)), (m, name, err)
     return covs

@@ -71,6 +71,12 @@ class TestFitComponent:
         assert isinstance(err, SingularNormalMatrix)
         assert "nonsingular" in str(err)
 
+    def test_nan_tolerance_refuses_every_component(self):
+        # NaN compares false with every condition number; the gate must refuse
+        data, p, _ = single_component(20, 2, seed=3)
+        fit = fit_all(data, p, xtx_tol=float("nan"))
+        assert isinstance(fit.errors[0], SingularNormalMatrix)
+
     def test_degenerate_weights_raise(self):
         data, p, _ = single_component(10, 1, seed=2)
         zeros = WeightMatrix(np.zeros((10, 1)))

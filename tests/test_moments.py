@@ -72,7 +72,7 @@ class TestComponentMoments:
         with pytest.raises(ValueError):
             ComponentMoments(
                 d2=np.array([[1.0, 0.5], [0.1, 1.0]]),
-                l4=np.zeros((2, 2, 2, 2)),
+                mean=np.zeros(2),
                 sigma2=1.0,
                 b=np.zeros(2),
             )
@@ -80,7 +80,7 @@ class TestComponentMoments:
     def test_rejects_negative_variance(self):
         with pytest.raises(ValueError):
             ComponentMoments(
-                d2=np.eye(1), l4=np.ones((1, 1, 1, 1)), sigma2=-0.1, b=np.zeros(1)
+                d2=np.eye(1), mean=np.zeros(1), sigma2=-0.1, b=np.zeros(1)
             )
 
 

@@ -190,6 +190,14 @@ class TestCompareReport:
         assert cmp.mean_failures and not cmp.cov_failures
         assert cmp.worst_mean_abs == pytest.approx(0.2)
 
+    def test_nan_tolerances_fail(self):
+        v = np.array([[[4.0, 1.0], [1.0, 2.0]]])
+        cmp = compare_report(self._synthetic(1.1 * v, v), rel_tol=float("nan"))
+        assert not cmp.ok and len(cmp.cov_failures) == 3
+        report = self._synthetic(v, v, mean_b=np.array([[0.2, 0.0]]))
+        cmp = compare_report(report, rel_tol=0.5, mean_abs_tol=float("nan"))
+        assert not cmp.ok and len(cmp.mean_failures) == 2
+
     def test_reference_grid_matches_limit(self, ref_report):
         cmp = compare_report(ref_report, rel_tol=0.15, mean_abs_tol=0.02)
         assert cmp.ok, cmp.cov_failures + cmp.mean_failures

@@ -23,6 +23,7 @@ from mvcreg import (
     true_component_moments,
 )
 import mvcreg.moments
+from mvcreg.covariance import _gaussian_quartic
 from mvcreg.simgen import draw, plan_draws, study_options_from_dict, with_n_obs, with_seed
 
 
@@ -201,7 +202,7 @@ def whole_array_draw(plan, seed):
     z = rng.standard_normal((n, plan.means.shape[1]))
     e = rng.standard_normal(n)
     labels = np.zeros(n, dtype=np.int64)
-    for row in plan.thresholds:
+    for row in np.cumsum(plan.p.values.T[:-1], axis=0):
         labels += row <= u
     x = plan.sds[labels] * z + plan.means[labels]
     y = np.einsum("ji,ji->j", x, plan.coefficients[labels]) + plan.error_sds[labels] * e
@@ -294,22 +295,59 @@ class TestTrueMoments:
         moments = true_component_moments(config)
         np.testing.assert_allclose(moments[0].d2, [[1.0, 1.0], [1.0, 2.0]])
         np.testing.assert_allclose(moments[1].d2, [[1.0, 2.0], [2.0, 6.25]])
-        # fourth raw moments: mu^4 + 6 mu^2 s^2 + 3 s^4
-        assert moments[0].l4[1, 1, 1, 1] == pytest.approx(10.0)
-        assert moments[1].l4[1, 1, 1, 1] == pytest.approx(85.1875)
+        # fourth raw moments of the slope regressor: mu^4 + 6 mu^2 s^2 + 3 s^4
+        slope = np.array([0.0, 1.0])
+        assert _gaussian_quartic(moments[0], slope)[1, 1] == pytest.approx(10.0)
+        assert _gaussian_quartic(moments[1], slope)[1, 1] == pytest.approx(85.1875)
         assert moments[0].sigma2 == pytest.approx(0.01**2)
         np.testing.assert_allclose(moments[1].b, [-2.0, 1.0])
 
     def test_constant_regressor_moments(self):
-        reg = ConstantRegressor()
-        assert all(reg.raw_moment(k) == 1.0 for k in range(5))
+        # a constant is a Gaussian with mean 1 and sd 0
+        config = SimulationConfig(
+            n_obs=10,
+            components=(
+                ComponentSpec(
+                    regressors=(ConstantRegressor(), GaussianRegressor(mean=2.0, sd=1.5)),
+                    error_sd=1.0,
+                    coefficients=(0.0, 0.0),
+                ),
+            ),
+            concentrations=ExplicitConcentrations(np.ones((10, 1))),
+        )
+        (mom,) = true_component_moments(config)
+        assert mom.mean.tolist() == [1.0, 2.0]
+        assert mom.d2[0].tolist() == [1.0, 2.0]
+        assert mom.d2[:, 0].tolist() == [1.0, 2.0]
+        assert _gaussian_quartic(mom, np.array([1.0, 0.0])).tolist() == [
+            [1.0, 2.0],
+            [2.0, 6.25],
+        ]
 
     def test_gaussian_moment_table(self):
-        reg = GaussianRegressor(mean=2.0, sd=1.5)
-        assert reg.raw_moment(1) == 2.0
-        assert reg.raw_moment(2) == pytest.approx(6.25)
-        assert reg.raw_moment(3) == pytest.approx(8.0 + 3 * 2.0 * 2.25)
-        assert reg.raw_moment(4) == pytest.approx(85.1875)
+        # second moments mu^2 + s^2 on the diagonal and mu_i mu_k off it; the
+        # fourth raw moment mu^4 + 6 mu^2 s^2 + 3 s^4 of each regressor
+        config = SimulationConfig(
+            n_obs=10,
+            components=(
+                ComponentSpec(
+                    regressors=(
+                        GaussianRegressor(mean=2.0, sd=1.5),
+                        GaussianRegressor(mean=-1.0, sd=0.5),
+                    ),
+                    error_sd=1.0,
+                    coefficients=(0.0, 0.0),
+                ),
+            ),
+            concentrations=ExplicitConcentrations(np.ones((10, 1))),
+        )
+        (mom,) = true_component_moments(config)
+        assert mom.mean.tolist() == [2.0, -1.0]
+        assert mom.d2.tolist() == [[6.25, -2.0], [-2.0, 1.25]]
+        assert _gaussian_quartic(mom, np.array([1.0, 0.0]))[0, 0] == pytest.approx(85.1875)
+        assert _gaussian_quartic(mom, np.array([0.0, 1.0]))[1, 1] == pytest.approx(
+            1.0 + 6 * 0.25 + 3 * 0.0625
+        )
 
 
 class TestLimitCoMoments:
