@@ -136,6 +136,14 @@ def cmd_study(args) -> int:
             doc["comparison"] = dataio.comparison_to_dict(comparison)
         text = dataio.dumps(doc)
     _write_output(args, text)
+    for pt in report.points:
+        if pt.failures:
+            codes = ", ".join(f"{code}: {count}" for code, count in pt.failure_codes.items())
+            print(
+                f"mvcreg: note: n={pt.n_obs}: {pt.failures} of {pt.rep_count} "
+                f"replications failed ({codes})",
+                file=sys.stderr,
+            )
     if comparison is not None and not comparison.ok:
         for line in comparison.cov_failures + comparison.mean_failures:
             print(f"mvcreg: comparison-failure: {line}", file=sys.stderr)

@@ -3,11 +3,30 @@
 from __future__ import annotations
 
 
+def _rebuild(cls, args, kwargs):
+    return cls(*args, **kwargs)
+
+
 class MvcregError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    Pickles with its type, message and attributes, so an error raised in a
+    study worker process reaches the parent intact.  The subclasses build
+    their message from other constructor arguments, so unpickling calls
+    the constructor with those arguments, not with the message as the
+    default reduction would.
+    """
 
     #: short machine-parsable slug, used by the CLI diagnostic prefix
     code = "error"
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._init_args = (args, kwargs)
+        return self
+
+    def __reduce__(self):
+        return (_rebuild, (type(self), *self._init_args), self.__dict__)
 
 
 class SingularGramian(MvcregError):

@@ -11,11 +11,22 @@ The concentrations are a deterministic function of the sample size, so each
 grid point builds them, their Gramian and the weights once, then draws and
 fits every replication against them through the same ``fit_all`` that
 ``mvcreg fit`` uses.
+
+The replications run in worker processes, one per usable CPU, forked once
+per study.  Each grid point is split into one contiguous range of
+replication indices per worker, every grid point is queued at once, and the
+estimates are gathered back in replication order, so the report is
+byte-identical to a serial run whatever the worker count.  With one CPU, or
+where ``fork`` is not available, the replications run in the calling
+process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import contextlib
+import os
+from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,6 +59,8 @@ class GridPointSummary:
     scaled_cov: np.ndarray
     #: (kept_reps, M, d) raw estimates when requested, else None
     estimates: np.ndarray | None = None
+    #: failed replications by error code, in code order
+    failure_codes: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         for name in ("mean_b", "scaled_cov", "estimates"):
@@ -86,27 +99,105 @@ class MonteCarloReport:
         return self.points[-1]
 
 
-def _replicate_grid_point(
-    config: SimulationConfig, n_obs: int, rep_count: int, gamma_tol: float, xtx_tol: float
-) -> list[np.ndarray]:
-    """Coefficient estimates of the replications at ``n_obs`` that fitted.
+def _replicate(plan, gramian, weights, xtx_tol: float, seed: int, reps: range) -> list:
+    """Outcome of each replication in ``reps`` of the grid point ``plan`` draws.
 
-    A replication whose fit fails is left out.  A Gramian refused by the
-    ``gamma_tol`` gate fails every replication of the grid point at once.
+    The outcome is the coefficient estimate of a replication that fitted,
+    else the error code of its first failed component.
+    """
+    outcomes = []
+    for rep in reps:
+        sim = draw(plan, derive_seed(seed, plan.n_obs, rep))
+        fit = fit_all(sim.data, plan.p, xtx_tol=xtx_tol, gramian=gramian, weights=weights)
+        outcomes.append(next(iter(fit.errors.values())).code if fit.errors else fit.coefficients)
+    return outcomes
+
+
+def _worker_count(rep_count: int) -> int:
+    """Worker processes for a study: one per usable CPU, at most one per replication."""
+    # without an affinity call (macOS, Windows) the study stays in one
+    # process: macOS lists fork but its system libraries are not fork-safe
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    if cpus == 1:
+        return 1
+    import multiprocessing  # here, so that importing the package stays fast
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    return min(cpus, rep_count)
+
+
+@contextlib.contextmanager
+def _replication_runner(rep_count: int):
+    """Yield ``submit(*args)``, which starts ``_replicate(*args, reps)`` for
+    replications 0 to ``rep_count - 1`` and returns a function that waits for
+    their outcomes, in replication order.
+
+    With more than one worker the ranges queue in a pool that is forked on
+    the first submit; exit drops what is still queued and joins the workers,
+    also when the study raises.
+    """
+    workers = _worker_count(rep_count)
+    if workers == 1:
+        yield lambda *args: lambda: _replicate(*args, range(rep_count))
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = [rep_count * k // workers for k in range(workers + 1)]
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+
+    def submit(*args):
+        futures = [
+            pool.submit(_replicate, *args, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
+        ]
+        return lambda: [outcome for future in futures for outcome in future.result()]
+
+    try:
+        yield submit
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _submit_grid_point(
+    submit, config: SimulationConfig, n_obs: int, rep_count: int, gamma_tol: float, xtx_tol: float
+):
+    """Start the replications at ``n_obs``; return a function that waits for
+    their outcomes, as ``_replicate`` gives them.
+
+    A Gramian refused by the ``gamma_tol`` gate fails every replication of
+    the grid point at once.
     """
     plan = plan_draws(with_n_obs(config, n_obs))
     try:
         gramian = build_gramian(plan.p)
         weights = compute_weights(plan.p, gramian, gamma_tol=gamma_tol)
     except SingularGramian:
-        return []
-    kept = []
-    for rep in range(rep_count):
-        sim = draw(plan, derive_seed(config.seed, n_obs, rep))
-        fit = fit_all(sim.data, plan.p, xtx_tol=xtx_tol, gramian=gramian, weights=weights)
-        if not fit.errors:
-            kept.append(fit.coefficients)
-    return kept
+        return lambda: [SingularGramian.code] * rep_count
+    return submit(plan, gramian, weights, xtx_tol, config.seed)
+
+
+def _summarize(n_obs: int, outcomes: list, keep_estimates: bool) -> GridPointSummary:
+    """Summary of one grid point from its replications' outcomes, in replication order."""
+    rep_count = len(outcomes)
+    kept = [b for b in outcomes if not isinstance(b, str)]
+    failures = rep_count - len(kept)
+    if failures * 2 > rep_count:
+        raise ExcessiveFailures(n_obs, failures, rep_count)
+    estimates = np.stack(kept)
+    mean_b = estimates.mean(axis=0)
+    centered = estimates - mean_b
+    scaled_cov = n_obs * np.einsum("rmi,rmk->mik", centered, centered) / (len(kept) - 1)
+    codes = Counter(code for code in outcomes if isinstance(code, str))
+    return GridPointSummary(
+        n_obs=n_obs,
+        rep_count=rep_count,
+        failures=failures,
+        mean_b=mean_b,
+        scaled_cov=scaled_cov,
+        estimates=estimates if keep_estimates else None,
+        failure_codes=dict(sorted(codes.items())),
+    )
 
 
 def run_study(
@@ -121,8 +212,8 @@ def run_study(
 
     Grid points are processed in increasing sample size.  Replications that
     fail to fit (singular Gramian or normal matrix, degenerate weights) are
-    dropped and counted; a grid point where more than half fail aborts the
-    study, since its summary would say nothing.
+    dropped and counted by error code; a grid point where more than half
+    fail aborts the study, since its summary would say nothing.
 
     The empirical covariance is of the scaled estimate sqrt(N) * b_hat, with
     the 1/(R-1) normalization, so it is directly comparable to the analytic
@@ -140,28 +231,14 @@ def run_study(
         ]
     )
 
-    points = []
-    for n_obs in grid:
-        kept = _replicate_grid_point(config, n_obs, rep_count, gamma_tol, xtx_tol)
-        failures = rep_count - len(kept)
-        if failures * 2 > rep_count:
-            raise ExcessiveFailures(n_obs, failures, rep_count)
-        estimates = np.stack(kept)
-        mean_b = estimates.mean(axis=0)
-        centered = estimates - mean_b
-        scaled_cov = n_obs * np.einsum("rmi,rmk->mik", centered, centered) / (
-            len(kept) - 1
-        )
-        points.append(
-            GridPointSummary(
-                n_obs=n_obs,
-                rep_count=rep_count,
-                failures=failures,
-                mean_b=mean_b,
-                scaled_cov=scaled_cov,
-                estimates=estimates if keep_estimates else None,
-            )
-        )
+    with _replication_runner(rep_count) as submit:
+        # every grid point is queued before the first is gathered, so the
+        # workers do not wait for the parent between grid points
+        pending = [
+            (n_obs, _submit_grid_point(submit, config, n_obs, rep_count, gamma_tol, xtx_tol))
+            for n_obs in grid
+        ]
+        points = [_summarize(n_obs, gather(), keep_estimates) for n_obs, gather in pending]
     return MonteCarloReport(
         seed=config.seed,
         true_b=config.true_coefficients,

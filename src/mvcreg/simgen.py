@@ -260,7 +260,8 @@ def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
     N label uniforms, then the N x d regressor normals, then N error normals.
     Each draw becomes its output in place, a block of rows at a time: the
     regressor normals become ``x`` and the error normals ``y``, which go to
-    the ``Dataset`` without a copy.
+    the ``Dataset`` without a copy.  A config whose finite numbers overflow
+    in the draw is refused with a ``ConfigError`` on ``components``.
     """
     n = plan.n_obs
     rng = np.random.Generator(np.random.Philox(seed))
@@ -290,6 +291,13 @@ def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
         y_block += np.einsum(
             "ji,ji->j", x_block, np.take(plan.coefficients, block_labels, axis=0)
         )
+        # a non-finite regressor makes its row's response non-finite too
+        if not np.isfinite(y_block).all():
+            raise ConfigError(
+                "components",
+                "the draw overflows the float range; the coefficients, means or "
+                "sds are too large",
+            )
     for arr in (labels, x, y):
         arr.flags.writeable = False  # handed over without a copy
     return SimulatedDataset(data=Dataset(y=y, x=x), p=plan.p, labels=labels)

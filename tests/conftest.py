@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,6 +18,14 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("ci")
 
 _REF_CACHE = {}
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_workers():
+    """Fail a test that leaves a worker process of a study running."""
+    yield
+    leaked = multiprocessing.active_children()
+    assert not leaked, f"worker processes outlived the test: {leaked}"
 
 
 @pytest.fixture(scope="session")

@@ -122,6 +122,47 @@ def test_bad_numbers_in_config_exit_2(tmp_path, capsys, command, edit):
     assert capsys.readouterr().err.startswith(f"mvcreg: config-error: {field}:")
 
 
+@pytest.fixture
+def overflow_config_path(tmp_path):
+    # finite numbers whose products overflow: 1e308 * (1 + x) for x > 0.8
+    raw = json.loads(json.dumps(SMOKE_CONFIG))
+    raw["components"][0]["coefficients"] = [1e308, 1e308]
+    raw["rep_count"] = 6
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_overflowing_draw_simulate_exit_2(tmp_path, capsys, overflow_config_path):
+    out = tmp_path / "sim.csv"
+    assert main(["simulate", "-i", str(overflow_config_path), "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("mvcreg: config-error: components:")
+
+
+_POOLED_STUDY = """
+import sys
+import mvcreg.montecarlo
+from mvcreg.cli import main
+
+mvcreg.montecarlo._worker_count = lambda rep_count: 2  # the pool path on any host
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_overflowing_draw_study_exit_2(overflow_config_path):
+    # the error is raised in a worker process; the study must exit with it,
+    # not hang, so the run has a timeout
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _POOLED_STUDY, "study", "-i", str(overflow_config_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    # the analytic limit overflows too, with numpy's warnings before the diagnostic
+    assert out.stderr.splitlines()[-1].startswith("mvcreg: config-error: components:")
+    assert out.stdout == ""
+
+
 @pytest.mark.parametrize(
     "command, flag, value",
     [

@@ -1,8 +1,12 @@
+import multiprocessing
+import os
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvcreg.cli
 import mvcreg.montecarlo
 from mvcreg import (
     ComponentSpec,
@@ -158,6 +162,119 @@ class TestRunStudy:
     def test_rep_count_floor(self):
         with pytest.raises(ConfigError):
             run_study(small_config(), rep_count=1)
+
+    def test_failure_codes_match_per_replication_fits(self, monkeypatch, capsys):
+        # the setup of test_failures_match_per_replication_fits; each failed
+        # replication is counted under the code of its first failed component
+        config, n_obs, rep_count = small_config(), 40, 30
+        sims = [
+            generate(with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep)))
+            for rep in range(rep_count)
+        ]
+        worst = [np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]
+        xtx_tol = float(np.quantile(worst, 0.7))
+        fits = [fit_all(s.data, s.p, xtx_tol=xtx_tol) for s in sims]
+        expected = Counter(next(iter(f.errors.values())).code for f in fits if f.errors)
+        failed = sum(expected.values())
+        assert expected == {"singular-normal-matrix": failed}
+
+        report = run_study(config, rep_count=rep_count, n_grid=(400, n_obs), xtx_tol=xtx_tol)
+        small, large = report.points
+        assert (small.n_obs, small.failures, small.failure_codes) == (40, failed, expected)
+        assert (large.failures, large.failure_codes) == (0, {})
+
+        # the CLI notes each grid point that lost replications on stderr
+        monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (config, StudyOptions()))
+        monkeypatch.setattr(mvcreg.cli, "study_from_options", lambda *args, **kwargs: report)
+        assert mvcreg.cli.main(["study"]) == 0
+        assert capsys.readouterr().err == (
+            f"mvcreg: note: n=40: {failed} of 30 replications failed "
+            f"(singular-normal-matrix: {failed})\n"
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_count_does_not_change_results(self, monkeypatch, workers):
+        # 3 workers split 30 replications unevenly; failed replications in
+        # every range must drop out of the same places
+        def study():
+            return run_study(
+                small_config(), rep_count=30, n_grid=(40, 90), xtx_tol=40.0, keep_estimates=True
+            )
+
+        expected = study()
+        monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: workers)
+        got = study()
+        assert [pt.failure_codes for pt in got.points] == [
+            pt.failure_codes for pt in expected.points
+        ]
+        assert expected.points[0].failures > 0
+        for a, b in zip(got.points, expected.points):
+            for name in ("mean_b", "scaled_cov", "estimates"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+    def test_excessive_failures_mid_study_leave_no_worker(self, monkeypatch):
+        # every replication at n=80 fails its normal-matrix gate, after the
+        # pool has fitted the n=50 grid point
+        def strict_at_80(data, p, xtx_tol, **kwargs):
+            return fit_all(data, p, xtx_tol=1.0 if data.n_obs == 80 else xtx_tol, **kwargs)
+
+        monkeypatch.setattr(mvcreg.montecarlo, "fit_all", strict_at_80)
+        monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: 2)
+        with pytest.raises(ExcessiveFailures) as info:
+            run_study(small_config(), rep_count=8, n_grid=(50, 80, 110))
+        assert info.value.n_obs == 80
+        assert multiprocessing.active_children() == []
+
+    # the analytic limit overflows as well, before the draw does
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        # a typed error raised in a worker crosses the pool with its fields
+        config = small_config()
+        huge = ComponentSpec(
+            regressors=config.components[0].regressors,
+            error_sd=0.01,
+            coefficients=(1e308, 1e308),
+        )
+        config = SimulationConfig(n_obs=200, components=(huge, config.components[1]), seed=3)
+        monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: 2)
+        with pytest.raises(ConfigError) as info:
+            run_study(config, rep_count=6, n_grid=(100,))
+        assert info.value.field == "components"
+        assert multiprocessing.active_children() == []
+
+    def test_cpu_count_does_not_change_results(self, fresh_python, capsys):
+        # fresh interpreters, one pinned to a single CPU, so it runs serially,
+        # and one left on every CPU, each under one and two BLAS threads
+        code = (
+            "import os, sys\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "from test_montecarlo import small_config\n"
+            "from mvcreg import run_study\n"
+            "from mvcreg.cli import main\n"
+            "from mvcreg.montecarlo import _worker_count\n"
+            "print(_worker_count(24))\n"
+            "pt = run_study(small_config(), rep_count=24, n_grid=(150,)).points[0]\n"
+            "print(pt.mean_b.tobytes().hex(), pt.scaled_cov.tobytes().hex())\n"
+            "assert main(['study', '--seed', '7', '--reps', '20']) == 5\n"
+        )
+        here = run_study(small_config(), rep_count=24, n_grid=(150,)).points[0]
+        assert mvcreg.cli.main(["study", "--seed", "7", "--reps", "20"]) == 5
+        report = (
+            f"{here.mean_b.tobytes().hex()} {here.scaled_cov.tobytes().hex()}\n"
+            + capsys.readouterr().out
+        )
+        all_cpus = min(len(os.sched_getaffinity(0)), 24)
+        for pin, workers in (("pin", 1), ("all", all_cpus)):
+            for blas_threads in (1, 2):
+                got = fresh_python(["-c", code, pin], blas_threads).decode()
+                assert got == f"{workers}\n{report}", (pin, blas_threads)
+
+    def test_worker_count_follows_usable_cpus(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert mvcreg.montecarlo._worker_count(1000) == cpus
+        assert mvcreg.montecarlo._worker_count(2) == min(cpus, 2)
 
 
 class TestCompareReport:
