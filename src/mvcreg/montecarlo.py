@@ -16,9 +16,9 @@ The replications run in worker processes, one per usable CPU, forked once
 per study.  Each grid point is split into one contiguous range of
 replication indices per worker, every grid point is queued at once, and the
 estimates are gathered back in replication order, so the report is
-byte-identical to a serial run whatever the worker count.  With one CPU, or
-where ``fork`` is not available, the replications run in the calling
-process.
+byte-identical to a serial run whatever the worker count.  With one CPU, where
+``fork`` is not available, or inside a daemonic process, the replications
+run in the calling process.
 """
 
 from __future__ import annotations
@@ -122,6 +122,10 @@ def _worker_count(rep_count: int) -> int:
         return 1
     import multiprocessing  # here, so that importing the package stays fast
 
+    # a daemonic process, such as a multiprocessing.Pool worker, may not
+    # start processes of its own
+    if multiprocessing.current_process().daemon:
+        return 1
     if "fork" not in multiprocessing.get_all_start_methods():
         return 1
     return min(cpus, rep_count)

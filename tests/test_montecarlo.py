@@ -47,6 +47,11 @@ def small_config(seed=17):
     )
 
 
+def pooled_study(seed):
+    """``mean_b`` bytes of a small study; module-level, so a pool can send it by name."""
+    return run_study(small_config(seed), rep_count=6, n_grid=(60,)).points[0].mean_b.tobytes()
+
+
 class TestRunStudy:
     def test_report_shape(self):
         report = run_study(small_config(), rep_count=25, n_grid=(100, 200))
@@ -270,6 +275,12 @@ class TestRunStudy:
             for blas_threads in (1, 2):
                 got = fresh_python(["-c", code, pin], blas_threads).decode()
                 assert got == f"{workers}\n{report}", (pin, blas_threads)
+
+    def test_runs_inside_a_pool_worker(self):
+        # a daemonic pool worker may not start processes, so its study is serial
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            got = pool.map_async(pooled_study, [1, 2]).get(timeout=60)
+        assert got == [pooled_study(1), pooled_study(2)]
 
     def test_worker_count_follows_usable_cpus(self):
         cpus = len(os.sched_getaffinity(0))
