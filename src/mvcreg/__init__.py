@@ -14,6 +14,7 @@ from .concentrations import (
     WeightMatrix,
     build_gramian,
     compute_weights,
+    invert_gramian,
     weight_co_moments,
 )
 from .covariance import (
@@ -25,7 +26,6 @@ from .covariance import (
 from .errors import (
     ConfigError,
     DataFormatError,
-    DegenerateWeights,
     ExcessiveFailures,
     MvcregError,
     SingularD,
@@ -34,7 +34,6 @@ from .errors import (
 )
 from .estimator import (
     DEFAULT_XTX_TOL,
-    ComponentFit,
     FitResult,
     fit_all,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "DEFAULT_XTX_TOL",
     "AsymptoticCovariance",
     "ComparisonReport",
-    "ComponentFit",
     "ComponentMoments",
     "ComponentSpec",
     "ConcentrationMatrix",
@@ -85,7 +83,6 @@ __all__ = [
     "ConstantRegressor",
     "DataFormatError",
     "Dataset",
-    "DegenerateWeights",
     "ExcessiveFailures",
     "ExplicitConcentrations",
     "FitResult",
@@ -110,6 +107,7 @@ __all__ = [
     "derive_seed",
     "fit_all",
     "generate",
+    "invert_gramian",
     "limit_co_moments",
     "load_config_file",
     "plug_in_covariance",

@@ -63,12 +63,10 @@ def cmd_fit(args) -> int:
     data, p = dataio.read_csv(args.input, row_sum_tol=_CSV_ROW_SUM_TOL)
     if args.intercept:
         data = _with_intercept(data)
-    gramian = build_gramian(p)
-    weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
-    fit = fit_all(data, p, xtx_tol=args.xtx_tol, gramian=gramian, weights=weights)
+    fit = fit_all(data, p, xtx_tol=args.xtx_tol, gamma_tol=args.gamma_tol)
     warnings: list[str] = []
     if not fit.errors:
-        covs = plug_in_covariances(data, p, fit, weights=weights)
+        covs = plug_in_covariances(data, p, fit)
         fit = fit.with_plug_in_cov(tuple(c.v for c in covs))
         # every target carries the shared clamp notes; report each note once:
         # clamps in component order, then negative-V notes in target order

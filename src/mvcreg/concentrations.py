@@ -1,14 +1,18 @@
-"""Concentration Gramian and minimax weights.
+"""Concentration Gramian, its inverse and the minimax weights.
 
 The mixing probabilities of the observations form an N x M row-stochastic
 matrix ``p``.  Averaging products of its columns gives the M x M Gramian
 ``Gamma = (1/N) p'p`` whose nonsingularity is the identifiability condition
 for the mixture.  The minimax weights are
 
-    a = p Gamma^-1,
+    a = p G,    G = Gamma^-1,
 
 the unique linear-in-p weight system satisfying the biorthogonality identity
-``(1/N) sum_j a[j, m] p[j, k] = delta(m, k)``.
+``(1/N) sum_j a[j, m] p[j, k] = delta(m, k)``.  Because they are linear in
+``p``, every weighted sum over the observations is G applied to the same sums
+weighted by the concentration columns, so the fit and the covariance need
+only the M x M ``G`` from :func:`invert_gramian`; the N x M weight matrix is
+built only where it is the output (``mvcreg weights``).
 
 Identifiability is judged by ``cond(Gamma)``, not by ``det(Gamma)``: the
 determinant of a well-conditioned Gramian still shrinks geometrically with M
@@ -21,7 +25,6 @@ at most ``trace Gamma <= 1``, hence ``det(Gamma) > 1e-8`` implies
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -131,23 +134,6 @@ class WeightMatrix:
             raise ValueError("weights must be finite")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_obs(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_components(self) -> int:
-        return self.values.shape[1]
-
-    @cached_property
-    def mean_abs(self) -> np.ndarray:
-        """Mean |a| of each column, computed on first use and then kept.
-
-        The estimator's degenerate-weight floor reads it, so fitting many
-        datasets with one weight matrix pays for it once.
-        """
-        return np.array([np.mean(np.abs(col)) for col in self.values.T])
-
 
 def build_gramian(p: ConcentrationMatrix) -> GramianSummary:
     """Compute the concentration Gramian with its determinant and condition.
@@ -173,6 +159,40 @@ def build_gramian(p: ConcentrationMatrix) -> GramianSummary:
     return GramianSummary(gamma=gamma, det_gamma=float(np.prod(eig)), condition=condition)
 
 
+def invert_gramian(g: GramianSummary, gamma_tol: float = DEFAULT_GAMMA_TOL) -> np.ndarray:
+    """The inverse Gramian ``G = Gamma^-1`` behind the identifiability gate.
+
+    Parameters
+    ----------
+    g : GramianSummary
+        Gramian of the concentrations, from :func:`build_gramian`.
+    gamma_tol : float, optional
+        Ceiling for ``cond(Gamma)``.
+
+    Returns
+    -------
+    ndarray
+        Read-only M x M ``G`` from one LU solve (partial pivoting) of
+        ``Gamma`` against the identity; it takes no square roots, so hand
+        values such as ``1 / 0.5`` stay exact.
+
+    Raises
+    ------
+    SingularGramian
+        If ``cond(Gamma) > gamma_tol``: the concentration columns are
+        (near-)linearly dependent and the components are not identifiable.
+    """
+    if not g.condition <= gamma_tol:
+        raise SingularGramian(g.det_gamma, g.condition, gamma_tol)
+    try:
+        inv = np.linalg.solve(g.gamma, np.eye(g.gamma.shape[0]))
+    except np.linalg.LinAlgError:
+        # only a ceiling near 1/eps lets a Gramian this close to singular through
+        raise SingularGramian(g.det_gamma, np.inf, gamma_tol) from None
+    inv.flags.writeable = False
+    return inv
+
+
 def compute_weights(
     p: ConcentrationMatrix,
     g: GramianSummary | None = None,
@@ -187,50 +207,37 @@ def compute_weights(
     g : GramianSummary, optional
         Precomputed Gramian of ``p``; computed here when omitted.
     gamma_tol : float, optional
-        Ceiling for ``cond(Gamma)``.
+        Ceiling for ``cond(Gamma)``, as in :func:`invert_gramian`.
 
     Returns
     -------
     WeightMatrix
-        ``p`` times the inverse Gramian, which comes from one LU solve
-        (partial pivoting) of the M x M ``Gamma`` against the identity; it
-        takes no square roots, so hand values such as ``1 / 0.5`` stay
-        exact.  Nothing of size N is reduced over.
+        ``p`` times the inverse Gramian of :func:`invert_gramian`.
 
     Raises
     ------
     SingularGramian
-        If ``cond(Gamma) > gamma_tol``: the concentration columns are
-        (near-)linearly dependent and the components are not identifiable.
+        If ``cond(Gamma) > gamma_tol``.
     """
     if g is None:
         g = build_gramian(p)
-    if not g.condition <= gamma_tol:
-        raise SingularGramian(g.det_gamma, g.condition, gamma_tol)
-    m = p.n_components
-    try:
-        inv = np.linalg.solve(g.gamma, np.eye(m))
-    except np.linalg.LinAlgError:
-        # only a ceiling near 1/eps lets a Gramian this close to singular through
-        raise SingularGramian(g.det_gamma, np.inf, gamma_tol) from None
-    a = p.values @ inv
+    a = p.values @ invert_gramian(g, gamma_tol)
     a.flags.writeable = False  # handed over to WeightMatrix without a copy
     return WeightMatrix(values=a)
 
 
-def weight_co_moments(a: WeightMatrix, p: ConcentrationMatrix, m: int) -> np.ndarray:
+def weight_co_moments(a_col: np.ndarray, p: ConcentrationMatrix) -> np.ndarray:
     """Averaged products of squared weights with concentration pairs.
 
+    ``a_col`` is one component's weight column ``a[:, m] = p G[:, m]``.
     Returns the M x M matrix with (s, t) entry
     ``(1/N) sum_j a[j, m]**2 p[j, s] p[j, t]``, the finite-sample proxy for
     the limiting co-moments entering the asymptotic covariance.  Symmetric by
     construction; its row sums estimate ``<(a^m)^2 p^s>`` because the
     concentration rows sum to one.
     """
-    if a.values.shape != p.values.shape:
-        raise ValueError("weight and concentration matrices must share dimensions")
-    if not 0 <= m < p.n_components:
-        raise ValueError(f"component index {m} out of range")
-    asq = a.values[:, m] ** 2
-    out = np.einsum("j,js,jt->st", asq, p.values, p.values) / p.n_obs
+    a_col = np.asarray(a_col, dtype=float)
+    if a_col.shape != (p.n_obs,):
+        raise ValueError("weight vector length must match the number of observations")
+    out = np.einsum("j,js,jt->st", a_col**2, p.values, p.values) / p.n_obs
     return (out + out.T) / 2.0

@@ -27,7 +27,10 @@ Isserlis' theorem gives, with means mu and ``u = D2 delta``,
 
 The plug-in mode evaluates it as ``(1/N) sum_j a[j, s] (x_j' delta_s)^2 x_j
 x_j'``, at O(N d^2) per (target, component) pair, and shares each
-component's D2 and error variance across all targets.
+component's D2 and error variance across all targets.  It never holds the
+N x M weight matrix: each weight column ``a[:, s] = p G[:, s]`` is formed
+from the fit's inverse Gramian ``G`` where it is used, one N-vector at a
+time.
 """
 
 from __future__ import annotations
@@ -37,12 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .concentrations import (
-    ConcentrationMatrix,
-    WeightMatrix,
-    compute_weights,
-    weight_co_moments,
-)
+from .concentrations import ConcentrationMatrix, weight_co_moments
 from .errors import SingularD
 from .estimator import FitResult
 from .moments import ComponentMoments, Dataset
@@ -173,10 +171,7 @@ def analytic_sigma(
 
 
 def plug_in_covariances(
-    data: Dataset,
-    p: ConcentrationMatrix,
-    fit: FitResult,
-    weights: WeightMatrix | None = None,
+    data: Dataset, p: ConcentrationMatrix, fit: FitResult
 ) -> tuple[AsymptoticCovariance, ...]:
     """Plug-in estimates of the sandwich covariance of every component.
 
@@ -200,11 +195,9 @@ def plug_in_covariances(
     data, p : Dataset, ConcentrationMatrix
         The observations the fit was computed from.
     fit : FitResult
-        Successful fit of *all* components from these data and weights;
-        their coefficient differences and normal matrices enter Sigma.
-    weights : WeightMatrix, optional
-        Precomputed minimax weights for ``p``; computed with the default
-        identifiability ceiling when omitted.
+        Successful fit of *all* components from these data; their
+        coefficient differences and normal matrices enter Sigma, and its
+        inverse Gramian gives the weights.
 
     Returns
     -------
@@ -216,15 +209,11 @@ def plug_in_covariances(
     SingularD
         If some component's second-moment matrix is singular.
     """
-    return _plug_in(data, p, fit, range(p.n_components), weights)
+    return _plug_in(data, p, fit, range(p.n_components))
 
 
 def plug_in_covariance(
-    data: Dataset,
-    p: ConcentrationMatrix,
-    fit: FitResult,
-    m: int,
-    weights: WeightMatrix | None = None,
+    data: Dataset, p: ConcentrationMatrix, fit: FitResult, m: int
 ) -> AsymptoticCovariance:
     """Plug-in sandwich covariance of component ``m`` alone.
 
@@ -233,15 +222,13 @@ def plug_in_covariance(
     component, call :func:`plug_in_covariances` once, which shares the
     per-component statistics across targets.
     """
-    return _plug_in(data, p, fit, (m,), weights)[0]
+    if not 0 <= m < p.n_components:
+        raise ValueError(f"component index {m} out of range")
+    return _plug_in(data, p, fit, (m,))[0]
 
 
 def _plug_in(
-    data: Dataset,
-    p: ConcentrationMatrix,
-    fit: FitResult,
-    targets: Iterable[int],
-    weights: WeightMatrix | None,
+    data: Dataset, p: ConcentrationMatrix, fit: FitResult, targets: Iterable[int]
 ) -> tuple[AsymptoticCovariance, ...]:
     if fit.errors:
         bad = sorted(fit.errors)
@@ -250,21 +237,22 @@ def _plug_in(
         )
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
-    if weights is None:
-        weights = compute_weights(p)
     n = data.n_obs
     x = data.x
-    a = weights.values
     b = fit.coefficients
     d2 = fit.normal_matrices
 
+    def weights(s: int) -> np.ndarray:
+        # the weight column a_s = p G[:, s]: one N-sized array, freed by its user
+        return p.values @ fit.gamma_inverse[:, s]
+
     def error_variance(s: int) -> float:
         # weighted mean squared residual; the squares are formed in place in
-        # one N-sized array, freed on return
+        # one N-sized array next to the weight column, both freed on return
         resid_sq = x @ b[s]
         np.subtract(data.y, resid_sq, out=resid_sq)
         np.square(resid_sq, out=resid_sq)
-        return float(np.einsum("j,j->", a[:, s], resid_sq) / n)
+        return float(np.einsum("j,j->", weights(s), resid_sq) / n)
 
     clamp_notes: list[str] = []
     sigma2 = []
@@ -280,15 +268,16 @@ def _plug_in(
 
     def quartic(s: int, delta: np.ndarray) -> np.ndarray:
         # delta' L4_s delta without L4: a fixed-order reduction over rows of
-        # the weights a_s r^2, formed in place in one N-sized array
+        # the weights a_s r^2, formed in place in one N-sized array next to
+        # the weight column
         quartic_weights = x @ delta
         np.square(quartic_weights, out=quartic_weights)
-        quartic_weights *= a[:, s]
+        quartic_weights *= weights(s)
         return np.einsum("j,ji,jk->ik", quartic_weights, x, x) / n
 
     covs = []
     for m in targets:
-        co = weight_co_moments(weights, p, m)
+        co = weight_co_moments(weights(m), p)
         sigma = _assemble_sigma(d2, sigma2, b, co, m, quartic)
         v = _sandwich(d2[m], sigma, m)
         notes = list(clamp_notes)

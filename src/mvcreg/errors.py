@@ -91,20 +91,6 @@ class SingularD(MvcregError):
         super().__init__(msg)
 
 
-class DegenerateWeights(MvcregError):
-    """All weights for a component are numerically zero."""
-
-    code = "degenerate-weights"
-
-    def __init__(self, component: int, mean_abs: float):
-        self.component = int(component)
-        self.mean_abs = float(mean_abs)
-        super().__init__(
-            f"weights for component index {component} are degenerate "
-            f"(mean |a| = {mean_abs:.3g}); the weighted moments are meaningless"
-        )
-
-
 class DataFormatError(MvcregError):
     """Input data file does not follow the expected layout."""
 

@@ -4,10 +4,22 @@ For target component ``m`` the estimate solves the weighted normal equations
 
     (X'AX) b = X'AY,    A = diag(a[:, m]),
 
-with the signed minimax weights from :mod:`mvcreg.concentrations`.  Because
-some weights are negative, ``X'AX`` is symmetric but possibly indefinite: the
-solve is LU with partial pivoting, which needs no definiteness, and the
-eigenvalue signs are surfaced as a diagnostic rather than assumed away.
+with the signed minimax weights ``a = p G`` from :mod:`mvcreg.concentrations`.
+The weights are linear in the concentrations, so with the concentration-
+weighted statistics
+
+    S_k = (1/N) sum_j p[j, k] x_j x_j',    t_k = (1/N) sum_j p[j, k] y_j x_j,
+
+the equations are ``(sum_k G[k, m] S_k) b = sum_k G[k, m] t_k``: one pass
+over the data per concentration column serves every component, and the
+N x M weight matrix is never formed.  The sums are taken in an equivalent
+basis of the concentration columns, centred on their means, whose rounding
+G magnifies less.
+
+Because some weights are negative, ``X'AX`` is symmetric but possibly
+indefinite: the solve is LU with partial pivoting, which needs no
+definiteness, and the eigenvalue signs are surfaced as a diagnostic rather
+than assumed away.
 """
 
 from __future__ import annotations
@@ -17,40 +29,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .concentrations import (
+    DEFAULT_GAMMA_TOL,
     ConcentrationMatrix,
     GramianSummary,
-    WeightMatrix,
     build_gramian,
-    compute_weights,
+    invert_gramian,
 )
-from .errors import DegenerateWeights, SingularNormalMatrix
+from .errors import SingularNormalMatrix
 from .moments import Dataset, component_regression_moments
 
 #: default ceiling on cond(X'AX); beyond it the component is reported as
 #: rank-deficient instead of silently returning noise
 DEFAULT_XTX_TOL = 1e10
-
-_WEIGHT_FLOOR = 1e-12  # mean |a| below this means the component got no mass
-
-
-@dataclass(frozen=True)
-class ComponentFit:
-    """Fit of a single component: coefficients plus solver diagnostics.
-
-    ``normal_matrix`` is the weighted normal matrix ``X'AX / N`` that was
-    solved, which is also the component's plug-in second-moment matrix D2.
-    """
-
-    coefficients: np.ndarray
-    condition: float
-    negative_eigenvalues: int
-    normal_matrix: np.ndarray
-
-    def __post_init__(self):
-        for name in ("coefficients", "normal_matrix"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -60,9 +50,10 @@ class FitResult:
     ``coefficients`` row ``m`` solves that component's normal equations; rows
     of failed components are NaN and the failure is recorded in ``errors``
     keyed by component index.  ``normal_matrices`` holds each component's
-    ``X'AX / N`` (``None`` where the fit failed) for reuse by the plug-in
-    covariance.  ``plug_in_cov`` stays ``None`` until filled by the
-    covariance module.
+    ``X'AX / N`` (``None`` where the fit failed) and ``gamma_inverse`` the
+    inverse Gramian ``G`` the weights ``a = p G`` come from, both for reuse
+    by the plug-in covariance.  ``plug_in_cov`` stays ``None`` until filled
+    by the covariance module.
     """
 
     coefficients: np.ndarray
@@ -70,8 +61,9 @@ class FitResult:
     xtx_condition: np.ndarray
     negative_eigenvalues: tuple[int, ...]
     n_obs: int
-    errors: dict[int, SingularNormalMatrix | DegenerateWeights]
+    errors: dict[int, SingularNormalMatrix]
     normal_matrices: tuple[np.ndarray | None, ...]
+    gamma_inverse: np.ndarray
     plug_in_cov: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
@@ -95,79 +87,72 @@ class FitResult:
         return replace(self, plug_in_cov=tuple(np.asarray(c, dtype=float) for c in covs))
 
 
-def _solve_component(
-    data: Dataset, weights: WeightMatrix, m: int, xtx_tol: float
-) -> ComponentFit:
-    """The one solve of a component's normal equations, behind every gate."""
-    mean_abs = float(weights.mean_abs[m])
-    if mean_abs < _WEIGHT_FLOOR:
-        raise DegenerateWeights(m, mean_abs)
-    xtx, xty = component_regression_moments(data, weights.values[:, m])
-    eig = np.linalg.eigvalsh(xtx)
-    magnitudes = np.abs(eig)
-    largest = float(magnitudes.max())
-    smallest = float(magnitudes.min())
-    condition = np.inf if smallest == 0.0 else largest / smallest
-    if not (np.isfinite(condition) and condition <= xtx_tol):
-        raise SingularNormalMatrix(m, condition, xtx_tol)
-    # LU with partial pivoting: valid for the indefinite case, unlike
-    # Cholesky; never form the explicit inverse
-    coef = np.linalg.solve(xtx, xty)
-    return ComponentFit(
-        coefficients=coef,
-        condition=condition,
-        negative_eigenvalues=int(np.count_nonzero(eig < 0.0)),
-        normal_matrix=xtx,
-    )
-
-
 def fit_all(
     data: Dataset,
     p: ConcentrationMatrix,
     xtx_tol: float = DEFAULT_XTX_TOL,
     gramian: GramianSummary | None = None,
-    weights: WeightMatrix | None = None,
+    gamma_tol: float = DEFAULT_GAMMA_TOL,
+    gamma_inverse: np.ndarray | None = None,
 ) -> FitResult:
-    """Fit every component, sharing one Gramian and weight computation.
+    """Fit every component from one set of concentration-weighted statistics.
 
     This is the one solve path: ``mvcreg fit`` calls it once, and a
-    replication study once per replication with the Gramian and weights of
-    its grid point, so work that depends on the weights alone (the
-    degenerate-weight floor) is done once per weight matrix.
+    replication study once per replication with the Gramian and inverse
+    Gramian of its grid point, so neither is rebuilt per replication.
 
-    A singular Gramian aborts the whole fit; a singular normal matrix only
-    fails its own component, which gets a NaN coefficient row and an entry in
-    ``FitResult.errors``.  ``weights``, when given, must be those of ``p``;
-    build them with ``compute_weights(p, gramian, gamma_tol=...)`` for a
-    non-default identifiability ceiling.
+    A Gramian refused by the ``gamma_tol`` gate (``SingularGramian``) aborts
+    the whole fit; a singular normal matrix only fails its own component,
+    which gets a NaN coefficient row and an entry in ``FitResult.errors``.
+    ``gramian`` and ``gamma_inverse``, when given, must be those of ``p``,
+    the inverse from :func:`~mvcreg.concentrations.invert_gramian`; with
+    ``gamma_inverse`` given, ``gamma_tol`` is not consulted.
     """
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
     if gramian is None:
         gramian = build_gramian(p)
-    if weights is None:
-        weights = compute_weights(p, gramian)
+    if gamma_inverse is None:
+        gamma_inverse = invert_gramian(gramian, gamma_tol)
     n_comp = p.n_components
+    # Each weight column a_m = p G[:, m] combines the centred columns
+    # p_k - c_k r (every column of p but the last; c the column means) and
+    # the row sums r = p 1:
+    #     a_m = sum_k (G[k, m] - G[-1, m]) (p_k - c_k r) + (c'G)_m r,
+    # with the last entry of c set to 1 minus the others.  Centred weights
+    # average to zero, so their sums round like sums against the signed
+    # weights a; sums against p_k itself round at the size of the whole
+    # mean, which G magnifies (threefold in the median over 60 random designs).
+    c = gramian.gamma.sum(axis=1)  # the column means, since rows of p sum to 1
+    c[-1] = 1.0 - c[:-1].sum()
+    r = p.values @ np.ones(n_comp)
+    basis = gamma_inverse - gamma_inverse[-1]
+    basis[-1] = c @ gamma_inverse
     d = data.n_regressors
+    sums = np.empty((n_comp, d, d + 1))  # [X'WX | X'Wy] / N per weight column
+    columns = (p.values[:, q] - c[q] * r if q < n_comp - 1 else r for q in range(n_comp))
+    for q, column in enumerate(columns):  # one N-sized column at a time
+        sums[q, :, :d], sums[q, :, d] = component_regression_moments(data, column)
+    # combined in a fixed order; symmetric because every summed matrix is
+    combined = np.einsum("qm,qij->mij", basis, sums)
+    combined.flags.writeable = False
+    normal, rhs = combined[:, :, :d], combined[:, :, d]
     coef = np.full((n_comp, d), np.nan)
-    cond = np.full(n_comp, np.nan)
-    neg = []
-    normal: list[np.ndarray | None] = []
-    failures: dict[int, SingularNormalMatrix | DegenerateWeights] = {}
+    cond = np.empty(n_comp)
+    neg = [0] * n_comp
+    failures: dict[int, SingularNormalMatrix] = {}
     for m in range(n_comp):
-        try:
-            fit = _solve_component(data, weights, m, xtx_tol)
-        except (SingularNormalMatrix, DegenerateWeights) as exc:
-            failures[m] = exc
-            if isinstance(exc, SingularNormalMatrix):
-                cond[m] = exc.condition
-            neg.append(0)
-            normal.append(None)
+        eig = np.linalg.eigvalsh(normal[m])
+        magnitudes = np.abs(eig)
+        smallest = magnitudes.min()
+        cond[m] = np.inf if smallest == 0.0 else magnitudes.max() / smallest
+        if not (np.isfinite(cond[m]) and cond[m] <= xtx_tol):
+            failures[m] = SingularNormalMatrix(m, cond[m], xtx_tol)
             continue
-        coef[m] = fit.coefficients
-        cond[m] = fit.condition
-        neg.append(fit.negative_eigenvalues)
-        normal.append(fit.normal_matrix)
+        # LU with partial pivoting: valid for the indefinite case, unlike
+        # Cholesky; never form the explicit inverse
+        coef[m] = np.linalg.solve(normal[m], rhs[m])
+        neg[m] = int(np.count_nonzero(eig < 0.0))
     return FitResult(
         coefficients=coef,
         det_gamma=gramian.det_gamma,
@@ -175,5 +160,6 @@ def fit_all(
         negative_eigenvalues=tuple(neg),
         n_obs=data.n_obs,
         errors=failures,
-        normal_matrices=tuple(normal),
+        normal_matrices=tuple(None if m in failures else normal[m] for m in range(n_comp)),
+        gamma_inverse=gamma_inverse,
     )

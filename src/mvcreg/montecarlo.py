@@ -8,9 +8,9 @@ reproducible replication by replication, and ``generate`` with that seed
 redraws any one replication's dataset.
 
 The concentrations are a deterministic function of the sample size, so each
-grid point builds them, their Gramian and the weights once, then draws and
-fits every replication against them through the same ``fit_all`` that
-``mvcreg fit`` uses.
+grid point builds them, their Gramian and its M x M inverse once, then draws
+and fits every replication against them through the same ``fit_all`` that
+``mvcreg fit`` uses.  No N x M weight matrix is built or sent to a worker.
 
 The replications run in worker processes, one per usable CPU, forked once
 per study.  Each grid point is split into one contiguous range of
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
+from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, invert_gramian
 from .covariance import analytic_sigma
 from .errors import ConfigError, ExcessiveFailures, SingularGramian
 from .estimator import DEFAULT_XTX_TOL, fit_all
@@ -99,7 +99,7 @@ class MonteCarloReport:
         return self.points[-1]
 
 
-def _replicate(plan, gramian, weights, xtx_tol: float, seed: int, reps: range) -> list:
+def _replicate(plan, gramian, gamma_inverse, xtx_tol: float, seed: int, reps: range) -> list:
     """Outcome of each replication in ``reps`` of the grid point ``plan`` draws.
 
     The outcome is the coefficient estimate of a replication that fitted,
@@ -108,7 +108,9 @@ def _replicate(plan, gramian, weights, xtx_tol: float, seed: int, reps: range) -
     outcomes = []
     for rep in reps:
         sim = draw(plan, derive_seed(seed, plan.n_obs, rep))
-        fit = fit_all(sim.data, plan.p, xtx_tol=xtx_tol, gramian=gramian, weights=weights)
+        fit = fit_all(
+            sim.data, plan.p, xtx_tol=xtx_tol, gramian=gramian, gamma_inverse=gamma_inverse
+        )
         outcomes.append(next(iter(fit.errors.values())).code if fit.errors else fit.coefficients)
     return outcomes
 
@@ -175,10 +177,10 @@ def _submit_grid_point(
     plan = plan_draws(with_n_obs(config, n_obs))
     try:
         gramian = build_gramian(plan.p)
-        weights = compute_weights(plan.p, gramian, gamma_tol=gamma_tol)
+        gamma_inverse = invert_gramian(gramian, gamma_tol)
     except SingularGramian:
         return lambda: [SingularGramian.code] * rep_count
-    return submit(plan, gramian, weights, xtx_tol, config.seed)
+    return submit(plan, gramian, gamma_inverse, xtx_tol, config.seed)
 
 
 def _summarize(n_obs: int, outcomes: list, keep_estimates: bool) -> GridPointSummary:
@@ -215,9 +217,9 @@ def run_study(
     """Run the replication study and summarize each grid point.
 
     Grid points are processed in increasing sample size.  Replications that
-    fail to fit (singular Gramian or normal matrix, degenerate weights) are
-    dropped and counted by error code; a grid point where more than half
-    fail aborts the study, since its summary would say nothing.
+    fail to fit (singular Gramian or normal matrix) are dropped and counted
+    by error code; a grid point where more than half fail aborts the study,
+    since its summary would say nothing.
 
     The empirical covariance is of the scaled estimate sqrt(N) * b_hat, with
     the 1/(R-1) normalization, so it is directly comparable to the analytic
@@ -277,7 +279,8 @@ def compare_report(
     relative error; an analytic entry smaller than 5% of the largest entry of
     its matrix is judged against that 5% scale instead, so structural zeros
     do not demand infinite precision.  Coefficient means must match the truth
-    to ``mean_abs_tol`` absolutely.
+    to ``mean_abs_tol`` absolutely.  A NaN error is the worst error: it
+    fails its entry and carries into ``worst_cov_rel`` or ``worst_mean_abs``.
     """
     point = report.largest
     cov_failures = []
@@ -297,7 +300,7 @@ def compare_report(
                     rel = 0.0 if err == 0.0 else float("inf")
                 else:
                     rel = err / denom
-                worst_rel = max(worst_rel, rel)
+                worst_rel = float(np.maximum(worst_rel, rel))  # max() would drop a NaN
                 if not rel <= rel_tol:
                     # 1-based labels, matching the report table headings
                     cov_failures.append(
@@ -307,7 +310,7 @@ def compare_report(
                     )
         for i in range(d):
             err = abs(point.mean_b[m, i] - report.true_b[m, i])
-            worst_abs = max(worst_abs, err)
+            worst_abs = float(np.maximum(worst_abs, err))
             if not err <= mean_abs_tol:
                 mean_failures.append(
                     f"component {m + 1} mean b[{i + 1}]: {point.mean_b[m, i]:.4f} vs "

@@ -24,7 +24,7 @@ from typing import Union
 import numpy as np
 
 from ._arrays import frozen
-from .concentrations import ConcentrationMatrix, compute_weights, weight_co_moments
+from .concentrations import ConcentrationMatrix, build_gramian, invert_gramian, weight_co_moments
 from .errors import ConfigError
 from .moments import _CHUNK_ROWS, ComponentMoments, Dataset
 
@@ -363,8 +363,7 @@ def limit_co_moments(config: SimulationConfig, m: int) -> np.ndarray:
         co = conc.T @ ((w * a_m**2)[:, None] * conc)
         return (co + co.T) / 2.0
     p = model.matrix(config.n_obs)
-    weights = compute_weights(p)
-    return weight_co_moments(weights, p, m)
+    return weight_co_moments(p.values @ invert_gramian(build_gramian(p))[:, m], p)
 
 
 # --------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mvcreg
-from mvcreg import reference_study_config, run_study
+from mvcreg import ConcentrationMatrix, Dataset, reference_study_config, run_study
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=40
@@ -65,6 +65,19 @@ def random_stochastic_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarr
     """Row-stochastic matrix with rows mixing sparse and diffuse profiles."""
     alpha = rng.choice([0.15, 0.5, 2.0])
     return rng.dirichlet(np.full(m, alpha), size=n)
+
+
+def dirichlet_design(seed, n_comp, d, n=300):
+    """Mixture sample with Dirichlet(1) concentrations: intercept plus d-1 regressors."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(n_comp), size=n)
+    labels = (rng.random(n)[:, None] > np.cumsum(p, axis=1)).sum(axis=1)
+    labels = np.minimum(labels, n_comp - 1)  # guard the cumsum's last rounding
+    x = np.column_stack([np.ones(n), rng.normal(size=(n, d - 1)) + labels[:, None]])
+    coef = rng.normal(size=(n_comp, d))
+    noise = rng.uniform(0.1, 1.0, size=n_comp)[labels] * rng.normal(size=n)
+    y = np.einsum("ji,ji->j", x, coef[labels]) + noise
+    return Dataset(y=y, x=x), ConcentrationMatrix(p)
 
 
 @pytest.fixture

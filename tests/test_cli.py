@@ -7,9 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvcreg.concentrations
 import mvcreg.dataio
+import mvcreg.estimator
 import mvcreg.moments
-from mvcreg import compute_weights, fit_all, generate, reference_study_config
+import mvcreg.montecarlo
+import mvcreg.simgen
+from mvcreg import compute_weights, fit_all, generate, reference_study_config, run_study
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, render_weights_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
@@ -37,6 +41,22 @@ SMOKE_CONFIG = {
     "seed": 7,
     "rep_count": 2,
 }
+
+
+def forbid_everywhere(monkeypatch, original, message):
+    """Make every mvcreg binding of the function ``original`` raise; return the modules patched."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(message)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if name != "mvcreg" and not name.startswith("mvcreg."):
+            continue
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, forbidden)
+            patched.add(name)
+    return patched
 
 
 @pytest.fixture
@@ -251,20 +271,45 @@ class TestFit:
     def test_fit_never_builds_the_fourth_moment_tensor(
         self, dataset_csv, monkeypatch
     ):
-        original = mvcreg.moments.weighted_fourth_moment
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("mvcreg fit built the d^4 fourth-moment tensor")
-
-        patched = []
-        for name, module in list(sys.modules.items()):
-            if name != "mvcreg" and not name.startswith("mvcreg."):
-                continue
-            if getattr(module, "weighted_fourth_moment", None) is original:
-                monkeypatch.setattr(module, "weighted_fourth_moment", forbidden)
-                patched.append(name)
-        assert {"mvcreg", "mvcreg.moments"} <= set(patched)
+        patched = forbid_everywhere(
+            monkeypatch,
+            mvcreg.moments.weighted_fourth_moment,
+            "mvcreg fit built the d^4 fourth-moment tensor",
+        )
+        assert {"mvcreg", "mvcreg.moments"} <= patched
         assert main(["fit", "-i", str(dataset_csv)]) == 0
+
+    def test_fit_and_study_never_build_the_weight_matrix(self, tmp_path, monkeypatch):
+        # fit and study work from concentration-weighted sums and the M x M
+        # inverse Gramian; only `mvcreg weights` builds the N x M weights
+        patched = forbid_everywhere(
+            monkeypatch, mvcreg.concentrations.compute_weights, "built the weight matrix"
+        )
+        assert {"mvcreg", "mvcreg.concentrations", "mvcreg.cli"} <= patched
+        rng = np.random.default_rng(8)
+        p = rng.dirichlet(np.ones(3), size=300)
+        x = rng.normal(size=(300, 2))
+        y = x @ [1.0, -1.0] + rng.normal(size=300)
+        path = tmp_path / "dirichlet.csv"
+        write_csv(path, mvcreg.moments.Dataset(y=y, x=x), mvcreg.ConcentrationMatrix(p))
+        assert main(["fit", "-i", str(path), "--intercept", "-o", str(tmp_path / "fit.json")]) == 0
+
+        # nor does a replication rebuild its grid point's Gramian or inverse
+        def per_replication(*args, **kwargs):
+            raise AssertionError("a replication rebuilt its grid point's Gramian or inverse")
+
+        monkeypatch.setattr(mvcreg.estimator, "build_gramian", per_replication)
+        monkeypatch.setattr(mvcreg.estimator, "invert_gramian", per_replication)
+        t = np.arange(1, 101) / 100
+        rows = np.column_stack([1.0 - t, t]).tolist()
+        ramp = mvcreg.simgen.simulation_config_from_dict(SMOKE_CONFIG)
+        explicit = mvcreg.simgen.simulation_config_from_dict(
+            dict(SMOKE_CONFIG, concentrations={"model": "explicit", "values": rows})
+        )
+        for workers in (1, 2):
+            monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda _, w=workers: w)
+            for config in (ramp, explicit):
+                assert run_study(config, rep_count=4).points[0].failures == 0
 
     def test_cli_import_does_not_load_scipy(self):
         # a fresh interpreter, so modules loaded by other tests do not count

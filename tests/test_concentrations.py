@@ -153,13 +153,13 @@ class TestWeightCoMoments:
     def test_single_component(self):
         p = ConcentrationMatrix(np.ones((4, 1)))
         a = compute_weights(p)
-        np.testing.assert_allclose(weight_co_moments(a, p, 0), [[1.0]])
+        np.testing.assert_allclose(weight_co_moments(a.values[:, 0], p), [[1.0]])
 
     def test_ramp_limit_values(self):
         # integrals of (6t-2)^2 against t^2, t(1-t), (1-t)^2
         p = ramp(10**6)
         a = compute_weights(p)
-        co = weight_co_moments(a, p, 0)
+        co = weight_co_moments(a.values[:, 0], p)
         expected = np.array([[38 / 15, 7 / 15], [7 / 15, 8 / 15]])
         np.testing.assert_allclose(co, expected, atol=1e-4)
 
@@ -167,7 +167,7 @@ class TestWeightCoMoments:
         p = ConcentrationMatrix(np.eye(2))
         a = compute_weights(p)
         np.testing.assert_allclose(
-            weight_co_moments(a, p, 0), [[2.0, 0.0], [0.0, 0.0]], atol=1e-12
+            weight_co_moments(a.values[:, 0], p), [[2.0, 0.0], [0.0, 0.0]], atol=1e-12
         )
 
     def test_symmetric(self):
@@ -175,7 +175,7 @@ class TestWeightCoMoments:
         p = ConcentrationMatrix(random_stochastic_rows(rng, 50, 3))
         a = compute_weights(p)
         for m in range(3):
-            co = weight_co_moments(a, p, m)
+            co = weight_co_moments(a.values[:, m], p)
             np.testing.assert_array_equal(co, co.T)
 
 

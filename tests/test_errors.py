@@ -10,7 +10,6 @@ EXAMPLES = {
     errors.SingularGramian: ((1e-12, 3.5e9, 1e8), {}),
     errors.SingularNormalMatrix: ((1, 2.5e13, 1e12), {}),
     errors.SingularD: ((0,), {"detail": "zero pivot"}),
-    errors.DegenerateWeights: ((1, 1e-300), {}),
     errors.DataFormatError: (("row 3: expected 5 fields, got 4",), {}),
     errors.ConfigError: (("components[0].error_sd", "must be positive"), {}),
     errors.ExcessiveFailures: ((40, 21, 30), {}),

@@ -6,10 +6,8 @@ from hypothesis import strategies as st
 from mvcreg import (
     ConcentrationMatrix,
     Dataset,
-    DegenerateWeights,
     SingularGramian,
     SingularNormalMatrix,
-    WeightMatrix,
     component_regression_moments,
     compute_weights,
     fit_all,
@@ -17,6 +15,7 @@ from mvcreg import (
     reference_study_config,
 )
 from mvcreg.simgen import with_n_obs, with_seed
+from conftest import dirichlet_design
 
 
 def single_component(n, d, seed, noise=0.0):
@@ -77,11 +76,6 @@ class TestFitComponent:
         fit = fit_all(data, p, xtx_tol=float("nan"))
         assert isinstance(fit.errors[0], SingularNormalMatrix)
 
-    def test_degenerate_weights_raise(self):
-        data, p, _ = single_component(10, 1, seed=2)
-        zeros = WeightMatrix(np.zeros((10, 1)))
-        assert isinstance(fit_all(data, p, weights=zeros).errors[0], DegenerateWeights)
-
 
 class TestFitAll:
     def test_single_component_equals_ols(self):
@@ -124,20 +118,6 @@ class TestFitAll:
         for err in fit.errors.values():
             assert isinstance(err, SingularNormalMatrix)
 
-    def test_degenerate_weights_recorded_per_component(self):
-        # a zero weight column fails its own component; the other still fits
-        data, _, _ = single_component(40, 2, seed=6)
-        t = np.arange(1, 41) / 40
-        p = ConcentrationMatrix(np.column_stack([t, 1 - t]))
-        a = compute_weights(p).values.copy()
-        a[:, 1] = 0.0
-        fit = fit_all(data, p, weights=WeightMatrix(a))
-        assert set(fit.errors) == {1}
-        assert isinstance(fit.errors[1], DegenerateWeights)
-        assert fit.errors[1].mean_abs == 0.0
-        assert np.all(np.isfinite(fit.coefficients[0]))
-        assert np.all(np.isnan(fit.coefficients[1]))
-
     def test_normal_equation_residual(self):
         config, _ = reference_study_config()
         sim = generate(with_seed(with_n_obs(config, 2000), 21))
@@ -163,6 +143,43 @@ class TestFitAll:
         shifted = Dataset(y=data.y + v * data.x[:, 0], x=data.x)
         out = fit_all(shifted, p).coefficients[0]
         np.testing.assert_allclose(out, [base[0] + v, base[1]], atol=1e-9)
+
+
+def refined_solve(a, b, steps=3):
+    """Solve ``a x = b`` in long double: a float64 solve, refined with long-double residuals."""
+    a64 = a.astype(float)
+    x = np.linalg.solve(a64, b.astype(float)).astype(np.longdouble)
+    for _ in range(steps):
+        x += np.linalg.solve(a64, (b - a @ x).astype(float))
+    return x
+
+
+def long_double_fit(data, p):
+    """Coefficients from row-by-row weights a = p Gamma^-1, all in long double."""
+    y, x, p = (np.asarray(v, dtype=np.longdouble) for v in (data.y, data.x, p.values))
+    n, m = p.shape
+    a = p @ refined_solve(p.T @ p / n, np.eye(m, dtype=np.longdouble))
+    xa = [x.T * a[:, k] for k in range(m)]
+    return np.array([refined_solve(w @ x / n, w @ y / n) for w in xa])
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is float64 here"
+)
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n_comp,d", [(1, 3), (2, 2), (3, 4), (4, 6), (5, 8), (6, 10)])
+def test_coefficients_match_extended_precision(n_comp, d, seed):
+    data, p = dirichlet_design(seed, n_comp, d)
+    fit = fit_all(data, p)
+    assert fit.ok
+    ref = long_double_fit(data, p)
+    err = np.abs(fit.coefficients - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    # first order: component m's normal matrix combines the concentration
+    # sums with weights G[:, m], so it is rounded at about eps * sum|G[:, m]|
+    # of its size, and the solve magnifies that by its condition number; the
+    # worst ratio seen over 40 seeds per shape was 7.9
+    bound = 16 * np.finfo(float).eps * fit.xtx_condition * np.abs(fit.gamma_inverse).sum(axis=0)
+    assert np.all(err <= bound), (err, bound)
 
 
 def test_consistency_trend_over_sample_sizes():

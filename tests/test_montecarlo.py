@@ -152,7 +152,7 @@ class TestRunStudy:
         assert pt.estimates.tobytes() == np.stack(expected).tobytes()
 
     def test_gramian_and_weights_built_once_per_grid_point(self, monkeypatch):
-        calls = {"build_gramian": 0, "compute_weights": 0}
+        calls = {"build_gramian": 0, "invert_gramian": 0}
         for name in calls:
             original = getattr(mvcreg.montecarlo, name)
 
@@ -162,7 +162,7 @@ class TestRunStudy:
 
             monkeypatch.setattr(mvcreg.montecarlo, name, counted)
         run_study(small_config(), rep_count=7, n_grid=(50, 80, 110))
-        assert calls == {"build_gramian": 3, "compute_weights": 3}
+        assert calls == {"build_gramian": 3, "invert_gramian": 3}
 
     def test_rep_count_floor(self):
         with pytest.raises(ConfigError):
@@ -325,6 +325,25 @@ class TestCompareReport:
         report = self._synthetic(v, v, mean_b=np.array([[0.2, 0.0]]))
         cmp = compare_report(report, rel_tol=0.5, mean_abs_tol=float("nan"))
         assert not cmp.ok and len(cmp.mean_failures) == 2
+
+    @pytest.mark.parametrize("cell", [(0, 0), (1, 1)])
+    def test_nan_error_is_the_worst_error(self, monkeypatch, capsys, cell):
+        # a NaN empirical entry, first or last of the cells compared, must
+        # reach worst_cov_rel and the study's table and JSON
+        v = np.array([[[4.0, 1.0], [1.0, 2.0]]])
+        vhat = v.copy()
+        vhat[(0, *cell)] = np.nan
+        report = self._synthetic(vhat, v, mean_b=np.array([[np.nan, 0.0]]))
+        cmp = compare_report(report, rel_tol=0.15)
+        assert np.isnan(cmp.worst_cov_rel) and np.isnan(cmp.worst_mean_abs)
+        assert len(cmp.cov_failures) == 1 and len(cmp.mean_failures) == 1
+
+        monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (None, StudyOptions()))
+        monkeypatch.setattr(mvcreg.cli, "study_from_options", lambda *args, **kwargs: report)
+        assert mvcreg.cli.main(["study", "--format", "table", "--rel-tol", "0.15"]) == 5
+        assert "FAILED (worst cov rel err nan, tol 0.15)" in capsys.readouterr().out
+        assert mvcreg.cli.main(["study", "--rel-tol", "0.15"]) == 5
+        assert '"worst_cov_rel": NaN' in capsys.readouterr().out
 
     def test_reference_grid_matches_limit(self, ref_report):
         cmp = compare_report(ref_report, rel_tol=0.15, mean_abs_tol=0.02)
