@@ -30,6 +30,7 @@ import numpy as np
 
 from ._arrays import frozen
 from .errors import SingularGramian
+from .moments import _row_block_products
 
 #: default ceiling on cond(Gamma); beyond it the concentration columns are
 #: treated as linearly dependent and the components as not identifiable
@@ -239,5 +240,6 @@ def weight_co_moments(a_col: np.ndarray, p: ConcentrationMatrix) -> np.ndarray:
     a_col = np.asarray(a_col, dtype=float)
     if a_col.shape != (p.n_obs,):
         raise ValueError("weight vector length must match the number of observations")
-    out = np.einsum("j,js,jt->st", a_col**2, p.values, p.values) / p.n_obs
+    (out,) = _row_block_products(p.values, np.square(a_col), p.values)
+    out /= p.n_obs
     return (out + out.T) / 2.0

@@ -43,7 +43,7 @@ import numpy as np
 from .concentrations import ConcentrationMatrix, weight_co_moments
 from .errors import SingularD
 from .estimator import FitResult
-from .moments import ComponentMoments, Dataset
+from .moments import ComponentMoments, Dataset, _row_block_products
 
 # Unused here since neither mode forms L4; kept so code that reaches the
 # tensor route through this module (the benchmark's tracer self-test does)
@@ -267,13 +267,15 @@ def _plug_in(
         sigma2.append(sigma2_s)
 
     def quartic(s: int, delta: np.ndarray) -> np.ndarray:
-        # delta' L4_s delta without L4: a fixed-order reduction over rows of
-        # the weights a_s r^2, formed in place in one N-sized array next to
-        # the weight column
+        # delta' L4_s delta without L4: a sum over row blocks with the
+        # weights a_s r^2, formed in place in one N-sized array next to the
+        # weight column
         quartic_weights = x @ delta
         np.square(quartic_weights, out=quartic_weights)
         quartic_weights *= weights(s)
-        return np.einsum("j,ji,jk->ik", quartic_weights, x, x) / n
+        (out,) = _row_block_products(x, quartic_weights, x)
+        out /= n
+        return out
 
     covs = []
     for m in targets:

@@ -16,6 +16,14 @@ N x M weight matrix is never formed.  The sums are taken in an equivalent
 basis of the concentration columns, centred on their means, whose rounding
 G magnifies less.
 
+The fit has three stages.  :func:`fit_basis` depends on ``p`` alone, so a
+replication study builds it once per grid point.  :func:`normal_equations`
+forms the equations of a stack of samples that share ``p``, one product
+per basis column and block of rows.  :func:`solve_normal_equations` gates
+and solves any stack of equations at once.  :func:`fit_all` is the
+one-sample case; every stage works one sample at a time in the same way, so
+a study's replication gets the bytes ``fit_all`` gives for its dataset.
+
 Because some weights are negative, ``X'AX`` is symmetric but possibly
 indefinite: the solve is LU with partial pivoting, which needs no
 definiteness, and the eigenvalue signs are surfaced as a diagnostic rather
@@ -87,6 +95,145 @@ class FitResult:
         return replace(self, plug_in_cov=tuple(np.asarray(c, dtype=float) for c in covs))
 
 
+@dataclass(frozen=True)
+class FitBasis:
+    """What the fit needs of the concentrations, built once per ``p``.
+
+    ``columns`` is the N x M matrix, stored column by column (M x N), of the
+    centred concentration columns ``p_k - c_k r`` (every column of ``p`` but
+    the last; ``c`` the column means) and, last, the row sums ``r = p 1``.
+    They span the weights: ``a_m = sum_q combination[q, m] columns[q]``.
+    Centred weights average to zero, so their sums round like sums against
+    the signed weights ``a``; sums against ``p_k`` itself round at the size of
+    the whole mean, which ``G`` magnifies (threefold in the median over 60
+    random designs).  ``gramian`` and ``gamma_inverse`` are those of ``p``.
+    """
+
+    gramian: GramianSummary
+    gamma_inverse: np.ndarray
+    columns: np.ndarray
+    combination: np.ndarray
+
+    def __post_init__(self):
+        for name in ("columns", "combination"):
+            getattr(self, name).flags.writeable = False
+
+    @property
+    def n_obs(self) -> int:
+        return self.columns.shape[1]
+
+
+def fit_basis(
+    p: ConcentrationMatrix,
+    gramian: GramianSummary | None = None,
+    gamma_tol: float = DEFAULT_GAMMA_TOL,
+    gamma_inverse: np.ndarray | None = None,
+) -> FitBasis:
+    """The fit basis of ``p``, behind the identifiability gate.
+
+    ``gramian`` and ``gamma_inverse``, when given, must be those of ``p``, the
+    inverse from :func:`~mvcreg.concentrations.invert_gramian`; with
+    ``gamma_inverse`` given, ``gamma_tol`` is not consulted.
+
+    Raises
+    ------
+    SingularGramian
+        If ``cond(Gamma) > gamma_tol``.
+    """
+    if gramian is None:
+        gramian = build_gramian(p)
+    if gamma_inverse is None:
+        gamma_inverse = invert_gramian(gramian, gamma_tol)
+    n_comp = p.n_components
+    # a_m = p G[:, m] = sum_k (G[k, m] - G[-1, m]) (p_k - c_k r) + (c'G)_m r,
+    # with the last entry of c set to 1 minus the others
+    c = gramian.gamma.sum(axis=1)  # the column means, since rows of p sum to 1
+    c[-1] = 1.0 - c[:-1].sum()
+    columns = np.empty((n_comp, p.n_obs))
+    np.matmul(p.values, np.ones(n_comp), out=columns[-1])
+    for q in range(n_comp - 1):
+        np.multiply(c[q], columns[-1], out=columns[q])
+        np.subtract(p.values[:, q], columns[q], out=columns[q])
+    combination = gamma_inverse - gamma_inverse[-1]
+    combination[-1] = c @ gamma_inverse
+    return FitBasis(
+        gramian=gramian, gamma_inverse=gamma_inverse, columns=columns, combination=combination
+    )
+
+
+def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted normal equations of every component of a stack of samples.
+
+    ``data`` holds S samples one after another, ``basis.n_obs`` rows each,
+    all with the concentrations ``basis`` was built from.  Returns the
+    S x M x d x d normal matrices ``X'AX / N`` and the S x M x d right-hand
+    sides ``X'Ay / N``.  Each column of the basis is one
+    :func:`~mvcreg.moments.component_regression_moments` call over the whole
+    stack, and a sample's equations have the same bytes alone as stacked
+    with others.
+    """
+    samples = data.n_obs // basis.n_obs
+    normal = rhs = None
+    for q, column in enumerate(basis.columns):
+        xtx, xty = component_regression_moments(data, column, samples=samples)
+        # summed in basis order; symmetric because every summed matrix is
+        weight = basis.combination[q]
+        if normal is None:
+            normal = weight[:, None, None] * xtx[:, None]
+            rhs = weight[:, None] * xty[:, None]
+        else:
+            normal += weight[:, None, None] * xtx[:, None]
+            rhs += weight[:, None] * xty[:, None]
+    return normal, rhs
+
+
+@dataclass(frozen=True)
+class StackedFit:
+    """Solutions of a stack of normal equations, one per (sample, component).
+
+    ``coefficients`` is S x M x d, NaN where ``failed``; ``xtx_condition``,
+    ``negative_eigenvalues`` (0 where failed) and ``failed`` are S x M.
+    """
+
+    coefficients: np.ndarray
+    xtx_condition: np.ndarray
+    negative_eigenvalues: np.ndarray
+    failed: np.ndarray
+
+    def __post_init__(self):
+        for name in ("coefficients", "xtx_condition", "negative_eigenvalues", "failed"):
+            getattr(self, name).flags.writeable = False
+
+
+def solve_normal_equations(
+    normal: np.ndarray, rhs: np.ndarray, xtx_tol: float = DEFAULT_XTX_TOL
+) -> StackedFit:
+    """Gate and solve a stack of normal equations, as :func:`normal_equations` gives them.
+
+    A normal matrix whose condition number (largest over smallest
+    eigenvalue magnitude) is not at most ``xtx_tol`` fails its own
+    (sample, component).  The eigenvalues of the whole stack are one call,
+    and so is the solve of the matrices that pass; both work one matrix at a
+    time, so a matrix's results do not depend on the stack it comes in.
+    """
+    magnitudes = np.linalg.eigvalsh(normal)
+    negative = np.count_nonzero(magnitudes < 0.0, axis=-1)
+    np.abs(magnitudes, out=magnitudes)
+    smallest = magnitudes.min(axis=-1)
+    cond = np.full(smallest.shape, np.inf)
+    np.divide(magnitudes.max(axis=-1), smallest, out=cond, where=smallest != 0.0)
+    failed = ~(np.isfinite(cond) & (cond <= xtx_tol))
+    negative[failed] = 0
+    coef = np.full(rhs.shape, np.nan)
+    ok = ~failed
+    # LU with partial pivoting: valid for the indefinite case, unlike
+    # Cholesky; never form the explicit inverse
+    coef[ok] = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
+    return StackedFit(
+        coefficients=coef, xtx_condition=cond, negative_eigenvalues=negative, failed=failed
+    )
+
+
 def fit_all(
     data: Dataset,
     p: ConcentrationMatrix,
@@ -95,71 +242,36 @@ def fit_all(
     gamma_tol: float = DEFAULT_GAMMA_TOL,
     gamma_inverse: np.ndarray | None = None,
 ) -> FitResult:
-    """Fit every component from one set of concentration-weighted statistics.
+    """Fit every component of one dataset.
 
-    This is the one solve path: ``mvcreg fit`` calls it once, and a
-    replication study once per replication with the Gramian and inverse
-    Gramian of its grid point, so neither is rebuilt per replication.
+    This is the one-sample case of the study's fit: :func:`fit_basis`, then
+    :func:`normal_equations` and :func:`solve_normal_equations`.  ``mvcreg
+    fit`` calls it once; a replication study builds the basis once per grid
+    point, forms the equations of its replications a stack at a time and
+    solves them all at once, and gets the bytes of this function for each.
 
     A Gramian refused by the ``gamma_tol`` gate (``SingularGramian``) aborts
     the whole fit; a singular normal matrix only fails its own component,
     which gets a NaN coefficient row and an entry in ``FitResult.errors``.
-    ``gramian`` and ``gamma_inverse``, when given, must be those of ``p``,
-    the inverse from :func:`~mvcreg.concentrations.invert_gramian`; with
-    ``gamma_inverse`` given, ``gamma_tol`` is not consulted.
+    ``gramian`` and ``gamma_inverse`` are as in :func:`fit_basis`.
     """
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
-    if gramian is None:
-        gramian = build_gramian(p)
-    if gamma_inverse is None:
-        gamma_inverse = invert_gramian(gramian, gamma_tol)
-    n_comp = p.n_components
-    # Each weight column a_m = p G[:, m] combines the centred columns
-    # p_k - c_k r (every column of p but the last; c the column means) and
-    # the row sums r = p 1:
-    #     a_m = sum_k (G[k, m] - G[-1, m]) (p_k - c_k r) + (c'G)_m r,
-    # with the last entry of c set to 1 minus the others.  Centred weights
-    # average to zero, so their sums round like sums against the signed
-    # weights a; sums against p_k itself round at the size of the whole
-    # mean, which G magnifies (threefold in the median over 60 random designs).
-    c = gramian.gamma.sum(axis=1)  # the column means, since rows of p sum to 1
-    c[-1] = 1.0 - c[:-1].sum()
-    r = p.values @ np.ones(n_comp)
-    basis = gamma_inverse - gamma_inverse[-1]
-    basis[-1] = c @ gamma_inverse
-    d = data.n_regressors
-    sums = np.empty((n_comp, d, d + 1))  # [X'WX | X'Wy] / N per weight column
-    columns = (p.values[:, q] - c[q] * r if q < n_comp - 1 else r for q in range(n_comp))
-    for q, column in enumerate(columns):  # one N-sized column at a time
-        sums[q, :, :d], sums[q, :, d] = component_regression_moments(data, column)
-    # combined in a fixed order; symmetric because every summed matrix is
-    combined = np.einsum("qm,qij->mij", basis, sums)
-    combined.flags.writeable = False
-    normal, rhs = combined[:, :, :d], combined[:, :, d]
-    coef = np.full((n_comp, d), np.nan)
-    cond = np.empty(n_comp)
-    neg = [0] * n_comp
-    failures: dict[int, SingularNormalMatrix] = {}
-    for m in range(n_comp):
-        eig = np.linalg.eigvalsh(normal[m])
-        magnitudes = np.abs(eig)
-        smallest = magnitudes.min()
-        cond[m] = np.inf if smallest == 0.0 else magnitudes.max() / smallest
-        if not (np.isfinite(cond[m]) and cond[m] <= xtx_tol):
-            failures[m] = SingularNormalMatrix(m, cond[m], xtx_tol)
-            continue
-        # LU with partial pivoting: valid for the indefinite case, unlike
-        # Cholesky; never form the explicit inverse
-        coef[m] = np.linalg.solve(normal[m], rhs[m])
-        neg[m] = int(np.count_nonzero(eig < 0.0))
+    basis = fit_basis(p, gramian, gamma_tol, gamma_inverse)
+    normal, rhs = normal_equations(data, basis)
+    normal.flags.writeable = False  # its slabs are kept as FitResult.normal_matrices
+    fit = solve_normal_equations(normal, rhs, xtx_tol)
+    cond = fit.xtx_condition[0]
+    failed = np.flatnonzero(fit.failed[0]).tolist()
     return FitResult(
-        coefficients=coef,
-        det_gamma=gramian.det_gamma,
+        coefficients=fit.coefficients[0],
+        det_gamma=basis.gramian.det_gamma,
         xtx_condition=cond,
-        negative_eigenvalues=tuple(neg),
+        negative_eigenvalues=tuple(fit.negative_eigenvalues[0].tolist()),
         n_obs=data.n_obs,
-        errors=failures,
-        normal_matrices=tuple(None if m in failures else normal[m] for m in range(n_comp)),
-        gamma_inverse=gamma_inverse,
+        errors={m: SingularNormalMatrix(m, cond[m], xtx_tol) for m in failed},
+        normal_matrices=tuple(
+            None if m in failed else matrix for m, matrix in enumerate(normal[0])
+        ),
+        gamma_inverse=basis.gamma_inverse,
     )

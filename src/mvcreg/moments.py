@@ -5,13 +5,16 @@ Given the signed minimax weights for component ``m``, the weighted average
 ``E[g | component m]``.  This module keeps to those integrals: the weighted
 empirical measure itself is never materialized.
 
-The weighted normal equations are summed over fixed blocks of
-``_CHUNK_ROWS`` rows, one matrix product per block, and the blocks are added
-in row order, so the blocks and their order depend on N alone.  Within a
-block the order is the BLAS library's; the tests check that results are
-byte-identical under one and two BLAS threads.  The fourth-moment tensor
-is formed only as a test reference, by a non-optimized einsum in a fixed
-sequential order.
+Every weighted sum over the rows (the normal equations here, the weight
+co-moments and the plug-in quartic elsewhere) is taken by
+:func:`_row_block_products`: one matrix product per block of ``_CHUNK_ROWS``
+rows, the blocks added in row order, so the blocks and their order depend on
+N alone.  Within a block the order is the BLAS library's; the tests check
+that results are byte-identical under one and two BLAS threads.  A study
+stacks several samples of N rows along a leading axis and sums them with the
+same products, one per sample, so a sample's sums do not depend on the
+samples stacked with it.  The fourth-moment tensor is formed only as a test
+reference, by a non-optimized einsum in a fixed sequential order.
 """
 
 from __future__ import annotations
@@ -115,10 +118,38 @@ class ComponentMoments:
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 
+def _row_block_products(left, weights, *rights) -> list[np.ndarray]:
+    """``sum_j weights[j] left_j right_j'`` over the rows, for each of ``rights``.
+
+    ``left`` and every ``right`` hold the rows on their second-to-last axis:
+    N x k, or S x N x k for S stacked samples.  ``weights`` has one entry per
+    row, shared by the samples.  Each block of ``_CHUNK_ROWS`` rows is one
+    matrix product per right operand (per sample when stacked), and the
+    blocks are added in row order.
+    """
+    sums = [None] * len(rights)
+    for start in range(0, weights.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        # laid out k x rows, so the multiply runs along the rows
+        weighted = np.multiply(np.swapaxes(left[..., rows, :], -1, -2), weights[rows], order="C")
+        for i, right in enumerate(rights):
+            product = weighted @ right[..., rows, :]
+            if sums[i] is None:
+                sums[i] = product
+            else:
+                sums[i] += product
+    return sums
+
+
 def component_regression_moments(
-    data: Dataset, a_col: np.ndarray
+    data: Dataset, a_col: np.ndarray, samples: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted normal-equation blocks for one component.
+    """Weighted normal-equation blocks for one weight column.
+
+    With ``samples`` given, ``data`` holds that many samples of
+    ``len(a_col)`` rows each, one after another, every one weighted by
+    ``a_col``, and both results gain a leading sample axis.  One sample gives
+    the same bytes whether it comes alone or stacked with others.
 
     Returns
     -------
@@ -128,23 +159,16 @@ def component_regression_moments(
         ``(1/N) sum_j a_j y_j x_j``, length d.
     """
     a_col = np.asarray(a_col, dtype=float)
-    if a_col.shape != (data.n_obs,):
+    count = 1 if samples is None else samples
+    if a_col.ndim != 1 or count < 1 or a_col.shape[0] * count != data.n_obs:
         raise ValueError("weight vector length must match the number of observations")
-    n = data.n_obs
-    x, y = data.x, data.y
-    xtx = xty = None
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        xa = x[rows].T * a_col[rows]
-        if xtx is None:
-            xtx, xty = xa @ x[rows], xa @ y[rows]
-        else:
-            xtx += xa @ x[rows]
-            xty += xa @ y[rows]
+    n = a_col.shape[0]
+    x = data.x.reshape(count, n, data.n_regressors)
+    xtx, xty = _row_block_products(x, a_col, x, data.y.reshape(count, n, 1))
     xtx /= n
-    xtx = (xtx + xtx.T) / 2.0
-    xty /= n
-    return xtx, xty
+    xtx = (xtx + np.swapaxes(xtx, -1, -2)) / 2.0
+    xty = xty[..., 0] / n
+    return (xtx[0], xty[0]) if samples is None else (xtx, xty)
 
 
 def weighted_fourth_moment(data: Dataset, a_col: np.ndarray) -> np.ndarray:

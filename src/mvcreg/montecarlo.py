@@ -8,9 +8,16 @@ reproducible replication by replication, and ``generate`` with that seed
 redraws any one replication's dataset.
 
 The concentrations are a deterministic function of the sample size, so each
-grid point builds them, their Gramian and its M x M inverse once, then draws
-and fits every replication against them through the same ``fit_all`` that
-``mvcreg fit`` uses.  No N x M weight matrix is built or sent to a worker.
+grid point builds them, their Gramian, its M x M inverse and the fit basis
+once, and sends the basis to the workers with the draw plan.  A worker
+draws consecutive replications as one stack of at most ``_CHUNK_ROWS`` rows
+(``draw_stack``), forms their normal equations with one call per basis
+column (``normal_equations``), and solves the equations of its whole range
+at once (``solve_normal_equations``).  These are the stages of ``fit_all``,
+and each works one replication at a time in the same way, so a
+replication's estimate has the bytes ``fit_all`` gives for the dataset
+``generate`` draws with its seed, whatever it is stacked with.  No N x M
+weight matrix is built or sent to a worker.
 
 The replications run in worker processes, one per usable CPU, forked once
 per study.  Each grid point is split into one contiguous range of
@@ -32,13 +39,14 @@ import numpy as np
 
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, invert_gramian
 from .covariance import analytic_sigma
-from .errors import ConfigError, ExcessiveFailures, SingularGramian
-from .estimator import DEFAULT_XTX_TOL, fit_all
+from .errors import ConfigError, ExcessiveFailures, SingularGramian, SingularNormalMatrix
+from .estimator import DEFAULT_XTX_TOL, fit_basis, normal_equations, solve_normal_equations
+from .moments import _CHUNK_ROWS
 from .simgen import (
     SimulationConfig,
     StudyOptions,
     derive_seed,
-    draw,
+    draw_stack,
     limit_co_moments,
     plan_draws,
     true_component_moments,
@@ -99,20 +107,30 @@ class MonteCarloReport:
         return self.points[-1]
 
 
-def _replicate(plan, gramian, gamma_inverse, xtx_tol: float, seed: int, reps: range) -> list:
+def _replicate(plan, basis, xtx_tol: float, seed: int, reps: range) -> list:
     """Outcome of each replication in ``reps`` of the grid point ``plan`` draws.
 
     The outcome is the coefficient estimate of a replication that fitted,
-    else the error code of its first failed component.
+    else the error code of its failure.  Consecutive replications are drawn
+    and their normal equations formed as one stack of at most ``_CHUNK_ROWS``
+    rows (one replication when N is larger); the equations of the whole
+    range are then solved at once.  A replication's bytes do not depend on
+    its stack or its range.
     """
-    outcomes = []
-    for rep in reps:
-        sim = draw(plan, derive_seed(seed, plan.n_obs, rep))
-        fit = fit_all(
-            sim.data, plan.p, xtx_tol=xtx_tol, gramian=gramian, gamma_inverse=gamma_inverse
+    stack = max(1, _CHUNK_ROWS // plan.n_obs)
+    n_comp, d = plan.means.shape
+    normal = np.empty((len(reps), n_comp, d, d))
+    rhs = np.empty((len(reps), n_comp, d))
+    for lo in range(0, len(reps), stack):
+        seeds = [derive_seed(seed, plan.n_obs, rep) for rep in reps[lo : lo + stack]]
+        normal[lo : lo + stack], rhs[lo : lo + stack] = normal_equations(
+            draw_stack(plan, seeds), basis
         )
-        outcomes.append(next(iter(fit.errors.values())).code if fit.errors else fit.coefficients)
-    return outcomes
+    fit = solve_normal_equations(normal, rhs, xtx_tol)
+    return [
+        SingularNormalMatrix.code if failed.any() else coef
+        for coef, failed in zip(fit.coefficients, fit.failed)
+    ]
 
 
 def _worker_count(rep_count: int) -> int:
@@ -180,15 +198,45 @@ def _submit_grid_point(
         gamma_inverse = invert_gramian(gramian, gamma_tol)
     except SingularGramian:
         return lambda: [SingularGramian.code] * rep_count
-    return submit(plan, gramian, gamma_inverse, xtx_tol, config.seed)
+    basis = fit_basis(plan.p, gramian, gamma_inverse=gamma_inverse)
+    return submit(plan, basis, xtx_tol, config.seed)
+
+
+def _analytic_limit(config: SimulationConfig) -> np.ndarray:
+    """The analytic covariance of every component, M x d x d.
+
+    Finite config numbers can still overflow here (coefficients of 1e200,
+    say); such a config is refused with a ``ConfigError`` on ``components``,
+    before any replication is drawn, instead of with numpy's warnings and a
+    NaN limit.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = true_component_moments(config)
+        analytic = np.stack(
+            [
+                analytic_sigma(moments, limit_co_moments(config, m), m).v
+                for m in range(config.n_components)
+            ]
+        )
+    if not np.isfinite(analytic).all():
+        raise ConfigError(
+            "components",
+            "the analytic covariance overflows the float range; the coefficients, "
+            "means or sds are too large",
+        )
+    return analytic
 
 
 def _summarize(n_obs: int, outcomes: list, keep_estimates: bool) -> GridPointSummary:
-    """Summary of one grid point from its replications' outcomes, in replication order."""
+    """Summary of one grid point from its replications' outcomes, in replication order.
+
+    Raises ``ExcessiveFailures`` when more than half of them failed or fewer
+    than two fitted, the least the empirical covariance needs.
+    """
     rep_count = len(outcomes)
     kept = [b for b in outcomes if not isinstance(b, str)]
     failures = rep_count - len(kept)
-    if failures * 2 > rep_count:
+    if failures * 2 > rep_count or len(kept) < 2:
         raise ExcessiveFailures(n_obs, failures, rep_count)
     estimates = np.stack(kept)
     mean_b = estimates.mean(axis=0)
@@ -219,7 +267,8 @@ def run_study(
     Grid points are processed in increasing sample size.  Replications that
     fail to fit (singular Gramian or normal matrix) are dropped and counted
     by error code; a grid point where more than half fail aborts the study,
-    since its summary would say nothing.
+    since its summary would say nothing.  A config whose analytic covariance
+    overflows the float range is refused before any replication is drawn.
 
     The empirical covariance is of the scaled estimate sqrt(N) * b_hat, with
     the 1/(R-1) normalization, so it is directly comparable to the analytic
@@ -229,14 +278,7 @@ def run_study(
         raise ConfigError("rep_count", "must be at least 2")
     grid = tuple(sorted(n_grid)) if n_grid else (config.n_obs,)
 
-    moments = true_component_moments(config)
-    analytic = np.stack(
-        [
-            analytic_sigma(moments, limit_co_moments(config, m), m).v
-            for m in range(config.n_components)
-        ]
-    )
-
+    analytic = _analytic_limit(config)
     with _replication_runner(rep_count) as submit:
         # every grid point is queued before the first is gathered, so the
         # workers do not wait for the parent between grid points

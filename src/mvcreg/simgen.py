@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from itertools import accumulate
@@ -253,31 +254,37 @@ def plan_draws(config: SimulationConfig) -> DrawPlan:
     )
 
 
-def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
-    """Draw one dataset from ``plan`` with the Philox stream keyed by ``seed``.
+def _draw_rows(plan: DrawPlan, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Labels, regressors and responses of one draw per seed, stacked by rows.
 
-    The stream is consumed in a fixed layout whatever the component specs:
-    N label uniforms, then the N x d regressor normals, then N error normals.
-    Each draw becomes its output in place, a block of rows at a time: the
-    regressor normals become ``x`` and the error normals ``y``, which go to
-    the ``Dataset`` without a copy.  A config whose finite numbers overflow
-    in the draw is refused with a ``ConfigError`` on ``components``.
+    Each seed keys its own Philox stream, consumed in a fixed layout whatever
+    the component specs: N label uniforms, then the N x d regressor normals,
+    then N error normals, each filled into its draw's rows of the stack.  The
+    per-row arithmetic then runs over the stack once, a block of rows at a
+    time and in place, so the normals become ``x`` and ``y``.  Every step
+    works row by row, so a draw's bytes do not depend on the draws stacked
+    with it.
     """
-    n = plan.n_obs
-    rng = np.random.Generator(np.random.Philox(seed))
-    u = rng.random(n)
-    labels = np.zeros(n, dtype=np.int64)
+    n, count = plan.n_obs, len(seeds)
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+    u = np.empty((count, n))
+    for k, rng in enumerate(rngs):
+        rng.random(out=u[k])
+    labels = np.zeros(count * n, dtype=np.int64)
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        block_labels = labels[rows]
+        block_labels = labels.reshape(count, n)[:, rows]
         # label k: exactly k of the left-to-right prefix sums of p's row are <= u
         for threshold in accumulate(plan.p.values[rows, :-1].T):
-            block_labels += threshold <= u[rows]
+            block_labels += threshold <= u[:, rows]
     del u  # freed before the normals are drawn
-    x = rng.standard_normal((n, plan.means.shape[1]))
-    y = rng.standard_normal(n)
+    x = np.empty((count * n, plan.means.shape[1]))
+    y = np.empty(count * n)
+    for rng, lo in zip(rngs, range(0, count * n, n)):
+        rng.standard_normal(out=x[lo : lo + n])
+        rng.standard_normal(out=y[lo : lo + n])
 
-    for start in range(0, n, _CHUNK_ROWS):
+    for start in range(0, count * n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         block_labels = labels[rows]
         # np.take gathers the per-row parameters far faster than fancy indexing
@@ -300,7 +307,32 @@ def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
             )
     for arr in (labels, x, y):
         arr.flags.writeable = False  # handed over without a copy
+    return labels, x, y
+
+
+def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
+    """Draw one dataset from ``plan`` with the Philox stream keyed by ``seed``.
+
+    The one-seed case of :func:`draw_stack`.  Each draw becomes its output in
+    place, a block of rows at a time: the regressor normals become ``x`` and
+    the error normals ``y``, which go to the ``Dataset`` without a copy.  A
+    config whose finite numbers overflow in the draw is refused with a
+    ``ConfigError`` on ``components``.
+    """
+    labels, x, y = _draw_rows(plan, (seed,))
     return SimulatedDataset(data=Dataset(y=y, x=x), p=plan.p, labels=labels)
+
+
+def draw_stack(plan: DrawPlan, seeds: Sequence[int]) -> Dataset:
+    """One dataset per seed, stacked: rows ``k N`` to ``(k + 1) N - 1`` hold
+    the bytes of ``draw(plan, seeds[k]).data``.
+
+    A study draws consecutive replications this way, as many as fit in
+    ``_CHUNK_ROWS`` rows, and forms their normal equations with one
+    ``normal_equations`` call.
+    """
+    _, x, y = _draw_rows(plan, seeds)
+    return Dataset(y=y, x=x)
 
 
 def generate(config: SimulationConfig) -> SimulatedDataset:
@@ -331,7 +363,7 @@ def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:
         ComponentMoments(
             d2=np.diag(sd**2) + np.outer(mean, mean),
             mean=mean,
-            sigma2=comp.error_sd**2,
+            sigma2=np.square(comp.error_sd),  # inf, not OverflowError, when huge
             b=np.array(comp.coefficients),
         )
         for comp, mean, sd in zip(config.components, means, sds)

@@ -17,6 +17,7 @@ from mvcreg import compute_weights, fit_all, generate, reference_study_config, r
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, render_weights_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
+from conftest import dirichlet_design
 
 SMOKE_CONFIG = {
     "n_obs": 100,
@@ -170,16 +171,17 @@ sys.exit(main(sys.argv[1:]))
 
 
 def test_overflowing_draw_study_exit_2(overflow_config_path):
-    # the error is raised in a worker process; the study must exit with it,
-    # not hang, so the run has a timeout
+    # the analytic limit overflows too, so the parent refuses the config
+    # before it starts a worker; the run has a timeout in case it does not
     env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", _POOLED_STUDY, "study", "-i", str(overflow_config_path)],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert out.returncode == 2, out.stderr
-    # the analytic limit overflows too, with numpy's warnings before the diagnostic
-    assert out.stderr.splitlines()[-1].startswith("mvcreg: config-error: components:")
+    # the diagnostic alone, with no numpy warning before it
+    (line,) = out.stderr.splitlines()
+    assert line.startswith("mvcreg: config-error: components:")
     assert out.stdout == ""
 
 
@@ -322,16 +324,22 @@ class TestFit:
         assert out.stdout.strip() == "False"
 
     def test_chunked_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path, fresh_python):
-        # more than two row blocks of the normal-equation sums
+        # more than two row blocks of the normal-equation sums and of the
+        # plug-in covariance's weight co-moments and quartic; the wide design
+        # (M=6, d=7) makes the co-moment and quartic products big enough for
+        # BLAS to split them over two threads
         n = 2 * mvcreg.moments._CHUNK_ROWS + 1000
         config, _ = reference_study_config()
         sim = generate(with_seed(with_n_obs(config, n), 5))
-        data_path, out = tmp_path / "tall.csv", tmp_path / "fit.json"
-        write_csv(data_path, sim.data, sim.p)
-        assert main(["fit", "-i", str(data_path), "-o", str(out)]) == 0
-        args = ["-m", "mvcreg.cli", "fit", "-i", str(data_path)]
-        for blas_threads in (1, 2):
-            assert fresh_python(args, blas_threads) == out.read_bytes()
+        designs = {"tall": (sim.data, sim.p), "wide": dirichlet_design(11, 6, 7, n=n)}
+        for name, (data, p) in designs.items():
+            data_path, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.json"
+            write_csv(data_path, data, p)
+            assert main(["fit", "-i", str(data_path), "-o", str(out)]) == 0
+            assert json.loads(out.read_text())["plug_in_cov"]
+            args = ["-m", "mvcreg.cli", "fit", "-i", str(data_path)]
+            for blas_threads in (1, 2):
+                assert fresh_python(args, blas_threads) == out.read_bytes(), (name, blas_threads)
 
     def test_table_format(self, dataset_csv, capsys):
         assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0

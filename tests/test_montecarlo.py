@@ -1,5 +1,7 @@
+import dataclasses
 import multiprocessing
 import os
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -24,8 +26,10 @@ from mvcreg import (
     run_study,
     study_from_options,
 )
-from mvcreg.montecarlo import GridPointSummary
-from mvcreg.simgen import StudyOptions, with_n_obs, with_seed
+import mvcreg.moments
+from mvcreg.estimator import fit_basis, normal_equations
+from mvcreg.montecarlo import GridPointSummary, _summarize
+from mvcreg.simgen import StudyOptions, draw, plan_draws, with_n_obs, with_seed
 
 
 def small_config(seed=17):
@@ -152,17 +156,66 @@ class TestRunStudy:
         assert pt.estimates.tobytes() == np.stack(expected).tobytes()
 
     def test_gramian_and_weights_built_once_per_grid_point(self, monkeypatch):
-        calls = {"build_gramian": 0, "invert_gramian": 0}
-        for name in calls:
+        # the parent builds them, and the fit basis, once per grid point and
+        # ships the basis to the workers, which build none of them
+        parent = os.getpid()
+        calls = Counter()
+        for name in ("build_gramian", "invert_gramian", "fit_basis"):
             original = getattr(mvcreg.montecarlo, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError(f"a worker called {_name}")
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(mvcreg.montecarlo, name, counted)
-        run_study(small_config(), rep_count=7, n_grid=(50, 80, 110))
-        assert calls == {"build_gramian": 3, "invert_gramian": 3}
+        for workers in (1, 2):
+            monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda _, w=workers: w)
+            calls.clear()
+            run_study(small_config(), rep_count=7, n_grid=(50, 80, 110))
+            assert calls == {"build_gramian": 3, "invert_gramian": 3, "fit_basis": 3}, workers
+
+    @pytest.mark.parametrize("n_obs", [500, 1000])
+    def test_ranges_starting_mid_stack_give_the_same_outcomes(self, n_obs):
+        # a worker's range may start anywhere in what one range from 0 would
+        # stack together; a replication's outcome depends on neither
+        config, rep_count = small_config(), 40
+        plan = plan_draws(with_n_obs(config, n_obs))
+        basis = fit_basis(plan.p)
+        seeds = [derive_seed(config.seed, n_obs, rep) for rep in range(rep_count)]
+        sims = [draw(plan, seed) for seed in seeds]
+        xtx_tol = float(np.median([np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]))
+
+        def outcomes(reps):
+            got = mvcreg.montecarlo._replicate(plan, basis, xtx_tol, config.seed, reps)
+            return [o if isinstance(o, str) else o.tobytes() for o in got]
+
+        whole = outcomes(range(rep_count))
+        fits = [fit_all(s.data, s.p, xtx_tol=xtx_tol) for s in sims]
+        assert whole == [
+            "singular-normal-matrix" if f.errors else f.coefficients.tobytes() for f in fits
+        ]
+        assert 0 < whole.count("singular-normal-matrix") < rep_count
+        stack = mvcreg.moments._CHUNK_ROWS // n_obs
+        for lo in (1, stack // 2 + 1, stack + 3):
+            assert outcomes(range(lo)) + outcomes(range(lo, rep_count)) == whole, lo
+
+    def test_replications_beyond_one_row_block_match_generate_then_fit(self):
+        # N above the row block: one replication per stack, summed over
+        # several blocks, still the bytes of `fit_all` on its `generate`
+        config, n_obs = small_config(), 2 * mvcreg.moments._CHUNK_ROWS + 3
+        report = run_study(config, rep_count=3, n_grid=(n_obs,), keep_estimates=True)
+        for rep, estimate in enumerate(report.points[0].estimates):
+            cfg = with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep))
+            sim = generate(cfg)
+            assert estimate.tobytes() == fit_all(sim.data, sim.p).coefficients.tobytes()
+
+    def test_one_kept_replication_is_excessive(self):
+        # its empirical covariance would divide by zero
+        with pytest.raises(ExcessiveFailures) as info:
+            _summarize(100, [np.ones((2, 2)), "singular-normal-matrix"], False)
+        assert (info.value.n_obs, info.value.failures, info.value.rep_count) == (100, 1, 2)
 
     def test_rep_count_floor(self):
         with pytest.raises(ConfigError):
@@ -220,32 +273,52 @@ class TestRunStudy:
     def test_excessive_failures_mid_study_leave_no_worker(self, monkeypatch):
         # every replication at n=80 fails its normal-matrix gate, after the
         # pool has fitted the n=50 grid point
-        def strict_at_80(data, p, xtx_tol, **kwargs):
-            return fit_all(data, p, xtx_tol=1.0 if data.n_obs == 80 else xtx_tol, **kwargs)
+        def singular_at_80(data, basis):
+            normal, rhs = normal_equations(data, basis)
+            return (0.0 * normal if basis.n_obs == 80 else normal), rhs
 
-        monkeypatch.setattr(mvcreg.montecarlo, "fit_all", strict_at_80)
+        monkeypatch.setattr(mvcreg.montecarlo, "normal_equations", singular_at_80)
         monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: 2)
         with pytest.raises(ExcessiveFailures) as info:
             run_study(small_config(), rep_count=8, n_grid=(50, 80, 110))
         assert info.value.n_obs == 80
         assert multiprocessing.active_children() == []
 
-    # the analytic limit overflows as well, before the draw does
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_worker_error_reaches_the_caller(self, monkeypatch):
-        # a typed error raised in a worker crosses the pool with its fields
-        config = small_config()
-        huge = ComponentSpec(
-            regressors=config.components[0].regressors,
-            error_sd=0.01,
-            coefficients=(1e308, 1e308),
-        )
-        config = SimulationConfig(n_obs=200, components=(huge, config.components[1]), seed=3)
+        # a typed error raised in a worker crosses the pool with its fields;
+        # the draw is patched before the pool forks, so only workers raise
+        parent = os.getpid()
+
+        def overflowing_draw(plan, seeds):
+            if os.getpid() == parent:
+                raise AssertionError("the study drew in the parent")
+            raise ConfigError("components", "the draw overflows the float range")
+
+        monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", overflowing_draw)
         monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: 2)
         with pytest.raises(ConfigError) as info:
-            run_study(config, rep_count=6, n_grid=(100,))
+            run_study(small_config(), rep_count=6, n_grid=(100,))
         assert info.value.field == "components"
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("coefficients", (1e200, 1e200)), ("coefficients", (1e308, 1e308)), ("error_sd", 1e160)],
+    )
+    def test_overflowing_analytic_limit_refused_before_any_draw(self, monkeypatch, field, value):
+        # finite config numbers whose analytic covariance overflows: refused
+        # in the parent with a typed error, no numpy warning and no draw
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", no_draw)
+        config = small_config()
+        huge = dataclasses.replace(config.components[0], **{field: value})
+        config = dataclasses.replace(config, components=(huge, config.components[1]))
+        with warnings.catch_warnings(), pytest.raises(ConfigError) as info:
+            warnings.simplefilter("error")
+            run_study(config, rep_count=4, n_grid=(100,))
+        assert info.value.field == "components"
 
     def test_cpu_count_does_not_change_results(self, fresh_python, capsys):
         # fresh interpreters, one pinned to a single CPU, so it runs serially,

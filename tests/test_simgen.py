@@ -24,7 +24,7 @@ from mvcreg import (
 )
 import mvcreg.moments
 from mvcreg.covariance import _gaussian_quartic
-from mvcreg.simgen import draw, plan_draws, study_options_from_dict, with_n_obs, with_seed
+from mvcreg.simgen import draw, draw_stack, plan_draws, study_options_from_dict, with_n_obs, with_seed
 
 
 def one_component_config(n=100, error_sd=0.5, seed=0):
@@ -212,7 +212,7 @@ def whole_array_draw(plan, seed):
 class TestDraw:
     N = 2 * mvcreg.moments._CHUNK_ROWS + 3  # two full row blocks and a partial one
 
-    def three_component_config(self):
+    def three_component_config(self, n=N):
         rng = np.random.default_rng(17)
         specs = tuple(
             ComponentSpec(
@@ -226,9 +226,9 @@ class TestDraw:
             )
             for k in range(3)
         )
-        values = rng.dirichlet(np.ones(3), size=self.N)
+        values = rng.dirichlet(np.ones(3), size=n)
         return SimulationConfig(
-            n_obs=self.N, components=specs, concentrations=ExplicitConcentrations(values)
+            n_obs=n, components=specs, concentrations=ExplicitConcentrations(values)
         )
 
     @pytest.mark.parametrize("seed", [0, 2**63 + 5])
@@ -266,6 +266,20 @@ class TestDraw:
             tracemalloc.stop()
         held = sim.data.y.nbytes + sim.data.x.nbytes + sim.labels.nbytes
         assert peak - held < 8 * n
+
+    @pytest.mark.parametrize("n", [700, N])
+    def test_stacked_draws_match_single_draws(self, n):
+        # each seed's rows of the stack are the bytes of its own draw, and
+        # the draws of a stack do not share memory with the stack
+        plan = plan_draws(self.three_component_config(n))
+        seeds = [derive_seed(4, n, rep) for rep in range(5 if n < self.N else 2)]
+        stacked = draw_stack(plan, seeds)
+        assert stacked.n_obs == len(seeds) * n
+        for k, seed in enumerate(seeds):
+            single = draw(plan, seed).data
+            rows = slice(k * n, (k + 1) * n)
+            assert stacked.x[rows].tobytes() == single.x.tobytes()
+            assert stacked.y[rows].tobytes() == single.y.tobytes()
 
     def test_caller_labels_are_copied(self):
         sim = generate(one_component_config(n=20, seed=1))
