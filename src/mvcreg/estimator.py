@@ -123,27 +123,16 @@ class FitBasis:
         return self.columns.shape[1]
 
 
-def fit_basis(
-    p: ConcentrationMatrix,
-    gramian: GramianSummary | None = None,
-    gamma_tol: float = DEFAULT_GAMMA_TOL,
-    gamma_inverse: np.ndarray | None = None,
-) -> FitBasis:
+def fit_basis(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> FitBasis:
     """The fit basis of ``p``, behind the identifiability gate.
-
-    ``gramian`` and ``gamma_inverse``, when given, must be those of ``p``, the
-    inverse from :func:`~mvcreg.concentrations.invert_gramian`; with
-    ``gamma_inverse`` given, ``gamma_tol`` is not consulted.
 
     Raises
     ------
     SingularGramian
         If ``cond(Gamma) > gamma_tol``.
     """
-    if gramian is None:
-        gramian = build_gramian(p)
-    if gamma_inverse is None:
-        gamma_inverse = invert_gramian(gramian, gamma_tol)
+    gramian = build_gramian(p)
+    gamma_inverse = invert_gramian(gramian, gamma_tol)
     n_comp = p.n_components
     # a_m = p G[:, m] = sum_k (G[k, m] - G[-1, m]) (p_k - c_k r) + (c'G)_m r,
     # with the last entry of c set to 1 minus the others
@@ -173,44 +162,29 @@ def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.nda
     with others.
     """
     samples = data.n_obs // basis.n_obs
-    normal = rhs = None
-    for q, column in enumerate(basis.columns):
-        xtx, xty = component_regression_moments(data, column, samples=samples)
-        # summed in basis order; symmetric because every summed matrix is
+
+    def term(q):
+        xtx, xty = component_regression_moments(data, basis.columns[q], samples=samples)
         weight = basis.combination[q]
-        if normal is None:
-            normal = weight[:, None, None] * xtx[:, None]
-            rhs = weight[:, None] * xty[:, None]
-        else:
-            normal += weight[:, None, None] * xtx[:, None]
-            rhs += weight[:, None] * xty[:, None]
+        return weight[:, None, None] * xtx[:, None], weight[:, None] * xty[:, None]
+
+    # summed in basis order; symmetric because every summed matrix is
+    normal, rhs = term(0)
+    for q in range(1, len(basis.columns)):
+        xtx, xty = term(q)
+        normal += xtx
+        rhs += xty
     return normal, rhs
-
-
-@dataclass(frozen=True)
-class StackedFit:
-    """Solutions of a stack of normal equations, one per (sample, component).
-
-    ``coefficients`` is S x M x d, NaN where ``failed``; ``xtx_condition``,
-    ``negative_eigenvalues`` (0 where failed) and ``failed`` are S x M.
-    """
-
-    coefficients: np.ndarray
-    xtx_condition: np.ndarray
-    negative_eigenvalues: np.ndarray
-    failed: np.ndarray
-
-    def __post_init__(self):
-        for name in ("coefficients", "xtx_condition", "negative_eigenvalues", "failed"):
-            getattr(self, name).flags.writeable = False
 
 
 def solve_normal_equations(
     normal: np.ndarray, rhs: np.ndarray, xtx_tol: float = DEFAULT_XTX_TOL
-) -> StackedFit:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gate and solve a stack of normal equations, as :func:`normal_equations` gives them.
 
-    A normal matrix whose condition number (largest over smallest
+    Returns the S x M x d coefficients, NaN where the fit failed, and the
+    S x M condition numbers, negative-eigenvalue counts (0 where failed) and
+    failure flags.  A normal matrix whose condition number (largest over smallest
     eigenvalue magnitude) is not at most ``xtx_tol`` fails its own
     (sample, component).  The eigenvalues of the whole stack are one call,
     and so is the solve of the matrices that pass; both work one matrix at a
@@ -229,18 +203,14 @@ def solve_normal_equations(
     # LU with partial pivoting: valid for the indefinite case, unlike
     # Cholesky; never form the explicit inverse
     coef[ok] = np.linalg.solve(normal[ok], rhs[ok][..., None])[..., 0]
-    return StackedFit(
-        coefficients=coef, xtx_condition=cond, negative_eigenvalues=negative, failed=failed
-    )
+    return coef, cond, negative, failed
 
 
 def fit_all(
     data: Dataset,
     p: ConcentrationMatrix,
     xtx_tol: float = DEFAULT_XTX_TOL,
-    gramian: GramianSummary | None = None,
     gamma_tol: float = DEFAULT_GAMMA_TOL,
-    gamma_inverse: np.ndarray | None = None,
 ) -> FitResult:
     """Fit every component of one dataset.
 
@@ -248,26 +218,27 @@ def fit_all(
     :func:`normal_equations` and :func:`solve_normal_equations`.  ``mvcreg
     fit`` calls it once; a replication study builds the basis once per grid
     point, forms the equations of its replications a stack at a time and
-    solves them all at once, and gets the bytes of this function for each.
+    solves them a group of stacks at a time, and gets the bytes of this
+    function for each.
 
     A Gramian refused by the ``gamma_tol`` gate (``SingularGramian``) aborts
     the whole fit; a singular normal matrix only fails its own component,
     which gets a NaN coefficient row and an entry in ``FitResult.errors``.
-    ``gramian`` and ``gamma_inverse`` are as in :func:`fit_basis`.
     """
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
-    basis = fit_basis(p, gramian, gamma_tol, gamma_inverse)
+    basis = fit_basis(p, gamma_tol)
     normal, rhs = normal_equations(data, basis)
     normal.flags.writeable = False  # its slabs are kept as FitResult.normal_matrices
-    fit = solve_normal_equations(normal, rhs, xtx_tol)
-    cond = fit.xtx_condition[0]
-    failed = np.flatnonzero(fit.failed[0]).tolist()
+    coef, cond, negative, failed = (
+        part[0] for part in solve_normal_equations(normal, rhs, xtx_tol)
+    )
+    failed = np.flatnonzero(failed).tolist()
     return FitResult(
-        coefficients=fit.coefficients[0],
+        coefficients=coef,
         det_gamma=basis.gramian.det_gamma,
         xtx_condition=cond,
-        negative_eigenvalues=tuple(fit.negative_eigenvalues[0].tolist()),
+        negative_eigenvalues=tuple(negative.tolist()),
         n_obs=data.n_obs,
         errors={m: SingularNormalMatrix(m, cond[m], xtx_tol) for m in failed},
         normal_matrices=tuple(

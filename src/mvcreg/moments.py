@@ -127,17 +127,17 @@ def _row_block_products(left, weights, *rights) -> list[np.ndarray]:
     matrix product per right operand (per sample when stacked), and the
     blocks are added in row order.
     """
-    sums = [None] * len(rights)
-    for start in range(0, weights.shape[0], _CHUNK_ROWS):
+
+    def block(start):
         rows = slice(start, start + _CHUNK_ROWS)
         # laid out k x rows, so the multiply runs along the rows
         weighted = np.multiply(np.swapaxes(left[..., rows, :], -1, -2), weights[rows], order="C")
-        for i, right in enumerate(rights):
-            product = weighted @ right[..., rows, :]
-            if sums[i] is None:
-                sums[i] = product
-            else:
-                sums[i] += product
+        return [weighted @ right[..., rows, :] for right in rights]
+
+    sums = block(0)
+    for start in range(_CHUNK_ROWS, weights.shape[0], _CHUNK_ROWS):
+        for total, product in zip(sums, block(start)):
+            total += product
     return sums
 
 

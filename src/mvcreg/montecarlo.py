@@ -12,8 +12,8 @@ grid point builds them, their Gramian, its M x M inverse and the fit basis
 once, and sends the basis to the workers with the draw plan.  A worker
 draws consecutive replications as one stack of at most ``_CHUNK_ROWS`` rows
 (``draw_stack``), forms their normal equations with one call per basis
-column (``normal_equations``), and solves the equations of its whole range
-at once (``solve_normal_equations``).  These are the stages of ``fit_all``,
+column (``normal_equations``), and solves a group of stacks at once
+(``solve_normal_equations``).  These are the stages of ``fit_all``,
 and each works one replication at a time in the same way, so a
 replication's estimate has the bytes ``fit_all`` gives for the dataset
 ``generate`` draws with its seed, whatever it is stacked with.  No N x M
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, invert_gramian
+from .concentrations import DEFAULT_GAMMA_TOL
 from .covariance import analytic_sigma
 from .errors import ConfigError, ExcessiveFailures, SingularGramian, SingularNormalMatrix
 from .estimator import DEFAULT_XTX_TOL, fit_basis, normal_equations, solve_normal_equations
@@ -113,24 +113,32 @@ def _replicate(plan, basis, xtx_tol: float, seed: int, reps: range) -> list:
     The outcome is the coefficient estimate of a replication that fitted,
     else the error code of its failure.  Consecutive replications are drawn
     and their normal equations formed as one stack of at most ``_CHUNK_ROWS``
-    rows (one replication when N is larger); the equations of the whole
-    range are then solved at once.  A replication's bytes do not depend on
-    its stack or its range.
+    rows (one replication when N is larger), and a group of stacks is
+    solved at once.  A replication's bytes do not depend on its stack, its
+    group or its range.
     """
-    stack = max(1, _CHUNK_ROWS // plan.n_obs)
     n_comp, d = plan.means.shape
-    normal = np.empty((len(reps), n_comp, d, d))
-    rhs = np.empty((len(reps), n_comp, d))
-    for lo in range(0, len(reps), stack):
-        seeds = [derive_seed(seed, plan.n_obs, rep) for rep in reps[lo : lo + stack]]
-        normal[lo : lo + stack], rhs[lo : lo + stack] = normal_equations(
-            draw_stack(plan, seeds), basis
-        )
-    fit = solve_normal_equations(normal, rhs, xtx_tol)
-    return [
-        SingularNormalMatrix.code if failed.any() else coef
-        for coef, failed in zip(fit.coefficients, fit.failed)
-    ]
+    stack = max(1, _CHUNK_ROWS // plan.n_obs)
+    # a group's equations, M d (d + 1) floats per replication, take no more
+    # memory than _CHUNK_ROWS drawn rows of d + 1 floats, unless the group
+    # is one stack
+    group = stack * max(1, _CHUNK_ROWS // (n_comp * d * stack))
+    outcomes = []
+    for start in range(0, len(reps), group):
+        members = reps[start : start + group]
+        normal = np.empty((len(members), n_comp, d, d))
+        rhs = np.empty((len(members), n_comp, d))
+        for lo in range(0, len(members), stack):
+            seeds = [derive_seed(seed, plan.n_obs, rep) for rep in members[lo : lo + stack]]
+            normal[lo : lo + stack], rhs[lo : lo + stack] = normal_equations(
+                draw_stack(plan, seeds), basis
+            )
+        coefficients, _, _, failed = solve_normal_equations(normal, rhs, xtx_tol)
+        outcomes += [
+            SingularNormalMatrix.code if fail.any() else coef
+            for coef, fail in zip(coefficients, failed)
+        ]
+    return outcomes
 
 
 def _worker_count(rep_count: int) -> int:
@@ -194,11 +202,9 @@ def _submit_grid_point(
     """
     plan = plan_draws(with_n_obs(config, n_obs))
     try:
-        gramian = build_gramian(plan.p)
-        gamma_inverse = invert_gramian(gramian, gamma_tol)
+        basis = fit_basis(plan.p, gamma_tol)
     except SingularGramian:
         return lambda: [SingularGramian.code] * rep_count
-    basis = fit_basis(plan.p, gramian, gamma_inverse=gamma_inverse)
     return submit(plan, basis, xtx_tol, config.seed)
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -296,12 +297,23 @@ class TestFit:
         write_csv(path, mvcreg.moments.Dataset(y=y, x=x), mvcreg.ConcentrationMatrix(p))
         assert main(["fit", "-i", str(path), "--intercept", "-o", str(tmp_path / "fit.json")]) == 0
 
-        # nor does a replication rebuild its grid point's Gramian or inverse
-        def per_replication(*args, **kwargs):
-            raise AssertionError("a replication rebuilt its grid point's Gramian or inverse")
+        # nor does a replication rebuild its grid point's Gramian or inverse:
+        # the study builds each once, in the parent
+        parent, built = os.getpid(), Counter()
 
-        monkeypatch.setattr(mvcreg.estimator, "build_gramian", per_replication)
-        monkeypatch.setattr(mvcreg.estimator, "invert_gramian", per_replication)
+        def per_grid_point(original):
+            def counted(*args, **kwargs):
+                if os.getpid() != parent:
+                    raise AssertionError("a replication rebuilt its grid point's Gramian")
+                built[original.__name__] += 1
+                return original(*args, **kwargs)
+
+            return counted
+
+        for name in ("build_gramian", "invert_gramian"):
+            monkeypatch.setattr(
+                mvcreg.estimator, name, per_grid_point(getattr(mvcreg.estimator, name))
+            )
         t = np.arange(1, 101) / 100
         rows = np.column_stack([1.0 - t, t]).tolist()
         ramp = mvcreg.simgen.simulation_config_from_dict(SMOKE_CONFIG)
@@ -311,7 +323,9 @@ class TestFit:
         for workers in (1, 2):
             monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda _, w=workers: w)
             for config in (ramp, explicit):
+                built.clear()
                 assert run_study(config, rep_count=4).points[0].failures == 0
+                assert built == {"build_gramian": 1, "invert_gramian": 1}, workers
 
     def test_cli_import_does_not_load_scipy(self):
         # a fresh interpreter, so modules loaded by other tests do not count

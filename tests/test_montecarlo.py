@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mvcreg.cli
+import mvcreg.estimator
 import mvcreg.montecarlo
 from mvcreg import (
     ComponentSpec,
@@ -160,8 +161,12 @@ class TestRunStudy:
         # ships the basis to the workers, which build none of them
         parent = os.getpid()
         calls = Counter()
-        for name in ("build_gramian", "invert_gramian", "fit_basis"):
-            original = getattr(mvcreg.montecarlo, name)
+        for module, name in (
+            (mvcreg.estimator, "build_gramian"),
+            (mvcreg.estimator, "invert_gramian"),
+            (mvcreg.montecarlo, "fit_basis"),
+        ):
+            original = getattr(module, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
                 if os.getpid() != parent:
@@ -169,7 +174,7 @@ class TestRunStudy:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(mvcreg.montecarlo, name, counted)
+            monkeypatch.setattr(module, name, counted)
         for workers in (1, 2):
             monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda _, w=workers: w)
             calls.clear()
@@ -200,6 +205,34 @@ class TestRunStudy:
         stack = mvcreg.moments._CHUNK_ROWS // n_obs
         for lo in (1, stack // 2 + 1, stack + 3):
             assert outcomes(range(lo)) + outcomes(range(lo, rep_count)) == whole, lo
+
+    def test_solve_groups_do_not_change_outcomes(self, monkeypatch):
+        # stacks of 3 replications, solved 21 at a time: a range of 40 is
+        # two groups, and every replication keeps the outcome `fit_all`
+        # gives its dataset
+        config, n_obs, rep_count = small_config(), 30, 40
+        monkeypatch.setattr(mvcreg.montecarlo, "_CHUNK_ROWS", 3 * n_obs)
+        plan = plan_draws(with_n_obs(config, n_obs))
+        sims = [draw(plan, derive_seed(config.seed, n_obs, rep)) for rep in range(rep_count)]
+        xtx_tol = float(np.median([np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]))
+        solved = []
+        original = mvcreg.montecarlo.solve_normal_equations
+
+        def counted(normal, rhs, tol):
+            solved.append(len(normal))
+            return original(normal, rhs, tol)
+
+        monkeypatch.setattr(mvcreg.montecarlo, "solve_normal_equations", counted)
+        got = mvcreg.montecarlo._replicate(
+            plan, fit_basis(plan.p), xtx_tol, config.seed, range(rep_count)
+        )
+        assert solved == [21, 19]
+        got = [o if isinstance(o, str) else o.tobytes() for o in got]
+        fits = [fit_all(s.data, s.p, xtx_tol=xtx_tol) for s in sims]
+        assert got == [
+            "singular-normal-matrix" if f.errors else f.coefficients.tobytes() for f in fits
+        ]
+        assert 0 < got.count("singular-normal-matrix") < rep_count
 
     def test_replications_beyond_one_row_block_match_generate_then_fit(self):
         # N above the row block: one replication per stack, summed over

@@ -269,8 +269,7 @@ class TestDraw:
 
     @pytest.mark.parametrize("n", [700, N])
     def test_stacked_draws_match_single_draws(self, n):
-        # each seed's rows of the stack are the bytes of its own draw, and
-        # the draws of a stack do not share memory with the stack
+        # each seed's rows of the stack are the bytes of its own draw
         plan = plan_draws(self.three_component_config(n))
         seeds = [derive_seed(4, n, rep) for rep in range(5 if n < self.N else 2)]
         stacked = draw_stack(plan, seeds)
