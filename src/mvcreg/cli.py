@@ -29,9 +29,6 @@ from .moments import Dataset
 from .montecarlo import compare_report, study_from_options
 from .simgen import generate, load_config_file, reference_study_config, with_seed
 
-#: CSV rows only need to be stochastic to rounding precision, not exactly
-_CSV_ROW_SUM_TOL = 1e-6
-
 
 def _diag(exc: MvcregError) -> None:
     print(f"mvcreg: {exc.code}: {exc}", file=sys.stderr)
@@ -39,11 +36,17 @@ def _diag(exc: MvcregError) -> None:
 
 @contextlib.contextmanager
 def _open_output(args):
+    # opened after the work, so a failed command leaves an existing file as it was
     if args.output is None or args.output == "-":
         yield sys.stdout
-    else:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            yield fh
+        return
+    try:
+        fh = open(args.output, "w", encoding="utf-8")
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ConfigError("--output", f"cannot write {args.output}: {reason}") from None
+    with fh:
+        yield fh
 
 
 def _write_output(args, text: str) -> None:
@@ -60,21 +63,21 @@ def _with_intercept(data: Dataset) -> Dataset:
 
 
 def cmd_fit(args) -> int:
-    data, p = dataio.read_csv(args.input, row_sum_tol=_CSV_ROW_SUM_TOL)
+    data, p = dataio.read_csv(args.input)
     if args.intercept:
         data = _with_intercept(data)
     fit = fit_all(data, p, xtx_tol=args.xtx_tol, gamma_tol=args.gamma_tol)
+    covs = None
     warnings: list[str] = []
     if not fit.errors:
         covs = plug_in_covariances(data, p, fit)
-        fit = fit.with_plug_in_cov(tuple(c.v for c in covs))
         # every target carries the shared clamp notes; report each note once:
         # clamps in component order, then negative-V notes in target order
         warnings = list(dict.fromkeys(note for c in covs for note in c.warnings))
     if args.format == "table":
-        text = dataio.format_fit_table(fit)
+        text = dataio.format_fit_table(fit, covs)
     else:
-        doc = dataio.fit_result_to_dict(fit)
+        doc = dataio.fit_result_to_dict(fit, covs)
         if warnings:
             doc["warnings"] = warnings
         text = dataio.dumps(doc)
@@ -89,7 +92,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_weights(args) -> int:
-    data, p = dataio.read_csv(args.input, row_sum_tol=_CSV_ROW_SUM_TOL)
+    data, p = dataio.read_csv(args.input)
     gramian = build_gramian(p)
     weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
     if args.format == "csv":

@@ -19,23 +19,24 @@ four-index product tensor but O(M^2 d^2).
 Two modes are provided: analytic (true component moments supplied, used to
 validate simulations) and plug-in (every population quantity replaced by its
 weighted-empirical estimate from one dataset).  Both feed one assembler with
-the d x d contraction ``delta_s' L4_s delta_s`` and never form L4.  The
+the M d x d contractions ``delta_s' L4_s delta_s`` and never form L4.  The
 analytic mode assumes Gaussian regressors (a constant has sd 0), for which
 Isserlis' theorem gives, with means mu and ``u = D2 delta``,
 
     delta' L4 delta = (delta' D2 delta) D2 + 2 (u u' - (mu' delta)^2 mu mu').
 
-The plug-in mode evaluates it as ``(1/N) sum_j a[j, s] (x_j' delta_s)^2 x_j
-x_j'``, at O(N d^2) per (target, component) pair, and shares each
-component's D2 and error variance across all targets.  It never holds the
-N x M weight matrix: each weight column ``a[:, s] = p G[:, s]`` is formed
-from the fit's inverse Gramian ``G`` where it is used, one N-vector at a
-time.
+The plug-in mode makes one pass per component ``s``.  It forms the weight
+column ``a[:, s] = p G[:, s]`` once, from the fit's inverse Gramian ``G``,
+and from it takes the component's error variance, its weight co-moments when
+``s`` is a target, and, for every target ``m``, the contraction
+``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with ``delta = b_s - b_m``.
+The column is freed before the next component's, so the N x M weight matrix
+is never held: at most two N-vectors exist at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,12 +88,12 @@ def _assemble_sigma(
     b: Sequence[np.ndarray],
     co_moments: np.ndarray,
     m: int,
-    quartic: Callable[[int, np.ndarray], np.ndarray],
+    quartic: np.ndarray,
 ) -> np.ndarray:
     """Sigma for target ``m`` from per-component D2, sigma^2 and b.
 
-    ``quartic(s, delta)`` returns the d x d contraction ``delta' L4_s delta``
-    of component ``s``'s fourth moments with ``delta = b_s - b_m``.
+    ``quartic[s]`` is the d x d contraction ``delta' L4_s delta`` of
+    component ``s``'s fourth moments with ``delta = b_s - b_m``.
     """
     n_comp = len(d2)
     co = np.asarray(co_moments, dtype=float)
@@ -107,9 +108,8 @@ def _assemble_sigma(
     sigma = np.zeros((d, d))
     u = np.zeros((d, n_comp))  # u[:, s] = D2_s (b_s - b_m)
     for s in range(n_comp):
-        delta = b[s] - b[m]
-        sigma += w[s] * (d2[s] * sigma2[s] + quartic(s, delta))
-        u[:, s] = d2[s] @ delta
+        sigma += w[s] * (d2[s] * sigma2[s] + quartic[s])
+        u[:, s] = d2[s] @ (b[s] - b[m])
     sigma -= u @ co @ u.T
     return (sigma + sigma.T) / 2.0
 
@@ -162,7 +162,7 @@ def analytic_sigma(
         [mom.b for mom in moments],
         co_moments,
         m,
-        lambda s, delta: _gaussian_quartic(moments[s], delta),
+        np.array([_gaussian_quartic(mom, mom.b - moments[m].b) for mom in moments]),
     )
     v = _sandwich(moments[m].d2, sigma, m)
     return AsymptoticCovariance(
@@ -180,9 +180,12 @@ def plug_in_covariances(
     ``s``, the error variance is the weighted mean squared residual at that
     component's fitted coefficients, and the co-moment limits are replaced by
     their finite-sample averages.  Each component's D2 is the normal matrix
-    its fit already solved; D2 and the error variance are computed once and
-    shared by all targets; the fourth-moment term enters
-    only contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'``.
+    its fit already solved.  The rest takes one pass per component ``s``,
+    which forms its weight column ``a[:, s]`` once and from it the error
+    variance, the weight co-moments and, for every target ``m``, the
+    fourth-moment term, which enters only contracted, as
+    ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
+    ``delta = b_s - b_m``.
 
     A negative weighted residual variance (possible with signed weights) is
     clamped to zero and reported through ``warnings`` instead of failing the
@@ -228,7 +231,7 @@ def plug_in_covariance(
 
 
 def _plug_in(
-    data: Dataset, p: ConcentrationMatrix, fit: FitResult, targets: Iterable[int]
+    data: Dataset, p: ConcentrationMatrix, fit: FitResult, targets: Sequence[int]
 ) -> tuple[AsymptoticCovariance, ...]:
     if fit.errors:
         bad = sorted(fit.errors)
@@ -241,23 +244,24 @@ def _plug_in(
     x = data.x
     b = fit.coefficients
     d2 = fit.normal_matrices
-
-    def weights(s: int) -> np.ndarray:
-        # the weight column a_s = p G[:, s]: one N-sized array, freed by its user
-        return p.values @ fit.gamma_inverse[:, s]
-
-    def error_variance(s: int) -> float:
-        # weighted mean squared residual; the squares are formed in place in
-        # one N-sized array next to the weight column, both freed on return
-        resid_sq = x @ b[s]
-        np.subtract(data.y, resid_sq, out=resid_sq)
-        np.square(resid_sq, out=resid_sq)
-        return float(np.einsum("j,j->", weights(s), resid_sq) / n)
-
+    n_comp = p.n_components
+    # per target m: quartic[m][s] = delta' L4_s delta with delta = b_s - b_m,
+    # zero where s == m; co[m] = the weight co-moments of a_m
+    quartic = {m: np.zeros((n_comp, data.n_regressors, data.n_regressors)) for m in targets}
+    co = {}
     clamp_notes: list[str] = []
     sigma2 = []
-    for s in range(p.n_components):
-        sigma2_s = error_variance(s)
+    for s in range(n_comp):
+        weights = p.values @ fit.gamma_inverse[:, s]  # a_s
+        if s in quartic:
+            co[s] = weight_co_moments(weights, p)
+        # the one N-sized array beside a_s: the squared residuals of the
+        # weighted mean squared residual, then for each target the row
+        # weights a_s (x' delta)^2 of delta' L4_s delta, summed over row blocks
+        scratch = x @ b[s]
+        np.subtract(data.y, scratch, out=scratch)
+        np.square(scratch, out=scratch)
+        sigma2_s = float(np.einsum("j,j->", weights, scratch) / n)
         if sigma2_s < 0.0:
             clamp_notes.append(
                 f"degenerate-variance: component index {s} plug-in error variance "
@@ -265,22 +269,18 @@ def _plug_in(
             )
             sigma2_s = 0.0
         sigma2.append(sigma2_s)
-
-    def quartic(s: int, delta: np.ndarray) -> np.ndarray:
-        # delta' L4_s delta without L4: a sum over row blocks with the
-        # weights a_s r^2, formed in place in one N-sized array next to the
-        # weight column
-        quartic_weights = x @ delta
-        np.square(quartic_weights, out=quartic_weights)
-        quartic_weights *= weights(s)
-        (out,) = _row_block_products(x, quartic_weights, x)
-        out /= n
-        return out
+        for m, contractions in quartic.items():
+            if m != s:
+                np.matmul(x, b[s] - b[m], out=scratch)
+                np.square(scratch, out=scratch)
+                scratch *= weights
+                (contractions[s],) = _row_block_products(x, scratch, x)
+                contractions[s] /= n
+        del weights, scratch  # before the next component's
 
     covs = []
     for m in targets:
-        co = weight_co_moments(weights(m), p)
-        sigma = _assemble_sigma(d2, sigma2, b, co, m, quartic)
+        sigma = _assemble_sigma(d2, sigma2, b, co[m], m, quartic[m])
         v = _sandwich(d2[m], sigma, m)
         notes = list(clamp_notes)
         variances = np.diag(v).copy()

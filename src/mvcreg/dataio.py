@@ -34,12 +34,16 @@ import warnings
 import numpy as np
 
 from .concentrations import ConcentrationMatrix
+from .covariance import AsymptoticCovariance
 from .errors import DataFormatError
 from .estimator import FitResult
 from .moments import _CHUNK_ROWS, Dataset
 from .montecarlo import ComparisonReport, MonteCarloReport
 
 _HEADER_RE = re.compile(r"^y(,x\d+)+(,p\d+)+$")
+
+#: CSV rows only need to be stochastic to rounding precision, not exactly
+_ROW_SUM_TOL = 1e-6
 
 
 # --------------------------------------------------------------------------
@@ -110,19 +114,18 @@ def write_weights_csv(path, weights) -> None:
     _write_chunks(path, _weights_chunks(weights))
 
 
-def parse_csv_text(
-    text: str, row_sum_tol: float = 1e-6, source: str = "<string>"
-) -> tuple[Dataset, ConcentrationMatrix]:
+def parse_csv_text(text: str, source: str = "<string>") -> tuple[Dataset, ConcentrationMatrix]:
     """Parse CSV text into a dataset plus concentration matrix.
 
     The header fixes the column split: ``x`` columns must be numbered
     1..d and ``p`` columns 1..M, in order.  Any malformed cell raises
-    DataFormatError naming the line.
+    DataFormatError naming the line.  Concentration rows must sum to one
+    within ``_ROW_SUM_TOL``.
     """
-    return _parse_stream(io.StringIO(text), row_sum_tol, source)
+    return _parse_stream(io.StringIO(text), source)
 
 
-def read_csv(path, row_sum_tol: float = 1e-6) -> tuple[Dataset, ConcentrationMatrix]:
+def read_csv(path) -> tuple[Dataset, ConcentrationMatrix]:
     """Parse a CSV file as ``parse_csv_text`` would, without holding its text.
 
     Lines end at ``\\n`` only, as in ``io.StringIO``, so the file and its
@@ -130,12 +133,12 @@ def read_csv(path, row_sum_tol: float = 1e-6) -> tuple[Dataset, ConcentrationMat
     """
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            return _parse_stream(fh, row_sum_tol, str(path))
+            return _parse_stream(fh, str(path))
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _parse_stream(fh, row_sum_tol: float, source: str):
+def _parse_stream(fh, source: str):
     try:
         names = _read_header(fh, source)
         d = sum(1 for h in names if h.startswith("x"))
@@ -150,7 +153,7 @@ def _parse_stream(fh, row_sum_tol: float, source: str):
     y, x, p_values = columns
     try:
         data = Dataset(y=y, x=x)
-        p = ConcentrationMatrix(p_values, row_sum_tol=row_sum_tol)
+        p = ConcentrationMatrix(p_values, row_sum_tol=_ROW_SUM_TOL)
     except ValueError as exc:
         raise DataFormatError(f"{source}: {exc}") from None
     return data, p
@@ -315,7 +318,11 @@ def dumps(obj) -> str:
 # --------------------------------------------------------------------------
 
 
-def fit_result_to_dict(fit: FitResult) -> dict:
+def fit_result_to_dict(
+    fit: FitResult, covs: tuple[AsymptoticCovariance, ...] | None = None
+) -> dict:
+    """The fit as a document; with the plug-in covariances ``covs`` of every
+    component, in component order, also their ``v`` and standard errors."""
     doc = {
         "n_obs": fit.n_obs,
         "n_components": fit.n_components,
@@ -328,11 +335,9 @@ def fit_result_to_dict(fit: FitResult) -> dict:
             for m, err in sorted(fit.errors.items())
         },
     }
-    if fit.plug_in_cov is not None:
-        doc["plug_in_cov"] = [cov for cov in fit.plug_in_cov]
-        doc["std_errors"] = [
-            np.sqrt(np.maximum(np.diag(cov), 0.0) / fit.n_obs) for cov in fit.plug_in_cov
-        ]
+    if covs is not None:
+        doc["plug_in_cov"] = [cov.v for cov in covs]
+        doc["std_errors"] = [cov.std_errors for cov in covs]
     return doc
 
 
@@ -386,12 +391,14 @@ def comparison_to_dict(cmp: ComparisonReport) -> dict:
 # --------------------------------------------------------------------------
 
 
-def format_fit_table(fit: FitResult) -> str:
+def format_fit_table(
+    fit: FitResult, covs: tuple[AsymptoticCovariance, ...] | None = None
+) -> str:
     """Aligned coefficient table, one row per component.
 
-    Standard errors appear on a following ``se`` row when the plug-in
-    covariance was computed; failed components render as ``nan`` with the
-    error code appended.
+    With the plug-in covariances ``covs`` of every component, in component
+    order, each component's standard errors follow on an ``se`` row; failed
+    components render as ``nan`` with the error code appended.
     """
     d = fit.coefficients.shape[1]
     width = 12
@@ -405,8 +412,8 @@ def format_fit_table(fit: FitResult) -> str:
         if m in fit.errors:
             row += f"  [{fit.errors[m].code}]"
         lines.append(row)
-        if fit.plug_in_cov is not None and m not in fit.errors:
-            se = np.sqrt(np.maximum(np.diag(fit.plug_in_cov[m]), 0.0) / fit.n_obs)
+        if covs is not None:
+            se = covs[m].std_errors
             lines.append(
                 f"{'se':>10}" + "".join(f"{se[i]:>{width}.4f}" for i in range(d))
             )

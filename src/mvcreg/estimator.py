@@ -32,7 +32,7 @@ than assumed away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,8 +60,7 @@ class FitResult:
     keyed by component index.  ``normal_matrices`` holds each component's
     ``X'AX / N`` (``None`` where the fit failed) and ``gamma_inverse`` the
     inverse Gramian ``G`` the weights ``a = p G`` come from, both for reuse
-    by the plug-in covariance.  ``plug_in_cov`` stays ``None`` until filled
-    by the covariance module.
+    by the plug-in covariance, which returns its own results.
     """
 
     coefficients: np.ndarray
@@ -72,7 +71,6 @@ class FitResult:
     errors: dict[int, SingularNormalMatrix]
     normal_matrices: tuple[np.ndarray | None, ...]
     gamma_inverse: np.ndarray
-    plug_in_cov: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         coef = np.array(self.coefficients, dtype=float)
@@ -90,9 +88,6 @@ class FitResult:
     def ok(self) -> bool:
         """True when every component fitted cleanly."""
         return not self.errors
-
-    def with_plug_in_cov(self, covs: tuple[np.ndarray, ...]) -> "FitResult":
-        return replace(self, plug_in_cov=tuple(np.asarray(c, dtype=float) for c in covs))
 
 
 @dataclass(frozen=True)

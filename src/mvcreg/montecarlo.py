@@ -20,12 +20,13 @@ replication's estimate has the bytes ``fit_all`` gives for the dataset
 weight matrix is built or sent to a worker.
 
 The replications run in worker processes, one per usable CPU, forked once
-per study.  Each grid point is split into one contiguous range of
-replication indices per worker, every grid point is queued at once, and the
-estimates are gathered back in replication order, so the report is
-byte-identical to a serial run whatever the worker count.  With one CPU, where
-``fork`` is not available, or inside a daemonic process, the replications
-run in the calling process.
+per study.  The study is one flat list of tasks, one per contiguous range of
+replication indices per worker and grid point, run through an ordered map:
+the pool's ``map`` queues every task at once and yields the outcomes in task
+order, so they come back in replication order and the report is
+byte-identical to a serial run whatever the worker count.  With one CPU,
+where ``fork`` is not available, or inside a daemonic process, the builtin
+``map`` runs the tasks in the calling process.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ import contextlib
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -160,52 +162,26 @@ def _worker_count(rep_count: int) -> int:
 
 
 @contextlib.contextmanager
-def _replication_runner(rep_count: int):
-    """Yield ``submit(*args)``, which starts ``_replicate(*args, reps)`` for
-    replications 0 to ``rep_count - 1`` and returns a function that waits for
-    their outcomes, in replication order.
+def _ordered_map(workers: int):
+    """Yield a ``map`` that runs its calls in ``workers`` processes and yields
+    their results in call order.
 
-    With more than one worker the ranges queue in a pool that is forked on
-    the first submit; exit drops what is still queued and joins the workers,
-    also when the study raises.
+    With one worker it is the builtin ``map``, which runs each call when its
+    result is taken.  Otherwise it is the ``map`` of a pool forked on the
+    first call, which queues every call at once; exit drops what is still
+    queued and joins the workers, also when the study raises.
     """
-    workers = _worker_count(rep_count)
     if workers == 1:
-        yield lambda *args: lambda: _replicate(*args, range(rep_count))
+        yield map
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    bounds = [rep_count * k // workers for k in range(workers + 1)]
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-
-    def submit(*args):
-        futures = [
-            pool.submit(_replicate, *args, range(lo, hi)) for lo, hi in zip(bounds, bounds[1:])
-        ]
-        return lambda: [outcome for future in futures for outcome in future.result()]
-
     try:
-        yield submit
+        yield pool.map
     finally:
         pool.shutdown(cancel_futures=True)
-
-
-def _submit_grid_point(
-    submit, config: SimulationConfig, n_obs: int, rep_count: int, gamma_tol: float, xtx_tol: float
-):
-    """Start the replications at ``n_obs``; return a function that waits for
-    their outcomes, as ``_replicate`` gives them.
-
-    A Gramian refused by the ``gamma_tol`` gate fails every replication of
-    the grid point at once.
-    """
-    plan = plan_draws(with_n_obs(config, n_obs))
-    try:
-        basis = fit_basis(plan.p, gamma_tol)
-    except SingularGramian:
-        return lambda: [SingularGramian.code] * rep_count
-    return submit(plan, basis, xtx_tol, config.seed)
 
 
 def _analytic_limit(config: SimulationConfig) -> np.ndarray:
@@ -285,14 +261,32 @@ def run_study(
     grid = tuple(sorted(n_grid)) if n_grid else (config.n_obs,)
 
     analytic = _analytic_limit(config)
-    with _replication_runner(rep_count) as submit:
-        # every grid point is queued before the first is gathered, so the
-        # workers do not wait for the parent between grid points
-        pending = [
-            (n_obs, _submit_grid_point(submit, config, n_obs, rep_count, gamma_tol, xtx_tol))
-            for n_obs in grid
-        ]
-        points = [_summarize(n_obs, gather(), keep_estimates) for n_obs, gather in pending]
+    workers = _worker_count(rep_count)
+    bounds = [rep_count * k // workers for k in range(workers + 1)]
+    # one task per worker range of every grid point the gamma_tol gate
+    # passes; a refused grid point fails all its replications at once
+    plans, bases, ranges, refused = [], [], [], set()
+    for n_obs in grid:
+        plan = plan_draws(with_n_obs(config, n_obs))
+        try:
+            basis = fit_basis(plan.p, gamma_tol)
+        except SingularGramian:
+            refused.add(n_obs)
+            continue
+        plans += [plan] * workers
+        bases += [basis] * workers
+        ranges += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    with _ordered_map(workers) as ordered_map:
+        results = ordered_map(
+            _replicate, plans, bases, repeat(xtx_tol), repeat(config.seed), ranges
+        )
+        points = []
+        for n_obs in grid:
+            if n_obs in refused:
+                outcomes = [SingularGramian.code] * rep_count
+            else:
+                outcomes = [outcome for got in islice(results, workers) for outcome in got]
+            points.append(_summarize(n_obs, outcomes, keep_estimates))
     return MonteCarloReport(
         seed=config.seed,
         true_b=config.true_coefficients,

@@ -14,7 +14,14 @@ import mvcreg.estimator
 import mvcreg.moments
 import mvcreg.montecarlo
 import mvcreg.simgen
-from mvcreg import compute_weights, fit_all, generate, reference_study_config, run_study
+from mvcreg import (
+    compute_weights,
+    fit_all,
+    generate,
+    plug_in_covariances,
+    reference_study_config,
+    run_study,
+)
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, render_weights_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
@@ -210,6 +217,30 @@ def test_bad_tolerance_exit_2(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, fmt", [("fit", "json"), ("weights", "csv"), ("simulate", "csv"), ("study", "table")]
+)
+def test_unwritable_output_exit_2(tmp_path, capsys, dataset_csv, smoke_config_path, command, fmt):
+    # a directory that does not exist: one diagnostic line, no traceback
+    source = smoke_config_path if command in ("simulate", "study") else dataset_csv
+    out = tmp_path / "missing" / "out"
+    assert main([command, "-i", str(source), "-o", str(out), "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"mvcreg: config-error: --output: cannot write {out}: ")
+    assert captured.out == ""
+
+
+def test_failed_command_leaves_existing_output(tmp_path, capsys, dataset_csv):
+    # the output is opened after the work, so a refused input truncates nothing
+    out = tmp_path / "fit.json"
+    out.write_text("kept\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("y,x1,p1\n1.0,oops,1.0\n")
+    assert main(["fit", "-i", str(bad), "-o", str(out)]) == 2
+    assert out.read_text() == "kept\n"
+
+
 class TestFit:
     def test_round_trip_matches_library(self, tmp_path, dataset_csv, capsys):
         out = tmp_path / "fit.json"
@@ -328,14 +359,20 @@ class TestFit:
                 assert built == {"build_gramian": 1, "invert_gramian": 1}, workers
 
     def test_cli_import_does_not_load_scipy(self):
-        # a fresh interpreter, so modules loaded by other tests do not count
+        # a fresh interpreter, so modules loaded by other tests do not count;
+        # nor does it load the study's pool, which only a pooled study imports
         src = str(Path(mvcreg.moments.__file__).parents[1])
-        code = "import sys, mvcreg.cli; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        code = (
+            "import json, sys, mvcreg.cli\n"
+            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+        )
         env = dict(os.environ, PYTHONPATH=src)
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        loaded = set(json.loads(out.stdout))
+        assert "mvcreg" in loaded
+        assert loaded.isdisjoint({"scipy", "multiprocessing", "concurrent"}), loaded
 
     def test_chunked_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path, fresh_python):
         # more than two row blocks of the normal-equation sums and of the
@@ -354,6 +391,22 @@ class TestFit:
             args = ["-m", "mvcreg.cli", "fit", "-i", str(data_path)]
             for blas_threads in (1, 2):
                 assert fresh_python(args, blas_threads) == out.read_bytes(), (name, blas_threads)
+
+    def test_standard_errors_are_the_covariance_results(self, dataset_csv, capsys):
+        # the JSON std_errors and the table's se rows print the plug-in
+        # covariances' own std_errors
+        data, p = read_csv(dataset_csv)
+        covs = plug_in_covariances(data, p, fit_all(data, p))
+        assert main(["fit", "-i", str(dataset_csv)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["std_errors"]) == len(covs) == 2
+        for got, cov in zip(doc["std_errors"], covs):
+            assert np.array(got).tobytes() == cov.std_errors.tobytes()
+        assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[1:] for row in rows if row[0] == "se"] == [
+            [f"{se:.4f}" for se in cov.std_errors] for cov in covs
+        ]
 
     def test_table_format(self, dataset_csv, capsys):
         assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0

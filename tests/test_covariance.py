@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -28,6 +29,7 @@ from mvcreg import (
     weight_co_moments,
     weighted_fourth_moment,
 )
+import mvcreg.moments
 from mvcreg.simgen import with_n_obs, with_seed
 from conftest import dirichlet_design
 
@@ -363,6 +365,23 @@ class TestContractedPlugIn:
         covs = plug_in_covariances(data, p, fit)
         for m in range(p.n_components):
             assert_same_bytes(plug_in_covariance(data, p, fit, m), covs[m])
+
+    def test_holds_at_most_two_weight_sized_arrays(self):
+        # one weight column and one more N-sized array beside it (squared
+        # weights, squared residuals or row weights), freed with their
+        # component; a third, such as the previous component's weight
+        # column, would cross the bound
+        n = 13 * mvcreg.moments._CHUNK_ROWS + 5
+        data, p = dirichlet_design(5, 3, 3, n=n)
+        fit = fit_all(data, p)
+        plug_in_covariances(data, p, fit)  # first-call set-up is not its memory
+        tracemalloc.start()
+        try:
+            plug_in_covariances(data, p, fit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * n
 
     def test_rejects_target_out_of_range(self):
         data, p = dirichlet_design(3, 2, 2)

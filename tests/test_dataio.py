@@ -352,10 +352,8 @@ class TestResultDocs:
     def test_fit_result_document(self):
         sim = small_sim(n=400)
         fit = fit_all(sim.data, sim.p)
-        covs = tuple(
-            plug_in_covariance(sim.data, sim.p, fit, m).v for m in range(2)
-        )
-        doc = fit_result_to_dict(fit.with_plug_in_cov(covs))
+        covs = tuple(plug_in_covariance(sim.data, sim.p, fit, m) for m in range(2))
+        doc = fit_result_to_dict(fit, covs)
         parsed = json.loads(dumps(doc))
         assert parsed["n_obs"] == 400
         assert len(parsed["coefficients"]) == 2
