@@ -1,11 +1,13 @@
 """How the package's frozen value classes take the arrays they are given.
 
-``Dataset``, ``ConcentrationMatrix``, ``WeightMatrix`` and
-``SimulatedDataset`` hold read-only arrays that nothing else can write to.
-A producer that has just made an array (a draw, a CSV read, a weight solve)
-marks it read-only and hands it over, and the class takes it as is; every
-other array is copied.  At N = 500000 a copy is megabytes, so the hand-over
-is what keeps each N-sized array in memory once.
+Every array field of every value class follows one rule: the class holds a
+read-only array that nothing else can write to, and its ``__post_init__``
+applies :func:`freeze` to those fields and does nothing else to them.  A
+producer that has just made an array (a draw, a CSV read, a weight solve,
+the fit basis) marks it read-only and hands it over, and the class takes it
+as is; every other array is copied, and a caller's array keeps its flags.
+At N = 500000 a copy is megabytes, so the hand-over is what keeps each
+N-sized array in memory once.
 """
 
 from __future__ import annotations
@@ -32,3 +34,14 @@ def frozen(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def freeze(obj, *names: str, dtype=float) -> None:
+    """Set each field ``names`` of the frozen dataclass ``obj`` to :func:`frozen` of itself.
+
+    A field that is ``None`` stays ``None``.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if value is not None:
+            object.__setattr__(obj, name, frozen(value, dtype))

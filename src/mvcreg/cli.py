@@ -54,18 +54,21 @@ def _write_output(args, text: str) -> None:
         fh.write(text)
 
 
-def _with_intercept(data: Dataset) -> Dataset:
+def _with_intercept(data: Dataset, source: str) -> Dataset:
     x = np.empty((data.n_obs, data.n_regressors + 1))
     x[:, 0] = 1.0
     x[:, 1:] = data.x
     x.flags.writeable = False  # handed over to Dataset, which keeps data.y as is
-    return Dataset(y=data.y, x=x)
+    try:
+        return Dataset(y=data.y, x=x)
+    except ValueError as exc:  # the column of ones leaves too few rows
+        raise DataFormatError(f"{source}: {exc}") from None
 
 
 def cmd_fit(args) -> int:
     data, p = dataio.read_csv(args.input)
     if args.intercept:
-        data = _with_intercept(data)
+        data = _with_intercept(data, args.input)
     fit = fit_all(data, p, xtx_tol=args.xtx_tol, gamma_tol=args.gamma_tol)
     covs = None
     warnings: list[str] = []

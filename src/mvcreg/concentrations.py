@@ -28,7 +28,7 @@ from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from ._arrays import frozen
+from ._arrays import freeze
 from .errors import SingularGramian
 from .moments import _row_block_products
 
@@ -51,16 +51,15 @@ class ConcentrationMatrix:
         Tolerance for the row-sum check.  Rows are validated, never
         renormalized: off-simplex input is a modeling error, not noise.
 
-    ``values`` is kept read-only.  A float array that owns its memory and is
-    already read-only is handed over and kept as is, without a copy; its
-    producer must not write to it again.  Any other array is copied.
+    ``values`` is kept read-only, as :mod:`mvcreg._arrays` sets out.
     """
 
     values: np.ndarray
     row_sum_tol: InitVar[float] = 1e-9
 
     def __post_init__(self, row_sum_tol: float):
-        values = frozen(self.values)
+        freeze(self, "values")
+        values = self.values
         if values.ndim != 2:
             raise ValueError("concentration matrix must be two-dimensional")
         n, m = values.shape
@@ -81,7 +80,6 @@ class ConcentrationMatrix:
                 f"row {worst} sums to {values[worst].sum():.12g}, "
                 f"off 1 by more than {row_sum_tol:g}"
             )
-        object.__setattr__(self, "values", values)
 
     @property
     def n_obs(self) -> int:
@@ -105,9 +103,7 @@ class GramianSummary:
     condition: float
 
     def __post_init__(self):
-        gamma = np.array(self.gamma, dtype=float)
-        gamma.flags.writeable = False
-        object.__setattr__(self, "gamma", gamma)
+        freeze(self, "gamma")
         object.__setattr__(self, "det_gamma", float(self.det_gamma))
         object.__setattr__(self, "condition", float(self.condition))
 
@@ -120,20 +116,17 @@ class WeightMatrix:
     estimation target.  Entries are signed: whenever M > 1 some weights must
     be negative for the biorthogonality identity to hold.
 
-    ``values`` is kept read-only.  A float array that owns its memory and is
-    already read-only is handed over and kept as is, without a copy; its
-    producer must not write to it again.  Any other array is copied.
+    ``values`` is kept read-only, as :mod:`mvcreg._arrays` sets out.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        values = frozen(self.values)
-        if values.ndim != 2:
+        freeze(self, "values")
+        if self.values.ndim != 2:
             raise ValueError("weights must be an N x M matrix")
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(self.values)):
             raise ValueError("weights must be finite")
-        object.__setattr__(self, "values", values)
 
 
 def build_gramian(p: ConcentrationMatrix) -> GramianSummary:

@@ -41,6 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import freeze
 from .concentrations import ConcentrationMatrix, weight_co_moments
 from .errors import SingularD
 from .estimator import FitResult
@@ -72,14 +73,7 @@ class AsymptoticCovariance:
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        for name in ("sigma", "v", "d_matrix"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        if self.std_errors is not None:
-            se = np.array(self.std_errors, dtype=float)
-            se.flags.writeable = False
-            object.__setattr__(self, "std_errors", se)
+        freeze(self, "sigma", "v", "d_matrix", "std_errors")
 
 
 def _assemble_sigma(
@@ -212,27 +206,6 @@ def plug_in_covariances(
     SingularD
         If some component's second-moment matrix is singular.
     """
-    return _plug_in(data, p, fit, range(p.n_components))
-
-
-def plug_in_covariance(
-    data: Dataset, p: ConcentrationMatrix, fit: FitResult, m: int
-) -> AsymptoticCovariance:
-    """Plug-in sandwich covariance of component ``m`` alone.
-
-    Runs the same computation as :func:`plug_in_covariances` for the single
-    target ``m`` and returns exactly its entry ``m``; to cover every
-    component, call :func:`plug_in_covariances` once, which shares the
-    per-component statistics across targets.
-    """
-    if not 0 <= m < p.n_components:
-        raise ValueError(f"component index {m} out of range")
-    return _plug_in(data, p, fit, (m,))[0]
-
-
-def _plug_in(
-    data: Dataset, p: ConcentrationMatrix, fit: FitResult, targets: Sequence[int]
-) -> tuple[AsymptoticCovariance, ...]:
     if fit.errors:
         bad = sorted(fit.errors)
         raise ValueError(
@@ -245,16 +218,15 @@ def _plug_in(
     b = fit.coefficients
     d2 = fit.normal_matrices
     n_comp = p.n_components
-    # per target m: quartic[m][s] = delta' L4_s delta with delta = b_s - b_m,
-    # zero where s == m; co[m] = the weight co-moments of a_m
-    quartic = {m: np.zeros((n_comp, data.n_regressors, data.n_regressors)) for m in targets}
-    co = {}
+    # quartic[m, s] = delta' L4_s delta with delta = b_s - b_m, zero where
+    # s == m; co[m] = the weight co-moments of a_m
+    quartic = np.zeros((n_comp, n_comp, data.n_regressors, data.n_regressors))
+    co = []
     clamp_notes: list[str] = []
     sigma2 = []
     for s in range(n_comp):
         weights = p.values @ fit.gamma_inverse[:, s]  # a_s
-        if s in quartic:
-            co[s] = weight_co_moments(weights, p)
+        co.append(weight_co_moments(weights, p))
         # the one N-sized array beside a_s: the squared residuals of the
         # weighted mean squared residual, then for each target the row
         # weights a_s (x' delta)^2 of delta' L4_s delta, summed over row blocks
@@ -269,17 +241,17 @@ def _plug_in(
             )
             sigma2_s = 0.0
         sigma2.append(sigma2_s)
-        for m, contractions in quartic.items():
+        for m in range(n_comp):
             if m != s:
                 np.matmul(x, b[s] - b[m], out=scratch)
                 np.square(scratch, out=scratch)
                 scratch *= weights
-                (contractions[s],) = _row_block_products(x, scratch, x)
-                contractions[s] /= n
+                (quartic[m, s],) = _row_block_products(x, scratch, x)
+                quartic[m, s] /= n
         del weights, scratch  # before the next component's
 
     covs = []
-    for m in targets:
+    for m in range(n_comp):
         sigma = _assemble_sigma(d2, sigma2, b, co[m], m, quartic[m])
         v = _sandwich(d2[m], sigma, m)
         notes = list(clamp_notes)
@@ -301,3 +273,17 @@ def _plug_in(
             )
         )
     return tuple(covs)
+
+
+def plug_in_covariance(
+    data: Dataset, p: ConcentrationMatrix, fit: FitResult, m: int
+) -> AsymptoticCovariance:
+    """Plug-in sandwich covariance of component ``m``.
+
+    Entry ``m`` of :func:`plug_in_covariances`, which it computes for every
+    component: the pass over component ``s`` serves every target at once,
+    so covering several components takes one call of that function.
+    """
+    if not 0 <= m < p.n_components:
+        raise ValueError(f"component index {m} out of range")
+    return plug_in_covariances(data, p, fit)[m]

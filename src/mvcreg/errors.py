@@ -104,6 +104,7 @@ class ConfigError(MvcregError):
 
     def __init__(self, field: str, message: str):
         self.field = field
+        self.message = message
         super().__init__(f"{field}: {message}")
 
 

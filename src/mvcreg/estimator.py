@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._arrays import freeze
 from .concentrations import (
     DEFAULT_GAMMA_TOL,
     ConcentrationMatrix,
@@ -73,12 +74,7 @@ class FitResult:
     gamma_inverse: np.ndarray
 
     def __post_init__(self):
-        coef = np.array(self.coefficients, dtype=float)
-        cond = np.array(self.xtx_condition, dtype=float)
-        coef.flags.writeable = False
-        cond.flags.writeable = False
-        object.__setattr__(self, "coefficients", coef)
-        object.__setattr__(self, "xtx_condition", cond)
+        freeze(self, "coefficients", "xtx_condition", "gamma_inverse")
 
     @property
     def n_components(self) -> int:
@@ -110,8 +106,7 @@ class FitBasis:
     combination: np.ndarray
 
     def __post_init__(self):
-        for name in ("columns", "combination"):
-            getattr(self, name).flags.writeable = False
+        freeze(self, "gamma_inverse", "columns", "combination")
 
     @property
     def n_obs(self) -> int:
@@ -140,6 +135,9 @@ def fit_basis(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> F
         np.subtract(p.values[:, q], columns[q], out=columns[q])
     combination = gamma_inverse - gamma_inverse[-1]
     combination[-1] = c @ gamma_inverse
+    # handed over to FitBasis: a copy would add the N x M basis to fit's peak
+    columns.flags.writeable = False
+    combination.flags.writeable = False
     return FitBasis(
         gramian=gramian, gamma_inverse=gamma_inverse, columns=columns, combination=combination
     )

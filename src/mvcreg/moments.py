@@ -24,7 +24,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._arrays import frozen
+from ._arrays import freeze
 
 #: rows per block of the normal-equation sums, and the package's one block
 #: size for work over rows (the draw's gathers, CSV rendering and parsing); a
@@ -44,17 +44,15 @@ class Dataset:
         N x d regressor matrix.  An intercept, if wanted, is an ordinary
         column of ones supplied by the caller; nothing here special-cases it.
 
-    Both are kept read-only.  A float array that owns its memory and is
-    already read-only is handed over and kept as is, without a copy; its
-    producer must not write to it again.  Any other array is copied.
+    Both are kept read-only, as :mod:`mvcreg._arrays` sets out.
     """
 
     y: np.ndarray
     x: np.ndarray
 
     def __post_init__(self):
-        y = frozen(self.y)
-        x = frozen(self.x)
+        freeze(self, "y", "x")
+        y, x = self.y, self.x
         if y.ndim != 1:
             raise ValueError("y must be one-dimensional")
         if x.ndim != 2:
@@ -68,8 +66,6 @@ class Dataset:
             raise ValueError(f"need more observations than regressors (N={n}, d={d})")
         if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
             raise ValueError("dataset contains non-finite entries")
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "x", x)
 
     @property
     def n_obs(self) -> int:
@@ -96,9 +92,8 @@ class ComponentMoments:
     b: np.ndarray
 
     def __post_init__(self):
-        d2 = np.array(self.d2, dtype=float)
-        mean = np.array(self.mean, dtype=float)
-        b = np.array(self.b, dtype=float)
+        freeze(self, "d2", "mean", "b")
+        d2, mean, b = self.d2, self.mean, self.b
         d = d2.shape[0]
         if d2.shape != (d, d):
             raise ValueError("d2 must be square")
@@ -110,11 +105,6 @@ class ComponentMoments:
             raise ValueError("d2 must be symmetric")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be nonnegative")
-        for arr in (d2, mean, b):
-            arr.flags.writeable = False
-        object.__setattr__(self, "d2", d2)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "b", b)
         object.__setattr__(self, "sigma2", float(self.sigma2))
 
 

@@ -39,6 +39,7 @@ from itertools import islice, repeat
 
 import numpy as np
 
+from ._arrays import freeze
 from .concentrations import DEFAULT_GAMMA_TOL
 from .covariance import analytic_sigma
 from .errors import ConfigError, ExcessiveFailures, SingularGramian, SingularNormalMatrix
@@ -73,13 +74,7 @@ class GridPointSummary:
     failure_codes: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        for name in ("mean_b", "scaled_cov", "estimates"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            arr = np.array(value, dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "mean_b", "scaled_cov", "estimates")
 
 
 @dataclass(frozen=True)
@@ -94,10 +89,7 @@ class MonteCarloReport:
     points: tuple[GridPointSummary, ...]
 
     def __post_init__(self):
-        for name in ("true_b", "analytic_v"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        freeze(self, "true_b", "analytic_v")
         object.__setattr__(self, "points", tuple(self.points))
 
     @property

@@ -24,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from ._arrays import frozen
+from ._arrays import freeze
 from .concentrations import ConcentrationMatrix, build_gramian, invert_gramian, weight_co_moments
 from .errors import ConfigError
 from .moments import _CHUNK_ROWS, ComponentMoments, Dataset
@@ -84,9 +84,7 @@ class ExplicitConcentrations:
     model = "explicit"
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        freeze(self, "values")
 
     def matrix(self, n_obs: int) -> ConcentrationMatrix:
         if self.values.shape[0] != n_obs:
@@ -189,10 +187,8 @@ class SimulatedDataset:
     """Generated observations plus the truth that produced them.
 
     ``labels`` records the latent component of each observation for
-    diagnostics; the estimator never sees it.  It is kept read-only: an
-    int64 array that owns its memory and is already read-only is handed over
-    and kept as is, without a copy, and its producer must not write to it
-    again.  Any other array is copied.
+    diagnostics; the estimator never sees it.  It is kept read-only, as
+    int64, as :mod:`mvcreg._arrays` sets out.
     """
 
     data: Dataset
@@ -200,7 +196,7 @@ class SimulatedDataset:
     labels: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", frozen(self.labels, np.int64))
+        freeze(self, "labels", dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -220,8 +216,7 @@ class DrawPlan:
     error_sds: np.ndarray
 
     def __post_init__(self):
-        for name in ("means", "sds", "coefficients", "error_sds"):
-            getattr(self, name).flags.writeable = False
+        freeze(self, "means", "sds", "coefficients", "error_sds")
 
     @property
     def n_obs(self) -> int:
@@ -613,4 +608,7 @@ def with_n_obs(config: SimulationConfig, n_obs: int) -> SimulationConfig:
         raise ConfigError(
             "n_grid", "explicit concentration matrices cannot be resized across a grid"
         )
-    return replace(config, n_obs=n_obs)
+    try:
+        return replace(config, n_obs=n_obs)
+    except ConfigError as exc:  # only the n_obs checks depend on n_obs
+        raise ConfigError("n_grid", exc.message) from None

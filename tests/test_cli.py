@@ -282,6 +282,21 @@ class TestFit:
         assert doc["coefficients"][0][0] == pytest.approx(1.5, abs=0.02)
         assert doc["coefficients"][0][1] == pytest.approx(2.0, abs=0.02)
 
+    @pytest.mark.parametrize("intercept", [False, True])
+    def test_too_few_rows_exit_2(self, tmp_path, capsys, intercept):
+        # N = d + 1 rows are enough for x alone, not with the column of ones
+        rows = ["y,x1,p1,p2", "1.0,2.0,0.5,0.5", "2.0,3.0,0.25,0.75"][: 3 if intercept else 2]
+        path = tmp_path / "short.csv"
+        path.write_text("\n".join(rows) + "\n")
+        flags = ["--intercept"] if intercept else []
+        assert main(["fit", "-i", str(path), *flags]) == 2
+        n, d = (2, 2) if intercept else (1, 1)
+        assert capsys.readouterr() == (
+            "",
+            f"mvcreg: data-format: {path}: need more observations than regressors "
+            f"(N={n}, d={d})\n",
+        )
+
     def test_clamp_warnings_reported_once(self, tmp_path, capsys):
         # seed 12345 of the bundled design clamps a plug-in error variance;
         # every target's covariance carries that note, the report only once
@@ -555,7 +570,7 @@ class TestStudy:
         path = tmp_path / "grid.json"
         path.write_text(json.dumps(dict(SMOKE_CONFIG, n_grid=[2, 500])))
         assert main(["study", "-i", str(path)]) == 2
-        assert capsys.readouterr().err.startswith("mvcreg: config-error: n_obs: is 2;")
+        assert capsys.readouterr().err.startswith("mvcreg: config-error: n_grid: is 2;")
 
     def test_unenforceable_tolerance_exit_5(self, smoke_config_path, capsys):
         code = main(

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -131,8 +132,12 @@ class TestConfigValidation:
     def test_n_obs_must_exceed_the_regressors(self, n_obs):
         config, _ = reference_study_config()  # d = 2
         with pytest.raises(ConfigError, match="regressors") as exc_info:
-            with_n_obs(config, n_obs)
+            replace(config, n_obs=n_obs)
         assert exc_info.value.field == "n_obs"
+        # a study grid entry that small is blamed on the grid, not on n_obs
+        with pytest.raises(ConfigError, match="regressors") as exc_info:
+            with_n_obs(config, n_obs)
+        assert exc_info.value.field == "n_grid"
         assert with_n_obs(config, 3).n_obs == 3
 
     def test_n_obs_must_cover_the_components(self):
