@@ -11,7 +11,6 @@ from .concentrations import (
     DEFAULT_GAMMA_TOL,
     ConcentrationMatrix,
     GramianSummary,
-    WeightMatrix,
     build_gramian,
     compute_weights,
     invert_gramian,
@@ -98,7 +97,6 @@ __all__ = [
     "SingularGramian",
     "SingularNormalMatrix",
     "StudyOptions",
-    "WeightMatrix",
     "analytic_sigma",
     "build_gramian",
     "compare_report",

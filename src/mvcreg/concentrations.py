@@ -108,27 +108,6 @@ class GramianSummary:
         object.__setattr__(self, "condition", float(self.condition))
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Minimax weights, one column per component.
-
-    Column ``m`` weights the observations when component ``m`` is the
-    estimation target.  Entries are signed: whenever M > 1 some weights must
-    be negative for the biorthogonality identity to hold.
-
-    ``values`` is kept read-only, as :mod:`mvcreg._arrays` sets out.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        freeze(self, "values")
-        if self.values.ndim != 2:
-            raise ValueError("weights must be an N x M matrix")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("weights must be finite")
-
-
 def build_gramian(p: ConcentrationMatrix) -> GramianSummary:
     """Compute the concentration Gramian with its determinant and condition.
 
@@ -191,7 +170,7 @@ def compute_weights(
     p: ConcentrationMatrix,
     g: GramianSummary | None = None,
     gamma_tol: float = DEFAULT_GAMMA_TOL,
-) -> WeightMatrix:
+) -> np.ndarray:
     """Build the minimax weight matrix ``a = p Gamma^-1``.
 
     Parameters
@@ -205,8 +184,12 @@ def compute_weights(
 
     Returns
     -------
-    WeightMatrix
-        ``p`` times the inverse Gramian of :func:`invert_gramian`.
+    ndarray
+        Read-only N x M ``p`` times the inverse Gramian of
+        :func:`invert_gramian`, one column per component.  Column ``m``
+        weights the observations when component ``m`` is the estimation
+        target; whenever M > 1 some weights must be negative for the
+        biorthogonality identity to hold.
 
     Raises
     ------
@@ -216,8 +199,8 @@ def compute_weights(
     if g is None:
         g = build_gramian(p)
     a = p.values @ invert_gramian(g, gamma_tol)
-    a.flags.writeable = False  # handed over to WeightMatrix without a copy
-    return WeightMatrix(values=a)
+    a.flags.writeable = False
+    return a
 
 
 def weight_co_moments(a_col: np.ndarray, p: ConcentrationMatrix) -> np.ndarray:

@@ -89,8 +89,7 @@ def _dataset_chunks(data: Dataset, p: ConcentrationMatrix):
     return _csv_chunks(header, [data.y, data.x, p.values])
 
 
-def _weights_chunks(weights):
-    a = weights.values
+def _weights_chunks(a: np.ndarray):
     return _csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], [a])
 
 
@@ -104,14 +103,14 @@ def write_csv(path, data: Dataset, p: ConcentrationMatrix) -> None:
     _write_chunks(path, _dataset_chunks(data, p))
 
 
-def render_weights_csv(weights) -> str:
-    """The weight matrix as CSV: header ``a1,...,aM``, one row per observation."""
-    return "".join(_weights_chunks(weights))
+def render_weights_csv(a: np.ndarray) -> str:
+    """The N x M weight matrix as CSV: header ``a1,...,aM``, one row per observation."""
+    return "".join(_weights_chunks(a))
 
 
-def write_weights_csv(path, weights) -> None:
+def write_weights_csv(path, a: np.ndarray) -> None:
     """Write ``render_weights_csv``'s text to a path or an open text stream, chunk by chunk."""
-    _write_chunks(path, _weights_chunks(weights))
+    _write_chunks(path, _weights_chunks(a))
 
 
 def parse_csv_text(text: str, source: str = "<string>") -> tuple[Dataset, ConcentrationMatrix]:
@@ -341,8 +340,7 @@ def fit_result_to_dict(
     return doc
 
 
-def weights_to_dict(gramian, weights, p: ConcentrationMatrix) -> dict:
-    a = weights.values
+def weights_to_dict(gramian, a: np.ndarray, p: ConcentrationMatrix) -> dict:
     n = a.shape[0]
     # (1/N) a' p should be the identity; report it so drift is visible
     cross = np.einsum("jm,jk->mk", a, p.values) / n

@@ -119,6 +119,5 @@ class ExcessiveFailures(MvcregError):
         self.rep_count = int(rep_count)
         super().__init__(
             f"{failures} of {rep_count} replications failed at n_obs={n_obs}; "
-            "more than half the sample is unusable, so the summary would be "
-            "meaningless"
+            "a summary needs at least half of them, and at least two, to fit"
         )

@@ -22,27 +22,27 @@ weight matrix is built or sent to a worker.
 The replications run in worker processes, one per usable CPU, forked once
 per study.  The study is one flat list of tasks, one per contiguous range of
 replication indices per worker and grid point, run through an ordered map:
-the pool's ``map`` queues every task at once and yields the outcomes in task
-order, so they come back in replication order and the report is
-byte-identical to a serial run whatever the worker count.  With one CPU,
-where ``fork`` is not available, or inside a daemonic process, the builtin
-``map`` runs the tasks in the calling process.
+the pool's ``map`` queues every task at once and yields the results in task
+order.  A task's result is two arrays, the coefficients of its replications
+and the mask of those that failed, so a grid point's arrays are its tasks'
+arrays joined in replication order, and the report is byte-identical to a
+serial run whatever the worker count.  With one CPU, where ``fork`` is not
+available, or inside a daemonic process, the builtin ``map`` runs the tasks
+in the calling process.
 """
 
 from __future__ import annotations
 
 import contextlib
 import os
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 import numpy as np
 
 from ._arrays import freeze
-from .concentrations import DEFAULT_GAMMA_TOL
 from .covariance import analytic_sigma
-from .errors import ConfigError, ExcessiveFailures, SingularGramian, SingularNormalMatrix
+from .errors import ConfigError, ExcessiveFailures, SingularNormalMatrix
 from .estimator import DEFAULT_XTX_TOL, fit_basis, normal_equations, solve_normal_equations
 from .moments import _CHUNK_ROWS
 from .simgen import (
@@ -68,8 +68,8 @@ class GridPointSummary:
     mean_b: np.ndarray
     #: (M, d, d) empirical covariance of sqrt(N) * b_hat, one slab per component
     scaled_cov: np.ndarray
-    #: (kept_reps, M, d) raw estimates when requested, else None
-    estimates: np.ndarray | None = None
+    #: (kept_reps, M, d) estimates of the replications that fitted, in replication order
+    estimates: np.ndarray
     #: failed replications by error code, in code order
     failure_codes: dict[str, int] = field(default_factory=dict)
 
@@ -101,15 +101,18 @@ class MonteCarloReport:
         return self.points[-1]
 
 
-def _replicate(plan, basis, xtx_tol: float, seed: int, reps: range) -> list:
-    """Outcome of each replication in ``reps`` of the grid point ``plan`` draws.
+def _replicate(
+    plan, basis, xtx_tol: float, seed: int, reps: range
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and failures of replications ``reps`` of the grid point ``plan`` draws.
 
-    The outcome is the coefficient estimate of a replication that fitted,
-    else the error code of its failure.  Consecutive replications are drawn
-    and their normal equations formed as one stack of at most ``_CHUNK_ROWS``
-    rows (one replication when N is larger), and a group of stacks is
-    solved at once.  A replication's bytes do not depend on its stack, its
-    group or its range.
+    Returns the R x M x d coefficient estimates, NaN where a component
+    failed, and the length-R mask of replications with a failed component.
+    Consecutive replications are drawn and their normal equations formed as
+    one stack of at most ``_CHUNK_ROWS`` rows (one replication when N is
+    larger), and a group of stacks is solved at once into its slice of
+    both arrays.  A replication's bytes do not depend on its stack, its group
+    or its range.
     """
     n_comp, d = plan.means.shape
     stack = max(1, _CHUNK_ROWS // plan.n_obs)
@@ -117,7 +120,8 @@ def _replicate(plan, basis, xtx_tol: float, seed: int, reps: range) -> list:
     # memory than _CHUNK_ROWS drawn rows of d + 1 floats, unless the group
     # is one stack
     group = stack * max(1, _CHUNK_ROWS // (n_comp * d * stack))
-    outcomes = []
+    coefficients = np.empty((len(reps), n_comp, d))
+    failed = np.empty(len(reps), dtype=bool)
     for start in range(0, len(reps), group):
         members = reps[start : start + group]
         normal = np.empty((len(members), n_comp, d, d))
@@ -127,12 +131,10 @@ def _replicate(plan, basis, xtx_tol: float, seed: int, reps: range) -> list:
             normal[lo : lo + stack], rhs[lo : lo + stack] = normal_equations(
                 draw_stack(plan, seeds), basis
             )
-        coefficients, _, _, failed = solve_normal_equations(normal, rhs, xtx_tol)
-        outcomes += [
-            SingularNormalMatrix.code if fail.any() else coef
-            for coef, fail in zip(coefficients, failed)
-        ]
-    return outcomes
+        done = slice(start, start + len(members))
+        coefficients[done], _, _, fails = solve_normal_equations(normal, rhs, xtx_tol)
+        failed[done] = fails.any(axis=1)
+    return coefficients, failed
 
 
 def _worker_count(rep_count: int) -> int:
@@ -201,30 +203,29 @@ def _analytic_limit(config: SimulationConfig) -> np.ndarray:
     return analytic
 
 
-def _summarize(n_obs: int, outcomes: list, keep_estimates: bool) -> GridPointSummary:
-    """Summary of one grid point from its replications' outcomes, in replication order.
+def _summarize(n_obs: int, coefficients: np.ndarray, failed: np.ndarray) -> GridPointSummary:
+    """Summary of one grid point from its replications' coefficients and failure mask.
 
-    Raises ``ExcessiveFailures`` when more than half of them failed or fewer
-    than two fitted, the least the empirical covariance needs.
+    Raises ``ExcessiveFailures`` when more than half of the replications
+    failed or fewer than two fitted, the least the empirical covariance needs.
     """
-    rep_count = len(outcomes)
-    kept = [b for b in outcomes if not isinstance(b, str)]
-    failures = rep_count - len(kept)
-    if failures * 2 > rep_count or len(kept) < 2:
+    rep_count = len(failed)
+    failures = int(np.count_nonzero(failed))
+    if failures * 2 > rep_count or rep_count - failures < 2:
         raise ExcessiveFailures(n_obs, failures, rep_count)
-    estimates = np.stack(kept)
+    estimates = coefficients[~failed]
+    estimates.flags.writeable = False  # handed over to GridPointSummary
     mean_b = estimates.mean(axis=0)
     centered = estimates - mean_b
-    scaled_cov = n_obs * np.einsum("rmi,rmk->mik", centered, centered) / (len(kept) - 1)
-    codes = Counter(code for code in outcomes if isinstance(code, str))
+    scaled_cov = n_obs * np.einsum("rmi,rmk->mik", centered, centered) / (len(estimates) - 1)
     return GridPointSummary(
         n_obs=n_obs,
         rep_count=rep_count,
         failures=failures,
         mean_b=mean_b,
         scaled_cov=scaled_cov,
-        estimates=estimates if keep_estimates else None,
-        failure_codes=dict(sorted(codes.items())),
+        estimates=estimates,
+        failure_codes={SingularNormalMatrix.code: failures} if failures else {},
     )
 
 
@@ -232,17 +233,17 @@ def run_study(
     config: SimulationConfig,
     rep_count: int,
     n_grid: tuple[int, ...] | None = None,
-    gamma_tol: float = DEFAULT_GAMMA_TOL,
     xtx_tol: float = DEFAULT_XTX_TOL,
-    keep_estimates: bool = False,
 ) -> MonteCarloReport:
     """Run the replication study and summarize each grid point.
 
-    Grid points are processed in increasing sample size.  Replications that
-    fail to fit (singular Gramian or normal matrix) are dropped and counted
-    by error code; a grid point where more than half fail aborts the study,
-    since its summary would say nothing.  A config whose analytic covariance
-    overflows the float range is refused before any replication is drawn.
+    Grid points are processed in increasing sample size.  A replication
+    fails when the normal matrix of one of its components is singular
+    (``xtx_tol``, as ``fit_all`` gates it); failed replications are dropped
+    and counted, and a grid point where more than half fail aborts the
+    study, since its summary would say nothing.  A config whose analytic
+    covariance overflows the float range, or whose concentrations are not
+    identifiable, is refused before any replication is drawn.
 
     The empirical covariance is of the scaled estimate sqrt(N) * b_hat, with
     the 1/(R-1) normalization, so it is directly comparable to the analytic
@@ -255,30 +256,21 @@ def run_study(
     analytic = _analytic_limit(config)
     workers = _worker_count(rep_count)
     bounds = [rep_count * k // workers for k in range(workers + 1)]
-    # one task per worker range of every grid point the gamma_tol gate
-    # passes; a refused grid point fails all its replications at once
-    plans, bases, ranges, refused = [], [], [], set()
+    # one task per worker range of every grid point
+    plans, bases, ranges = [], [], []
     for n_obs in grid:
         plan = plan_draws(with_n_obs(config, n_obs))
-        try:
-            basis = fit_basis(plan.p, gamma_tol)
-        except SingularGramian:
-            refused.add(n_obs)
-            continue
         plans += [plan] * workers
-        bases += [basis] * workers
+        bases += [fit_basis(plan.p)] * workers
         ranges += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
     with _ordered_map(workers) as ordered_map:
         results = ordered_map(
             _replicate, plans, bases, repeat(xtx_tol), repeat(config.seed), ranges
         )
-        points = []
-        for n_obs in grid:
-            if n_obs in refused:
-                outcomes = [SingularGramian.code] * rep_count
-            else:
-                outcomes = [outcome for got in islice(results, workers) for outcome in got]
-            points.append(_summarize(n_obs, outcomes, keep_estimates))
+        points = [
+            _summarize(n_obs, *map(np.concatenate, zip(*islice(results, workers))))
+            for n_obs in grid
+        ]
     return MonteCarloReport(
         seed=config.seed,
         true_b=config.true_coefficients,
@@ -365,15 +357,9 @@ def study_from_options(
     config: SimulationConfig,
     options: StudyOptions,
     rep_count: int | None = None,
-    keep_estimates: bool = False,
 ) -> MonteCarloReport:
     """Run a study with settings merged from config-file options and overrides."""
     reps = rep_count if rep_count is not None else options.rep_count
     if reps is None:
         raise ConfigError("rep_count", "not set in the config and no override given")
-    return run_study(
-        config,
-        rep_count=reps,
-        n_grid=options.n_grid,
-        keep_estimates=keep_estimates,
-    )
+    return run_study(config, rep_count=reps, n_grid=options.n_grid)

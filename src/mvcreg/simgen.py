@@ -61,8 +61,6 @@ class ComponentSpec:
 class LinearRamp:
     """Two-component design with first-component probability j/N."""
 
-    model = "linear_ramp"
-
     def matrix(self, n_obs: int) -> ConcentrationMatrix:
         values = np.empty((n_obs, 2))
         np.divide(np.arange(1, n_obs + 1, dtype=float), n_obs, out=values[:, 0])
@@ -80,8 +78,6 @@ class ExplicitConcentrations:
     """Concentration rows supplied verbatim."""
 
     values: np.ndarray
-
-    model = "explicit"
 
     def __post_init__(self):
         freeze(self, "values")

@@ -46,10 +46,7 @@ def ref_report(ref_config):
     if "report" not in _REF_CACHE:
         start = time.perf_counter()
         _REF_CACHE["report"] = run_study(
-            ref_config,
-            rep_count=2000,
-            n_grid=(500, 1000, 2000, 5000),
-            keep_estimates=True,
+            ref_config, rep_count=2000, n_grid=(500, 1000, 2000, 5000)
         )
         _REF_CACHE["elapsed"] = time.perf_counter() - start
     return _REF_CACHE["report"]

@@ -102,7 +102,7 @@ def test_weight_biorthogonality(capsys, stochastic_rows):
                 continue
             accepted += 1
             weights = compute_weights(p, gramian)
-            cross = weights.values.T @ p.values / n
+            cross = weights.T @ p.values / n
             worst = max(worst, float(np.max(np.abs(cross - np.eye(m)))))
         assert worst <= 1e-10, f"worst biorthogonality deviation {worst:.3g}"
 
@@ -168,9 +168,7 @@ def test_error_decay_with_sample_size(capsys, ref_config):
     # median coefficient error over 50 replications must strictly decrease
     # across N in {500, 2000, 8000} for both components
     with criterion(capsys, 6, "error decay with sample size"):
-        report = run_study(
-            ref_config, rep_count=50, n_grid=(500, 2000, 8000), keep_estimates=True
-        )
+        report = run_study(ref_config, rep_count=50, n_grid=(500, 2000, 8000))
         for m in range(2):
             medians = [
                 float(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import mvcreg
-from mvcreg.concentrations import ConcentrationMatrix, GramianSummary, WeightMatrix
+from mvcreg.concentrations import ConcentrationMatrix, GramianSummary
 from mvcreg.covariance import AsymptoticCovariance
 from mvcreg.estimator import FitBasis, FitResult
 from mvcreg.moments import ComponentMoments, Dataset
@@ -25,7 +25,6 @@ VALUE_CLASSES = {
     Dataset: dict(y=[1.0, 2.0, 3.0], x=[[1.0, 0.5], [2.0, 0.1], [3.0, 0.7]]),
     ConcentrationMatrix: dict(values=_P),
     GramianSummary: dict(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3),
-    WeightMatrix: dict(values=[[1.0, -0.5], [0.2, 0.3], [-0.4, 1.1]]),
     AsymptoticCovariance: dict(
         sigma=_EYE, v=_EYE, component=0, mode="plug_in", d_matrix=_EYE, std_errors=[0.1, 0.2]
     ),

@@ -572,6 +572,19 @@ class TestStudy:
         assert main(["study", "-i", str(path)]) == 2
         assert capsys.readouterr().err.startswith("mvcreg: config-error: n_grid: is 2;")
 
+    def test_identical_concentration_columns_exit_3(self, tmp_path, capsys, monkeypatch):
+        # the concentrations are not identifiable: refused before any draw
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", no_draw)
+        raw = dict(SMOKE_CONFIG, n_obs=40)
+        raw["concentrations"] = {"model": "explicit", "values": [[0.5, 0.5]] * 40}
+        path = tmp_path / "identical.json"
+        path.write_text(json.dumps(raw))
+        assert main(["study", "-i", str(path)]) == 3
+        assert capsys.readouterr().err.startswith("mvcreg: singular-gramian:")
+
     def test_unenforceable_tolerance_exit_5(self, smoke_config_path, capsys):
         code = main(
             ["study", "-i", str(smoke_config_path), "--reps", "40", "--rel-tol", "1e-9"]

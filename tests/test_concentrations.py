@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mvcreg import (
     ConcentrationMatrix,
     SingularGramian,
-    WeightMatrix,
     build_gramian,
     compute_weights,
     weight_co_moments,
@@ -78,18 +77,18 @@ class TestComputeWeights:
     def test_single_component_all_ones(self):
         p = ConcentrationMatrix(np.ones((5, 1)))
         a = compute_weights(p)
-        np.testing.assert_array_equal(a.values, np.ones((5, 1)))
+        np.testing.assert_array_equal(a, np.ones((5, 1)))
 
     def test_two_row_identity_hand_values(self):
         a = compute_weights(ConcentrationMatrix(np.eye(2)))
-        np.testing.assert_allclose(a.values, [[2.0, 0.0], [0.0, 2.0]], atol=1e-12)
+        np.testing.assert_allclose(a, [[2.0, 0.0], [0.0, 2.0]], atol=1e-12)
 
     def test_ramp_limit_form(self):
         n = 10**5
         t = np.arange(1, n + 1) / n
         a = compute_weights(ramp(n))
-        np.testing.assert_allclose(a.values[:, 0], 6 * t - 2, atol=1e-3)
-        np.testing.assert_allclose(a.values[:, 1], 4 - 6 * t, atol=1e-3)
+        np.testing.assert_allclose(a[:, 0], 6 * t - 2, atol=1e-3)
+        np.testing.assert_allclose(a[:, 1], 4 - 6 * t, atol=1e-3)
 
     def test_duplicate_columns_raise(self):
         rows = np.full((10, 2), 0.5)
@@ -111,7 +110,7 @@ class TestComputeWeights:
         assert exc_info.value.det == pytest.approx(3 / 16)
         # Gamma = I/10: det 1e-10, yet perfectly conditioned and accepted
         a = compute_weights(ConcentrationMatrix(np.eye(10)))
-        np.testing.assert_allclose(a.values, 10 * np.eye(10), rtol=1e-14)
+        np.testing.assert_allclose(a, 10 * np.eye(10), rtol=1e-14)
         # even an infinite ceiling does not let an exactly singular Gramian through
         with pytest.raises(SingularGramian):
             compute_weights(ConcentrationMatrix(np.full((10, 2), 0.5)), gamma_tol=np.inf)
@@ -124,7 +123,7 @@ class TestComputeWeights:
         g = build_gramian(p)
         assume(g.condition < 1e6)
         a = compute_weights(p, g)
-        cross = a.values.T @ p.values / n
+        cross = a.T @ p.values / n
         np.testing.assert_allclose(cross, np.eye(m), atol=1e-10)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 10))
@@ -146,20 +145,20 @@ class TestComputeWeights:
         perm = rng.permutation(n)
         a = compute_weights(p)
         a2 = compute_weights(ConcentrationMatrix(rows[perm]))
-        np.testing.assert_allclose(a2.values, a.values[perm], atol=1e-12)
+        np.testing.assert_allclose(a2, a[perm], atol=1e-12)
 
 
 class TestWeightCoMoments:
     def test_single_component(self):
         p = ConcentrationMatrix(np.ones((4, 1)))
         a = compute_weights(p)
-        np.testing.assert_allclose(weight_co_moments(a.values[:, 0], p), [[1.0]])
+        np.testing.assert_allclose(weight_co_moments(a[:, 0], p), [[1.0]])
 
     def test_ramp_limit_values(self):
         # integrals of (6t-2)^2 against t^2, t(1-t), (1-t)^2
         p = ramp(10**6)
         a = compute_weights(p)
-        co = weight_co_moments(a.values[:, 0], p)
+        co = weight_co_moments(a[:, 0], p)
         expected = np.array([[38 / 15, 7 / 15], [7 / 15, 8 / 15]])
         np.testing.assert_allclose(co, expected, atol=1e-4)
 
@@ -167,7 +166,7 @@ class TestWeightCoMoments:
         p = ConcentrationMatrix(np.eye(2))
         a = compute_weights(p)
         np.testing.assert_allclose(
-            weight_co_moments(a.values[:, 0], p), [[2.0, 0.0], [0.0, 0.0]], atol=1e-12
+            weight_co_moments(a[:, 0], p), [[2.0, 0.0], [0.0, 0.0]], atol=1e-12
         )
 
     def test_symmetric(self):
@@ -175,32 +174,24 @@ class TestWeightCoMoments:
         p = ConcentrationMatrix(random_stochastic_rows(rng, 50, 3))
         a = compute_weights(p)
         for m in range(3):
-            co = weight_co_moments(a.values[:, m], p)
+            co = weight_co_moments(a[:, m], p)
             np.testing.assert_array_equal(co, co.T)
-
-
-def test_weight_matrix_requires_2d():
-    with pytest.raises(ValueError):
-        WeightMatrix(np.ones(4))
 
 
 class TestHandOver:
     def test_writable_values_are_copied(self):
         values = np.array([[0.3, 0.7], [0.9, 0.1]])
-        p = ConcentrationMatrix(values)
-        a = WeightMatrix(values)
-        for held in (p.values, a.values):
-            assert not np.shares_memory(held, values) and not held.flags.writeable
+        held = ConcentrationMatrix(values).values
+        assert not np.shares_memory(held, values) and not held.flags.writeable
         assert values.flags.writeable
 
     def test_read_only_owned_values_are_handed_over(self):
         values = np.array([[0.3, 0.7], [0.9, 0.1]])
         values.flags.writeable = False
         assert ConcentrationMatrix(values).values is values
-        assert WeightMatrix(values).values is values
 
     def test_weights_own_their_memory(self):
         p = ramp(50)
-        a = compute_weights(p).values
+        a = compute_weights(p)
         assert a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable
         assert not np.shares_memory(a, p.values)

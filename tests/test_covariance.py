@@ -293,12 +293,12 @@ def tensor_route(data, p, fit, m):
     weights = compute_weights(p)
     d2, l4, sigma2 = [], [], []
     for s in range(p.n_components):
-        a_s = weights.values[:, s]
+        a_s = weights[:, s]
         d2.append(component_regression_moments(data, a_s)[0])
         l4.append(weighted_fourth_moment(data, a_s))
         resid = data.y - data.x @ fit.coefficients[s]
         sigma2.append(max(float(np.einsum("j,j->", a_s, resid**2) / data.n_obs), 0.0))
-    co = weight_co_moments(weights.values[:, m], p)
+    co = weight_co_moments(weights[:, m], p)
     return tensor_sigma_v(d2, l4, sigma2, fit.coefficients, co, m)
 
 

@@ -33,7 +33,7 @@ from mvcreg.dataio import (
     weights_to_dict,
     write_csv,
 )
-from mvcreg.concentrations import WeightMatrix, build_gramian, compute_weights
+from mvcreg.concentrations import build_gramian, compute_weights
 from mvcreg.montecarlo import compare_report, run_study
 from mvcreg.simgen import with_n_obs, with_seed
 
@@ -204,7 +204,7 @@ class TestCsvParity:
     def test_weights_csv_matches_row_writer(self):
         a = np.array([[2.0, -0.0], [1e16, 1e-5], [5e-324, -1 / 3]])
         expected = reference_csv(["a1", "a2"], a)
-        assert render_weights_csv(WeightMatrix(a)) == expected
+        assert render_weights_csv(a) == expected
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
     def test_edge_case_matches_row_wise_path(self, case, monkeypatch):

@@ -124,7 +124,7 @@ class TestFitAll:
         fit = fit_all(sim.data, sim.p)
         a = compute_weights(sim.p)
         for m in range(2):
-            xtx, xty = component_regression_moments(sim.data, a.values[:, m])
+            xtx, xty = component_regression_moments(sim.data, a[:, m])
             resid = xtx @ fit.coefficients[m] - xty
             assert np.linalg.norm(resid) <= 1e-8 * max(np.linalg.norm(xty), 1.0)
 

@@ -103,7 +103,7 @@ class TestWeightedMoment:
         sim = _design(200)
         a = compute_weights(sim.p)
         for m in range(2):
-            xtx, _ = component_regression_moments(sim.data, a.values[:, m])
+            xtx, _ = component_regression_moments(sim.data, a[:, m])
             assert xtx[0, 0] == pytest.approx(1.0, abs=1e-10)
 
     def test_single_component_reduces_to_mean(self):
@@ -117,7 +117,7 @@ class TestWeightedMoment:
         # weighted first moment of the non-constant regressor targets E[X] = 1
         sim = _design(10**5, seed=11)
         a = compute_weights(sim.p)
-        xtx, _ = component_regression_moments(sim.data, a.values[:, 0])
+        xtx, _ = component_regression_moments(sim.data, a[:, 0])
         assert xtx[0, 1] == pytest.approx(1.0, abs=0.05)
 
     def test_non_finite_row_reported(self):
@@ -163,7 +163,7 @@ class TestRegressionMoments:
         # weights isolate component 1: moments of the pair (1, N(1,1))
         sim = _design(10**5, seed=5)
         a = compute_weights(sim.p)
-        xtx, _ = component_regression_moments(sim.data, a.values[:, 0])
+        xtx, _ = component_regression_moments(sim.data, a[:, 0])
         np.testing.assert_allclose(xtx, [[1.0, 1.0], [1.0, 2.0]], atol=0.06)
 
     @pytest.mark.parametrize("extra", [-1, 0, 1, 8197])
@@ -250,7 +250,7 @@ def test_moment_error_decays_with_sample_size():
         for rep in range(50):
             sim = generate(with_seed(with_n_obs(config, n), 900 + rep))
             a = compute_weights(sim.p)
-            est = np.einsum("jm,ji->mi", a.values, sim.data.x) / n
+            est = np.einsum("jm,ji->mi", a, sim.data.x) / n
             errs.append(np.max(np.abs(est - true_means)))
         medians.append(np.median(errs))
     assert medians[0] > medians[1] > medians[2]

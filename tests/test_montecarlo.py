@@ -67,7 +67,6 @@ class TestRunStudy:
             assert pt.mean_b.shape == (2, 2)
             assert pt.scaled_cov.shape == (2, 2, 2)
             assert pt.failures == 0
-            assert pt.estimates is None
 
     def test_grid_sorted_ascending(self):
         report = run_study(small_config(), rep_count=10, n_grid=(500, 100))
@@ -95,7 +94,8 @@ class TestRunStudy:
             assert fresh_python(["-c", code], blas_threads).decode() == expected
 
     def test_keep_estimates(self):
-        report = run_study(small_config(), rep_count=12, n_grid=(100,), keep_estimates=True)
+        # every study keeps the estimates of the replications that fitted
+        report = run_study(small_config(), rep_count=12, n_grid=(100,))
         assert report.points[0].estimates.shape == (12, 2, 2)
 
     def test_near_zero_noise_collapses_covariance(self):
@@ -114,19 +114,11 @@ class TestRunStudy:
         report = run_study(config, rep_count=30)
         assert np.all(np.abs(report.points[0].scaled_cov) < 1e-12)
 
-    def test_excessive_failures_abort(self):
-        # the ramp's Gramian has cond about 3, so a ceiling of 1.5 makes
-        # every replication fail; the refusal is made once for the grid point
-        with pytest.raises(ExcessiveFailures) as info:
-            run_study(small_config(), rep_count=10, n_grid=(100,), gamma_tol=1.5)
-        assert info.value.n_obs == 100
-        assert info.value.failures == info.value.rep_count == 10
-
     def test_replications_match_generate_then_fit(self):
         # every kept estimate is the fit of the dataset `generate` draws with
         # the replication's derived seed, so `mvcreg simulate` reproduces it
         config = small_config()
-        report = run_study(config, rep_count=6, n_grid=(60, 120), keep_estimates=True)
+        report = run_study(config, rep_count=6, n_grid=(60, 120))
         for pt in report.points:
             assert pt.failures == 0
             for rep, estimate in enumerate(pt.estimates):
@@ -149,9 +141,7 @@ class TestRunStudy:
         expected = [f.coefficients for f in fits if not f.errors]
         assert 0 < rep_count - len(expected) <= rep_count // 2
 
-        report = run_study(
-            config, rep_count=rep_count, n_grid=(n_obs,), xtx_tol=xtx_tol, keep_estimates=True
-        )
+        report = run_study(config, rep_count=rep_count, n_grid=(n_obs,), xtx_tol=xtx_tol)
         pt = report.points[0]
         assert pt.failures == rep_count - len(expected)
         assert pt.estimates.tobytes() == np.stack(expected).tobytes()
@@ -193,18 +183,18 @@ class TestRunStudy:
         xtx_tol = float(np.median([np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]))
 
         def outcomes(reps):
-            got = mvcreg.montecarlo._replicate(plan, basis, xtx_tol, config.seed, reps)
-            return [o if isinstance(o, str) else o.tobytes() for o in got]
+            return mvcreg.montecarlo._replicate(plan, basis, xtx_tol, config.seed, reps)
 
-        whole = outcomes(range(rep_count))
+        coefficients, failed = outcomes(range(rep_count))
         fits = [fit_all(s.data, s.p, xtx_tol=xtx_tol) for s in sims]
-        assert whole == [
-            "singular-normal-matrix" if f.errors else f.coefficients.tobytes() for f in fits
-        ]
-        assert 0 < whole.count("singular-normal-matrix") < rep_count
+        assert coefficients.tobytes() == np.stack([f.coefficients for f in fits]).tobytes()
+        assert failed.tolist() == [bool(f.errors) for f in fits]
+        assert 0 < failed.sum() < rep_count
         stack = mvcreg.moments._CHUNK_ROWS // n_obs
         for lo in (1, stack // 2 + 1, stack + 3):
-            assert outcomes(range(lo)) + outcomes(range(lo, rep_count)) == whole, lo
+            split = [outcomes(range(lo)), outcomes(range(lo, rep_count))]
+            for part, whole in zip(zip(*split), (coefficients, failed)):
+                assert np.concatenate(part).tobytes() == whole.tobytes(), lo
 
     def test_solve_groups_do_not_change_outcomes(self, monkeypatch):
         # stacks of 3 replications, solved 21 at a time: a range of 40 is
@@ -223,22 +213,20 @@ class TestRunStudy:
             return original(normal, rhs, tol)
 
         monkeypatch.setattr(mvcreg.montecarlo, "solve_normal_equations", counted)
-        got = mvcreg.montecarlo._replicate(
+        coefficients, failed = mvcreg.montecarlo._replicate(
             plan, fit_basis(plan.p), xtx_tol, config.seed, range(rep_count)
         )
         assert solved == [21, 19]
-        got = [o if isinstance(o, str) else o.tobytes() for o in got]
         fits = [fit_all(s.data, s.p, xtx_tol=xtx_tol) for s in sims]
-        assert got == [
-            "singular-normal-matrix" if f.errors else f.coefficients.tobytes() for f in fits
-        ]
-        assert 0 < got.count("singular-normal-matrix") < rep_count
+        assert coefficients.tobytes() == np.stack([f.coefficients for f in fits]).tobytes()
+        assert failed.tolist() == [bool(f.errors) for f in fits]
+        assert 0 < failed.sum() < rep_count
 
     def test_replications_beyond_one_row_block_match_generate_then_fit(self):
         # N above the row block: one replication per stack, summed over
         # several blocks, still the bytes of `fit_all` on its `generate`
         config, n_obs = small_config(), 2 * mvcreg.moments._CHUNK_ROWS + 3
-        report = run_study(config, rep_count=3, n_grid=(n_obs,), keep_estimates=True)
+        report = run_study(config, rep_count=3, n_grid=(n_obs,))
         for rep, estimate in enumerate(report.points[0].estimates):
             cfg = with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep))
             sim = generate(cfg)
@@ -246,9 +234,14 @@ class TestRunStudy:
 
     def test_one_kept_replication_is_excessive(self):
         # its empirical covariance would divide by zero
+        coefficients = np.stack([np.ones((2, 2)), np.full((2, 2), np.nan)])
         with pytest.raises(ExcessiveFailures) as info:
-            _summarize(100, [np.ones((2, 2)), "singular-normal-matrix"], False)
+            _summarize(100, coefficients, np.array([False, True]))
         assert (info.value.n_obs, info.value.failures, info.value.rep_count) == (100, 1, 2)
+        assert str(info.value) == (
+            "1 of 2 replications failed at n_obs=100; "
+            "a summary needs at least half of them, and at least two, to fit"
+        )
 
     def test_rep_count_floor(self):
         with pytest.raises(ConfigError):
@@ -288,9 +281,7 @@ class TestRunStudy:
         # 3 workers split 30 replications unevenly; failed replications in
         # every range must drop out of the same places
         def study():
-            return run_study(
-                small_config(), rep_count=30, n_grid=(40, 90), xtx_tol=40.0, keep_estimates=True
-            )
+            return run_study(small_config(), rep_count=30, n_grid=(40, 90), xtx_tol=40.0)
 
         expected = study()
         monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: workers)
@@ -399,7 +390,12 @@ class TestCompareReport:
         true_b = np.zeros((1, 2)) if true_b is None else true_b
         mean_b = true_b if mean_b is None else mean_b
         point = GridPointSummary(
-            n_obs=100, rep_count=10, failures=0, mean_b=mean_b, scaled_cov=scaled_cov
+            n_obs=100,
+            rep_count=10,
+            failures=0,
+            mean_b=mean_b,
+            scaled_cov=scaled_cov,
+            estimates=np.stack([mean_b] * 10),
         )
         return MonteCarloReport(
             seed=0, true_b=true_b, analytic_v=analytic_v, points=(point,)

@@ -190,7 +190,7 @@ class TestGenerate:
         config, _ = reference_study_config()
         sim = generate(with_seed(with_n_obs(config, 10**5), 47))
         a = compute_weights(sim.p)
-        est = np.einsum("jm,ji->mi", a.values, sim.data.x) / sim.data.n_obs
+        est = np.einsum("jm,ji->mi", a, sim.data.x) / sim.data.n_obs
         np.testing.assert_allclose(est, [[1.0, 1.0], [1.0, 2.0]], atol=0.05)
 
     def test_labels_not_used_by_estimator(self):
