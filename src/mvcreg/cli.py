@@ -36,7 +36,9 @@ def _diag(exc: MvcregError) -> None:
 
 @contextlib.contextmanager
 def _open_output(args):
-    # opened after the work, so a failed command leaves an existing file as it was
+    # opened after the work, so a refused input or config leaves an existing
+    # file as it was; a large CSV is rendered while it is written, so a render
+    # worker lost mid-write (killed, say) leaves the file cut short
     if args.output is None or args.output == "-":
         yield sys.stdout
         return

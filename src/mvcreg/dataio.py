@@ -8,14 +8,26 @@ round trip reproduces the array bytes exactly.
 The writer renders fixed chunks of rows: it stacks one chunk of the
 columns, maps ``repr`` over its cells and joins them row by row, so it holds
 one chunk's table and text at a time when it writes to a file.  The reader
-checks the header, counts the data lines in one pass over the open stream,
-and fills preallocated y, x and p from ``np.loadtxt`` one chunk of rows at a
-time, so it holds the parsed arrays once, with nothing N-sized beside them.
-Input ``np.loadtxt`` refuses (quoted cells, ``1_0``, or a genuine error) is
-parsed again by the row-wise ``csv.reader`` path, which accepts exactly what
-``float`` accepts, names the line of the first bad record, and holds one
-Python list per row.  Both paths convert with CPython's string-to-double
-routine, so they give the same values.
+skips one leading byte-order mark, checks the header, counts the data lines
+in one pass over the open stream, and fills preallocated y, x and p from
+``np.loadtxt`` one chunk of rows at a time, so it holds the parsed arrays
+once, with nothing N-sized beside them.  Input ``np.loadtxt`` refuses
+(quoted cells, ``1_0``, or a genuine error) is parsed again by the row-wise
+``csv.reader`` path, which accepts exactly what ``float`` accepts, names the
+line of the first bad record, and holds one Python list per row.  Both paths
+convert with CPython's string-to-double routine, so they give the same
+values.
+
+From ``_POOL_MIN_CELLS`` cells on, both directions use the worker processes
+of ``_pool``, a few chunks ahead at a time.  Render workers inherit the
+columns when they are forked and return each chunk's text, which the parent
+writes in row order, so the bytes are those of the serial writer.  For a
+file, the counting pass also records the byte offset of every chunk's first
+data line; parse workers seek there and run the same ``np.loadtxt`` call on
+their chunk, and the parent fills the arrays in chunk order.  A chunk that
+``np.loadtxt`` refuses sends the whole file to the row-wise path, as in the
+serial reader, so the messages and line numbers are the same.  Smaller
+inputs, and text parsed by ``parse_csv_text``, stay in the calling process.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
@@ -24,15 +36,18 @@ byte-identical reports.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
 import math
 import re
 import warnings
+from itertools import repeat
 
 import numpy as np
 
+from . import _pool
 from .concentrations import ConcentrationMatrix
 from .covariance import AsymptoticCovariance
 from .errors import DataFormatError
@@ -51,28 +66,67 @@ _ROW_SUM_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
+#: cells below which CSV text is rendered and parsed in the calling process:
+#: on two CPUs a pool saves more than it costs to start from about 250000
+#: cells when rendering and 500000 when parsing
+_POOL_MIN_CELLS = 500_000
+
+
+def _workers(cells: int, blocks: int) -> int:
+    """Processes that render or parse ``cells`` CSV cells split into ``blocks`` blocks."""
+    return _pool.worker_count(blocks) if cells >= _POOL_MIN_CELLS else 1
+
+
+def _render_rows(columns: list[np.ndarray], start: int) -> str:
+    """CSV text of the ``_CHUNK_ROWS`` rows of ``columns`` from row ``start``.
+
+    ``columns`` are stacked side by side.  Every cell is ``repr`` of a Python
+    float, exactly what ``csv.writer`` writes for ``repr(float(v))``: a
+    float's repr never needs quoting.
+    """
+    rows = slice(start, start + _CHUNK_ROWS)
+    block = np.column_stack([column[rows] for column in columns])
+    cells = map(repr, block.ravel().tolist())
+    return "\n".join(map(",".join, zip(*[cells] * block.shape[1]))) + "\n"
+
+
+#: the columns a render worker renders, inherited when its process starts
+_shared_columns: list[np.ndarray] = []
+
+
+def _share_columns(columns: list[np.ndarray]) -> None:
+    _shared_columns[:] = columns
+
+
+def _render_shared(start: int) -> str:
+    return _render_rows(_shared_columns, start)
+
+
 def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     """Yield CSV text for ``header`` and the rows of ``columns``, chunk by chunk.
 
-    ``columns`` are stacked side by side one chunk of rows at a time.  Every
-    cell is ``repr`` of a Python float, exactly what ``csv.writer`` writes for
-    ``repr(float(v))``: a float's repr never needs quoting.
+    From ``_POOL_MIN_CELLS`` cells on, the chunks are rendered by forked
+    workers, which inherit ``columns`` copy-on-write, and yielded in row
+    order, so the text is the same whatever the worker count.
     """
-    n_col = len(header)
     yield ",".join(header) + "\n"
-    for start in range(0, columns[0].shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        block = np.column_stack([column[rows] for column in columns])
-        cells = map(repr, block.ravel().tolist())
-        yield "\n".join(map(",".join, zip(*[cells] * n_col))) + "\n"
+    starts = range(0, columns[0].shape[0], _CHUNK_ROWS)
+    workers = _workers(columns[0].shape[0] * len(header), len(starts))
+    if workers == 1:
+        yield from (_render_rows(columns, start) for start in starts)
+        return
+    with _pool.ordered_map(workers, _share_columns, (columns,)) as ordered_map:
+        yield from ordered_map(_render_shared, starts)
 
 
 def _write_chunks(path, chunks) -> None:
-    if hasattr(path, "write"):
-        path.writelines(chunks)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.writelines(chunks)
+    # closing, so that a failed write stops the render workers at once
+    with contextlib.closing(chunks):
+        if hasattr(path, "write"):
+            path.writelines(chunks)
+            return
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
 
 
 def _header(d: int, n_comp: int) -> list[str]:
@@ -159,6 +213,8 @@ def _parse_stream(fh, source: str):
 
 
 def _read_header(fh, source: str) -> list[str]:
+    if fh.read(1) != "\ufeff":  # one leading byte-order mark is not part of the header
+        fh.seek(0)
     # readline, not iteration, so that fh.tell() still works afterwards
     reader = csv.reader(iter(fh.readline, ""))
     try:
@@ -184,46 +240,89 @@ def _read_header(fh, source: str) -> list[str]:
 
 #: lines ``np.loadtxt`` skips as empty; every other line is a row or an error
 _BLANK_LINES = ("\n", "\r\n")
+_BLANK_BYTES = (b"\n", b"\r\n")
 
 
 def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
     """Read-only y, x and p of all data rows, or None where ``np.loadtxt`` refuses.
 
     One pass counts the data lines; the arrays are then allocated once and
-    filled from ``np.loadtxt`` one chunk of rows at a time, so nothing
-    N-sized exists beside them.  ``np.loadtxt`` converts cells with the same
-    string-to-double routine as ``float``, so whatever it accepts parses to
-    the row-wise path's values.
+    filled from ``np.loadtxt`` one block of ``_CHUNK_ROWS`` rows at a time,
+    so nothing N-sized exists beside them.  A file of ``_POOL_MIN_CELLS``
+    cells or more is parsed by forked workers, each of which seeks to the byte
+    offset of its block's first data line, which the counting pass records;
+    the parent fills the arrays in block order.  ``np.loadtxt`` converts
+    cells with the same string-to-double routine as ``float``, so whatever
+    it accepts parses to the row-wise path's values.
     """
     start = fh.tell()
-    try:
-        n = sum(line not in _BLANK_LINES for line in fh)
-    except UnicodeDecodeError:
-        return None  # the row-wise path reports it where it meets it
+    n, offsets = _count_rows(fh, start)
     if n == 0:
         return None  # the row-wise path names the empty input
-    fh.seek(start)
+    width = 1 + d + n_comp
+    sizes = [min(_CHUNK_ROWS, n - begin) for begin in range(0, n, _CHUNK_ROWS)]
+    workers = _workers(n * width, len(sizes)) if offsets else 1
+    if workers == 1:
+        fh.seek(start)
+        return _fill(n, d, n_comp, (_load_block(fh, rows, width) for rows in sizes))
+    with _pool.ordered_map(workers) as ordered_map:
+        blocks = ordered_map(_parse_block, repeat(fh.name), offsets, sizes, repeat(width))
+        return _fill(n, d, n_comp, blocks)
+
+
+def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
+    """Read-only y, x and p of the ``n`` rows ``blocks`` yields in order, or None
+    at the first block that is None."""
     y, x, p = np.empty(n), np.empty((n, d)), np.empty((n, n_comp))
+    begin = 0
+    for block in blocks:
+        if block is None:
+            return None
+        stop = begin + len(block)
+        y[begin:stop] = block[:, 0]
+        x[begin:stop] = block[:, 1 : 1 + d]
+        p[begin:stop] = block[:, 1 + d :]
+        begin = stop
+    for arr in (y, x, p):
+        arr.flags.writeable = False  # handed over to Dataset and ConcentrationMatrix
+    return y, x, p
+
+
+def _count_rows(fh, start: int) -> tuple[int, list[int] | None]:
+    """The data lines of ``fh`` from ``start`` on, and the byte offset of every
+    ``_CHUNK_ROWS``-th of them, or None for a text stream with no bytes beneath."""
+    buffer = getattr(fh, "buffer", None)
+    if buffer is None:
+        return sum(line not in _BLANK_LINES for line in fh), None
+    buffer.seek(start)  # a UTF-8 stream's position after a whole line is its byte offset
+    n, offsets = 0, []
+    for line in buffer:
+        if line not in _BLANK_BYTES:
+            if n % _CHUNK_ROWS == 0:
+                offsets.append(buffer.tell() - len(line))
+            n += 1
+    return n, offsets
+
+
+def _load_block(fh, rows: int, width: int) -> np.ndarray | None:
+    """The next ``rows`` data rows of ``fh``, or None if ``np.loadtxt`` refuses them
+    or they are not ``rows`` x ``width``."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data" and kin
         # a blank line is skipped, as without max_rows; only the note is new
         warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
-        for begin in range(0, n, _CHUNK_ROWS):
-            stop = min(begin + _CHUNK_ROWS, n)
-            try:
-                block = np.loadtxt(
-                    fh, delimiter=",", comments=None, ndmin=2, max_rows=stop - begin
-                )
-            except (ValueError, Warning):
-                return None
-            if block.shape != (stop - begin, 1 + d + n_comp):
-                return None
-            y[begin:stop] = block[:, 0]
-            x[begin:stop] = block[:, 1 : 1 + d]
-            p[begin:stop] = block[:, 1 + d :]
-    for arr in (y, x, p):
-        arr.flags.writeable = False  # handed over to Dataset and ConcentrationMatrix
-    return y, x, p
+        try:
+            block = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+            return None
+    return block if block.shape == (rows, width) else None
+
+
+def _parse_block(path, offset: int, rows: int, width: int) -> np.ndarray | None:
+    """``_load_block`` of the ``rows`` data rows of the file ``path`` from byte ``offset``."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh:
+        fh.seek(offset)
+        return _load_block(fh, rows, width)
 
 
 def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:

@@ -19,27 +19,25 @@ replication's estimate has the bytes ``fit_all`` gives for the dataset
 ``generate`` draws with its seed, whatever it is stacked with.  No N x M
 weight matrix is built or sent to a worker.
 
-The replications run in worker processes, one per usable CPU, forked once
-per study.  The study is one flat list of tasks, one per contiguous range of
-replication indices per worker and grid point, run through an ordered map:
-the pool's ``map`` queues every task at once and yields the results in task
-order.  A task's result is two arrays, the coefficients of its replications
-and the mask of those that failed, so a grid point's arrays are its tasks'
-arrays joined in replication order, and the report is byte-identical to a
-serial run whatever the worker count.  With one CPU, where ``fork`` is not
-available, or inside a daemonic process, the builtin ``map`` runs the tasks
-in the calling process.
+The replications run in the worker processes of ``_pool``, one per usable
+CPU, forked once per study.  The study is one flat list of tasks, one per
+contiguous range of replication indices per worker and grid point, run
+through the pool's ordered map, which yields the results in task order.  A
+task's result is two arrays, the coefficients of its replications and the
+mask of those that failed, so a grid point's arrays are its tasks' arrays
+joined in replication order, and the report is byte-identical to a serial
+run whatever the worker count.  With one worker (one CPU, no ``fork``, or a
+daemonic caller) the tasks run in the calling process.
 """
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 
 import numpy as np
 
+from . import _pool
 from ._arrays import freeze
 from .covariance import analytic_sigma
 from .errors import ConfigError, ExcessiveFailures, SingularNormalMatrix
@@ -137,47 +135,6 @@ def _replicate(
     return coefficients, failed
 
 
-def _worker_count(rep_count: int) -> int:
-    """Worker processes for a study: one per usable CPU, at most one per replication."""
-    # without an affinity call (macOS, Windows) the study stays in one
-    # process: macOS lists fork but its system libraries are not fork-safe
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if cpus == 1:
-        return 1
-    import multiprocessing  # here, so that importing the package stays fast
-
-    # a daemonic process, such as a multiprocessing.Pool worker, may not
-    # start processes of its own
-    if multiprocessing.current_process().daemon:
-        return 1
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    return min(cpus, rep_count)
-
-
-@contextlib.contextmanager
-def _ordered_map(workers: int):
-    """Yield a ``map`` that runs its calls in ``workers`` processes and yields
-    their results in call order.
-
-    With one worker it is the builtin ``map``, which runs each call when its
-    result is taken.  Otherwise it is the ``map`` of a pool forked on the
-    first call, which queues every call at once; exit drops what is still
-    queued and joins the workers, also when the study raises.
-    """
-    if workers == 1:
-        yield map
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield pool.map
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def _analytic_limit(config: SimulationConfig) -> np.ndarray:
     """The analytic covariance of every component, M x d x d.
 
@@ -254,7 +211,7 @@ def run_study(
     grid = tuple(sorted(n_grid)) if n_grid else (config.n_obs,)
 
     analytic = _analytic_limit(config)
-    workers = _worker_count(rep_count)
+    workers = _pool.worker_count(rep_count)
     bounds = [rep_count * k // workers for k in range(workers + 1)]
     # one task per worker range of every grid point
     plans, bases, ranges = [], [], []
@@ -263,7 +220,7 @@ def run_study(
         plans += [plan] * workers
         bases += [fit_basis(plan.p)] * workers
         ranges += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with _ordered_map(workers) as ordered_map:
+    with _pool.ordered_map(workers) as ordered_map:
         results = ordered_map(
             _replicate, plans, bases, repeat(xtx_tol), repeat(config.seed), ranges
         )

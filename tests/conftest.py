@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 import mvcreg
+import mvcreg._pool
+import mvcreg.dataio
 from mvcreg import ConcentrationMatrix, Dataset, reference_study_config, run_study
 
 hypothesis.settings.register_profile(
@@ -98,3 +100,29 @@ def fresh_python():
         return out.stdout
 
     return run
+
+
+class IoPools:
+    """The pools CSV render and parse start, and a switch that makes them pool any size."""
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+        #: worker count of each pool started, in start order
+        self.started = []
+        ordered_map = mvcreg._pool.ordered_map
+
+        def recording(workers, *args):
+            self.started.append(workers)
+            return ordered_map(workers, *args)
+
+        monkeypatch.setattr(mvcreg._pool, "ordered_map", recording)
+
+    def force(self, workers: int) -> None:
+        """Render and parse CSV of any size in ``workers`` processes."""
+        self._monkeypatch.setattr(mvcreg.dataio, "_POOL_MIN_CELLS", 0)
+        self._monkeypatch.setattr(mvcreg._pool, "worker_count", lambda blocks: workers)
+
+
+@pytest.fixture
+def io_pools(monkeypatch):
+    return IoPools(monkeypatch)

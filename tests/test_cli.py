@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvcreg._pool
 import mvcreg.concentrations
 import mvcreg.dataio
 import mvcreg.estimator
@@ -170,10 +172,10 @@ def test_overflowing_draw_simulate_exit_2(tmp_path, capsys, overflow_config_path
 
 _POOLED_STUDY = """
 import sys
-import mvcreg.montecarlo
+import mvcreg._pool
 from mvcreg.cli import main
 
-mvcreg.montecarlo._worker_count = lambda rep_count: 2  # the pool path on any host
+mvcreg._pool.worker_count = lambda tasks: 2  # the pool path on any host
 sys.exit(main(sys.argv[1:]))
 """
 
@@ -239,6 +241,114 @@ def test_failed_command_leaves_existing_output(tmp_path, capsys, dataset_csv):
     bad.write_text("y,x1,p1\n1.0,oops,1.0\n")
     assert main(["fit", "-i", str(bad), "-o", str(out)]) == 2
     assert out.read_text() == "kept\n"
+
+
+def _edited_csv(text: str) -> str:
+    """``text`` with a blank line after each full row block, CRLF line endings
+    and no final newline."""
+    header, *rows = text.splitlines()
+    chunk = mvcreg.dataio._CHUNK_ROWS
+    for at in range(len(rows) // chunk * chunk, 0, -chunk):
+        rows.insert(at, "")
+    return "\r\n".join([header, *rows])
+
+
+def _processes_naming(text: str) -> list[int]:
+    """Ids of the running processes whose command line contains ``text``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                if text.encode() in fh.read():
+                    found.append(int(entry))
+        except (OSError, ValueError):  # not a process, or one that has exited
+            continue
+    return found
+
+
+class TestIoPool:
+    #: three full row blocks and a ragged last one
+    N = 3 * mvcreg.dataio._CHUNK_ROWS + 5
+
+    @pytest.fixture
+    def io_config(self, tmp_path):
+        raw = dict(SMOKE_CONFIG, n_obs=self.N)
+        raw.pop("rep_count")
+        path = tmp_path / "io.json"
+        path.write_text(json.dumps(raw))
+        return path
+
+    @staticmethod
+    def outputs(config: Path, work: Path) -> dict[str, bytes]:
+        """``simulate``'s CSV, and the ``fit`` JSON and ``weights`` CSV of it edited."""
+        work.mkdir()
+        sim, edited = work / "sim.csv", work / "edited.csv"
+        assert main(["simulate", "-i", str(config), "--seed", "3", "-o", str(sim)]) == 0
+        edited.write_bytes(_edited_csv(sim.read_text()).encode("utf-8"))
+        assert main(["fit", "-i", str(edited), "-o", str(work / "fit.json")]) == 0
+        weights = ["weights", "-i", str(edited), "--format", "csv", "-o", str(work / "a.csv")]
+        assert main(weights) == 0
+        return {name: (work / name).read_bytes() for name in ("sim.csv", "fit.json", "a.csv")}
+
+    def test_worker_count_does_not_change_bytes(self, tmp_path, io_config, io_pools, monkeypatch):
+        def no_row_wise(*args):
+            raise AssertionError("a well-formed CSV took the row-wise path")
+
+        monkeypatch.setattr(mvcreg.dataio, "_parse_rows", no_row_wise)
+        serial = self.outputs(io_config, tmp_path / "serial")
+        assert io_pools.started == []  # below the crossover
+        for workers in (1, 2, 3):
+            io_pools.force(workers)
+            assert self.outputs(io_config, tmp_path / f"w{workers}") == serial, workers
+        # simulate renders, fit parses, weights parses and renders
+        assert io_pools.started == [2] * 4 + [3] * 4
+
+    def test_cpu_count_does_not_change_bytes(self, tmp_path, io_config, fresh_python):
+        # fresh interpreters, one pinned to a single CPU, so it renders and
+        # parses serially, and one left on every CPU
+        code = (
+            "import hashlib, os, sys\n"
+            "from pathlib import Path\n"
+            "if sys.argv[1] == 'pin':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
+            "import mvcreg.dataio\n"
+            "from mvcreg._pool import worker_count\n"
+            "from test_cli import TestIoPool\n"
+            "mvcreg.dataio._POOL_MIN_CELLS = 0  # the pool path at this small N\n"
+            "print(worker_count(24))\n"
+            "for name, data in TestIoPool.outputs(Path(sys.argv[2]), Path(sys.argv[3])).items():\n"
+            "    print(name, hashlib.sha256(data).hexdigest())\n"
+        )
+        serial = self.outputs(io_config, tmp_path / "serial")
+        digests = "".join(f"{k} {hashlib.sha256(v).hexdigest()}\n" for k, v in serial.items())
+        all_cpus = min(len(os.sched_getaffinity(0)), 24)
+        for pin, workers in (("pin", 1), ("all", all_cpus)):
+            args = ["-c", code, pin, str(io_config), str(tmp_path / pin)]
+            assert fresh_python(args, 1).decode() == f"{workers}\n{digests}", pin
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="looks for leftover workers in /proc")
+    def test_simulate_into_a_closed_pipe_exits_cleanly(self, tmp_path):
+        # `mvcreg simulate | head -2` at a size the workers render: the
+        # closed pipe reaches the pool's shutdown, and the command exits 0
+        # with nothing on stderr and no worker left behind
+        raw = dict(SMOKE_CONFIG, n_obs=500000)
+        raw.pop("rep_count")
+        config, err = tmp_path / "closed-pipe.json", tmp_path / "stderr"
+        config.write_text(json.dumps(raw))
+        env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
+        argv = [sys.executable, "-m", "mvcreg.cli", "simulate", "--seed", "1", "--input", str(config)]
+        with open(err, "wb") as err_fh:
+            proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=err_fh)
+        try:
+            head = [proc.stdout.readline() for _ in range(2)]
+            proc.stdout.close()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert head[0] == b"y,x1,x2,p1,p2\n" and head[1].count(b",") == 4
+        assert (code, err.read_text()) == (0, "")
+        assert _processes_naming(str(config)) == []
 
 
 class TestFit:
@@ -367,7 +477,7 @@ class TestFit:
             dict(SMOKE_CONFIG, concentrations={"model": "explicit", "values": rows})
         )
         for workers in (1, 2):
-            monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda _, w=workers: w)
+            monkeypatch.setattr(mvcreg._pool, "worker_count", lambda _, w=workers: w)
             for config in (ramp, explicit):
                 built.clear()
                 assert run_study(config, rep_count=4).points[0].failures == 0
@@ -450,6 +560,16 @@ class TestFit:
         assert main([command, "-i", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"mvcreg: data-format: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, dataset_csv, command):
+        # as spreadsheet programs save "CSV UTF-8"
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + dataset_csv.read_bytes())
+        assert main([command, "-i", str(dataset_csv)]) == 0
+        expected = capsys.readouterr()
+        assert main([command, "-i", str(marked)]) == 0
+        assert capsys.readouterr() == expected
 
     def test_duplicate_concentrations_exit_3(self, tmp_path, capsys):
         rng = np.random.default_rng(2)

@@ -270,6 +270,44 @@ class TestCsvParity:
         monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
         assert got == outcome(read_csv, path)
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "plain",
+            "blank lines at chunk ends",
+            "bad cell in the last chunk",
+            "short row in the second chunk",
+            "trailing whitespace line",
+        ],
+    )
+    def test_pooled_tall_file_matches_serial_path(self, case, workers, tmp_path, io_pools):
+        # refused blocks send the file to the row-wise path: same text, same line
+        path = tmp_path / "tall.csv"
+        path.write_bytes(self.tall_text(case).encode("utf-8"))
+        serial = outcome(read_csv, path)
+        assert io_pools.started == []
+        io_pools.force(workers)
+        assert outcome(read_csv, path) == serial
+        assert io_pools.started == [workers]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_leading_byte_order_mark_is_skipped(self, workers, tmp_path, io_pools):
+        text = self.tall_text("blank lines at chunk ends")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        expected = outcome(read_csv, plain)
+        assert expected[0] == "ok"
+        io_pools.force(workers)
+        assert outcome(read_csv, marked) == expected
+        assert outcome(parse_csv_text, "\ufeff" + text) == expected
+        assert io_pools.started == ([workers] if workers > 1 else [])
+        # only one mark is the file's; a second is the header's first character
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8-sig"))
+        with pytest.raises(DataFormatError, match=r"header must be .*got '\\ufeffy,x1"):
+            read_csv(marked)
+
     def test_read_arrays_are_handed_over_once(self, tmp_path):
         sim = small_sim(n=2 * mvcreg.dataio._CHUNK_ROWS + 3)
         path = tmp_path / "sim.csv"

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mvcreg._pool
 import mvcreg.cli
 import mvcreg.estimator
 import mvcreg.montecarlo
@@ -50,11 +51,6 @@ def small_config(seed=17):
         ),
         seed=seed,
     )
-
-
-def pooled_study(seed):
-    """``mean_b`` bytes of a small study; module-level, so a pool can send it by name."""
-    return run_study(small_config(seed), rep_count=6, n_grid=(60,)).points[0].mean_b.tobytes()
 
 
 class TestRunStudy:
@@ -166,7 +162,7 @@ class TestRunStudy:
 
             monkeypatch.setattr(module, name, counted)
         for workers in (1, 2):
-            monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda _, w=workers: w)
+            monkeypatch.setattr(mvcreg._pool, "worker_count", lambda _, w=workers: w)
             calls.clear()
             run_study(small_config(), rep_count=7, n_grid=(50, 80, 110))
             assert calls == {"build_gramian": 3, "invert_gramian": 3, "fit_basis": 3}, workers
@@ -284,7 +280,7 @@ class TestRunStudy:
             return run_study(small_config(), rep_count=30, n_grid=(40, 90), xtx_tol=40.0)
 
         expected = study()
-        monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: workers)
+        monkeypatch.setattr(mvcreg._pool, "worker_count", lambda rep_count: workers)
         got = study()
         assert [pt.failure_codes for pt in got.points] == [
             pt.failure_codes for pt in expected.points
@@ -302,7 +298,7 @@ class TestRunStudy:
             return (0.0 * normal if basis.n_obs == 80 else normal), rhs
 
         monkeypatch.setattr(mvcreg.montecarlo, "normal_equations", singular_at_80)
-        monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: 2)
+        monkeypatch.setattr(mvcreg._pool, "worker_count", lambda rep_count: 2)
         with pytest.raises(ExcessiveFailures) as info:
             run_study(small_config(), rep_count=8, n_grid=(50, 80, 110))
         assert info.value.n_obs == 80
@@ -319,7 +315,7 @@ class TestRunStudy:
             raise ConfigError("components", "the draw overflows the float range")
 
         monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", overflowing_draw)
-        monkeypatch.setattr(mvcreg.montecarlo, "_worker_count", lambda rep_count: 2)
+        monkeypatch.setattr(mvcreg._pool, "worker_count", lambda rep_count: 2)
         with pytest.raises(ConfigError) as info:
             run_study(small_config(), rep_count=6, n_grid=(100,))
         assert info.value.field == "components"
@@ -355,8 +351,8 @@ class TestRunStudy:
             "from test_montecarlo import small_config\n"
             "from mvcreg import run_study\n"
             "from mvcreg.cli import main\n"
-            "from mvcreg.montecarlo import _worker_count\n"
-            "print(_worker_count(24))\n"
+            "from mvcreg._pool import worker_count\n"
+            "print(worker_count(24))\n"
             "pt = run_study(small_config(), rep_count=24, n_grid=(150,)).points[0]\n"
             "print(pt.mean_b.tobytes().hex(), pt.scaled_cov.tobytes().hex())\n"
             "assert main(['study', '--seed', '7', '--reps', '20']) == 5\n"
@@ -372,17 +368,6 @@ class TestRunStudy:
             for blas_threads in (1, 2):
                 got = fresh_python(["-c", code, pin], blas_threads).decode()
                 assert got == f"{workers}\n{report}", (pin, blas_threads)
-
-    def test_runs_inside_a_pool_worker(self):
-        # a daemonic pool worker may not start processes, so its study is serial
-        with multiprocessing.get_context("fork").Pool(1) as pool:
-            got = pool.map_async(pooled_study, [1, 2]).get(timeout=60)
-        assert got == [pooled_study(1), pooled_study(2)]
-
-    def test_worker_count_follows_usable_cpus(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert mvcreg.montecarlo._worker_count(1000) == cpus
-        assert mvcreg.montecarlo._worker_count(2) == min(cpus, 2)
 
 
 class TestCompareReport:
