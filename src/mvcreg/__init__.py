@@ -30,6 +30,7 @@ from .errors import (
     SingularD,
     SingularGramian,
     SingularNormalMatrix,
+    WorkerLost,
 )
 from .estimator import (
     DEFAULT_XTX_TOL,
@@ -97,6 +98,7 @@ __all__ = [
     "SingularGramian",
     "SingularNormalMatrix",
     "StudyOptions",
+    "WorkerLost",
     "analytic_sigma",
     "build_gramian",
     "compare_report",

@@ -23,6 +23,8 @@ from collections import deque
 from functools import partial
 from itertools import islice
 
+from .errors import WorkerLost
+
 #: tasks per worker submitted ahead of the result the caller takes next
 LOOKAHEAD = 2
 
@@ -54,7 +56,8 @@ def ordered_map(workers: int, initializer=None, initargs=()):
     called.  Otherwise it is the map of a pool whose workers each run
     ``initializer(*initargs)`` when they start; it keeps ``LOOKAHEAD``
     calls per worker submitted and submits the next as each result is
-    taken.  A call's exception is raised where its result is taken.  Exit
+    taken.  A call's exception is raised where its result is taken, and a
+    worker that dies (killed, say) raises ``WorkerLost`` there.  Exit
     cancels the calls not yet started and joins the workers, also when the
     caller raises or stops taking results.
     """
@@ -77,9 +80,17 @@ def ordered_map(workers: int, initializer=None, initargs=()):
 
 
 def _bounded_map(pool, ahead: int, fn, *iterables):
+    from concurrent.futures.process import BrokenProcessPool
+
     calls = zip(*iterables)
-    pending = deque(pool.submit(fn, *args) for args in islice(calls, ahead))
-    while pending:
-        result = pending.popleft().result()
-        pending.extend(pool.submit(fn, *args) for args in islice(calls, 1))
-        yield result
+    try:
+        pending = deque(pool.submit(fn, *args) for args in islice(calls, ahead))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, *args) for args in islice(calls, 1))
+            yield result
+    except BrokenProcessPool:
+        raise WorkerLost(
+            "a worker process ended abruptly (killed by a signal, or out of "
+            "memory) before it returned its result"
+        ) from None

@@ -8,14 +8,17 @@ simulate   draw a synthetic dataset from a JSON config
 study      run a seeded replication study and compare to the analytic limit
 
 Diagnostics go to stderr as one line ``mvcreg: <code>: <message>``.  Exit
-codes: 0 success, 2 bad input or config, 3 singular concentration Gramian,
-4 estimation failure, 5 study comparison outside tolerance.
+codes: 0 success, 1 a worker process lost, 2 bad input or config, 3
+singular concentration Gramian, 4 estimation failure, 5 study comparison
+outside tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import os
+import stat
 import sys
 
 import numpy as np
@@ -23,7 +26,7 @@ import numpy as np
 from . import dataio
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .covariance import plug_in_covariances
-from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian
+from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian, WorkerLost
 from .estimator import DEFAULT_XTX_TOL, fit_all
 from .moments import Dataset
 from .montecarlo import compare_report, study_from_options
@@ -37,18 +40,43 @@ def _diag(exc: MvcregError) -> None:
 @contextlib.contextmanager
 def _open_output(args):
     # opened after the work, so a refused input or config leaves an existing
-    # file as it was; a large CSV is rendered while it is written, so a render
-    # worker lost mid-write (killed, say) leaves the file cut short
+    # file as it was; a regular file is written to a temporary file beside it
+    # that replaces it after the last chunk, so a failure while writing (a
+    # render worker lost, a full disk) leaves it as it was too
     if args.output is None or args.output == "-":
         yield sys.stdout
         return
+    target = os.path.realpath(args.output)  # a link's file, as open() writes it
     try:
-        fh = open(args.output, "w", encoding="utf-8")
+        mode = os.stat(target).st_mode
+    except OSError:
+        mode = None  # a file to create
+    temporary = None  # /dev/null, a FIFO and the like are written as they are
+    if mode is None or stat.S_ISREG(mode):
+        folder, name = os.path.split(target)
+        temporary = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        if temporary is None:
+            fh = open(target, "w", encoding="utf-8")
+        else:
+            # 0o666 less the umask: the mode open() gives a file it creates
+            flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+            fh = open(os.open(temporary, flags, 0o666), "w", encoding="utf-8")
     except OSError as exc:
         reason = exc.strerror or exc
         raise ConfigError("--output", f"cannot write {args.output}: {reason}") from None
-    with fh:
-        yield fh
+    try:
+        with fh:
+            if temporary is not None and mode is not None:
+                os.chmod(temporary, stat.S_IMODE(mode))  # the mode of the file it replaces
+            yield fh
+        if temporary is not None:
+            os.replace(temporary, target)
+    except BaseException:
+        if temporary is not None:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(temporary)
+        raise
 
 
 def _write_output(args, text: str) -> None:
@@ -241,6 +269,9 @@ def main(argv=None) -> int:
     except SingularGramian as exc:
         _diag(exc)
         return 3
+    except WorkerLost as exc:
+        _diag(exc)
+        return 1
     except MvcregError as exc:
         _diag(exc)
         return 4

@@ -121,3 +121,13 @@ class ExcessiveFailures(MvcregError):
             f"{failures} of {rep_count} replications failed at n_obs={n_obs}; "
             "a summary needs at least half of them, and at least two, to fit"
         )
+
+
+class WorkerLost(MvcregError):
+    """A worker process of a pool ended before it returned its task's result.
+
+    A worker killed by a signal or by the out-of-memory killer, say; the
+    pool cannot go on without it, so the command stops.
+    """
+
+    code = "worker-lost"

@@ -9,10 +9,14 @@ redraws any one replication's dataset.
 
 The concentrations are a deterministic function of the sample size, so each
 grid point builds them, their Gramian, its M x M inverse and the fit basis
-once, and sends the basis to the workers with the draw plan.  A worker
-draws consecutive replications as one stack of at most ``_CHUNK_ROWS`` rows
-(``draw_stack``), forms their normal equations with one call per basis
-column (``normal_equations``), and solves a group of stacks at once
+once, and sends the basis to the workers with the draw plan.  A task
+derives the seeds and Philox keys of its whole range of replications in one
+vectorised pass (``derive_seeds``, ``philox_keys``), with numpy's
+``SeedSequence`` values, and draws every stream from one generator re-keyed
+for it, so no generator is seeded per replication.  It draws consecutive
+replications as one stack of at most ``_CHUNK_ROWS`` rows (``draw_stack``),
+forms their normal equations with one call per basis column
+(``normal_equations``), and solves a group of stacks at once
 (``solve_normal_equations``).  These are the stages of ``fit_all``,
 and each works one replication at a time in the same way, so a
 replication's estimate has the bytes ``fit_all`` gives for the dataset
@@ -46,9 +50,10 @@ from .moments import _CHUNK_ROWS
 from .simgen import (
     SimulationConfig,
     StudyOptions,
-    derive_seed,
+    derive_seeds,
     draw_stack,
     limit_co_moments,
+    philox_keys,
     plan_draws,
     true_component_moments,
     with_n_obs,
@@ -106,11 +111,12 @@ def _replicate(
 
     Returns the R x M x d coefficient estimates, NaN where a component
     failed, and the length-R mask of replications with a failed component.
-    Consecutive replications are drawn and their normal equations formed as
-    one stack of at most ``_CHUNK_ROWS`` rows (one replication when N is
-    larger), and a group of stacks is solved at once into its slice of
-    both arrays.  A replication's bytes do not depend on its stack, its group
-    or its range.
+    The Philox keys of the whole range are derived in one vectorised pass,
+    and one generator is re-keyed for every replication.  Consecutive
+    replications are drawn and their normal equations formed as one stack
+    of at most ``_CHUNK_ROWS`` rows (one replication when N is larger), and
+    a group of stacks is solved at once into its slice of both arrays.  A
+    replication's bytes do not depend on its stack, its group or its range.
     """
     n_comp, d = plan.means.shape
     stack = max(1, _CHUNK_ROWS // plan.n_obs)
@@ -118,16 +124,17 @@ def _replicate(
     # memory than _CHUNK_ROWS drawn rows of d + 1 floats, unless the group
     # is one stack
     group = stack * max(1, _CHUNK_ROWS // (n_comp * d * stack))
+    keys = philox_keys(derive_seeds(seed, plan.n_obs, reps))
+    rng = np.random.Generator(np.random.Philox())  # re-keyed for every replication
     coefficients = np.empty((len(reps), n_comp, d))
     failed = np.empty(len(reps), dtype=bool)
     for start in range(0, len(reps), group):
-        members = reps[start : start + group]
+        members = keys[start : start + group]
         normal = np.empty((len(members), n_comp, d, d))
         rhs = np.empty((len(members), n_comp, d))
         for lo in range(0, len(members), stack):
-            seeds = [derive_seed(seed, plan.n_obs, rep) for rep in members[lo : lo + stack]]
             normal[lo : lo + stack], rhs[lo : lo + stack] = normal_equations(
-                draw_stack(plan, seeds), basis
+                draw_stack(plan, members[lo : lo + stack], rng), basis
             )
         done = slice(start, start + len(members))
         coefficients[done], _, _, fails = solve_normal_equations(normal, rhs, xtx_tol)

@@ -8,6 +8,14 @@ seed, with a fixed draw layout (label uniforms, then the regressor normal
 block, then error normals), so identical configs produce identical bytes no
 matter how the surrounding code is scheduled.
 
+A seed keys its stream as ``np.random.Philox(seed)`` does: the key is
+numpy's ``SeedSequence`` hash of the seed.  A study's replication seeds are
+that hash of (base seed, N, replication) too.  Both hashes are computed here
+on uint32 arrays, so a whole range of replications is seeded and keyed in
+one vectorised pass with numpy's values, and a task draws every stream from
+one generator, re-keyed for it, with the bytes of a freshly seeded
+``Generator(Philox(seed))``.
+
 The module also knows the closed-form population moments of its own designs,
 which is what the analytic covariance is validated against.
 """
@@ -245,49 +253,179 @@ def plan_draws(config: SimulationConfig) -> DrawPlan:
     )
 
 
-def _draw_rows(plan: DrawPlan, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
-    """Labels, regressors and responses of one draw per seed, stacked by rows.
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
 
-    Each seed keys its own Philox stream, consumed in a fixed layout whatever
-    the component specs: N label uniforms, then the N x d regressor normals,
-    then N error normals, each filled into its draw's rows of the stack.  The
-    per-row arithmetic then runs over the stack once, a block of rows at a
-    time and in place, so the normals become ``x`` and ``y``.  Every step
-    works row by row, so a draw's bytes do not depend on the draws stacked
-    with it.
+
+def _uint32_words(value: int) -> list[int]:
+    """The 32-bit words ``SeedSequence`` splits a nonnegative int into, low first."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _seed_pools(entropy: np.ndarray) -> list[np.ndarray]:
+    """The entropy pool ``SeedSequence`` mixes from each row of ``entropy``.
+
+    ``entropy`` is R x L uint32, one row of words per sequence; the pool
+    comes back as its ``_POOL_SIZE`` words, each a length-R uint32 array.
+    The hash constants do not depend on the data, so every row is mixed
+    at once; uint32 array arithmetic wraps as numpy's C code does.
     """
-    n, count = plan.n_obs, len(seeds)
-    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
-    u = np.empty((count, n))
-    for k, rng in enumerate(rngs):
-        rng.random(out=u[k])
-    labels = np.zeros(count * n, dtype=np.int64)
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        block_labels = labels.reshape(count, n)[:, rows]
-        # label k: exactly k of the left-to-right prefix sums of p's row are <= u
-        for threshold in accumulate(plan.p.values[rows, :-1].T):
-            block_labels += threshold <= u[:, rows]
-    del u  # freed before the normals are drawn
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return result ^ result >> 16
+
+    rows, length = entropy.shape
+    zeros = np.zeros(rows, dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < length else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_POOL_SIZE, length):
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    return pool
+
+
+def _generate_state(pool: list[np.ndarray], n_words: int) -> np.ndarray:
+    """``SeedSequence.generate_state(n_words, np.uint64)`` of every pool, R x n_words."""
+    const = _INIT_B
+    halves = []
+    for i in range(2 * n_words):
+        value = pool[i % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        halves.append((value ^ value >> 16).astype(np.uint64))
+    return np.stack([lo | hi << 32 for lo, hi in zip(halves[::2], halves[1::2])], axis=1)
+
+
+def derive_seeds(base_seed: int, n_obs: int, reps: Sequence[int]) -> np.ndarray:
+    """The seeds of replications ``reps`` of one grid point, one uint64 each.
+
+    The seed of replication r is the first 64-bit word of
+    ``np.random.SeedSequence(entropy=(base_seed, n_obs, r))``, computed for
+    all of ``reps`` at once.
+    """
+    prefix = _uint32_words(base_seed) + _uint32_words(n_obs)
+    index = np.array(reps, dtype=np.uint64)
+    seeds = np.empty(len(index), dtype=np.uint64)
+    # a replication from 2**32 on is two words of entropy, one below it
+    wide = index > _MASK32
+    shifts = np.array([0, 32], dtype=np.uint64)
+    for rows, words in ((~wide, index[~wide, None]), (wide, index[wide, None] >> shifts)):
+        if not len(words):
+            continue
+        entropy = np.empty((len(words), len(prefix) + words.shape[1]), dtype=np.uint32)
+        entropy[:, : len(prefix)] = prefix
+        entropy[:, len(prefix) :] = words & _MASK32
+        seeds[rows] = _generate_state(_seed_pools(entropy), 1)[:, 0]
+    return seeds
+
+
+def derive_seed(base_seed: int, n_obs: int, replication: int) -> int:
+    """Stable 64-bit seed for one replication of one grid point.
+
+    The one-replication case of :func:`derive_seeds`.
+    """
+    return int(derive_seeds(base_seed, n_obs, [replication])[0])
+
+
+def philox_keys(seeds: np.ndarray) -> np.ndarray:
+    """The Philox key of each seed, R x 2 uint64: ``np.random.Philox(seed)``'s.
+
+    A seed is one or two words of entropy; a second word of 0 mixes as the
+    pool's padding does, so every seed is hashed as two.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    entropy = np.stack([seeds & _MASK32, seeds >> 32], axis=1).astype(np.uint32)
+    return _generate_state(_seed_pools(entropy), 2)
+
+
+def _rekeyed(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
+    """``rng``, a ``Philox`` generator, at the start of the stream of ``key``.
+
+    It takes the state a new ``Philox`` with that key starts in: the
+    counter and buffer zero, the buffer used up and no 32-bit half kept.
+    Re-keying costs a fraction of a new ``Philox``, most of whose ~20 µs is
+    an unused ``SeedSequence`` of OS entropy.
+    """
+    zeros = np.zeros(4, dtype=np.uint64)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": zeros, "key": key},
+        "buffer": zeros,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return rng
+
+
+def _draw_rows(
+    plan: DrawPlan, keys: np.ndarray, rng: np.random.Generator
+) -> tuple[np.ndarray, ...]:
+    """Labels, regressors and responses of one draw per Philox key, stacked by rows.
+
+    Each key's stream is drawn whole before the next key's, from ``rng``
+    re-keyed for it, in a fixed layout whatever the component specs: N
+    label uniforms, then the N x d regressor normals, then N error normals,
+    each into its draw's rows of the stack.  The per-row arithmetic then runs over the stack a block of rows at a time
+    and in place, so the uniforms become the labels and the normals ``x``
+    and ``y``.  Every step works row by row, so a draw's bytes do not
+    depend on the draws stacked with it.
+    """
+    n, count = plan.n_obs, len(keys)
+    labels = np.empty(count * n, dtype=np.int64)
+    # the uniforms are drawn into the labels' memory, which the blocks below
+    # overwrite with the labels they give
+    u = labels.view(np.float64)
     x = np.empty((count * n, plan.means.shape[1]))
     y = np.empty(count * n)
-    for rng, lo in zip(rngs, range(0, count * n, n)):
+    for key, lo in zip(keys, range(0, count * n, n)):
+        _rekeyed(rng, key).random(out=u[lo : lo + n])
         rng.standard_normal(out=x[lo : lo + n])
         rng.standard_normal(out=y[lo : lo + n])
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        block_u = u.reshape(count, n)[:, rows]
+        block_labels = np.zeros(block_u.shape, dtype=np.int64)
+        # label k: exactly k of the left-to-right prefix sums of p's row are <= u
+        for threshold in accumulate(plan.p.values[rows, :-1].T):
+            block_labels += threshold <= block_u
+        labels.reshape(count, n)[:, rows] = block_labels
 
     for start in range(0, count * n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         block_labels = labels[rows]
-        # np.take gathers the per-row parameters far faster than fancy indexing
+        # np.take gathers the per-row parameters far faster than fancy
+        # indexing; every label is in range, and mode="clip" skips the check
         x_block = x[rows]
-        x_block *= np.take(plan.sds, block_labels, axis=0)
-        x_block += np.take(plan.means, block_labels, axis=0)
+        x_block *= np.take(plan.sds, block_labels, axis=0, mode="clip")
+        x_block += np.take(plan.means, block_labels, axis=0, mode="clip")
         # sd_e * e + x . coef: addition and multiplication commute exactly, so
         # these are the bytes of x . coef + sd_e * e
         y_block = y[rows]
-        y_block *= np.take(plan.error_sds, block_labels)
+        y_block *= np.take(plan.error_sds, block_labels, mode="clip")
         y_block += np.einsum(
-            "ji,ji->j", x_block, np.take(plan.coefficients, block_labels, axis=0)
+            "ji,ji->j", x_block, np.take(plan.coefficients, block_labels, axis=0, mode="clip")
         )
         # a non-finite regressor makes its row's response non-finite too
         if not np.isfinite(y_block).all():
@@ -304,25 +442,31 @@ def _draw_rows(plan: DrawPlan, seeds: Sequence[int]) -> tuple[np.ndarray, ...]:
 def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
     """Draw one dataset from ``plan`` with the Philox stream keyed by ``seed``.
 
-    The one-seed case of :func:`draw_stack`.  Each draw becomes its output in
-    place, a block of rows at a time: the regressor normals become ``x`` and
-    the error normals ``y``, which go to the ``Dataset`` without a copy.  A
-    config whose finite numbers overflow in the draw is refused with a
-    ``ConfigError`` on ``components``.
+    The one-draw case of :func:`draw_stack`, keyed as
+    ``np.random.Philox(seed)`` is.  Each draw becomes its output in
+    place, a block of rows at a time: the uniforms become the labels, the
+    regressor normals ``x`` and the error normals ``y``, which go to the
+    ``Dataset`` without a copy.  A config whose finite numbers overflow in
+    the draw is refused with a ``ConfigError`` on ``components``.
     """
-    labels, x, y = _draw_rows(plan, (seed,))
+    rng = np.random.Generator(np.random.Philox())  # re-keyed for the stream of seed
+    labels, x, y = _draw_rows(plan, philox_keys([seed]), rng)
     return SimulatedDataset(data=Dataset(y=y, x=x), p=plan.p, labels=labels)
 
 
-def draw_stack(plan: DrawPlan, seeds: Sequence[int]) -> Dataset:
-    """One dataset per seed, stacked: rows ``k N`` to ``(k + 1) N - 1`` hold
-    the bytes of ``draw(plan, seeds[k]).data``.
+def draw_stack(plan: DrawPlan, keys: np.ndarray, rng: np.random.Generator) -> Dataset:
+    """One dataset per Philox key, stacked: rows ``k N`` to ``(k + 1) N - 1``
+    hold the bytes of ``draw(plan, seed).data`` for the seed whose key is
+    ``keys[k]`` (see :func:`philox_keys`).
 
-    A study draws consecutive replications this way, as many as fit in
+    ``rng`` is a ``Generator`` on a ``Philox``, re-keyed for every stream,
+    so its state before the call does not matter.  A study task keys its
+    range of replications with one ``philox_keys`` call, draws consecutive
+    replications this way from one generator, as many as fit in
     ``_CHUNK_ROWS`` rows, and forms their normal equations with one
     ``normal_equations`` call.
     """
-    _, x, y = _draw_rows(plan, seeds)
+    _, x, y = _draw_rows(plan, keys, rng)
     return Dataset(y=y, x=x)
 
 
@@ -335,12 +479,6 @@ def generate(config: SimulationConfig) -> SimulatedDataset:
     ``draw(plan_draws(config), config.seed)``.
     """
     return draw(plan_draws(config), config.seed)
-
-
-def derive_seed(base_seed: int, n_obs: int, replication: int) -> int:
-    """Stable 64-bit seed for one replication of one grid point."""
-    ss = np.random.SeedSequence(entropy=(base_seed, n_obs, replication))
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:

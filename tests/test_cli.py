@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -266,6 +267,24 @@ def _processes_naming(text: str) -> list[int]:
     return found
 
 
+_render_shared = mvcreg.dataio._render_shared
+_replicate = mvcreg.montecarlo._replicate
+
+
+def render_then_die(start):
+    """A render task whose worker dies at the second chunk; sent to a pool by name."""
+    if start >= mvcreg.dataio._CHUNK_ROWS:
+        os._exit(1)
+    return _render_shared(start)
+
+
+def replicate_then_die(plan, basis, xtx_tol, seed, reps):
+    """A study task whose worker dies on any range but the first; sent to a pool by name."""
+    if reps.start > 0:
+        os._exit(1)
+    return _replicate(plan, basis, xtx_tol, seed, reps)
+
+
 class TestIoPool:
     #: three full row blocks and a ragged last one
     N = 3 * mvcreg.dataio._CHUNK_ROWS + 5
@@ -349,6 +368,45 @@ class TestIoPool:
         assert head[0] == b"y,x1,x2,p1,p2\n" and head[1].count(b",") == 4
         assert (code, err.read_text()) == (0, "")
         assert _processes_naming(str(config)) == []
+
+    @pytest.mark.parametrize("command", ["simulate", "study"])
+    def test_lost_worker_is_one_diagnostic(
+        self, tmp_path, capsys, io_config, smoke_config_path, io_pools, monkeypatch, command
+    ):
+        # a worker that dies mid-command: exit 1 with one diagnostic line, the
+        # existing output as it was, no temporary file and no worker left
+        io_pools.force(2)
+        monkeypatch.setattr(mvcreg.dataio, "_render_shared", render_then_die)
+        monkeypatch.setattr(mvcreg.montecarlo, "_replicate", replicate_then_die)
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "out"
+        out.write_bytes(b"kept\n")
+        source = io_config if command == "simulate" else smoke_config_path
+        assert main([command, "-i", str(source), "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("mvcreg: worker-lost: ")
+        assert "Traceback" not in captured.err + captured.out
+        assert out.read_bytes() == b"kept\n"
+        assert sorted(os.listdir(work)) == ["out"]
+        assert multiprocessing.active_children() == []
+
+
+def test_output_is_replaced_whole_with_the_mode_open_gives(tmp_path, smoke_config_path):
+    # a new file gets 0o666 less the umask, a replaced one keeps its mode,
+    # and a target that is not a regular file is written as it is
+    umask = os.umask(0o022)
+    os.umask(umask)
+    created, kept = tmp_path / "created.csv", tmp_path / "kept.csv"
+    kept.write_text("old\n")
+    kept.chmod(0o640)
+    for out in (created, kept, os.devnull):
+        assert main(["simulate", "-i", str(smoke_config_path), "-o", str(out)]) == 0
+    assert created.read_bytes() == kept.read_bytes()
+    assert created.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert kept.stat().st_mode & 0o777 == 0o640
+    assert sorted(os.listdir(tmp_path)) == ["created.csv", "kept.csv", "smoke.json"]
 
 
 class TestFit:

@@ -13,6 +13,7 @@ EXAMPLES = {
     errors.DataFormatError: (("row 3: expected 5 fields, got 4",), {}),
     errors.ConfigError: (("components[0].error_sd", "must be positive"), {}),
     errors.ExcessiveFailures: ((40, 21, 30), {}),
+    errors.WorkerLost: (("a worker process ended abruptly",), {}),
 }
 
 

@@ -309,7 +309,7 @@ class TestRunStudy:
         # the draw is patched before the pool forks, so only workers raise
         parent = os.getpid()
 
-        def overflowing_draw(plan, seeds):
+        def overflowing_draw(plan, keys, rng):
             if os.getpid() == parent:
                 raise AssertionError("the study drew in the parent")
             raise ConfigError("components", "the draw overflows the float range")

@@ -20,12 +20,24 @@ from mvcreg import (
     limit_co_moments,
     load_config_file,
     reference_study_config,
+    run_study,
     simulation_config_from_dict,
     true_component_moments,
 )
+import mvcreg._pool
 import mvcreg.moments
 from mvcreg.covariance import _gaussian_quartic
-from mvcreg.simgen import draw, draw_stack, plan_draws, study_options_from_dict, with_n_obs, with_seed
+import mvcreg.simgen
+from mvcreg.simgen import (
+    derive_seeds,
+    draw,
+    draw_stack,
+    philox_keys,
+    plan_draws,
+    study_options_from_dict,
+    with_n_obs,
+    with_seed,
+)
 
 
 def one_component_config(n=100, error_sd=0.5, seed=0):
@@ -277,7 +289,7 @@ class TestDraw:
         # each seed's rows of the stack are the bytes of its own draw
         plan = plan_draws(self.three_component_config(n))
         seeds = [derive_seed(4, n, rep) for rep in range(5 if n < self.N else 2)]
-        stacked = draw_stack(plan, seeds)
+        stacked = draw_stack(plan, philox_keys(seeds), np.random.Generator(np.random.Philox()))
         assert stacked.n_obs == len(seeds) * n
         for k, seed in enumerate(seeds):
             single = draw(plan, seed).data
@@ -293,6 +305,15 @@ class TestDraw:
         assert not copied.labels.flags.writeable and labels.flags.writeable
 
 
+def numpy_seed(base_seed, n_obs, replication):
+    entropy = (base_seed, n_obs, replication)
+    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+
+
+#: seeds of one and two uint32 words, at both ends of each
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
 class TestDeriveSeed:
     def test_deterministic(self):
         assert derive_seed(1, 500, 7) == derive_seed(1, 500, 7)
@@ -305,6 +326,77 @@ class TestDeriveSeed:
             for rep in range(5)
         }
         assert len(seeds) == 20
+
+    @pytest.mark.parametrize("base", EDGE_SEEDS + [5])
+    @pytest.mark.parametrize("n", [500, 2**31, 2**40])
+    def test_seeds_are_numpys(self, base, n):
+        # one- and two-word base seeds and sample sizes; replications on both
+        # sides of 2**32, and in no particular order
+        reps = [0, 1, 7, 2999, 2**32 - 1, 2**32, 2**64 - 1, 3]
+        expected = [numpy_seed(base, n, rep) for rep in reps]
+        assert derive_seeds(base, n, reps).tolist() == expected
+        assert derive_seeds(base, n, range(3000)).tolist() == [
+            numpy_seed(base, n, rep) for rep in range(3000)
+        ]
+        assert [derive_seed(base, n, rep) for rep in reps] == expected
+
+    def test_literal_seeds(self):
+        # values of np.random.SeedSequence, recorded before it was replaced
+        assert derive_seed(5, 500, 0) == 12990517610721141657
+        assert derive_seed(0, 5000, 1999) == 3036046879883594802
+        assert derive_seed(2**64 - 1, 2**31, 2**32) == 866136408474610219
+
+    def test_negative_input_is_refused(self):
+        with pytest.raises(ValueError):
+            derive_seed(-1, 500, 0)
+        with pytest.raises((ValueError, OverflowError)):
+            derive_seeds(1, 500, [-1])
+
+
+class TestPhiloxKeys:
+    def test_keys_are_numpys(self):
+        # seeds below 2**32 are one word of entropy, the others two
+        seeds = EDGE_SEEDS + [derive_seed(5, 500, rep) for rep in range(200)]
+        expected = [np.random.Philox(seed).state["state"]["key"].tolist() for seed in seeds]
+        assert philox_keys(seeds).tolist() == expected
+
+    def test_literal_key(self):
+        assert philox_keys([12990517610721141657]).tolist() == [
+            [4286891179561160173, 5809803200064498923]
+        ]
+
+    def test_rekeyed_generator_gives_fresh_bytes(self):
+        # after stream A, re-keying gives the bytes of a fresh Generator(Philox(B))
+        a, b = philox_keys([derive_seed(1, 500, 0), derive_seed(1, 500, 1)])
+        rng = np.random.Generator(np.random.Philox())
+        mvcreg.simgen._rekeyed(rng, a)
+        rng.random(7)  # leaves a partial buffer behind
+        rng.integers(0, 2**32, size=3, dtype=np.uint32)  # and a 32-bit half
+        fresh = np.random.Generator(np.random.Philox(derive_seed(1, 500, 1)))
+        assert mvcreg.simgen._rekeyed(rng, b) is rng
+        assert rng.random(9).tobytes() == fresh.random(9).tobytes()
+        assert rng.standard_normal(11).tobytes() == fresh.standard_normal(11).tobytes()
+        assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tobytes() == fresh.integers(
+            0, 2**32, size=3, dtype=np.uint32
+        ).tobytes()
+
+    def test_study_seeds_no_generator_per_replication(self, monkeypatch):
+        # a serial study constructs one Philox per task, none per replication
+        config, _ = reference_study_config()
+        reference = run_study(config, rep_count=40, n_grid=(500, 9000))
+        made = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            made.append(args)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(mvcreg._pool, "worker_count", lambda tasks: 1)
+        monkeypatch.setattr(np.random, "Philox", counted)
+        report = run_study(config, rep_count=40, n_grid=(500, 9000))
+        assert len(made) == 2  # one task per grid point
+        for point, expected in zip(report.points, reference.points):
+            assert point.estimates.tobytes() == expected.estimates.tobytes()
 
 
 class TestTrueMoments:
