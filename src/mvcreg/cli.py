@@ -11,6 +11,11 @@ Diagnostics go to stderr as one line ``mvcreg: <code>: <message>``.  Exit
 codes: 0 success, 1 a worker process lost, 2 bad input or config, 3
 singular concentration Gramian, 4 estimation failure, 5 study comparison
 outside tolerance.
+
+Each subcommand imports the modules it runs when it runs: ``fit`` and
+``weights`` never load ``simgen`` or ``montecarlo``, and ``simulate`` never
+loads ``montecarlo`` or ``covariance``.  The start of every command is then
+the interpreter, numpy and the modules it uses.
 """
 
 from __future__ import annotations
@@ -23,14 +28,10 @@ import sys
 
 import numpy as np
 
-from . import dataio
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
-from .covariance import plug_in_covariances
 from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian, WorkerLost
 from .estimator import DEFAULT_XTX_TOL, fit_all
 from .moments import Dataset
-from .montecarlo import compare_report, study_from_options
-from .simgen import generate, load_config_file, reference_study_config, with_seed
 
 
 def _diag(exc: MvcregError) -> None:
@@ -96,6 +97,9 @@ def _with_intercept(data: Dataset, source: str) -> Dataset:
 
 
 def cmd_fit(args) -> int:
+    from . import dataio
+    from .covariance import plug_in_covariances
+
     data, p = dataio.read_csv(args.input)
     if args.intercept:
         data = _with_intercept(data, args.input)
@@ -125,6 +129,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_weights(args) -> int:
+    from . import dataio
+
     data, p = dataio.read_csv(args.input)
     gramian = build_gramian(p)
     weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
@@ -137,6 +143,9 @@ def cmd_weights(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import dataio
+    from .simgen import generate, with_seed
+
     config, _ = load_configuration(args)
     if args.seed is not None:
         config = with_seed(config, args.seed)
@@ -147,6 +156,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_study(args) -> int:
+    from . import dataio
+    from .montecarlo import compare_report, study_from_options
+    from .simgen import with_seed
+
     config, options = load_configuration(args)
     if args.seed is not None:
         config = with_seed(config, args.seed)
@@ -186,6 +199,8 @@ def cmd_study(args) -> int:
 
 
 def load_configuration(args):
+    from .simgen import load_config_file, reference_study_config
+
     if args.input is None:
         return reference_study_config()
     return load_config_file(args.input)

@@ -9,14 +9,14 @@ The writer renders fixed chunks of rows: it stacks one chunk of the
 columns, maps ``repr`` over its cells and joins them row by row, so it holds
 one chunk's table and text at a time when it writes to a file.  The reader
 skips one leading byte-order mark, checks the header, counts the data lines
-in one pass over the open stream, and fills preallocated y, x and p from
-``np.loadtxt`` one chunk of rows at a time, so it holds the parsed arrays
-once, with nothing N-sized beside them.  Input ``np.loadtxt`` refuses
-(quoted cells, ``1_0``, or a genuine error) is parsed again by the row-wise
-``csv.reader`` path, which accepts exactly what ``float`` accepts, names the
-line of the first bad record, and holds one Python list per row.  Both paths
-convert with CPython's string-to-double routine, so they give the same
-values.
+with a numpy scan for newlines over fixed-size reads of the file, and fills
+preallocated y, x and p from ``np.loadtxt`` one chunk of rows at a time, so
+it holds the parsed arrays once, with nothing N-sized beside them.  Input
+``np.loadtxt`` refuses (quoted cells, ``1_0``, or a genuine error) is parsed
+again by the row-wise ``csv.reader`` path, which accepts exactly what
+``float`` accepts, names the line of the first bad record, and holds one
+Python list per row.  Both paths convert with CPython's string-to-double
+routine, so they give the same values.
 
 From ``_POOL_MIN_CELLS`` cells on, both directions use the worker processes
 of ``_pool``, a few chunks ahead at a time.  Render workers inherit the
@@ -44,16 +44,19 @@ import math
 import re
 import warnings
 from itertools import repeat
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _pool
 from .concentrations import ConcentrationMatrix
-from .covariance import AsymptoticCovariance
 from .errors import DataFormatError
-from .estimator import FitResult
 from .moments import _CHUNK_ROWS, Dataset
-from .montecarlo import ComparisonReport, MonteCarloReport
+
+if TYPE_CHECKING:  # annotations only: fit and simulate need not load these
+    from .covariance import AsymptoticCovariance
+    from .estimator import FitResult
+    from .montecarlo import ComparisonReport, MonteCarloReport
 
 _HEADER_RE = re.compile(r"^y(,x\d+)+(,p\d+)+$")
 
@@ -240,20 +243,20 @@ def _read_header(fh, source: str) -> list[str]:
 
 #: lines ``np.loadtxt`` skips as empty; every other line is a row or an error
 _BLANK_LINES = ("\n", "\r\n")
-_BLANK_BYTES = (b"\n", b"\r\n")
 
 
 def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
     """Read-only y, x and p of all data rows, or None where ``np.loadtxt`` refuses.
 
-    One pass counts the data lines; the arrays are then allocated once and
-    filled from ``np.loadtxt`` one block of ``_CHUNK_ROWS`` rows at a time,
-    so nothing N-sized exists beside them.  A file of ``_POOL_MIN_CELLS``
-    cells or more is parsed by forked workers, each of which seeks to the byte
-    offset of its block's first data line, which the counting pass records;
-    the parent fills the arrays in block order.  ``np.loadtxt`` converts
-    cells with the same string-to-double routine as ``float``, so whatever
-    it accepts parses to the row-wise path's values.
+    A scan of the bytes for newlines counts the data lines; the arrays are
+    then allocated once and filled from ``np.loadtxt`` one block of
+    ``_CHUNK_ROWS`` rows at a time, so nothing N-sized exists beside them.
+    A file of ``_POOL_MIN_CELLS`` cells or more is parsed by forked workers,
+    each of which seeks to the byte offset of its block's first data line,
+    which the counting pass records; the parent fills the arrays in block
+    order.  ``np.loadtxt`` converts cells with the same string-to-double
+    routine as ``float``, so whatever it accepts parses to the row-wise
+    path's values.
     """
     start = fh.tell()
     n, offsets = _count_rows(fh, start)
@@ -288,19 +291,52 @@ def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
     return y, x, p
 
 
+#: bytes the counting pass reads at a time; the block and its newline mask
+#: are its only transients of this size, whatever the file's size
+_COUNT_BLOCK_BYTES = 1 << 18
+
+
 def _count_rows(fh, start: int) -> tuple[int, list[int] | None]:
     """The data lines of ``fh`` from ``start`` on, and the byte offset of every
-    ``_CHUNK_ROWS``-th of them, or None for a text stream with no bytes beneath."""
+    ``_CHUNK_ROWS``-th of them, or None for a text stream with no bytes beneath.
+
+    A file is read one block of ``_COUNT_BLOCK_BYTES`` at a time, and numpy
+    finds the newlines of each.  A line that is ``\\n`` or ``\\r\\n`` alone is
+    blank, as ``_BLANK_LINES`` says, and a last line with no newline is a
+    data line.  Only a block with a line of at most two bytes is tested for
+    blank lines, as no CSV row is that short: the test's numpy kernels would
+    add their code pages to the resident memory of every ``fit``.
+    """
     buffer = getattr(fh, "buffer", None)
     if buffer is None:
         return sum(line not in _BLANK_LINES for line in fh), None
     buffer.seek(start)  # a UTF-8 stream's position after a whole line is its byte offset
     n, offsets = 0, []
-    for line in buffer:
-        if line not in _BLANK_BYTES:
-            if n % _CHUNK_ROWS == 0:
-                offsets.append(buffer.tell() - len(line))
-            n += 1
+    # the byte before each block stays in front of it, for a \r\n split between two
+    block = bytearray(1 + _COUNT_BLOCK_BYTES)
+    pos = line_start = start  # byte offsets of block[1] and of the line it is in
+    while size := buffer.readinto(memoryview(block)[1:]):
+        data = np.frombuffer(block, np.uint8, 1 + size)
+        ends = np.flatnonzero((data == ord("\n"))[1:])  # offsets from pos
+        if ends.size:
+            after = pos + int(ends[-1]) + 1  # where the line after the block's last begins
+            first = int(ends[0]) - (line_start - pos - 1)  # line lengths, newlines included
+            lengths = np.diff(ends)
+            if first <= 2 or (lengths.size and lengths.min() <= 2):
+                lengths = np.concatenate(([first], lengths))
+                blank = (lengths == 1) | ((lengths == 2) & (data[ends] == ord("\r")))
+                ends = ends[~blank]
+            for end in ends[-n % _CHUNK_ROWS :: _CHUNK_ROWS].tolist():
+                before = block.rfind(b"\n", 1, 1 + end)  # the newline ending the line before
+                offsets.append(pos + before if before >= 1 else line_start)
+            n += ends.size
+            line_start = after
+        block[0] = block[size]
+        pos += size
+    if line_start < pos:  # a last line with no newline
+        if n % _CHUNK_ROWS == 0:
+            offsets.append(line_start)
+        n += 1
     return n, offsets
 
 

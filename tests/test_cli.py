@@ -541,21 +541,38 @@ class TestFit:
                 assert run_study(config, rep_count=4).points[0].failures == 0
                 assert built == {"build_gramian": 1, "invert_gramian": 1}, workers
 
-    def test_cli_import_does_not_load_scipy(self):
-        # a fresh interpreter, so modules loaded by other tests do not count;
-        # nor does it load the study's pool, which only a pooled study imports
+    def test_cli_import_does_not_load_scipy(self, dataset_csv, tmp_path):
+        # a fresh interpreter per run, so modules loaded by other tests or by
+        # another command do not count; no run loads scipy or the study's
+        # pool, which only a pooled study imports, and each command loads
+        # only the modules it runs
         src = str(Path(mvcreg.moments.__file__).parents[1])
         code = (
             "import json, sys, mvcreg.cli\n"
-            "print(json.dumps(sorted({m.split('.')[0] for m in sys.modules})))"
+            "codes = [mvcreg.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, sorted(sys.modules)]))"
         )
+        data, out = str(dataset_csv), str(tmp_path / "out")
+        runs = {
+            "import": ([], {"mvcreg.simgen", "mvcreg.montecarlo"}),
+            "fit and weights": (
+                [["fit", "-i", data, "-o", out], ["weights", "-i", data, "-o", out]],
+                {"mvcreg.simgen", "mvcreg.montecarlo"},
+            ),
+            "simulate": ([["simulate", "-o", out]], {"mvcreg.montecarlo", "mvcreg.covariance"}),
+        }
         env = dict(os.environ, PYTHONPATH=src)
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        loaded = set(json.loads(out.stdout))
-        assert "mvcreg" in loaded
-        assert loaded.isdisjoint({"scipy", "multiprocessing", "concurrent"}), loaded
+        for run, (commands, unloaded) in runs.items():
+            result = subprocess.run(
+                [sys.executable, "-c", code, json.dumps(commands)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            codes, modules = json.loads(result.stdout)
+            assert codes == [0] * len(commands), run
+            loaded = set(modules) | {m.split(".")[0] for m in modules}
+            assert "mvcreg.cli" in loaded
+            unloaded |= {"scipy", "multiprocessing", "concurrent"}
+            assert loaded.isdisjoint(unloaded), (run, loaded & unloaded)
 
     def test_chunked_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path, fresh_python):
         # more than two row blocks of the normal-equation sums and of the

@@ -308,6 +308,51 @@ class TestCsvParity:
         with pytest.raises(DataFormatError, match=r"header must be .*got '\\ufeffy,x1"):
             read_csv(marked)
 
+    @staticmethod
+    def line_loop_rows(raw: bytes, start: int, chunk: int) -> tuple[int, list[int]]:
+        """The data lines of ``raw`` from byte ``start`` on, and the offset of every
+        ``chunk``-th of them, by one step per line: a line that is ``\\n`` or
+        ``\\r\\n`` alone is blank."""
+        buffer = io.BytesIO(raw)
+        buffer.seek(start)
+        n, offsets = 0, []
+        for line in buffer:
+            if line not in (b"\n", b"\r\n"):
+                if n % chunk == 0:
+                    offsets.append(buffer.tell() - len(line))
+                n += 1
+        return n, offsets
+
+    _COUNT_CASES = {
+        "plain": b"y,x1,p1\n1,2,1\n3,4,1\n5,6,1\n",
+        "no last newline": b"y,x1,p1\n1,2,1\n3,4,1\n5,6,1",
+        "blank lines": b"y,x1,p1\n\n1,2,1\r\n\r\n\n3,4,1\r\n\n\n5,6,1\n\r\n",
+        "carriage returns": b"y,x1,p1\r\n\r\r\n1,2,1\r\n\r\n\r\n\r",
+        "one-byte lines": b"y,x1,p1\n7\n\r\n8\n\n\r\n9\r\n",
+        "leading byte-order mark": b"\xef\xbb\xbfy,x1,p1\n1,2,1\n\r\n3,4,1\n5,6,1",
+        "header only": b"y,x1,p1\n",
+        "blank lines only": b"y,x1,p1\n\n\r\n\n",
+    }
+
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 1 << 18])
+    @pytest.mark.parametrize("case", list(_COUNT_CASES))
+    def test_row_count_matches_line_loop(self, case, read_bytes, tmp_path, monkeypatch):
+        # reads of a few bytes end a block at every byte, between \r and \n too
+        raw = self._COUNT_CASES[case]
+        path = tmp_path / "case.csv"
+        path.write_bytes(raw)
+        monkeypatch.setattr(mvcreg.dataio, "_COUNT_BLOCK_BYTES", read_bytes)
+        monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", 2)
+        with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            mvcreg.dataio._read_header(fh, str(path))
+            start = fh.tell()
+            got = mvcreg.dataio._count_rows(fh, start)
+        assert got == self.line_loop_rows(raw, start, 2)
+        # text with no bytes beneath is counted line by line, with no offsets
+        text = io.StringIO(raw.decode("utf-8"))
+        mvcreg.dataio._read_header(text, "<string>")
+        assert mvcreg.dataio._count_rows(text, text.tell()) == (got[0], None)
+
     def test_read_arrays_are_handed_over_once(self, tmp_path):
         sim = small_sim(n=2 * mvcreg.dataio._CHUNK_ROWS + 3)
         path = tmp_path / "sim.csv"

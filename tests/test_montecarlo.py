@@ -265,7 +265,7 @@ class TestRunStudy:
 
         # the CLI notes each grid point that lost replications on stderr
         monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (config, StudyOptions()))
-        monkeypatch.setattr(mvcreg.cli, "study_from_options", lambda *args, **kwargs: report)
+        monkeypatch.setattr(mvcreg.montecarlo, "study_from_options", lambda *args, **kwargs: report)
         assert mvcreg.cli.main(["study"]) == 0
         assert capsys.readouterr().err == (
             f"mvcreg: note: n=40: {failed} of 30 replications failed "
@@ -426,7 +426,7 @@ class TestCompareReport:
         assert len(cmp.cov_failures) == 1 and len(cmp.mean_failures) == 1
 
         monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (None, StudyOptions()))
-        monkeypatch.setattr(mvcreg.cli, "study_from_options", lambda *args, **kwargs: report)
+        monkeypatch.setattr(mvcreg.montecarlo, "study_from_options", lambda *args, **kwargs: report)
         assert mvcreg.cli.main(["study", "--format", "table", "--rel-tol", "0.15"]) == 5
         assert "FAILED (worst cov rel err nan, tol 0.15)" in capsys.readouterr().out
         assert mvcreg.cli.main(["study", "--rel-tol", "0.15"]) == 5
