@@ -13,9 +13,10 @@ singular concentration Gramian, 4 estimation failure, 5 study comparison
 outside tolerance.
 
 Each subcommand imports the modules it runs when it runs: ``fit`` and
-``weights`` never load ``simgen`` or ``montecarlo``, and ``simulate`` never
-loads ``montecarlo`` or ``covariance``.  The start of every command is then
-the interpreter, numpy and the modules it uses.
+``weights`` never load ``simgen`` or ``montecarlo``, ``weights`` loads neither
+``covariance`` nor ``estimator``, and ``simulate`` loads none of
+``montecarlo``, ``covariance`` and ``estimator``.  The start of every command
+is then the interpreter, numpy and the modules it uses.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian, WorkerLost
-from .estimator import DEFAULT_XTX_TOL, fit_all
 from .moments import Dataset
 
 
@@ -99,11 +99,13 @@ def _with_intercept(data: Dataset, source: str) -> Dataset:
 def cmd_fit(args) -> int:
     from . import dataio
     from .covariance import plug_in_covariances
+    from .estimator import DEFAULT_XTX_TOL, fit_all
 
     data, p = dataio.read_csv(args.input)
     if args.intercept:
         data = _with_intercept(data, args.input)
-    fit = fit_all(data, p, xtx_tol=args.xtx_tol, gamma_tol=args.gamma_tol)
+    xtx_tol = DEFAULT_XTX_TOL if args.xtx_tol is None else args.xtx_tol
+    fit = fit_all(data, p, xtx_tol=xtx_tol, gamma_tol=args.gamma_tol)
     covs = None
     warnings: list[str] = []
     if not fit.errors:
@@ -231,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="prepend a constant regressor column before fitting",
     )
     p_fit.add_argument("--gamma-tol", type=float, default=DEFAULT_GAMMA_TOL)
-    p_fit.add_argument("--xtx-tol", type=float, default=DEFAULT_XTX_TOL)
+    p_fit.add_argument("--xtx-tol", type=float, default=None)  # None: DEFAULT_XTX_TOL
     p_fit.set_defaults(func=cmd_fit)
 
     p_w = sub.add_parser("weights", help="emit the minimax weight matrix")

@@ -8,11 +8,13 @@ round trip reproduces the array bytes exactly.
 The writer renders fixed chunks of rows: it stacks one chunk of the
 columns, maps ``repr`` over its cells and joins them row by row, so it holds
 one chunk's table and text at a time when it writes to a file.  The reader
-skips one leading byte-order mark, checks the header, counts the data lines
-with a numpy scan for newlines over fixed-size reads of the file, and fills
-preallocated y, x and p from ``np.loadtxt`` one chunk of rows at a time, so
-it holds the parsed arrays once, with nothing N-sized beside them.  Input
-``np.loadtxt`` refuses (quoted cells, ``1_0``, or a genuine error) is parsed
+skips one leading byte-order mark, checks the header, counts the lines with
+a numpy scan for newlines over fixed-size reads of the file, and fills
+preallocated y, x and p from ``np.loadtxt`` one chunk of lines at a time, so
+it holds the parsed arrays once, with nothing N-sized beside them.
+``np.loadtxt`` drops blank lines; where they leave fewer rows than lines,
+the arrays are shrunk in place.  Input ``np.loadtxt`` refuses (quoted cells,
+``1_0``, a chunk of blank lines alone, or a genuine error) is parsed
 again by the row-wise ``csv.reader`` path, which accepts exactly what
 ``float`` accepts, names the line of the first bad record, and holds one
 Python list per row.  Both paths convert with CPython's string-to-double
@@ -23,7 +25,7 @@ of ``_pool``, a few chunks ahead at a time.  Render workers inherit the
 columns when they are forked and return each chunk's text, which the parent
 writes in row order, so the bytes are those of the serial writer.  For a
 file, the counting pass also records the byte offset of every chunk's first
-data line; parse workers seek there and run the same ``np.loadtxt`` call on
+line; parse workers seek there and run the same ``np.loadtxt`` call on
 their chunk, and the parent fills the arrays in chunk order.  A chunk that
 ``np.loadtxt`` refuses sends the whole file to the row-wise path, as in the
 serial reader, so the messages and line numbers are the same.  Smaller
@@ -43,7 +45,7 @@ import json
 import math
 import re
 import warnings
-from itertools import repeat
+from itertools import islice, repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -241,25 +243,23 @@ def _read_header(fh, source: str) -> list[str]:
     return names
 
 
-#: lines ``np.loadtxt`` skips as empty; every other line is a row or an error
-_BLANK_LINES = ("\n", "\r\n")
-
-
 def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
     """Read-only y, x and p of all data rows, or None where ``np.loadtxt`` refuses.
 
-    A scan of the bytes for newlines counts the data lines; the arrays are
-    then allocated once and filled from ``np.loadtxt`` one block of
-    ``_CHUNK_ROWS`` rows at a time, so nothing N-sized exists beside them.
-    A file of ``_POOL_MIN_CELLS`` cells or more is parsed by forked workers,
-    each of which seeks to the byte offset of its block's first data line,
-    which the counting pass records; the parent fills the arrays in block
-    order.  ``np.loadtxt`` converts cells with the same string-to-double
-    routine as ``float``, so whatever it accepts parses to the row-wise
-    path's values.
+    A scan of the bytes for newlines counts the lines; the arrays are then
+    allocated for that many rows and filled from ``np.loadtxt`` one block of
+    ``_CHUNK_ROWS`` lines at a time, so nothing N-sized exists beside them.
+    ``np.loadtxt`` drops blank lines, so a block may hold fewer rows than
+    lines; a block of blank lines alone makes it warn, and the whole file
+    goes to the row-wise path, which gives the same result.  A file of
+    ``_POOL_MIN_CELLS`` cells or more is parsed by forked workers, each of
+    which seeks to the byte offset of its block's first line, which the
+    counting pass records; the parent fills the arrays in block order.
+    ``np.loadtxt`` converts cells with the same string-to-double routine as
+    ``float``, so whatever it accepts parses to the row-wise path's values.
     """
     start = fh.tell()
-    n, offsets = _count_rows(fh, start)
+    n, offsets = _count_lines(fh, start)
     if n == 0:
         return None  # the row-wise path names the empty input
     width = 1 + d + n_comp
@@ -267,15 +267,19 @@ def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
     workers = _workers(n * width, len(sizes)) if offsets else 1
     if workers == 1:
         fh.seek(start)
-        return _fill(n, d, n_comp, (_load_block(fh, rows, width) for rows in sizes))
+        return _fill(n, d, n_comp, (_load_block(fh, lines, width) for lines in sizes))
     with _pool.ordered_map(workers) as ordered_map:
         blocks = ordered_map(_parse_block, repeat(fh.name), offsets, sizes, repeat(width))
         return _fill(n, d, n_comp, blocks)
 
 
 def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
-    """Read-only y, x and p of the ``n`` rows ``blocks`` yields in order, or None
-    at the first block that is None."""
+    """Read-only y, x and p of the at most ``n`` rows ``blocks`` yields in order,
+    or None at the first block that is None.
+
+    Where blank lines leave fewer than ``n`` rows, each array is shrunk in
+    place, so it still owns its memory and is held once.
+    """
     y, x, p = np.empty(n), np.empty((n, d)), np.empty((n, n_comp))
     begin = 0
     for block in blocks:
@@ -287,6 +291,8 @@ def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
         p[begin:stop] = block[:, 1 + d :]
         begin = stop
     for arr in (y, x, p):
+        if begin < n:
+            arr.resize((begin, *arr.shape[1:]), refcheck=False)
         arr.flags.writeable = False  # handed over to Dataset and ConcentrationMatrix
     return y, x, p
 
@@ -296,69 +302,49 @@ def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
 _COUNT_BLOCK_BYTES = 1 << 18
 
 
-def _count_rows(fh, start: int) -> tuple[int, list[int] | None]:
-    """The data lines of ``fh`` from ``start`` on, and the byte offset of every
-    ``_CHUNK_ROWS``-th of them, or None for a text stream with no bytes beneath.
+def _count_lines(fh, start: int) -> tuple[int, list[int] | None]:
+    """The lines of ``fh`` from ``start`` on, and the byte offset of the first
+    line of every block of ``_CHUNK_ROWS``, or None for a text stream with no
+    bytes beneath.
 
     A file is read one block of ``_COUNT_BLOCK_BYTES`` at a time, and numpy
-    finds the newlines of each.  A line that is ``\\n`` or ``\\r\\n`` alone is
-    blank, as ``_BLANK_LINES`` says, and a last line with no newline is a
-    data line.  Only a block with a line of at most two bytes is tested for
-    blank lines, as no CSV row is that short: the test's numpy kernels would
-    add their code pages to the resident memory of every ``fit``.
+    finds the newlines of each; a last line with no newline counts too.
     """
     buffer = getattr(fh, "buffer", None)
     if buffer is None:
-        return sum(line not in _BLANK_LINES for line in fh), None
+        return sum(1 for _ in fh), None
     buffer.seek(start)  # a UTF-8 stream's position after a whole line is its byte offset
-    n, offsets = 0, []
-    # the byte before each block stays in front of it, for a \r\n split between two
-    block = bytearray(1 + _COUNT_BLOCK_BYTES)
-    pos = line_start = start  # byte offsets of block[1] and of the line it is in
-    while size := buffer.readinto(memoryview(block)[1:]):
-        data = np.frombuffer(block, np.uint8, 1 + size)
-        ends = np.flatnonzero((data == ord("\n"))[1:])  # offsets from pos
-        if ends.size:
-            after = pos + int(ends[-1]) + 1  # where the line after the block's last begins
-            first = int(ends[0]) - (line_start - pos - 1)  # line lengths, newlines included
-            lengths = np.diff(ends)
-            if first <= 2 or (lengths.size and lengths.min() <= 2):
-                lengths = np.concatenate(([first], lengths))
-                blank = (lengths == 1) | ((lengths == 2) & (data[ends] == ord("\r")))
-                ends = ends[~blank]
-            for end in ends[-n % _CHUNK_ROWS :: _CHUNK_ROWS].tolist():
-                before = block.rfind(b"\n", 1, 1 + end)  # the newline ending the line before
-                offsets.append(pos + before if before >= 1 else line_start)
-            n += ends.size
-            line_start = after
-        block[0] = block[size]
+    n, offsets, pos, last = 0, [start], start, ord("\n")
+    block = bytearray(_COUNT_BLOCK_BYTES)
+    while size := buffer.readinto(block):
+        ends = np.flatnonzero(np.frombuffer(block, np.uint8, size) == ord("\n"))
+        # a block of lines begins after every _CHUNK_ROWS-th newline
+        starts = ends[_CHUNK_ROWS - 1 - n % _CHUNK_ROWS :: _CHUNK_ROWS] + (pos + 1)
+        offsets.extend(starts.tolist())
+        n += ends.size
         pos += size
-    if line_start < pos:  # a last line with no newline
-        if n % _CHUNK_ROWS == 0:
-            offsets.append(line_start)
-        n += 1
-    return n, offsets
+        last = block[size - 1]
+    n += last != ord("\n")  # a last line with no newline
+    return n, offsets[: -(-n // _CHUNK_ROWS)]  # no block begins at the end of the file
 
 
-def _load_block(fh, rows: int, width: int) -> np.ndarray | None:
-    """The next ``rows`` data rows of ``fh``, or None if ``np.loadtxt`` refuses them
-    or they are not ``rows`` x ``width``."""
+def _load_block(fh, lines: int, width: int) -> np.ndarray | None:
+    """The rows of the next ``lines`` lines of ``fh``, or None if ``np.loadtxt``
+    refuses them or they are not ``width`` columns wide."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # "input contained no data" and kin
-        # a blank line is skipped, as without max_rows; only the note is new
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
         try:
-            block = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, max_rows=rows)
+            block = np.loadtxt(islice(fh, lines), delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
             return None
-    return block if block.shape == (rows, width) else None
+    return block if block.shape[1] == width else None
 
 
-def _parse_block(path, offset: int, rows: int, width: int) -> np.ndarray | None:
-    """``_load_block`` of the ``rows`` data rows of the file ``path`` from byte ``offset``."""
+def _parse_block(path, offset: int, lines: int, width: int) -> np.ndarray | None:
+    """``_load_block`` of the ``lines`` lines of the file ``path`` from byte ``offset``."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         fh.seek(offset)
-        return _load_block(fh, rows, width)
+        return _load_block(fh, lines, width)
 
 
 def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:

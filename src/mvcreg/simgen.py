@@ -166,10 +166,6 @@ class SimulationConfig:
                 f"{len(self.components)} component specs but the concentration "
                 f"model has {self.concentrations.n_components} components",
             )
-        if isinstance(self.concentrations, LinearRamp) and len(self.components) != 2:
-            raise ConfigError(
-                "concentrations.model", "linear_ramp requires exactly 2 components"
-            )
         if not isinstance(self.seed, int) or not 0 <= self.seed < _MAX_SEED:
             raise ConfigError("seed", "must be an unsigned 64-bit integer")
 

@@ -553,13 +553,15 @@ class TestFit:
             "print(json.dumps([codes, sorted(sys.modules)]))"
         )
         data, out = str(dataset_csv), str(tmp_path / "out")
+        fit_only = {"mvcreg.covariance", "mvcreg.estimator"}
         runs = {
-            "import": ([], {"mvcreg.simgen", "mvcreg.montecarlo"}),
-            "fit and weights": (
-                [["fit", "-i", data, "-o", out], ["weights", "-i", data, "-o", out]],
-                {"mvcreg.simgen", "mvcreg.montecarlo"},
+            "import": ([], {"mvcreg.simgen", "mvcreg.montecarlo"} | fit_only),
+            "fit": ([["fit", "-i", data, "-o", out]], {"mvcreg.simgen", "mvcreg.montecarlo"}),
+            "weights": (
+                [["weights", "-i", data, "-o", out]],
+                {"mvcreg.simgen", "mvcreg.montecarlo"} | fit_only,
             ),
-            "simulate": ([["simulate", "-o", out]], {"mvcreg.montecarlo", "mvcreg.covariance"}),
+            "simulate": ([["simulate", "-o", out]], {"mvcreg.montecarlo"} | fit_only),
         }
         env = dict(os.environ, PYTHONPATH=src)
         for run, (commands, unloaded) in runs.items():

@@ -309,18 +309,16 @@ class TestCsvParity:
             read_csv(marked)
 
     @staticmethod
-    def line_loop_rows(raw: bytes, start: int, chunk: int) -> tuple[int, list[int]]:
-        """The data lines of ``raw`` from byte ``start`` on, and the offset of every
-        ``chunk``-th of them, by one step per line: a line that is ``\\n`` or
-        ``\\r\\n`` alone is blank."""
+    def line_loop(raw: bytes, start: int, chunk: int) -> tuple[int, list[int]]:
+        """The lines of ``raw`` from byte ``start`` on, and the offset of every
+        ``chunk``-th of them from the first, by one step per line."""
         buffer = io.BytesIO(raw)
         buffer.seek(start)
         n, offsets = 0, []
         for line in buffer:
-            if line not in (b"\n", b"\r\n"):
-                if n % chunk == 0:
-                    offsets.append(buffer.tell() - len(line))
-                n += 1
+            if n % chunk == 0:
+                offsets.append(buffer.tell() - len(line))
+            n += 1
         return n, offsets
 
     _COUNT_CASES = {
@@ -346,26 +344,52 @@ class TestCsvParity:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
             mvcreg.dataio._read_header(fh, str(path))
             start = fh.tell()
-            got = mvcreg.dataio._count_rows(fh, start)
-        assert got == self.line_loop_rows(raw, start, 2)
+            got = mvcreg.dataio._count_lines(fh, start)
+        assert got == self.line_loop(raw, start, 2)
         # text with no bytes beneath is counted line by line, with no offsets
         text = io.StringIO(raw.decode("utf-8"))
         mvcreg.dataio._read_header(text, "<string>")
-        assert mvcreg.dataio._count_rows(text, text.tell()) == (got[0], None)
+        assert mvcreg.dataio._count_lines(text, text.tell()) == (got[0], None)
 
-    def test_read_arrays_are_handed_over_once(self, tmp_path):
-        sim = small_sim(n=2 * mvcreg.dataio._CHUNK_ROWS + 3)
+    @pytest.mark.parametrize("chunk", [1, 2, 3])
+    @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 1 << 18])
+    @pytest.mark.parametrize("case", list(_COUNT_CASES))
+    def test_read_matches_row_wise_path(self, case, read_bytes, chunk, tmp_path, monkeypatch):
+        # blocks of one to three lines, so blank lines fall at every place in one
+        path = tmp_path / "case.csv"
+        path.write_bytes(self._COUNT_CASES[case])
+        monkeypatch.setattr(mvcreg.dataio, "_COUNT_BLOCK_BYTES", read_bytes)
+        monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
+        got = outcome(read_csv, path)
+        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
+        assert got == outcome(read_csv, path)
+
+    def test_read_arrays_are_handed_over_once(self, tmp_path, monkeypatch, io_pools):
+        def forbidden(*args):
+            raise AssertionError("blank lines sent the file to the row-wise path")
+
+        monkeypatch.setattr(mvcreg.dataio, "_parse_rows", forbidden)
+        chunk = mvcreg.dataio._CHUNK_ROWS
+        sim = small_sim(n=2 * chunk + 3)
+        lines = render_csv(sim.data, sim.p).split("\n")
+        for end in (chunk, 2 * chunk):  # the last line of the first two blocks of lines
+            lines.insert(end, "")
         path = tmp_path / "sim.csv"
-        write_csv(path, sim.data, sim.p)
-        data, p = read_csv(path)
-        held = [data.y, data.x, p.values]
-        for arr in held:
-            assert not arr.flags.writeable
-            assert arr.flags.c_contiguous and arr.flags.owndata
-        for i, first in enumerate(held):
-            for second in held[i + 1 :]:
-                assert not np.shares_memory(first, second)
-        assert data.x.tobytes() == sim.data.x.tobytes()
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for workers in (1, 2, 3):
+            io_pools.force(workers)
+            data, p = read_csv(path)
+            assert io_pools.started == ([workers] if workers > 1 else [])
+            io_pools.started.clear()
+            held = [data.y, data.x, p.values]
+            for arr in held:
+                assert not arr.flags.writeable
+                assert arr.flags.c_contiguous and arr.flags.owndata
+            for i, first in enumerate(held):
+                for second in held[i + 1 :]:
+                    assert not np.shares_memory(first, second)
+            assert data.x.tobytes() == sim.data.x.tobytes()
+            assert p.values.tobytes() == sim.p.values.tobytes()
 
     def test_parsed_arrays_are_kept_without_a_copy(self, tmp_path, monkeypatch):
         filled = []

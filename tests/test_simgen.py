@@ -99,19 +99,13 @@ class TestConfigValidation:
         assert exc_info.value.field == "components[0].regressors[0].sd"
 
     def test_ramp_requires_two_components(self):
-        with pytest.raises(ConfigError) as exc_info:
-            SimulationConfig(
-                n_obs=10,
-                components=(
-                    ComponentSpec(
-                        regressors=(ConstantRegressor(),),
-                        error_sd=1.0,
-                        coefficients=(1.0,),
-                    ),
-                ),
-                concentrations=LinearRamp(),
-            )
-        assert exc_info.value.field in ("components", "concentrations.model")
+        spec = ComponentSpec(regressors=(ConstantRegressor(),), error_sd=1.0, coefficients=(1.0,))
+        for n_comp in (1, 3):
+            with pytest.raises(ConfigError) as exc_info:
+                SimulationConfig(n_obs=10, components=(spec,) * n_comp, concentrations=LinearRamp())
+            assert exc_info.value.field == "components"
+            assert f"{n_comp} component specs" in exc_info.value.message
+            assert "has 2 components" in exc_info.value.message
 
     def test_unknown_key_rejected(self):
         raw = {"n_obs": 10, "components": [], "n_osb": 10}
