@@ -70,7 +70,6 @@ _EXPORTS = {
             "SimulatedDataset",
             "SimulationConfig",
             "StudyOptions",
-            "derive_seed",
             "generate",
             "limit_co_moments",
             "load_config_file",

@@ -1,15 +1,16 @@
 """Worker processes shared by the replication study and the CSV reader and writer.
 
-A pool has one worker per usable CPU, forked when its first task is
-submitted, so a worker starts from the caller's memory as it was then,
-copy-on-write: what the caller hands the pool's ``initializer`` is
-inherited, not pickled.  Tasks run through an ordered map that keeps at most
-``LOOKAHEAD`` tasks per worker submitted but not yet taken and yields the
-results in task order, so what the caller builds from them does not depend
+A pool maps one function.  It has one worker per usable CPU, forked when
+its first task is submitted, so a worker starts from the caller's memory as
+it was then, copy-on-write: the function is inherited, not pickled, and may
+close over the caller's arrays; only each call's arguments and result cross
+between processes.  Calls run through an ordered map that keeps at most
+``LOOKAHEAD`` calls per worker submitted but not yet taken and yields the
+results in call order, so what the caller builds from them does not depend
 on the worker count, and at most that many results wait in memory.  With one
 CPU, where ``fork`` is not available, or inside a daemonic process, there is
-one worker, and the map is the builtin ``map``, which runs each call in the
-calling process when its result is taken.
+one worker, and the map is the builtin ``map`` of the function, which runs
+each call in the calling process when its result is taken.
 
 Importing this module loads neither ``multiprocessing`` nor
 ``concurrent.futures``; a pool loads them when it starts.
@@ -48,30 +49,30 @@ def worker_count(tasks: int) -> int:
 
 
 @contextlib.contextmanager
-def ordered_map(workers: int, initializer=None, initargs=()):
-    """Yield a ``map`` that runs its calls in ``workers`` processes and yields
-    their results in call order.
+def ordered_map(workers: int, fn):
+    """Yield a function that maps ``fn`` over its iterables in ``workers``
+    processes and yields the results in call order.
 
-    With one worker it is the builtin ``map``, and ``initializer`` is not
-    called.  Otherwise it is the map of a pool whose workers each run
-    ``initializer(*initargs)`` when they start; it keeps ``LOOKAHEAD``
-    calls per worker submitted and submits the next as each result is
-    taken.  A call's exception is raised where its result is taken, and a
-    worker that dies (killed, say) raises ``WorkerLost`` there.  Exit
-    cancels the calls not yet started and joins the workers, also when the
-    caller raises or stops taking results.
+    With one worker it is the builtin ``map`` of ``fn``.  Otherwise the
+    workers inherit ``fn`` when they are forked, and the map keeps
+    ``LOOKAHEAD`` calls per worker submitted and submits the next as each
+    result is taken.  A call's exception is raised where its result is
+    taken, and a worker that dies (killed, say) raises ``WorkerLost`` there.
+    Exit cancels the calls not yet started and joins the workers, also when
+    the caller raises or stops taking results.
     """
     if workers == 1:
-        yield map
+        yield partial(map, fn)
         return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    # fork hands the initializer's arguments over in memory, unpickled
     pool = ProcessPoolExecutor(
         workers,
         mp_context=multiprocessing.get_context("fork"),
-        initializer=initializer,
-        initargs=initargs,
+        initializer=_inherit,
+        initargs=(fn,),
     )
     try:
         yield partial(_bounded_map, pool, workers * LOOKAHEAD)
@@ -79,15 +80,28 @@ def ordered_map(workers: int, initializer=None, initargs=()):
         pool.shutdown(cancel_futures=True)
 
 
-def _bounded_map(pool, ahead: int, fn, *iterables):
+#: the function a worker process maps; never set in the calling process
+_fn = None
+
+
+def _inherit(fn) -> None:
+    global _fn
+    _fn = fn
+
+
+def _call(*args):
+    return _fn(*args)
+
+
+def _bounded_map(pool, ahead: int, *iterables):
     from concurrent.futures.process import BrokenProcessPool
 
     calls = zip(*iterables)
     try:
-        pending = deque(pool.submit(fn, *args) for args in islice(calls, ahead))
+        pending = deque(pool.submit(_call, *args) for args in islice(calls, ahead))
         while pending:
             result = pending.popleft().result()
-            pending.extend(pool.submit(fn, *args) for args in islice(calls, 1))
+            pending.extend(pool.submit(_call, *args) for args in islice(calls, 1))
             yield result
     except BrokenProcessPool:
         raise WorkerLost(

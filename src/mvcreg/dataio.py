@@ -8,28 +8,29 @@ round trip reproduces the array bytes exactly.
 The writer renders fixed chunks of rows: it stacks one chunk of the
 columns, maps ``repr`` over its cells and joins them row by row, so it holds
 one chunk's table and text at a time when it writes to a file.  The reader
-skips one leading byte-order mark, checks the header, counts the lines with
-a numpy scan for newlines over fixed-size reads of the file, and fills
-preallocated y, x and p from ``np.loadtxt`` one chunk of lines at a time, so
-it holds the parsed arrays once, with nothing N-sized beside them.
-``np.loadtxt`` drops blank lines; where they leave fewer rows than lines,
-the arrays are shrunk in place.  Input ``np.loadtxt`` refuses (quoted cells,
-``1_0``, a chunk of blank lines alone, or a genuine error) is parsed
-again by the row-wise ``csv.reader`` path, which accepts exactly what
-``float`` accepts, names the line of the first bad record, and holds one
-Python list per row.  Both paths convert with CPython's string-to-double
-routine, so they give the same values.
+of a file skips one leading byte-order mark, checks the header, counts the
+lines with a numpy scan for newlines over fixed-size reads of the file,
+recording the byte offset of every chunk's first line, and fills
+preallocated y, x and p in chunk order from ``np.loadtxt``, which reads one
+chunk of lines from its offset, so it holds the parsed arrays once, with
+nothing N-sized beside them.  ``np.loadtxt`` drops blank lines; where they
+leave fewer rows than lines, the arrays are shrunk in place.  Input
+``np.loadtxt`` refuses (quoted cells, ``1_0``, a chunk of blank lines
+alone, or a genuine error) is parsed again by the row-wise ``csv.reader``
+path, which accepts exactly what ``float`` accepts, names the line of the
+first bad record, and holds one Python list per row.  Both paths convert
+with CPython's string-to-double routine, so they give the same values.
+Text given to ``parse_csv_text`` goes straight to the row-wise path.
 
-From ``_POOL_MIN_CELLS`` cells on, both directions use the worker processes
-of ``_pool``, a few chunks ahead at a time.  Render workers inherit the
-columns when they are forked and return each chunk's text, which the parent
-writes in row order, so the bytes are those of the serial writer.  For a
-file, the counting pass also records the byte offset of every chunk's first
-line; parse workers seek there and run the same ``np.loadtxt`` call on
-their chunk, and the parent fills the arrays in chunk order.  A chunk that
-``np.loadtxt`` refuses sends the whole file to the row-wise path, as in the
-serial reader, so the messages and line numbers are the same.  Smaller
-inputs, and text parsed by ``parse_csv_text``, stay in the calling process.
+Both directions map one function over the chunks through ``_pool``'s
+ordered map: from ``_POOL_MIN_CELLS`` cells on in forked workers, a few
+chunks ahead at a time, and below that in the calling process.  Render
+workers inherit the columns and return each chunk's text, which the parent
+writes in row order; parse workers return each chunk's rows, which the
+parent stores in chunk order.  So the bytes and arrays are the same
+whatever the worker count, and a chunk that ``np.loadtxt`` refuses sends
+the whole file to the row-wise path, with the same messages and line
+numbers.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
@@ -45,7 +46,8 @@ import json
 import math
 import re
 import warnings
-from itertools import islice, repeat
+from functools import partial
+from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,18 +97,6 @@ def _render_rows(columns: list[np.ndarray], start: int) -> str:
     return "\n".join(map(",".join, zip(*[cells] * block.shape[1]))) + "\n"
 
 
-#: the columns a render worker renders, inherited when its process starts
-_shared_columns: list[np.ndarray] = []
-
-
-def _share_columns(columns: list[np.ndarray]) -> None:
-    _shared_columns[:] = columns
-
-
-def _render_shared(start: int) -> str:
-    return _render_rows(_shared_columns, start)
-
-
 def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     """Yield CSV text for ``header`` and the rows of ``columns``, chunk by chunk.
 
@@ -117,11 +107,8 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     yield ",".join(header) + "\n"
     starts = range(0, columns[0].shape[0], _CHUNK_ROWS)
     workers = _workers(columns[0].shape[0] * len(header), len(starts))
-    if workers == 1:
-        yield from (_render_rows(columns, start) for start in starts)
-        return
-    with _pool.ordered_map(workers, _share_columns, (columns,)) as ordered_map:
-        yield from ordered_map(_render_shared, starts)
+    with _pool.ordered_map(workers, partial(_render_rows, columns)) as render:
+        yield from render(starts)
 
 
 def _write_chunks(path, chunks) -> None:
@@ -173,35 +160,39 @@ def write_weights_csv(path, a: np.ndarray) -> None:
 
 
 def parse_csv_text(text: str, source: str = "<string>") -> tuple[Dataset, ConcentrationMatrix]:
-    """Parse CSV text into a dataset plus concentration matrix.
+    """Parse CSV text into a dataset plus concentration matrix, row by row.
 
     The header fixes the column split: ``x`` columns must be numbered
     1..d and ``p`` columns 1..M, in order.  Any malformed cell raises
     DataFormatError naming the line.  Concentration rows must sum to one
     within ``_ROW_SUM_TOL``.
     """
-    return _parse_stream(io.StringIO(text), source)
+    return _parse_stream(io.StringIO(text), source, by_blocks=False)
 
 
 def read_csv(path) -> tuple[Dataset, ConcentrationMatrix]:
-    """Parse a CSV file as ``parse_csv_text`` would, without holding its text.
+    """Parse the CSV file ``path`` as ``parse_csv_text`` would parse its
+    text, without holding the text.
 
     Lines end at ``\\n`` only, as in ``io.StringIO``, so the file and its
-    text give the same result.
+    text give the same result.  The file is parsed in blocks of lines, each
+    opened again by its name, so a file descriptor is refused.
     """
+    if isinstance(path, int):
+        raise DataFormatError(f"cannot read {path}: a path is needed, not a file descriptor")
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            return _parse_stream(fh, str(path))
+            return _parse_stream(fh, str(path), by_blocks=True)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _parse_stream(fh, source: str):
+def _parse_stream(fh, source: str, by_blocks: bool):
     try:
         names = _read_header(fh, source)
         d = sum(1 for h in names if h.startswith("x"))
         start = fh.tell()
-        columns = _load_table(fh, d, len(names) - 1 - d)
+        columns = _load_table(fh, d, len(names) - 1 - d) if by_blocks else None
         if columns is None:
             fh.seek(start)
             arr = _parse_rows(csv.reader(fh), len(names), source)
@@ -244,33 +235,30 @@ def _read_header(fh, source: str) -> list[str]:
 
 
 def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
-    """Read-only y, x and p of all data rows, or None where ``np.loadtxt`` refuses.
+    """Read-only y, x and p of the data rows of the file ``fh`` reads, from
+    its position on, or None where ``np.loadtxt`` refuses.
 
-    A scan of the bytes for newlines counts the lines; the arrays are then
-    allocated for that many rows and filled from ``np.loadtxt`` one block of
-    ``_CHUNK_ROWS`` lines at a time, so nothing N-sized exists beside them.
+    A scan of the bytes for newlines counts the lines and records the byte
+    offset of every block of ``_CHUNK_ROWS`` lines; the arrays are then
+    allocated for that many rows and filled, in block order, by
+    ``_parse_block``, so nothing N-sized exists beside them.  From
+    ``_POOL_MIN_CELLS`` cells on, forked workers parse the blocks; below
+    that, the calling process maps the same function over them.
     ``np.loadtxt`` drops blank lines, so a block may hold fewer rows than
     lines; a block of blank lines alone makes it warn, and the whole file
-    goes to the row-wise path, which gives the same result.  A file of
-    ``_POOL_MIN_CELLS`` cells or more is parsed by forked workers, each of
-    which seeks to the byte offset of its block's first line, which the
-    counting pass records; the parent fills the arrays in block order.
-    ``np.loadtxt`` converts cells with the same string-to-double routine as
-    ``float``, so whatever it accepts parses to the row-wise path's values.
+    goes to the row-wise path, which gives the same result.  ``np.loadtxt``
+    converts cells with the same string-to-double routine as ``float``, so
+    whatever it accepts parses to the row-wise path's values.
     """
-    start = fh.tell()
-    n, offsets = _count_lines(fh, start)
+    # a UTF-8 stream's position after a whole line is its byte offset
+    n, offsets = _count_lines(fh.buffer, fh.tell())
     if n == 0:
         return None  # the row-wise path names the empty input
     width = 1 + d + n_comp
     sizes = [min(_CHUNK_ROWS, n - begin) for begin in range(0, n, _CHUNK_ROWS)]
-    workers = _workers(n * width, len(sizes)) if offsets else 1
-    if workers == 1:
-        fh.seek(start)
-        return _fill(n, d, n_comp, (_load_block(fh, lines, width) for lines in sizes))
-    with _pool.ordered_map(workers) as ordered_map:
-        blocks = ordered_map(_parse_block, repeat(fh.name), offsets, sizes, repeat(width))
-        return _fill(n, d, n_comp, blocks)
+    workers = _workers(n * width, len(sizes))
+    with _pool.ordered_map(workers, partial(_parse_block, fh.name, width=width)) as parse:
+        return _fill(n, d, n_comp, parse(offsets, sizes))
 
 
 def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
@@ -302,18 +290,14 @@ def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
 _COUNT_BLOCK_BYTES = 1 << 18
 
 
-def _count_lines(fh, start: int) -> tuple[int, list[int] | None]:
-    """The lines of ``fh`` from ``start`` on, and the byte offset of the first
-    line of every block of ``_CHUNK_ROWS``, or None for a text stream with no
-    bytes beneath.
+def _count_lines(buffer, start: int) -> tuple[int, list[int]]:
+    """The lines of the binary file ``buffer`` from byte ``start`` on, and the
+    byte offset of the first line of every block of ``_CHUNK_ROWS``.
 
-    A file is read one block of ``_COUNT_BLOCK_BYTES`` at a time, and numpy
+    The file is read one block of ``_COUNT_BLOCK_BYTES`` at a time, and numpy
     finds the newlines of each; a last line with no newline counts too.
     """
-    buffer = getattr(fh, "buffer", None)
-    if buffer is None:
-        return sum(1 for _ in fh), None
-    buffer.seek(start)  # a UTF-8 stream's position after a whole line is its byte offset
+    buffer.seek(start)
     n, offsets, pos, last = 0, [start], start, ord("\n")
     block = bytearray(_COUNT_BLOCK_BYTES)
     while size := buffer.readinto(block):
@@ -328,23 +312,18 @@ def _count_lines(fh, start: int) -> tuple[int, list[int] | None]:
     return n, offsets[: -(-n // _CHUNK_ROWS)]  # no block begins at the end of the file
 
 
-def _load_block(fh, lines: int, width: int) -> np.ndarray | None:
-    """The rows of the next ``lines`` lines of ``fh``, or None if ``np.loadtxt``
-    refuses them or they are not ``width`` columns wide."""
-    with warnings.catch_warnings():
+def _parse_block(path, offset: int, lines: int, width: int) -> np.ndarray | None:
+    """The rows of the ``lines`` lines of the file ``path`` from byte
+    ``offset``, or None if ``np.loadtxt`` refuses them or they are not
+    ``width`` columns wide."""
+    with open(path, "r", encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
+        fh.seek(offset)
         warnings.simplefilter("error")  # "input contained no data" and kin
         try:
             block = np.loadtxt(islice(fh, lines), delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
             return None
     return block if block.shape[1] == width else None
-
-
-def _parse_block(path, offset: int, lines: int, width: int) -> np.ndarray | None:
-    """``_load_block`` of the ``lines`` lines of the file ``path`` from byte ``offset``."""
-    with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        fh.seek(offset)
-        return _load_block(fh, lines, width)
 
 
 def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:

@@ -31,7 +31,7 @@ task's result is two arrays, the coefficients of its replications and the
 mask of those that failed, so a grid point's arrays are its tasks' arrays
 joined in replication order, and the report is byte-identical to a serial
 run whatever the worker count.  With one worker (one CPU, no ``fork``, or a
-daemonic caller) the tasks run in the calling process.
+daemonic caller) the same map runs the tasks in the calling process.
 """
 
 from __future__ import annotations
@@ -227,10 +227,8 @@ def run_study(
         plans += [plan] * workers
         bases += [fit_basis(plan.p)] * workers
         ranges += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with _pool.ordered_map(workers) as ordered_map:
-        results = ordered_map(
-            _replicate, plans, bases, repeat(xtx_tol), repeat(config.seed), ranges
-        )
+    with _pool.ordered_map(workers, _replicate) as replicate:
+        results = replicate(plans, bases, repeat(xtx_tol), repeat(config.seed), ranges)
         points = [
             _summarize(n_obs, *map(np.concatenate, zip(*islice(results, workers))))
             for n_obs in grid

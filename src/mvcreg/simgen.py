@@ -336,14 +336,6 @@ def derive_seeds(base_seed: int, n_obs: int, reps: Sequence[int]) -> np.ndarray:
     return seeds
 
 
-def derive_seed(base_seed: int, n_obs: int, replication: int) -> int:
-    """Stable 64-bit seed for one replication of one grid point.
-
-    The one-replication case of :func:`derive_seeds`.
-    """
-    return int(derive_seeds(base_seed, n_obs, [replication])[0])
-
-
 def philox_keys(seeds: np.ndarray) -> np.ndarray:
     """The Philox key of each seed, R x 2 uint64: ``np.random.Philox(seed)``'s.
 

@@ -107,13 +107,14 @@ class IoPools:
 
     def __init__(self, monkeypatch):
         self._monkeypatch = monkeypatch
-        #: worker count of each pool started, in start order
+        #: worker count of each pool started (more than one worker), in start order
         self.started = []
         ordered_map = mvcreg._pool.ordered_map
 
-        def recording(workers, *args):
-            self.started.append(workers)
-            return ordered_map(workers, *args)
+        def recording(workers, fn):
+            if workers > 1:
+                self.started.append(workers)
+            return ordered_map(workers, fn)
 
         monkeypatch.setattr(mvcreg._pool, "ordered_map", recording)
 

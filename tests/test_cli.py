@@ -267,19 +267,19 @@ def _processes_naming(text: str) -> list[int]:
     return found
 
 
-_render_shared = mvcreg.dataio._render_shared
+_render_rows = mvcreg.dataio._render_rows
 _replicate = mvcreg.montecarlo._replicate
 
 
-def render_then_die(start):
-    """A render task whose worker dies at the second chunk; sent to a pool by name."""
+def render_then_die(columns, start):
+    """A render task whose worker dies at the second chunk."""
     if start >= mvcreg.dataio._CHUNK_ROWS:
         os._exit(1)
-    return _render_shared(start)
+    return _render_rows(columns, start)
 
 
 def replicate_then_die(plan, basis, xtx_tol, seed, reps):
-    """A study task whose worker dies on any range but the first; sent to a pool by name."""
+    """A study task whose worker dies on any range but the first."""
     if reps.start > 0:
         os._exit(1)
     return _replicate(plan, basis, xtx_tol, seed, reps)
@@ -376,7 +376,7 @@ class TestIoPool:
         # a worker that dies mid-command: exit 1 with one diagnostic line, the
         # existing output as it was, no temporary file and no worker left
         io_pools.force(2)
-        monkeypatch.setattr(mvcreg.dataio, "_render_shared", render_then_die)
+        monkeypatch.setattr(mvcreg.dataio, "_render_rows", render_then_die)
         monkeypatch.setattr(mvcreg.montecarlo, "_replicate", replicate_then_die)
         work = tmp_path / "work"
         work.mkdir()

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 
 import numpy as np
 import pytest
@@ -67,6 +68,20 @@ class TestCsv:
     def test_rejects_missing_file(self, tmp_path):
         with pytest.raises(DataFormatError):
             read_csv(tmp_path / "absent.csv")
+
+    def test_rejects_a_file_descriptor(self, tmp_path):
+        # open() would close the caller's descriptor, and every block's read
+        # would move its one shared offset
+        path = tmp_path / "sim.csv"
+        sim = small_sim()
+        write_csv(path, sim.data, sim.p)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            with pytest.raises(DataFormatError, match=f"cannot read {fd}: a path is needed"):
+                read_csv(fd)
+            assert os.lseek(fd, 0, os.SEEK_CUR) == 0  # still open, not moved
+        finally:
+            os.close(fd)
 
     def test_rejects_bad_header(self):
         with pytest.raises(DataFormatError, match="header"):
@@ -207,11 +222,13 @@ class TestCsvParity:
         assert render_weights_csv(a) == expected
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
-    def test_edge_case_matches_row_wise_path(self, case, monkeypatch):
+    def test_edge_case_matches_row_wise_path(self, case, tmp_path, monkeypatch):
         text, accepted = _EDGE_CASES[case]
-        got = outcome(parse_csv_text, text)
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        got = outcome(read_csv, path)
         monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
-        assert got == outcome(parse_csv_text, text)
+        assert got == outcome(read_csv, path)
         assert (got[0] == "ok") == accepted
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
@@ -344,12 +361,8 @@ class TestCsvParity:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
             mvcreg.dataio._read_header(fh, str(path))
             start = fh.tell()
-            got = mvcreg.dataio._count_lines(fh, start)
+            got = mvcreg.dataio._count_lines(fh.buffer, start)
         assert got == self.line_loop(raw, start, 2)
-        # text with no bytes beneath is counted line by line, with no offsets
-        text = io.StringIO(raw.decode("utf-8"))
-        mvcreg.dataio._read_header(text, "<string>")
-        assert mvcreg.dataio._count_lines(text, text.tell()) == (got[0], None)
 
     @pytest.mark.parametrize("chunk", [1, 2, 3])
     @pytest.mark.parametrize("read_bytes", [1, 2, 3, 5, 1 << 18])
@@ -365,10 +378,20 @@ class TestCsvParity:
         assert got == outcome(read_csv, path)
 
     def test_read_arrays_are_handed_over_once(self, tmp_path, monkeypatch, io_pools):
+        # serial and pooled reads parse each block of lines once, with one function
         def forbidden(*args):
             raise AssertionError("blank lines sent the file to the row-wise path")
 
+        calls = tmp_path / "calls"
+        parse_block = mvcreg.dataio._parse_block
+
+        def recording_parse_block(path, offset, lines, width):
+            with open(calls, "a") as log:  # one small append per call, from any process
+                log.write(f"{offset} {lines}\n")
+            return parse_block(path, offset, lines, width)
+
         monkeypatch.setattr(mvcreg.dataio, "_parse_rows", forbidden)
+        monkeypatch.setattr(mvcreg.dataio, "_parse_block", recording_parse_block)
         chunk = mvcreg.dataio._CHUNK_ROWS
         sim = small_sim(n=2 * chunk + 3)
         lines = render_csv(sim.data, sim.p).split("\n")
@@ -376,9 +399,15 @@ class TestCsvParity:
             lines.insert(end, "")
         path = tmp_path / "sim.csv"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        raw = path.read_bytes()
+        n, offsets = self.line_loop(raw, raw.index(b"\n") + 1, chunk)
+        blocks = [f"{offset} {min(chunk, n - k * chunk)}" for k, offset in enumerate(offsets)]
+        assert len(blocks) == 3
         for workers in (1, 2, 3):
             io_pools.force(workers)
+            calls.write_text("")
             data, p = read_csv(path)
+            assert sorted(calls.read_text().splitlines()) == sorted(blocks), workers
             assert io_pools.started == ([workers] if workers > 1 else [])
             io_pools.started.clear()
             held = [data.y, data.x, p.values]
@@ -426,9 +455,9 @@ class TestCsvParity:
         sim = small_sim(n=3000)
         path = tmp_path / "sim.csv"
         write_csv(path, sim.data, sim.p)
-        for data, p in (read_csv(path), parse_csv_text(render_csv(sim.data, sim.p))):
-            assert data.x.tobytes() == sim.data.x.tobytes()
-            assert p.values.tobytes() == sim.p.values.tobytes()
+        data, p = read_csv(path)
+        assert data.x.tobytes() == sim.data.x.tobytes()
+        assert p.values.tobytes() == sim.p.values.tobytes()
 
 
 class TestJson:

@@ -22,7 +22,6 @@ from mvcreg import (
     MonteCarloReport,
     SimulationConfig,
     compare_report,
-    derive_seed,
     fit_all,
     generate,
     run_study,
@@ -31,7 +30,7 @@ from mvcreg import (
 import mvcreg.moments
 from mvcreg.estimator import fit_basis, normal_equations
 from mvcreg.montecarlo import GridPointSummary, _summarize
-from mvcreg.simgen import StudyOptions, draw, plan_draws, with_n_obs, with_seed
+from mvcreg.simgen import StudyOptions, derive_seeds, draw, plan_draws, with_n_obs, with_seed
 
 
 def small_config(seed=17):
@@ -117,8 +116,9 @@ class TestRunStudy:
         report = run_study(config, rep_count=6, n_grid=(60, 120))
         for pt in report.points:
             assert pt.failures == 0
-            for rep, estimate in enumerate(pt.estimates):
-                cfg = with_seed(with_n_obs(config, pt.n_obs), derive_seed(config.seed, pt.n_obs, rep))
+            seeds = derive_seeds(config.seed, pt.n_obs, range(len(pt.estimates))).tolist()
+            for seed, estimate in zip(seeds, pt.estimates, strict=True):
+                cfg = with_seed(with_n_obs(config, pt.n_obs), seed)
                 sim = generate(cfg)
                 expected = fit_all(sim.data, sim.p).coefficients
                 assert estimate.tobytes() == expected.tobytes()
@@ -128,8 +128,8 @@ class TestRunStudy:
         # some of them; the study must drop exactly those
         config, n_obs, rep_count = small_config(), 40, 30
         sims = [
-            generate(with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep)))
-            for rep in range(rep_count)
+            generate(with_seed(with_n_obs(config, n_obs), seed))
+            for seed in derive_seeds(config.seed, n_obs, range(rep_count)).tolist()
         ]
         worst = [np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]
         xtx_tol = float(np.quantile(worst, 0.7))
@@ -174,7 +174,7 @@ class TestRunStudy:
         config, rep_count = small_config(), 40
         plan = plan_draws(with_n_obs(config, n_obs))
         basis = fit_basis(plan.p)
-        seeds = [derive_seed(config.seed, n_obs, rep) for rep in range(rep_count)]
+        seeds = derive_seeds(config.seed, n_obs, range(rep_count)).tolist()
         sims = [draw(plan, seed) for seed in seeds]
         xtx_tol = float(np.median([np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]))
 
@@ -199,7 +199,7 @@ class TestRunStudy:
         config, n_obs, rep_count = small_config(), 30, 40
         monkeypatch.setattr(mvcreg.montecarlo, "_CHUNK_ROWS", 3 * n_obs)
         plan = plan_draws(with_n_obs(config, n_obs))
-        sims = [draw(plan, derive_seed(config.seed, n_obs, rep)) for rep in range(rep_count)]
+        sims = [draw(plan, seed) for seed in derive_seeds(config.seed, n_obs, range(rep_count)).tolist()]
         xtx_tol = float(np.median([np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]))
         solved = []
         original = mvcreg.montecarlo.solve_normal_equations
@@ -223,8 +223,9 @@ class TestRunStudy:
         # several blocks, still the bytes of `fit_all` on its `generate`
         config, n_obs = small_config(), 2 * mvcreg.moments._CHUNK_ROWS + 3
         report = run_study(config, rep_count=3, n_grid=(n_obs,))
-        for rep, estimate in enumerate(report.points[0].estimates):
-            cfg = with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep))
+        seeds = derive_seeds(config.seed, n_obs, range(3)).tolist()
+        for seed, estimate in zip(seeds, report.points[0].estimates, strict=True):
+            cfg = with_seed(with_n_obs(config, n_obs), seed)
             sim = generate(cfg)
             assert estimate.tobytes() == fit_all(sim.data, sim.p).coefficients.tobytes()
 
@@ -248,8 +249,8 @@ class TestRunStudy:
         # replication is counted under the code of its first failed component
         config, n_obs, rep_count = small_config(), 40, 30
         sims = [
-            generate(with_seed(with_n_obs(config, n_obs), derive_seed(config.seed, n_obs, rep)))
-            for rep in range(rep_count)
+            generate(with_seed(with_n_obs(config, n_obs), seed))
+            for seed in derive_seeds(config.seed, n_obs, range(rep_count)).tolist()
         ]
         worst = [np.max(fit_all(s.data, s.p).xtx_condition) for s in sims]
         xtx_tol = float(np.quantile(worst, 0.7))

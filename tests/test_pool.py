@@ -2,13 +2,15 @@ import multiprocessing
 import os
 import time
 
+import numpy as np
 import pytest
 
+import mvcreg._pool
 from mvcreg._pool import LOOKAHEAD, ordered_map, worker_count
 
 
 def slow_square(i):
-    """``i * i`` after a pause that makes later tasks finish first; sent to a pool by name."""
+    """``i * i`` after a pause that makes later tasks finish first."""
     time.sleep(0.002 * (i % 3))
     return i * i
 
@@ -16,8 +18,8 @@ def slow_square(i):
 def daemonic_map():
     """What the pool does inside a daemonic process; sent to a pool by name."""
     workers = worker_count(8)
-    with ordered_map(workers) as run:
-        return workers, list(run(slow_square, range(8)))
+    with ordered_map(workers, slow_square) as run:
+        return workers, list(run(range(8)))
 
 
 def test_worker_count_follows_usable_cpus():
@@ -47,8 +49,18 @@ def test_daemonic_process_runs_in_the_calling_process():
 
 
 def test_one_worker_is_the_builtin_map():
-    with ordered_map(1) as run:
-        assert run is map
+    # the calls run in the calling process, each when its result is taken
+    pids = []
+
+    def square(i):
+        pids.append(os.getpid())
+        return i * i
+
+    with ordered_map(1, square) as run:
+        results = run(range(3))
+        assert isinstance(results, map) and pids == []
+        assert list(results) == [0, 1, 4]
+    assert pids == [os.getpid()] * 3
 
 
 @pytest.mark.parametrize("workers", [2, 3])
@@ -66,8 +78,8 @@ def test_bounded_map_keeps_its_look_ahead(workers):
 
     in_flight = []
     results = []
-    with ordered_map(workers) as run:
-        for result in run(slow_square, calls(40)):
+    with ordered_map(workers, slow_square) as run:
+        for result in run(calls(40)):
             results.append(result)
             in_flight.append(submitted - len(results))
     assert results == [i * i for i in range(40)]
@@ -76,29 +88,21 @@ def test_bounded_map_keeps_its_look_ahead(workers):
 
 
 def test_caller_that_stops_early_leaves_no_worker():
-    with ordered_map(2) as run:
-        for i, result in enumerate(run(slow_square, range(1000))):
+    with ordered_map(2, slow_square) as run:
+        for i, result in enumerate(run(range(1000))):
             if i == 3:
                 break
     assert multiprocessing.active_children() == []
 
 
-#: what ``keep`` received in this process
-_kept = []
-
-
-def keep(value):
-    _kept.append(value)
-
-
-def kept(_):
-    return [value() for value in _kept]
-
-
 def test_initializer_runs_in_every_worker_only():
-    # fork hands the arguments over without pickling them (a lambda cannot
-    # be pickled); the calling process runs no initializer
-    with ordered_map(2, keep, (lambda: "inherited",)) as run:
-        got = list(run(kept, range(6)))
-    assert got == [["inherited"]] * 6
-    assert _kept == []
+    # the workers inherit the mapped function through the pool's initializer,
+    # unpickled: a lambda closing over an array cannot be pickled; the
+    # calling process binds it nowhere in the pool module
+    table = np.arange(12.0).reshape(6, 2)
+    fn = lambda i: (os.getpid(), table[i].tolist())  # noqa: E731
+    with ordered_map(2, fn) as run:
+        got = list(run(range(6)))
+        assert all(value is not fn for value in vars(mvcreg._pool).values())
+    assert [row for _, row in got] == table.tolist()
+    assert os.getpid() not in {pid for pid, _ in got}

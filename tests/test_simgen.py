@@ -14,7 +14,6 @@ from mvcreg import (
     LinearRamp,
     SimulationConfig,
     compute_weights,
-    derive_seed,
     fit_all,
     generate,
     limit_co_moments,
@@ -282,7 +281,7 @@ class TestDraw:
     def test_stacked_draws_match_single_draws(self, n):
         # each seed's rows of the stack are the bytes of its own draw
         plan = plan_draws(self.three_component_config(n))
-        seeds = [derive_seed(4, n, rep) for rep in range(5 if n < self.N else 2)]
+        seeds = derive_seeds(4, n, range(5 if n < self.N else 2)).tolist()
         stacked = draw_stack(plan, philox_keys(seeds), np.random.Generator(np.random.Philox()))
         assert stacked.n_obs == len(seeds) * n
         for k, seed in enumerate(seeds):
@@ -310,14 +309,16 @@ EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
 class TestDeriveSeed:
     def test_deterministic(self):
-        assert derive_seed(1, 500, 7) == derive_seed(1, 500, 7)
+        # a replication's seed depends on neither the call nor its place in it
+        seeds = derive_seeds(1, 500, [7, 3, 7]).tolist()
+        assert seeds[0] == seeds[2] == derive_seeds(1, 500, [7]).tolist()[0]
 
     def test_distinct_across_axes(self):
         seeds = {
-            derive_seed(base, n, rep)
+            seed
             for base in (1, 2)
             for n in (100, 200)
-            for rep in range(5)
+            for seed in derive_seeds(base, n, range(5)).tolist()
         }
         assert len(seeds) == 20
 
@@ -332,17 +333,18 @@ class TestDeriveSeed:
         assert derive_seeds(base, n, range(3000)).tolist() == [
             numpy_seed(base, n, rep) for rep in range(3000)
         ]
-        assert [derive_seed(base, n, rep) for rep in reps] == expected
+        for rep, seed in zip(reps, expected):  # one replication at a time
+            assert derive_seeds(base, n, [rep]).tolist() == [seed]
 
     def test_literal_seeds(self):
         # values of np.random.SeedSequence, recorded before it was replaced
-        assert derive_seed(5, 500, 0) == 12990517610721141657
-        assert derive_seed(0, 5000, 1999) == 3036046879883594802
-        assert derive_seed(2**64 - 1, 2**31, 2**32) == 866136408474610219
+        assert derive_seeds(5, 500, [0]).tolist() == [12990517610721141657]
+        assert derive_seeds(0, 5000, [1999]).tolist() == [3036046879883594802]
+        assert derive_seeds(2**64 - 1, 2**31, [2**32]).tolist() == [866136408474610219]
 
     def test_negative_input_is_refused(self):
         with pytest.raises(ValueError):
-            derive_seed(-1, 500, 0)
+            derive_seeds(-1, 500, [0])
         with pytest.raises((ValueError, OverflowError)):
             derive_seeds(1, 500, [-1])
 
@@ -350,7 +352,7 @@ class TestDeriveSeed:
 class TestPhiloxKeys:
     def test_keys_are_numpys(self):
         # seeds below 2**32 are one word of entropy, the others two
-        seeds = EDGE_SEEDS + [derive_seed(5, 500, rep) for rep in range(200)]
+        seeds = EDGE_SEEDS + derive_seeds(5, 500, range(200)).tolist()
         expected = [np.random.Philox(seed).state["state"]["key"].tolist() for seed in seeds]
         assert philox_keys(seeds).tolist() == expected
 
@@ -361,12 +363,13 @@ class TestPhiloxKeys:
 
     def test_rekeyed_generator_gives_fresh_bytes(self):
         # after stream A, re-keying gives the bytes of a fresh Generator(Philox(B))
-        a, b = philox_keys([derive_seed(1, 500, 0), derive_seed(1, 500, 1)])
+        seeds = derive_seeds(1, 500, [0, 1]).tolist()
+        a, b = philox_keys(seeds)
         rng = np.random.Generator(np.random.Philox())
         mvcreg.simgen._rekeyed(rng, a)
         rng.random(7)  # leaves a partial buffer behind
         rng.integers(0, 2**32, size=3, dtype=np.uint32)  # and a 32-bit half
-        fresh = np.random.Generator(np.random.Philox(derive_seed(1, 500, 1)))
+        fresh = np.random.Generator(np.random.Philox(seeds[1]))
         assert mvcreg.simgen._rekeyed(rng, b) is rng
         assert rng.random(9).tobytes() == fresh.random(9).tobytes()
         assert rng.standard_normal(11).tobytes() == fresh.standard_normal(11).tobytes()
