@@ -109,11 +109,10 @@ def _assemble_sigma(
 
 
 def _sandwich(d2: np.ndarray, sigma: np.ndarray, component: int) -> np.ndarray:
-    eig = np.linalg.eigvalsh(d2)
-    largest = float(np.max(np.abs(eig)))
-    smallest = float(np.min(np.abs(eig)))
-    if smallest == 0.0 or largest / smallest > _D_CONDITION_LIMIT:
-        raise SingularD(component, f"condition number {largest / max(smallest, 1e-300):.3g}")
+    eig = np.abs(np.linalg.eigvalsh(d2))
+    condition = eig.max() / eig.min() if eig.min() else np.inf
+    if condition > _D_CONDITION_LIMIT:
+        raise SingularD(component, f"condition number {condition:.3g}")
     half = np.linalg.solve(d2, sigma)  # D^-1 Sigma
     v = np.linalg.solve(d2, half.T).T  # (D^-1 Sigma) D^-1
     return (v + v.T) / 2.0

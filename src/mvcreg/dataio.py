@@ -11,26 +11,32 @@ one chunk's table and text at a time when it writes to a file.  The reader
 of a file skips one leading byte-order mark, checks the header, counts the
 lines with a numpy scan for newlines over fixed-size reads of the file,
 recording the byte offset of every chunk's first line, and fills
-preallocated y, x and p in chunk order from ``np.loadtxt``, which reads one
-chunk of lines from its offset, so it holds the parsed arrays once, with
-nothing N-sized beside them.  ``np.loadtxt`` drops blank lines; where they
-leave fewer rows than lines, the arrays are shrunk in place.  Input
-``np.loadtxt`` refuses (quoted cells, ``1_0``, a chunk of blank lines
-alone, or a genuine error) is parsed again by the row-wise ``csv.reader``
-path, which accepts exactly what ``float`` accepts, names the line of the
-first bad record, and holds one Python list per row.  Both paths convert
-with CPython's string-to-double routine, so they give the same values.
-Text given to ``parse_csv_text`` goes straight to the row-wise path.
+preallocated y, x and p in chunk order, so it holds the parsed arrays once,
+with nothing N-sized beside them.  Each chunk of lines is parsed by itself
+from its offset: by ``np.loadtxt``, and where ``np.loadtxt`` refuses it
+(quoted cells, ``1_0``, blank lines alone, or a genuine error) by the
+row-wise ``csv.reader`` path over the same lines, which accepts exactly
+what ``float`` accepts, names the line of the first bad record, and holds
+one Python list per row of that chunk.  Both paths convert with CPython's
+string-to-double routine, so they give the same values.  ``np.loadtxt``
+drops blank lines; where they leave fewer rows than lines, the arrays are
+shrunk in place.  Text given to ``parse_csv_text`` is parsed row by row
+as a whole.  Both readers are strict about quotes: a closing quote must end
+its cell, and a quoted cell must close before the input ends.  A file gives
+the same arrays or the same message as its text, except for a record that a
+quoted line break carries across the end of a chunk: that chunk ends inside
+a quoted cell, so the file is refused at the chunk's last line where its
+text is accepted.  Messages name physical lines, the header being line 1 (a
+header that spans lines is refused), and a record that spans lines by the
+line it ends on.
 
 Both directions map one function over the chunks through ``_pool``'s
 ordered map: from ``_POOL_MIN_CELLS`` cells on in forked workers, a few
 chunks ahead at a time, and below that in the calling process.  Render
 workers inherit the columns and return each chunk's text, which the parent
-writes in row order; parse workers return each chunk's rows, which the
-parent stores in chunk order.  So the bytes and arrays are the same
-whatever the worker count, and a chunk that ``np.loadtxt`` refuses sends
-the whole file to the row-wise path, with the same messages and line
-numbers.
+writes in row order; parse workers return each chunk's rows, or raise its
+error, which the parent stores or raises in chunk order.  So the bytes,
+arrays and messages are the same whatever the worker count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
@@ -171,17 +177,21 @@ def parse_csv_text(text: str, source: str = "<string>") -> tuple[Dataset, Concen
 
 
 def read_csv(path) -> tuple[Dataset, ConcentrationMatrix]:
-    """Parse the CSV file ``path`` as ``parse_csv_text`` would parse its
-    text, without holding the text.
+    """Parse the CSV file ``path`` in blocks of lines, without holding its text.
 
-    Lines end at ``\\n`` only, as in ``io.StringIO``, so the file and its
-    text give the same result.  The file is parsed in blocks of lines, each
-    opened again by its name, so a file descriptor is refused.
+    Lines end at ``\\n`` only, as in ``io.StringIO``, so the file gives what
+    ``parse_csv_text`` gives for its text, except where a record that a
+    quoted line break carries onto the next line is split between two
+    blocks: that is refused at the first block's last line.  Each block
+    opens the file again by its name and seeks to its first line, so a file
+    descriptor, a pipe or a FIFO is refused.
     """
     if isinstance(path, int):
         raise DataFormatError(f"cannot read {path}: a path is needed, not a file descriptor")
     try:
         with open(path, "r", encoding="utf-8", newline="\n") as fh:
+            if not fh.seekable():  # a pipe or FIFO: every block reopens and seeks the file
+                raise DataFormatError(f"cannot read {path}: a regular file is needed, not a pipe")
             return _parse_stream(fh, str(path), by_blocks=True)
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -189,17 +199,16 @@ def read_csv(path) -> tuple[Dataset, ConcentrationMatrix]:
 
 def _parse_stream(fh, source: str, by_blocks: bool):
     try:
-        names = _read_header(fh, source)
-        d = sum(1 for h in names if h.startswith("x"))
-        start = fh.tell()
-        columns = _load_table(fh, d, len(names) - 1 - d) if by_blocks else None
-        if columns is None:
-            fh.seek(start)
-            arr = _parse_rows(csv.reader(fh), len(names), source)
-            columns = arr[:, 0], arr[:, 1 : 1 + d], arr[:, 1 + d :]
+        d, n_comp = _read_header(fh, source)
+        if by_blocks:
+            y, x, p_values = _load_table(fh, d, n_comp)
+        else:
+            rows = _parse_rows(fh, 1 + d + n_comp, source, 2)
+            y, x, p_values = _fill(len(rows), d, n_comp, [rows])
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
-    y, x, p_values = columns
+    if not len(y):
+        raise DataFormatError(f"{source}: no data rows")
     try:
         data = Dataset(y=y, x=x)
         p = ConcentrationMatrix(p_values, row_sum_tol=_ROW_SUM_TOL)
@@ -208,7 +217,8 @@ def _parse_stream(fh, source: str, by_blocks: bool):
     return data, p
 
 
-def _read_header(fh, source: str) -> list[str]:
+def _read_header(fh, source: str) -> tuple[int, int]:
+    """d and M of the header ``y,x1,...,xd,p1,...,pM`` on the first line of ``fh``."""
     if fh.read(1) != "\ufeff":  # one leading byte-order mark is not part of the header
         fh.seek(0)
     # readline, not iteration, so that fh.tell() still works afterwards
@@ -219,6 +229,8 @@ def _read_header(fh, source: str) -> list[str]:
         raise DataFormatError(f"{source}: empty file") from None
     except csv.Error as exc:
         raise DataFormatError(f"{source}: line 1: {exc}") from None
+    if reader.line_num != 1:  # data lines are numbered from 2
+        raise DataFormatError(f"{source}: line 1: the header has a quoted line break")
     joined = ",".join(h.strip() for h in header)
     if not _HEADER_RE.match(joined):
         raise DataFormatError(
@@ -231,39 +243,34 @@ def _read_header(fh, source: str) -> list[str]:
         raise DataFormatError(
             f"{source}: columns out of order; expected {','.join(expected)}, got {joined!r}"
         )
-    return names
+    return d, len(names) - 1 - d
 
 
-def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...] | None:
+def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...]:
     """Read-only y, x and p of the data rows of the file ``fh`` reads, from
-    its position on, or None where ``np.loadtxt`` refuses.
+    its position on.
 
     A scan of the bytes for newlines counts the lines and records the byte
     offset of every block of ``_CHUNK_ROWS`` lines; the arrays are then
     allocated for that many rows and filled, in block order, by
     ``_parse_block``, so nothing N-sized exists beside them.  From
     ``_POOL_MIN_CELLS`` cells on, forked workers parse the blocks; below
-    that, the calling process maps the same function over them.
-    ``np.loadtxt`` drops blank lines, so a block may hold fewer rows than
-    lines; a block of blank lines alone makes it warn, and the whole file
-    goes to the row-wise path, which gives the same result.  ``np.loadtxt``
-    converts cells with the same string-to-double routine as ``float``, so
-    whatever it accepts parses to the row-wise path's values.
+    that, the calling process maps the same function over them.  A block
+    is parsed by itself wherever it is parsed, row by row where
+    ``np.loadtxt`` refuses it, and its errors name the file's own lines.
     """
     # a UTF-8 stream's position after a whole line is its byte offset
     n, offsets = _count_lines(fh.buffer, fh.tell())
-    if n == 0:
-        return None  # the row-wise path names the empty input
     width = 1 + d + n_comp
-    sizes = [min(_CHUNK_ROWS, n - begin) for begin in range(0, n, _CHUNK_ROWS)]
+    firsts = range(2, n + 2, _CHUNK_ROWS)  # the header is line 1
+    sizes = [min(_CHUNK_ROWS, n + 2 - first) for first in firsts]
     workers = _workers(n * width, len(sizes))
     with _pool.ordered_map(workers, partial(_parse_block, fh.name, width=width)) as parse:
-        return _fill(n, d, n_comp, parse(offsets, sizes))
+        return _fill(n, d, n_comp, parse(firsts, offsets, sizes))
 
 
-def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
-    """Read-only y, x and p of the at most ``n`` rows ``blocks`` yields in order,
-    or None at the first block that is None.
+def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...]:
+    """Read-only y, x and p of the at most ``n`` rows ``blocks`` yields in order.
 
     Where blank lines leave fewer than ``n`` rows, each array is shrunk in
     place, so it still owns its memory and is held once.
@@ -271,8 +278,6 @@ def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...] | None:
     y, x, p = np.empty(n), np.empty((n, d)), np.empty((n, n_comp))
     begin = 0
     for block in blocks:
-        if block is None:
-            return None
         stop = begin + len(block)
         y[begin:stop] = block[:, 0]
         x[begin:stop] = block[:, 1 : 1 + d]
@@ -312,26 +317,39 @@ def _count_lines(buffer, start: int) -> tuple[int, list[int]]:
     return n, offsets[: -(-n // _CHUNK_ROWS)]  # no block begins at the end of the file
 
 
-def _parse_block(path, offset: int, lines: int, width: int) -> np.ndarray | None:
-    """The rows of the ``lines`` lines of the file ``path`` from byte
-    ``offset``, or None if ``np.loadtxt`` refuses them or they are not
-    ``width`` columns wide."""
+def _parse_block(path, first: int, offset: int, lines: int, width: int) -> np.ndarray:
+    """The rows of the ``lines`` lines of the file ``path`` that begin at
+    byte ``offset`` with line ``first``.
+
+    ``np.loadtxt`` parses them; where it refuses them (quoted cells, ``1_0``,
+    blank lines alone, or a genuine error) or they are not ``width`` columns
+    wide, ``_parse_rows`` parses the same lines again, and refuses them if
+    they end inside a quoted cell.
+    """
     with open(path, "r", encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
         fh.seek(offset)
         warnings.simplefilter("error")  # "input contained no data" and kin
-        try:
+        with contextlib.suppress(ValueError, Warning):  # UnicodeDecodeError is a ValueError
             block = np.loadtxt(islice(fh, lines), delimiter=",", comments=None, ndmin=2)
-        except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-            return None
-    return block if block.shape[1] == width else None
+            if block.shape[1] == width:
+                return block
+        fh.seek(offset)
+        return _parse_rows(islice(fh, lines), width, str(path), first)
 
 
-def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:
-    """Row-wise parse of the data records; names the line of the first bad one."""
+def _parse_rows(lines, n_col: int, source: str, first: int) -> np.ndarray:
+    """Row-wise parse of the records of ``lines``, the first of which is
+    line ``first`` of ``source``; names the line the first bad record ends on.
+
+    The reader is strict: a closing quote must end its cell, and a quoted
+    cell must close before ``lines`` end, so a block of a file that ends
+    inside a quoted cell is refused at its last line.
+    """
+    reader = csv.reader(lines, strict=True)
     rows = []
-    lineno = 1
     try:
-        for lineno, cells in enumerate(reader, start=2):
+        for cells in reader:
+            lineno = first - 1 + reader.line_num
             if not cells:
                 continue
             if len(cells) != n_col:
@@ -346,10 +364,8 @@ def _parse_rows(reader, n_col: int, source: str) -> np.ndarray:
                     f"{source}: line {lineno}: not a number: {bad!r}"
                 ) from None
     except csv.Error as exc:
-        raise DataFormatError(f"{source}: line {lineno + 1}: {exc}") from None
-    if not rows:
-        raise DataFormatError(f"{source}: no data rows")
-    return np.array(rows)
+        raise DataFormatError(f"{source}: line {first - 1 + reader.line_num}: {exc}") from None
+    return np.array(rows).reshape(len(rows), n_col)
 
 
 def _is_float(cell: str) -> bool:

@@ -638,6 +638,22 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith(f"mvcreg: data-format: {path}: not UTF-8 text")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="no /dev/stdin")
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_piped_input_exit_2(self, dataset_csv, command):
+        # each block of lines reopens the input and seeks to it, which a pipe cannot do
+        env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "mvcreg.cli", command, "-i", "/dev/stdin"],
+            input=dataset_csv.read_bytes(), env=env, capture_output=True, timeout=60,
+        )
+        assert out.returncode == 2, out.stderr
+        (line,) = out.stderr.decode().splitlines()  # the diagnostic alone, no traceback
+        assert line == (
+            "mvcreg: data-format: cannot read /dev/stdin: a regular file is needed, not a pipe"
+        )
+        assert out.stdout == b""
+
     @pytest.mark.parametrize("command", ["fit", "weights"])
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys, dataset_csv, command):
         # as spreadsheet programs save "CSV UTF-8"
@@ -781,6 +797,25 @@ class TestStudy:
         path.write_text(json.dumps(raw))
         assert main(["study", "-i", str(path)]) == 3
         assert capsys.readouterr().err.startswith("mvcreg: singular-gramian:")
+
+    def test_singular_d_exit_4(self, tmp_path, capsys, monkeypatch):
+        # two constant regressors: D is exactly singular, so the analytic
+        # limit is undefined and the study stops before any draw
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", no_draw)
+        raw = json.loads(json.dumps(SMOKE_CONFIG))
+        for component in raw["components"]:
+            component["regressors"] = [{"kind": "constant"}, {"kind": "constant"}]
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(raw))
+        assert main(["study", "-i", str(path)]) == 4
+        out, err = capsys.readouterr()
+        (line,) = err.splitlines()
+        assert line.startswith("mvcreg: singular-d: second-moment matrix D for component index 0")
+        assert line.endswith("(condition number inf)")
+        assert out == ""
 
     def test_unenforceable_tolerance_exit_5(self, smoke_config_path, capsys):
         code = main(

@@ -36,6 +36,28 @@ class TestConcentrationMatrix:
         with pytest.raises(ValueError):
             ConcentrationMatrix(np.array([[0.5, 0.5]]))
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            (np.full(3, 1.0), "concentration matrix must be two-dimensional"),
+            (np.ones((3, 0)), "need at least one component"),
+            (
+                np.array([[0.5, 0.5]]),
+                "need at least as many observations as components (N=1 < M=2)",
+            ),
+            (
+                np.array([[np.nan, 0.5], [0.5, 0.5]]),
+                "concentration matrix contains non-finite entries",
+            ),
+            (np.array([[1.2, -0.2], [0.5, 0.5]]), "concentration entries must lie in [0, 1]"),
+        ],
+        ids=["1-d", "no component", "too few rows", "nan entry", "entry outside [0, 1]"],
+    )
+    def test_refusal_messages(self, values, message):
+        with pytest.raises(ValueError) as exc_info:
+            ConcentrationMatrix(values)
+        assert str(exc_info.value) == message
+
     def test_row_sum_tol_relaxation(self):
         rows = np.array([[0.5, 0.5 + 5e-8], [0.5, 0.5]])
         with pytest.raises(ValueError):

@@ -91,6 +91,26 @@ class TestCsv:
         with pytest.raises(DataFormatError):
             parse_csv_text("y,p1,x1\n1.0,1.0,2.0\n")
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("y,p1,x1", "header must be y,x1,...,xd,p1,...,pM, got 'y,p1,x1'"),
+            ("y,x2,x1,p1", "columns out of order; expected y,x1,x2,p1, got 'y,x2,x1,p1'"),
+            ("y,x1,p2", "columns out of order; expected y,x1,p1, got 'y,x1,p2'"),
+            ("y,x1,x1,p1", "columns out of order; expected y,x1,x2,p1, got 'y,x1,x1,p1'"),
+            # data lines are numbered from 2, so the header is one line
+            ('"y\n",x1,x2,p1', "line 1: the header has a quoted line break"),
+        ],
+    )
+    def test_header_refusal_messages(self, header, message, tmp_path):
+        text = header + "\n1.0,2.0,3.0,1.0\n"
+        with pytest.raises(DataFormatError) as exc_info:
+            parse_csv_text(text, source="h.csv")
+        assert str(exc_info.value) == f"h.csv: {message}"
+        path = tmp_path / "h.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert outcome(read_csv, path) == ("error", f"{path}: {message}")
+
     def test_reports_bad_cell_line(self):
         text = "y,x1,p1\n1.0,2.0,1.0\n1.0,oops,1.0\n"
         with pytest.raises(DataFormatError, match="line 3"):
@@ -171,6 +191,9 @@ _EDGE_CASES = {
     "empty cell": (_HEADER + "1.5,,1.0\n-3.25,0.5,1.0\n", False),
     "hex cell": (_HEADER + "0x1,2.0,1.0\n-3.25,0.5,1.0\n", False),
     "quoted cells": (_HEADER + '"1.5","2.0",1.0\n-3.25,0.5,1.0\n', True),
+    "text after a closing quote": (_HEADER + '"1.5"0,2.0,1.0\n-3.25,0.5,1.0\n', False),
+    "quote open at the end": (_HEADER + _ROWS + '1.5,2.0,"1.0\n', False),
+    "quote open at the end, no final newline": (_HEADER + _ROWS + '1.5,2.0,"1.0', False),
     "underscore digits": (_HEADER + "1_5,2.0,1.0\n-3.25,0.5,1.0\n", True),
     "full-width digits": (_HEADER + "１.5,2.0,1.0\n-3.25,0.5,1.0\n", True),
     "spaces around cells": (_HEADER + " 1.5 ,2.0 , 1.0\n-3.25,0.5,1.0\n", True),
@@ -222,14 +245,20 @@ class TestCsvParity:
         assert render_weights_csv(a) == expected
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
-    def test_edge_case_matches_row_wise_path(self, case, tmp_path, monkeypatch):
+    def test_edge_case_matches_row_wise_path(self, case, tmp_path, monkeypatch, io_pools):
+        # blocks of one to three lines put every line at every place in a
+        # block; with one line per block in a pool, a refused line is parsed
+        # row by row in a worker and its error crosses the pool
         text, accepted = _EDGE_CASES[case]
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
-        got = outcome(read_csv, path)
-        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
-        assert got == outcome(read_csv, path)
-        assert (got[0] == "ok") == accepted
+        expected = outcome(parse_csv_text, text, source=str(path))
+        assert (expected[0] == "ok") == accepted
+        runs = [(chunk, 1) for chunk in (1, 2, 3, mvcreg.dataio._CHUNK_ROWS)] + [(1, 2), (1, 3)]
+        for chunk, workers in runs:
+            monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
+            io_pools.force(workers)
+            assert outcome(read_csv, path) == expected, (chunk, workers)
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
     def test_file_and_text_agree(self, case, tmp_path):
@@ -283,9 +312,8 @@ class TestCsvParity:
         got = outcome(read_csv, path)
         accepted = case in ("plain", "blank lines at chunk ends")
         assert (got[0] == "ok") == accepted
-        assert bool(row_wise) != accepted  # accepted input never falls back
-        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
-        assert got == outcome(read_csv, path)
+        assert bool(row_wise) != accepted  # accepted input is never parsed row by row
+        assert got == outcome(parse_csv_text, text, source=str(path))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -299,7 +327,8 @@ class TestCsvParity:
         ],
     )
     def test_pooled_tall_file_matches_serial_path(self, case, workers, tmp_path, io_pools):
-        # refused blocks send the file to the row-wise path: same text, same line
+        # a refused block is parsed row by row in the worker that refused it,
+        # and its error is raised where its result is taken: same text, same line
         path = tmp_path / "tall.csv"
         path.write_bytes(self.tall_text(case).encode("utf-8"))
         serial = outcome(read_csv, path)
@@ -324,6 +353,71 @@ class TestCsvParity:
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8-sig"))
         with pytest.raises(DataFormatError, match=r"header must be .*got '\\ufeffy,x1"):
             read_csv(marked)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_row_wise_path_runs_on_the_refused_block_only(
+        self, workers, tmp_path, monkeypatch, io_pools
+    ):
+        calls = tmp_path / "calls"
+        parse_rows = mvcreg.dataio._parse_rows
+
+        def recording_parse_rows(lines, n_col, source, first):
+            with open(calls, "a") as log:  # one small append per call, from any process
+                log.write(f"{first}\n")
+            return parse_rows(lines, n_col, source, first)
+
+        monkeypatch.setattr(mvcreg.dataio, "_parse_rows", recording_parse_rows)
+        io_pools.force(workers)
+        chunk = mvcreg.dataio._CHUNK_ROWS
+        lines = self.tall_text("plain").split("\n")
+        lines[1 + chunk + 7] = '"' + lines[1 + chunk + 7].replace(",", '",', 1)  # a quoted cell
+        cases = {
+            "plain": (self.tall_text("plain"), []),
+            "quoted cell in the second block": ("\n".join(lines), [2 + chunk]),
+            "bad cell in the last block": (
+                self.tall_text("bad cell in the last chunk"), [2 + 2 * chunk]
+            ),
+        }
+        for case, (text, firsts) in cases.items():
+            path = tmp_path / "tall.csv"
+            path.write_bytes(text.encode("utf-8"))
+            calls.write_text("")
+            got = outcome(read_csv, path)
+            assert [int(line) for line in calls.read_text().split()] == firsts, case
+            assert got == outcome(parse_csv_text, text, source=str(path)), case
+        assert io_pools.started == ([workers] * 3 if workers > 1 else [])
+
+    @pytest.mark.parametrize(
+        "text, refused",
+        [
+            # lines after the record are named by their place in the file
+            (_HEADER + '0.5,1.0,1.0\n1.5,"2.0\n",1.0\n\n-3.25,oops,1.0\n', "line 6: not a number: 'oops'"),
+            (_HEADER + '0.5,1.0,1.0\n1.5,"2.0\n",1.0\n\n-3.25,0.5,1.0\n', None),
+            # split, the block after line 3 reads the closing quote as an
+            # opening one, so each block by itself gives rows of the right width
+            (_HEADER + '0.5,0.5,1.0\n1,2,"1.0\n"\n5",8,1.0\n', "line 5: not a number: '5\"'"),
+            (_HEADER + '0.5,0.5,1.0\n1,2,"1.0\n"4",5,1.0\n', "line 4: ',' expected after '\"'"),
+        ],
+    )
+    def test_quoted_line_break_is_split_at_a_block_boundary(self, text, refused, tmp_path, monkeypatch):
+        # the one way a file and its text differ: a record that a quoted line
+        # break carries from line 3 onto line 4 is read within one block of
+        # lines, and refused where a block ends at line 3, inside the quote
+        path = tmp_path / "case.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(parse_csv_text, text, source=str(path))
+        if refused is None:
+            assert expected == ("ok", *(np.array(c).tobytes() for c in (
+                [0.5, 1.5, -3.25], [[1.0], [2.0], [0.5]], [[1.0]] * 3
+            )))
+        else:
+            assert expected == ("error", f"{path}: {refused}")
+        for chunk in (3, 4, mvcreg.dataio._CHUNK_ROWS):  # lines 3 and 4 in one block
+            monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
+            assert outcome(read_csv, path) == expected, chunk
+        for chunk in (1, 2):  # a block ends at line 3
+            monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
+            assert outcome(read_csv, path) == ("error", f"{path}: line 3: unexpected end of data")
 
     @staticmethod
     def line_loop(raw: bytes, start: int, chunk: int) -> tuple[int, list[int]]:
@@ -373,9 +467,8 @@ class TestCsvParity:
         path.write_bytes(self._COUNT_CASES[case])
         monkeypatch.setattr(mvcreg.dataio, "_COUNT_BLOCK_BYTES", read_bytes)
         monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
-        got = outcome(read_csv, path)
-        monkeypatch.setattr(mvcreg.dataio, "_load_table", lambda *args: None)
-        assert got == outcome(read_csv, path)
+        text = self._COUNT_CASES[case].decode("utf-8")
+        assert outcome(read_csv, path) == outcome(parse_csv_text, text, source=str(path))
 
     def test_read_arrays_are_handed_over_once(self, tmp_path, monkeypatch, io_pools):
         # serial and pooled reads parse each block of lines once, with one function
@@ -385,10 +478,10 @@ class TestCsvParity:
         calls = tmp_path / "calls"
         parse_block = mvcreg.dataio._parse_block
 
-        def recording_parse_block(path, offset, lines, width):
+        def recording_parse_block(path, first, offset, lines, width):
             with open(calls, "a") as log:  # one small append per call, from any process
-                log.write(f"{offset} {lines}\n")
-            return parse_block(path, offset, lines, width)
+                log.write(f"{first} {offset} {lines}\n")
+            return parse_block(path, first, offset, lines, width)
 
         monkeypatch.setattr(mvcreg.dataio, "_parse_rows", forbidden)
         monkeypatch.setattr(mvcreg.dataio, "_parse_block", recording_parse_block)
@@ -401,7 +494,10 @@ class TestCsvParity:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         raw = path.read_bytes()
         n, offsets = self.line_loop(raw, raw.index(b"\n") + 1, chunk)
-        blocks = [f"{offset} {min(chunk, n - k * chunk)}" for k, offset in enumerate(offsets)]
+        blocks = [
+            f"{2 + k * chunk} {offset} {min(chunk, n - k * chunk)}"
+            for k, offset in enumerate(offsets)
+        ]
         assert len(blocks) == 3
         for workers in (1, 2, 3):
             io_pools.force(workers)

@@ -39,6 +39,27 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(y=np.array([1.0, np.nan, 0.0]), x=np.ones((3, 1)))
 
+    @pytest.mark.parametrize(
+        "y, x, message",
+        [
+            (np.zeros((3, 1)), np.ones((3, 1)), "y must be one-dimensional"),
+            (np.zeros(3), np.ones(3), "x must be two-dimensional"),
+            (np.zeros(4), np.ones((3, 1)), "y has 4 rows but x has 3"),
+            (np.zeros(3), np.ones((3, 0)), "need at least one regressor"),
+            (np.zeros(2), np.ones((2, 2)), "need more observations than regressors (N=2, d=2)"),
+            (
+                np.zeros(3),
+                np.array([[1.0], [np.inf], [0.0]]),
+                "dataset contains non-finite entries",
+            ),
+        ],
+        ids=["y 2-d", "x 1-d", "row counts differ", "no regressor", "too few rows", "inf in x"],
+    )
+    def test_refusal_messages(self, y, x, message):
+        with pytest.raises(ValueError) as exc_info:
+            Dataset(y=y, x=x)
+        assert str(exc_info.value) == message
+
     def test_writable_arrays_are_copied(self):
         y, x = np.arange(3.0), np.ones((3, 1))
         d = Dataset(y=y, x=x)

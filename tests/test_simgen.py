@@ -161,6 +161,235 @@ class TestConfigValidation:
             with_n_obs(config, 200)
 
 
+def _base_raw():
+    """A valid two-component config document, for the refusal table to edit."""
+    return {
+        "n_obs": 10,
+        "components": [
+            {
+                "regressors": [{"kind": "constant"}, {"kind": "gaussian", "mean": 1.0, "sd": 1.0}],
+                "error_sd": 0.1,
+                "coefficients": [1.0, 2.0],
+            },
+            {
+                "regressors": [{"kind": "constant"}, {"kind": "gaussian", "mean": 2.0, "sd": 0.5}],
+                "error_sd": 0.2,
+                "coefficients": [-1.0, 0.5],
+            },
+        ],
+    }
+
+
+def _set(path, value):
+    """An edit of the base document that sets the item at ``path`` to ``value``."""
+
+    def edit(raw):
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        return raw
+
+    return edit
+
+
+def _drop(path):
+    def edit(raw):
+        target = raw
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return raw
+
+    return edit
+
+
+_REG = ("components", 0, "regressors")
+_EXPLICIT = [[0.5, 0.5]] * 10
+
+#: config edit -> (field path, message) that simulation_config_from_dict refuses it with
+_CONFIG_REFUSALS = {
+    "top level not an object": (lambda raw: [raw], "config", "top level must be an object"),
+    "n_obs missing": (_drop(("n_obs",)), "n_obs", "is required"),
+    "n_obs a string": (_set(("n_obs",), "10"), "n_obs", "must be an integer, got '10'"),
+    "n_obs a bool": (_set(("n_obs",), True), "n_obs", "must be an integer, got True"),
+    "n_obs zero": (_set(("n_obs",), 0), "n_obs", "must be a positive integer"),
+    "components an object": (
+        _set(("components",), {}), "components", "must be a non-empty list"
+    ),
+    "component not an object": (
+        _set(("components", 0), 3), "components[0]", "must be an object"
+    ),
+    "component unknown key": (
+        _set(("components", 1, "mean"), 1.0), "components[1]", "unknown keys ['mean']"
+    ),
+    "regressors not a list": (
+        _set(_REG, "constant"), "components[0].regressors", "must be a list"
+    ),
+    "regressors empty": (
+        lambda raw: _set(("components", 0, "coefficients"), [])(_set(_REG, [])(raw)),
+        "components[0].regressors",
+        "must not be empty",
+    ),
+    "regressor counts differ": (
+        _set(("components", 1, "regressors"), [{"kind": "constant"}]),
+        "components[1].regressors",
+        "has 1 entries; every component must declare 2 like the first",
+    ),
+    "coefficients not a list": (
+        _set(("components", 0, "coefficients"), 1.0),
+        "components[0].coefficients",
+        "must be a list",
+    ),
+    "coefficient count differs": (
+        _set(("components", 1, "coefficients"), [1.0]),
+        "components[1].coefficients",
+        "has 1 entries, expected 2",
+    ),
+    "coefficient null": (
+        _set(("components", 0, "coefficients", 1), None),
+        "components[0].coefficients[1]",
+        "must be a number, got None",
+    ),
+    "error_sd missing": (
+        _drop(("components", 1, "error_sd")), "components[1].error_sd", "is required"
+    ),
+    "error_sd a bool": (
+        _set(("components", 0, "error_sd"), True),
+        "components[0].error_sd",
+        "must be a number, got True",
+    ),
+    "regressor not an object": (
+        _set(_REG + (1,), "gaussian"), "components[0].regressors[1]", "must be an object"
+    ),
+    "constant regressor unknown key": (
+        _set(_REG + (0, "mean"), 1.0),
+        "components[0].regressors[0]",
+        "unknown keys ['mean'] for constant regressor",
+    ),
+    "gaussian regressor unknown key": (
+        _set(_REG + (1, "skew"), 0.0),
+        "components[0].regressors[1]",
+        "unknown keys ['skew'] for gaussian regressor",
+    ),
+    "regressor unknown kind": (
+        _set(_REG + (1,), {"kind": "uniform"}),
+        "components[0].regressors[1].kind",
+        "must be 'constant' or 'gaussian', got 'uniform'",
+    ),
+    "regressor kind missing": (
+        _set(_REG + (1,), {"mean": 1.0, "sd": 1.0}),
+        "components[0].regressors[1].kind",
+        "must be 'constant' or 'gaussian', got None",
+    ),
+    "gaussian sd missing": (
+        _drop(_REG + (1, "sd")), "components[0].regressors[1].sd", "is required"
+    ),
+    "gaussian mean a string": (
+        _set(_REG + (1, "mean"), "1"),
+        "components[0].regressors[1].mean",
+        "must be a number, got '1'",
+    ),
+    "concentrations a string": (
+        _set(("concentrations",), "ramp"), "concentrations", "must be an object"
+    ),
+    "linear_ramp unknown key": (
+        _set(("concentrations",), {"model": "linear_ramp", "slope": 1.0}),
+        "concentrations",
+        "unknown keys ['slope'] for linear_ramp",
+    ),
+    "explicit unknown key": (
+        _set(("concentrations",), {"model": "explicit", "values": _EXPLICIT, "scale": 1}),
+        "concentrations",
+        "unknown keys ['scale'] for explicit model",
+    ),
+    "unknown model": (
+        _set(("concentrations",), {"model": "dirichlet"}),
+        "concentrations.model",
+        "must be 'linear_ramp' or 'explicit', got 'dirichlet'",
+    ),
+    "explicit values missing": (
+        _set(("concentrations",), {"model": "explicit"}), "concentrations.values", "is required"
+    ),
+    "explicit values a vector": (
+        _set(("concentrations",), {"model": "explicit", "values": [0.5, 0.5]}),
+        "concentrations.values",
+        "must be a matrix (list of equal-length rows)",
+    ),
+    "explicit values not numeric": (
+        _set(("concentrations",), {"model": "explicit", "values": [["a", "b"]] * 10}),
+        "concentrations.values",
+        "not a numeric matrix: could not convert string to float: 'a'",
+    ),
+    "explicit values ragged": (
+        _set(("concentrations",), {"model": "explicit", "values": [[0.5, 0.5]] * 9 + [[1.0]]}),
+        "concentrations.values",
+        "not a numeric matrix: ",  # the rest is numpy's wording
+    ),
+}
+
+#: study option edit -> (field path, message) that study_options_from_dict refuses it with
+_OPTION_REFUSALS = {
+    "n_grid not a list": ({"n_grid": 500}, "n_grid", "must be a list of integers"),
+    "n_grid float entry": ({"n_grid": [500, 2.5]}, "n_grid[1]", "must be an integer, got 2.5"),
+    "n_grid entry too small": ({"n_grid": [500, 1]}, "n_grid", "entries must be integers >= 2"),
+    "rep_count a string": ({"rep_count": "10"}, "rep_count", "must be an integer, got '10'"),
+    "rel_tol zero": ({"rel_tol": 0}, "rel_tol", "must be positive"),
+    "rel_tol negative": ({"rel_tol": -0.1}, "rel_tol", "must be positive"),
+    "rel_tol a string": ({"rel_tol": "0.1"}, "rel_tol", "must be a number, got '0.1'"),
+    "mean_tol zero": ({"mean_tol": 0.0}, "mean_tol", "must be positive"),
+    "mean_tol infinite": (
+        {"mean_tol": float("inf")}, "mean_tol", "must be a finite number, got inf"
+    ),
+}
+
+
+class TestConfigRefusals:
+    @pytest.mark.parametrize("case", list(_CONFIG_REFUSALS))
+    def test_config_refusal_names_the_field(self, case):
+        edit, field, message = _CONFIG_REFUSALS[case]
+        simulation_config_from_dict(_base_raw())  # the base document is valid
+        with pytest.raises(ConfigError) as exc_info:
+            simulation_config_from_dict(edit(_base_raw()))
+        assert exc_info.value.field == field
+        if message.endswith(": "):
+            assert exc_info.value.message.startswith(message)
+        else:
+            assert exc_info.value.message == message
+        assert str(exc_info.value) == f"{field}: {exc_info.value.message}"
+
+    @pytest.mark.parametrize("case", list(_OPTION_REFUSALS))
+    def test_study_option_refusal_names_the_field(self, case):
+        raw, field, message = _OPTION_REFUSALS[case]
+        with pytest.raises(ConfigError) as exc_info:
+            study_options_from_dict(raw)
+        assert (exc_info.value.field, exc_info.value.message) == (field, message)
+
+    def test_config_needs_a_component(self):
+        with pytest.raises(ConfigError) as exc_info:
+            SimulationConfig(n_obs=10, components=())
+        assert (exc_info.value.field, exc_info.value.message) == (
+            "components", "must list at least one component"
+        )
+
+    def test_explicit_rows_must_match_n_obs_when_drawn(self):
+        raw = _set(("concentrations",), {"model": "explicit", "values": _EXPLICIT[:3]})(_base_raw())
+        config = simulation_config_from_dict(raw)  # the rows are counted when drawn
+        with pytest.raises(ConfigError) as exc_info:
+            generate(config)
+        assert (exc_info.value.field, exc_info.value.message) == (
+            "concentrations.values", "has 3 rows but n_obs is 10"
+        )
+
+    def test_unreadable_config_file(self, tmp_path):
+        path = tmp_path / "absent.json"
+        with pytest.raises(ConfigError) as exc_info:
+            load_config_file(path)
+        assert (exc_info.value.field, exc_info.value.message) == (
+            str(path), "cannot read config: No such file or directory"
+        )
+
+
 class TestGenerate:
     def test_deterministic_bytes(self):
         config, _ = reference_study_config()
