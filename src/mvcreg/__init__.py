@@ -59,7 +59,6 @@ _EXPORTS = {
             "MonteCarloReport",
             "compare_report",
             "run_study",
-            "study_from_options",
         ),
         "simgen": (
             "ComponentSpec",

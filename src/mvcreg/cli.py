@@ -159,13 +159,16 @@ def cmd_simulate(args) -> int:
 
 def cmd_study(args) -> int:
     from . import dataio
-    from .montecarlo import compare_report, study_from_options
+    from .montecarlo import compare_report, run_study
     from .simgen import with_seed
 
     config, options = load_configuration(args)
     if args.seed is not None:
         config = with_seed(config, args.seed)
-    report = study_from_options(config, options, rep_count=args.reps)
+    reps = args.reps if args.reps is not None else options.rep_count
+    if reps is None:
+        raise ConfigError("rep_count", "not set in the config and no override given")
+    report = run_study(config, reps, options.n_grid)
     rel_tol = args.rel_tol if args.rel_tol is not None else options.rel_tol
     comparison = None
     if rel_tol is not None:

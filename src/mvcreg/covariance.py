@@ -68,12 +68,11 @@ class AsymptoticCovariance:
     v: np.ndarray
     component: int
     mode: str
-    d_matrix: np.ndarray
     std_errors: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
-        freeze(self, "sigma", "v", "d_matrix", "std_errors")
+        freeze(self, "sigma", "v", "std_errors")
 
 
 def _assemble_sigma(
@@ -95,8 +94,6 @@ def _assemble_sigma(
         raise ValueError("co_moments must be M x M")
     if not np.allclose(co, co.T, atol=1e-8):
         raise ValueError("co_moments must be symmetric")
-    if not 0 <= m < n_comp:
-        raise ValueError(f"component index {m} out of range")
     d = d2[m].shape[0]
     w = co.sum(axis=1)  # <(a^m)^2 p^s>: rows of p sum to one
     sigma = np.zeros((d, d))
@@ -146,9 +143,14 @@ def analytic_sigma(
 
     Raises
     ------
+    ValueError
+        If ``m`` is not a component index, or ``co_moments`` is not a
+        symmetric M x M matrix.
     SingularD
         If the target component's second-moment matrix is singular.
     """
+    if not 0 <= m < len(moments):
+        raise ValueError(f"component index {m} out of range")
     sigma = _assemble_sigma(
         [mom.d2 for mom in moments],
         [mom.sigma2 for mom in moments],
@@ -158,9 +160,7 @@ def analytic_sigma(
         np.array([_gaussian_quartic(mom, mom.b - moments[m].b) for mom in moments]),
     )
     v = _sandwich(moments[m].d2, sigma, m)
-    return AsymptoticCovariance(
-        sigma=sigma, v=v, component=m, mode="analytic", d_matrix=moments[m].d2
-    )
+    return AsymptoticCovariance(sigma=sigma, v=v, component=m, mode="analytic")
 
 
 def plug_in_covariances(
@@ -266,7 +266,6 @@ def plug_in_covariances(
                 v=v,
                 component=m,
                 mode="plug_in",
-                d_matrix=d2[m],
                 std_errors=np.sqrt(np.maximum(variances, 0.0) / n),
                 warnings=tuple(notes),
             )

@@ -49,7 +49,6 @@ from .estimator import DEFAULT_XTX_TOL, fit_basis, normal_equations, solve_norma
 from .moments import _CHUNK_ROWS
 from .simgen import (
     SimulationConfig,
-    StudyOptions,
     derive_seeds,
     draw_stack,
     limit_co_moments,
@@ -94,10 +93,6 @@ class MonteCarloReport:
     def __post_init__(self):
         freeze(self, "true_b", "analytic_v")
         object.__setattr__(self, "points", tuple(self.points))
-
-    @property
-    def n_components(self) -> int:
-        return self.true_b.shape[0]
 
     @property
     def largest(self) -> GridPointSummary:
@@ -207,7 +202,8 @@ def run_study(
     and counted, and a grid point where more than half fail aborts the
     study, since its summary would say nothing.  A config whose analytic
     covariance overflows the float range, or whose concentrations are not
-    identifiable, is refused before any replication is drawn.
+    identifiable, or whose grid repeats a sample size, is refused before any
+    replication is drawn.
 
     The empirical covariance is of the scaled estimate sqrt(N) * b_hat, with
     the 1/(R-1) normalization, so it is directly comparable to the analytic
@@ -216,6 +212,8 @@ def run_study(
     if rep_count < 2:
         raise ConfigError("rep_count", "must be at least 2")
     grid = tuple(sorted(n_grid)) if n_grid else (config.n_obs,)
+    if len(set(grid)) < len(grid):
+        raise ConfigError("n_grid", "entries must be distinct")
 
     analytic = _analytic_limit(config)
     workers = _pool.worker_count(rep_count)
@@ -266,62 +264,38 @@ def compare_report(
     Covariance entries must match the analytic values to ``rel_tol``
     relative error; an analytic entry smaller than 5% of the largest entry of
     its matrix is judged against that 5% scale instead, so structural zeros
-    do not demand infinite precision.  Coefficient means must match the truth
-    to ``mean_abs_tol`` absolutely.  A NaN error is the worst error: it
-    fails its entry and carries into ``worst_cov_rel`` or ``worst_mean_abs``.
+    do not demand infinite precision.  An all-zero analytic matrix leaves no
+    scale: an entry it matches exactly has relative error 0, any other entry
+    infinity.  Only the upper triangle of each symmetric matrix is compared.
+    Coefficient means must match the truth to ``mean_abs_tol`` absolutely.
+    A NaN error is the worst error: it fails its entry and carries into
+    ``worst_cov_rel`` or ``worst_mean_abs``.
     """
     point = report.largest
-    cov_failures = []
-    mean_failures = []
-    worst_rel = 0.0
-    worst_abs = 0.0
-    for m in range(report.n_components):
-        vhat = point.scaled_cov[m]
-        v = report.analytic_v[m]
-        scale_floor = 0.05 * np.abs(v).max()
-        d = v.shape[0]
-        for i in range(d):
-            for k in range(i, d):
-                err = abs(vhat[i, k] - v[i, k])
-                denom = max(abs(v[i, k]), scale_floor)
-                if denom == 0.0:
-                    rel = 0.0 if err == 0.0 else float("inf")
-                else:
-                    rel = err / denom
-                worst_rel = float(np.maximum(worst_rel, rel))  # max() would drop a NaN
-                if not rel <= rel_tol:
-                    # 1-based labels, matching the report table headings
-                    cov_failures.append(
-                        f"component {m + 1} cov[{i + 1},{k + 1}]: empirical "
-                        f"{vhat[i, k]:.4f} vs analytic {v[i, k]:.4f} "
-                        f"(rel err {rel:.3f} > {rel_tol})"
-                    )
-        for i in range(d):
-            err = abs(point.mean_b[m, i] - report.true_b[m, i])
-            worst_abs = float(np.maximum(worst_abs, err))
-            if not err <= mean_abs_tol:
-                mean_failures.append(
-                    f"component {m + 1} mean b[{i + 1}]: {point.mean_b[m, i]:.4f} vs "
-                    f"true {report.true_b[m, i]:.4f} (abs err {err:.4f} > {mean_abs_tol})"
-                )
+    v, vhat = report.analytic_v, point.scaled_cov
+    err = np.abs(vhat - v)
+    denom = np.maximum(np.abs(v), 0.05 * np.abs(v).max(axis=(1, 2), keepdims=True))
+    rel = np.divide(err, denom, out=np.where(err == 0, 0.0, np.inf), where=denom != 0)
+    upper = np.triu(np.ones(v.shape[1:], dtype=bool))
+    # 1-based labels, matching the report table headings
+    cov_failures = [
+        f"component {m + 1} cov[{i + 1},{k + 1}]: empirical {vhat[m, i, k]:.4f} vs "
+        f"analytic {v[m, i, k]:.4f} (rel err {rel[m, i, k]:.3f} > {rel_tol})"
+        for m, i, k in zip(*np.nonzero(~(rel <= rel_tol) & upper))
+    ]
+    mean_err = np.abs(point.mean_b - report.true_b)
+    mean_failures = [
+        f"component {m + 1} mean b[{i + 1}]: {point.mean_b[m, i]:.4f} vs true "
+        f"{report.true_b[m, i]:.4f} (abs err {mean_err[m, i]:.4f} > {mean_abs_tol})"
+        for m, i in zip(*np.nonzero(~(mean_err <= mean_abs_tol)))
+    ]
     return ComparisonReport(
         n_obs=point.n_obs,
         rel_tol=rel_tol,
         mean_abs_tol=mean_abs_tol,
-        worst_cov_rel=worst_rel,
-        worst_mean_abs=worst_abs,
+        worst_cov_rel=float(rel[:, upper].max()),
+        worst_mean_abs=float(mean_err.max()),
         cov_failures=tuple(cov_failures),
         mean_failures=tuple(mean_failures),
     )
 
-
-def study_from_options(
-    config: SimulationConfig,
-    options: StudyOptions,
-    rep_count: int | None = None,
-) -> MonteCarloReport:
-    """Run a study with settings merged from config-file options and overrides."""
-    reps = rep_count if rep_count is not None else options.rep_count
-    if reps is None:
-        raise ConfigError("rep_count", "not set in the config and no override given")
-    return run_study(config, rep_count=reps, n_grid=options.n_grid)

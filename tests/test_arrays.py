@@ -26,7 +26,7 @@ VALUE_CLASSES = {
     ConcentrationMatrix: dict(values=_P),
     GramianSummary: dict(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3),
     AsymptoticCovariance: dict(
-        sigma=_EYE, v=_EYE, component=0, mode="plug_in", d_matrix=_EYE, std_errors=[0.1, 0.2]
+        sigma=_EYE, v=_EYE, component=0, mode="plug_in", std_errors=[0.1, 0.2]
     ),
     FitResult: dict(
         coefficients=[[1.0, 2.0], [3.0, 4.0]],

@@ -829,6 +829,37 @@ class TestStudy:
         doc = json.loads(capsys.readouterr().out)
         assert doc["points"][0]["rep_count"] == 5
 
+    def test_rep_count_required_exit_2(self, tmp_path, capsys, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", no_draw)
+        raw = {key: value for key, value in SMOKE_CONFIG.items() if key != "rep_count"}
+        path = tmp_path / "no_reps.json"
+        path.write_text(json.dumps(raw))
+        assert main(["study", "-i", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "mvcreg: config-error: rep_count: not set in the config and no override given\n",
+        )
+
+    def test_reps_override_wins_over_config(self, tmp_path, capsys):
+        # --reps replaces the config's rep_count; its n_grid is kept
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, rep_count=50, n_grid=[80])))
+        assert main(["study", "-i", str(path), "--reps", "8"]) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert (point["n_obs"], point["rep_count"]) == (80, 8)
+
+    def test_duplicate_grid_entries_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps(dict(SMOKE_CONFIG, n_grid=[100, 60, 100])))
+        assert main(["study", "-i", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "mvcreg: config-error: n_grid: entries must be distinct\n",
+        )
+
     def test_byte_identical_reports(self, tmp_path, smoke_config_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["study", "-i", str(smoke_config_path), "--reps", "6"]

@@ -314,7 +314,7 @@ def assert_matches_tensor_route(data, p, fit):
 
 
 def assert_same_bytes(a, b):
-    for name in ("sigma", "v", "d_matrix", "std_errors"):
+    for name in ("sigma", "v", "std_errors"):
         assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
     assert (a.component, a.mode, a.warnings) == (b.component, b.mode, b.warnings)
 

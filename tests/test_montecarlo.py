@@ -25,7 +25,6 @@ from mvcreg import (
     fit_all,
     generate,
     run_study,
-    study_from_options,
 )
 import mvcreg.moments
 from mvcreg.estimator import fit_basis, normal_equations
@@ -265,8 +264,9 @@ class TestRunStudy:
         assert (large.failures, large.failure_codes) == (0, {})
 
         # the CLI notes each grid point that lost replications on stderr
-        monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (config, StudyOptions()))
-        monkeypatch.setattr(mvcreg.montecarlo, "study_from_options", lambda *args, **kwargs: report)
+        options = StudyOptions(rep_count=rep_count)
+        monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (config, options))
+        monkeypatch.setattr(mvcreg.montecarlo, "run_study", lambda *args: report)
         assert mvcreg.cli.main(["study"]) == 0
         assert capsys.readouterr().err == (
             f"mvcreg: note: n=40: {failed} of 30 replications failed "
@@ -340,6 +340,15 @@ class TestRunStudy:
             warnings.simplefilter("error")
             run_study(config, rep_count=4, n_grid=(100,))
         assert info.value.field == "components"
+
+    def test_duplicate_grid_entries_refused_before_any_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a replication was drawn")
+
+        monkeypatch.setattr(mvcreg.montecarlo, "draw_stack", no_draw)
+        with pytest.raises(ConfigError) as info:
+            run_study(small_config(), rep_count=4, n_grid=(100, 50, 100))
+        assert str(info.value) == "n_grid: entries must be distinct"
 
     def test_cpu_count_does_not_change_results(self, fresh_python, capsys):
         # fresh interpreters, one pinned to a single CPU, so it runs serially,
@@ -426,28 +435,77 @@ class TestCompareReport:
         assert np.isnan(cmp.worst_cov_rel) and np.isnan(cmp.worst_mean_abs)
         assert len(cmp.cov_failures) == 1 and len(cmp.mean_failures) == 1
 
-        monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (None, StudyOptions()))
-        monkeypatch.setattr(mvcreg.montecarlo, "study_from_options", lambda *args, **kwargs: report)
+        options = StudyOptions(rep_count=10)
+        monkeypatch.setattr(mvcreg.cli, "load_configuration", lambda args: (None, options))
+        monkeypatch.setattr(mvcreg.montecarlo, "run_study", lambda *args: report)
         assert mvcreg.cli.main(["study", "--format", "table", "--rel-tol", "0.15"]) == 5
         assert "FAILED (worst cov rel err nan, tol 0.15)" in capsys.readouterr().out
         assert mvcreg.cli.main(["study", "--rel-tol", "0.15"]) == 5
         assert '"worst_cov_rel": NaN' in capsys.readouterr().out
 
+    def test_zero_analytic_matched_exactly_passes(self):
+        zero = np.zeros((1, 2, 2))
+        cmp = compare_report(self._synthetic(zero, zero), rel_tol=0.15)
+        assert cmp.ok and cmp.worst_cov_rel == 0.0
+
+    def test_zero_analytic_missed_is_infinite(self):
+        vhat = np.zeros((1, 2, 2))
+        vhat[0, 1, 1] = 0.5
+        cmp = compare_report(self._synthetic(vhat, np.zeros_like(vhat)), rel_tol=0.15)
+        assert cmp.worst_cov_rel == np.inf
+        assert cmp.cov_failures == (
+            "component 1 cov[2,2]: empirical 0.5000 vs analytic 0.0000 (rel err inf > 0.15)",
+        )
+
+    def test_entry_below_the_floor_is_judged_against_the_floor(self):
+        # the floor is 5% of the largest entry, 5.0: the off-diagonal error
+        # 2.5 is 0.5 of the floor, not 2.5 times the entry itself
+        v = np.array([[[100.0, 1.0], [1.0, 50.0]]])
+        vhat = v.copy()
+        vhat[0, 0, 1] = vhat[0, 1, 0] = 3.5
+        cmp = compare_report(self._synthetic(vhat, v), rel_tol=0.6)
+        assert cmp.ok and cmp.worst_cov_rel == 0.5
+        assert not compare_report(self._synthetic(vhat, v), rel_tol=0.4).ok
+
+    def test_only_the_upper_triangle_is_compared(self):
+        v = np.array([[[4.0, 1.0, 0.5], [1.0, 3.0, -1.0], [0.5, -1.0, 2.0]]])
+        vhat = v + np.tril(np.full((3, 3), 7.0), k=-1)  # lower triangle far off
+        report = self._synthetic(vhat, v, true_b=np.zeros((1, 3)))
+        cmp = compare_report(report, rel_tol=1e-12)
+        assert cmp.ok and cmp.worst_cov_rel == 0.0
+
+    def test_failure_messages_and_order_across_components(self):
+        v = np.array([[[4.0, 1.0], [1.0, 2.0]], [[9.0, -3.0], [-3.0, 5.0]]])
+        vhat = v * np.array([[[1.0, 2.0], [2.0, 1.5]], [[0.5, 1.0], [1.0, 1.0]]])
+        true_b = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        mean_b = true_b + np.array([[0.0, 0.25], [-0.125, 0.0]])
+        cmp = compare_report(self._synthetic(vhat, v, mean_b, true_b), rel_tol=0.15)
+        assert cmp.cov_failures == (
+            "component 1 cov[1,2]: empirical 2.0000 vs analytic 1.0000 (rel err 1.000 > 0.15)",
+            "component 1 cov[2,2]: empirical 3.0000 vs analytic 2.0000 (rel err 0.500 > 0.15)",
+            "component 2 cov[1,1]: empirical 4.5000 vs analytic 9.0000 (rel err 0.500 > 0.15)",
+        )
+        assert cmp.mean_failures == (
+            "component 1 mean b[2]: 2.2500 vs true 2.0000 (abs err 0.2500 > 0.05)",
+            "component 2 mean b[1]: -1.1250 vs true -1.0000 (abs err 0.1250 > 0.05)",
+        )
+        assert (cmp.worst_cov_rel, cmp.worst_mean_abs) == (1.0, 0.25)
+
+    def test_infinite_tolerance(self):
+        # every finite and every infinite error passes; a NaN error still fails
+        v = np.array([[[4.0, 1.0], [1.0, 2.0]]])
+        vhat = 1e6 * v
+        assert compare_report(self._synthetic(vhat, v), rel_tol=np.inf).ok
+        zero = np.zeros_like(v)
+        cmp = compare_report(self._synthetic(v, zero), rel_tol=np.inf)
+        assert cmp.ok and cmp.worst_cov_rel == np.inf
+        vhat[0, 1, 1] = np.nan
+        cmp = compare_report(self._synthetic(vhat, v), rel_tol=np.inf)
+        assert [line.split(":")[0] for line in cmp.cov_failures] == ["component 1 cov[2,2]"]
+
     def test_reference_grid_matches_limit(self, ref_report):
         cmp = compare_report(ref_report, rel_tol=0.15, mean_abs_tol=0.02)
         assert cmp.ok, cmp.cov_failures + cmp.mean_failures
-
-
-class TestStudyFromOptions:
-    def test_rep_count_required(self):
-        with pytest.raises(ConfigError):
-            study_from_options(small_config(), StudyOptions())
-
-    def test_override_wins(self):
-        report = study_from_options(
-            small_config(), StudyOptions(rep_count=50, n_grid=(80,)), rep_count=8
-        )
-        assert report.points[0].rep_count == 8
 
 
 def test_mean_error_shrinks_with_more_replications():
