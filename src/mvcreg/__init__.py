@@ -34,7 +34,6 @@ _EXPORTS = {
             "AsymptoticCovariance",
             "analytic_sigma",
             "plug_in_covariance",
-            "plug_in_covariances",
         ),
         "errors": (
             "ConfigError",

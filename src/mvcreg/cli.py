@@ -43,41 +43,46 @@ def _open_output(args):
     # opened after the work, so a refused input or config leaves an existing
     # file as it was; a regular file is written to a temporary file beside it
     # that replaces it after the last chunk, so a failure while writing (a
-    # render worker lost, a full disk) leaves it as it was too
-    if args.output is None or args.output == "-":
-        yield sys.stdout
-        return
-    target = os.path.realpath(args.output)  # a link's file, as open() writes it
+    # render worker lost, a full disk) leaves it as it was too.  A failed
+    # open or write is one diagnostic; a closed pipe is left to main
+    to_stdout = args.output is None or args.output == "-"
+    temporary = None  # stdout, /dev/null, a FIFO and the like are written as they are
     try:
-        mode = os.stat(target).st_mode
-    except OSError:
-        mode = None  # a file to create
-    temporary = None  # /dev/null, a FIFO and the like are written as they are
-    if mode is None or stat.S_ISREG(mode):
-        folder, name = os.path.split(target)
-        temporary = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
-    try:
-        if temporary is None:
-            fh = open(target, "w", encoding="utf-8")
-        else:
+        if to_stdout:
+            yield sys.stdout
+            sys.stdout.flush()  # a full disk shows here, not in the flush at exit
+            return
+        target = os.path.realpath(args.output)  # a link's file, as open() writes it
+        try:
+            mode = os.stat(target).st_mode
+        except OSError:
+            mode = None  # a file to create
+        if mode is None or stat.S_ISREG(mode):
+            folder, name = os.path.split(target)
+            path = os.path.join(folder, f".{name}.{os.urandom(6).hex()}.tmp")
             # 0o666 less the umask: the mode open() gives a file it creates
             flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-            fh = open(os.open(temporary, flags, 0o666), "w", encoding="utf-8")
-    except OSError as exc:
-        reason = exc.strerror or exc
-        raise ConfigError("--output", f"cannot write {args.output}: {reason}") from None
-    try:
+            fh = open(os.open(path, flags, 0o666), "w", encoding="utf-8")
+            temporary = path
+        else:
+            fh = open(target, "w", encoding="utf-8")
         with fh:
             if temporary is not None and mode is not None:
                 os.chmod(temporary, stat.S_IMODE(mode))  # the mode of the file it replaces
             yield fh
         if temporary is not None:
             os.replace(temporary, target)
-    except BaseException:
+    except BaseException as exc:
         if temporary is not None:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(temporary)
-        raise
+        if not isinstance(exc, OSError) or isinstance(exc, BrokenPipeError):
+            raise
+        if to_stdout:  # drops the unwritten rest, which the flush at exit would report
+            with contextlib.suppress(OSError):
+                sys.stdout.close()
+        name = "standard output" if to_stdout else args.output
+        raise ConfigError("--output", f"cannot write {name}: {exc.strerror or exc}") from None
 
 
 def _write_output(args, text: str) -> None:
@@ -98,7 +103,7 @@ def _with_intercept(data: Dataset, source: str) -> Dataset:
 
 def cmd_fit(args) -> int:
     from . import dataio
-    from .covariance import plug_in_covariances
+    from .covariance import plug_in_covariance
     from .estimator import DEFAULT_XTX_TOL, fit_all
 
     data, p = dataio.read_csv(args.input)
@@ -106,22 +111,13 @@ def cmd_fit(args) -> int:
         data = _with_intercept(data, args.input)
     xtx_tol = DEFAULT_XTX_TOL if args.xtx_tol is None else args.xtx_tol
     fit = fit_all(data, p, xtx_tol=xtx_tol, gamma_tol=args.gamma_tol)
-    covs = None
-    warnings: list[str] = []
-    if not fit.errors:
-        covs = plug_in_covariances(data, p, fit)
-        # every target carries the shared clamp notes; report each note once:
-        # clamps in component order, then negative-V notes in target order
-        warnings = list(dict.fromkeys(note for c in covs for note in c.warnings))
+    cov = None if fit.errors else plug_in_covariance(data, p, fit)
     if args.format == "table":
-        text = dataio.format_fit_table(fit, covs)
+        text = dataio.format_fit_table(fit, cov)
     else:
-        doc = dataio.fit_result_to_dict(fit, covs)
-        if warnings:
-            doc["warnings"] = warnings
-        text = dataio.dumps(doc)
+        text = dataio.dumps(dataio.fit_result_to_dict(fit, cov))
     _write_output(args, text)
-    for note in warnings:
+    for note in cov.warnings if cov is not None else ():
         print(f"mvcreg: warning: {note}", file=sys.stderr)
     if fit.errors:
         for err in fit.errors.values():

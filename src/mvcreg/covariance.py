@@ -1,16 +1,17 @@
 """Asymptotic covariance of the modified least-squares estimator.
 
-The scaled estimator fluctuations converge to N(0, V) with the sandwich
+The scaled estimator fluctuations of each target component ``m`` converge to
+N(0, V_m) with the sandwich
 
-    V = D^-1 Sigma D^-1,
+    V_m = D_m^-1 Sigma_m D_m^-1,
 
-where D is the target component's regressor second-moment matrix and, writing
-``w[s] = <(a^m)^2 p^s>`` and ``c[s, t] = <(a^m)^2 p^s p^t>`` for the limiting
-weight co-moments and ``delta_s = b^(s) - b^(m)``,
+where D_m is the target component's regressor second-moment matrix and,
+writing ``w[s] = <(a^m)^2 p^s>`` and ``c[s, t] = <(a^m)^2 p^s p^t>`` for the
+limiting weight co-moments and ``delta_s = b^(s) - b^(m)``,
 
-    Sigma[i, k] = sum_s w[s] * (D2_s[i, k] * sigma_s^2
-                                + delta_s' L4_s[i, k] delta_s)
-                - sum_{s,t} c[s, t] * (D2_s delta_s)[i] * (D2_t delta_t)[k].
+    Sigma_m[i, k] = sum_s w[s] * (D2_s[i, k] * sigma_s^2
+                                  + delta_s' L4_s[i, k] delta_s)
+                  - sum_{s,t} c[s, t] * (D2_s delta_s)[i] * (D2_t delta_t)[k].
 
 The double sum is evaluated through the d x M matrix of vectors
 ``u_s = D2_s delta_s`` as ``U c U'``, which is algebraically identical to the
@@ -18,17 +19,23 @@ four-index product tensor but O(M^2 d^2).
 
 Two modes are provided: analytic (true component moments supplied, used to
 validate simulations) and plug-in (every population quantity replaced by its
-weighted-empirical estimate from one dataset).  Both feed one assembler with
-the M d x d contractions ``delta_s' L4_s delta_s`` and never form L4.  The
-analytic mode assumes Gaussian regressors (a constant has sd 0), for which
-Isserlis' theorem gives, with means mu and ``u = D2 delta``,
+weighted-empirical estimate from one dataset).  Each returns one
+:class:`AsymptoticCovariance` for all M components, whose ``sigma`` and ``v``
+are M x d x d with slab ``m`` for target ``m``.  Both feed one assembler with
+the M x M d x d contractions ``delta_s' L4_s delta_s`` and never form L4.
+The analytic mode assumes Gaussian regressors (a constant has sd 0), for
+which Isserlis' theorem gives, with means mu and ``u = D2 delta``,
 
     delta' L4 delta = (delta' D2 delta) D2 + 2 (u u' - (mu' delta)^2 mu mu').
 
+Only the analytic mode refuses a singular D (``SingularD``), since there D
+comes from the config; the plug-in's D are the normal matrices the fit
+already gated with its own ``xtx_tol``.
+
 The plug-in mode makes one pass per component ``s``.  It forms the weight
 column ``a[:, s] = p G[:, s]`` once, from the fit's inverse Gramian ``G``,
-and from it takes the component's error variance, its weight co-moments when
-``s`` is a target, and, for every target ``m``, the contraction
+and from it takes the component's error variance, its weight co-moments as
+a target, and, for every target ``m``, the contraction
 ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with ``delta = b_s - b_m``.
 The column is freed before the next component's, so the N x M weight matrix
 is never held: at most two N-vectors exist at a time.
@@ -57,17 +64,18 @@ _D_CONDITION_LIMIT = 1e12
 
 @dataclass(frozen=True)
 class AsymptoticCovariance:
-    """Sandwich covariance for one component.
+    """Sandwich covariance of every component.
 
-    ``std_errors`` holds sqrt(V[i, i] / N) in plug-in mode and is ``None`` in
-    analytic mode, where no sample size is involved.  ``warnings`` records
-    finite-sample degeneracies (clamped negative variance estimates).
+    ``sigma`` and ``v`` are M x d x d, slab ``m`` for target component ``m``.
+    ``std_errors`` is the M x d array sqrt(V[m, i, i] / N) in plug-in mode
+    and ``None`` in analytic mode, where no sample size is involved.
+    ``warnings`` records finite-sample degeneracies, each note once: clamped
+    negative error variances in component order, then negative diagonals of
+    V in target order.
     """
 
     sigma: np.ndarray
     v: np.ndarray
-    component: int
-    mode: str
     std_errors: np.ndarray | None = None
     warnings: tuple[str, ...] = ()
 
@@ -79,21 +87,17 @@ def _assemble_sigma(
     d2: Sequence[np.ndarray],
     sigma2: Sequence[float],
     b: Sequence[np.ndarray],
-    co_moments: np.ndarray,
+    co: np.ndarray,
     m: int,
     quartic: np.ndarray,
 ) -> np.ndarray:
     """Sigma for target ``m`` from per-component D2, sigma^2 and b.
 
-    ``quartic[s]`` is the d x d contraction ``delta' L4_s delta`` of
-    component ``s``'s fourth moments with ``delta = b_s - b_m``.
+    ``co`` is the target's M x M weight co-moments and ``quartic[s]`` the
+    d x d contraction ``delta' L4_s delta`` of component ``s``'s fourth
+    moments with ``delta = b_s - b_m``.
     """
     n_comp = len(d2)
-    co = np.asarray(co_moments, dtype=float)
-    if co.shape != (n_comp, n_comp):
-        raise ValueError("co_moments must be M x M")
-    if not np.allclose(co, co.T, atol=1e-8):
-        raise ValueError("co_moments must be symmetric")
     d = d2[m].shape[0]
     w = co.sum(axis=1)  # <(a^m)^2 p^s>: rows of p sum to one
     sigma = np.zeros((d, d))
@@ -105,14 +109,26 @@ def _assemble_sigma(
     return (sigma + sigma.T) / 2.0
 
 
-def _sandwich(d2: np.ndarray, sigma: np.ndarray, component: int) -> np.ndarray:
-    eig = np.abs(np.linalg.eigvalsh(d2))
-    condition = eig.max() / eig.min() if eig.min() else np.inf
-    if condition > _D_CONDITION_LIMIT:
-        raise SingularD(component, f"condition number {condition:.3g}")
-    half = np.linalg.solve(d2, sigma)  # D^-1 Sigma
-    v = np.linalg.solve(d2, half.T).T  # (D^-1 Sigma) D^-1
-    return (v + v.T) / 2.0
+def _sandwiches(
+    d2: Sequence[np.ndarray],
+    sigma2: Sequence[float],
+    b: Sequence[np.ndarray],
+    co: np.ndarray,
+    quartic: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma and V of every target, each M x d x d.
+
+    ``co[m]`` holds target ``m``'s weight co-moments and ``quartic[m]`` its
+    contractions, as :func:`_assemble_sigma` takes them.
+    """
+    sigma = np.array(
+        [_assemble_sigma(d2, sigma2, b, co[m], m, quartic[m]) for m in range(len(d2))]
+    )
+    v = np.empty_like(sigma)
+    for m, matrix in enumerate(d2):
+        half = np.linalg.solve(matrix, sigma[m])  # D^-1 Sigma
+        v[m] = np.linalg.solve(matrix, half.T).T  # (D^-1 Sigma) D^-1
+    return sigma, (v + v.transpose(0, 2, 1)) / 2.0
 
 
 def _gaussian_quartic(moments: ComponentMoments, delta: np.ndarray) -> np.ndarray:
@@ -126,9 +142,8 @@ def _gaussian_quartic(moments: ComponentMoments, delta: np.ndarray) -> np.ndarra
 def analytic_sigma(
     moments: list[ComponentMoments] | tuple[ComponentMoments, ...],
     co_moments: np.ndarray,
-    m: int,
 ) -> AsymptoticCovariance:
-    """Assemble Sigma and V from true component moments.
+    """Assemble Sigma and V of every component from true component moments.
 
     Parameters
     ----------
@@ -136,55 +151,66 @@ def analytic_sigma(
         One entry per component: second moments and means of its Gaussian
         regressors, error variance, and coefficient vector.
     co_moments : ndarray
-        M x M symmetric matrix of the limits ``<(a^m)^2 p^s p^t>`` for the
-        target component's weights.
-    m : int
-        Target component, 0-based.
+        M x M x M array whose slab ``m`` holds the symmetric limits
+        ``<(a^m)^2 p^s p^t>`` of target ``m``'s weights, as
+        :func:`~mvcreg.simgen.limit_co_moments` returns them.
+
+    Returns
+    -------
+    AsymptoticCovariance
+        M x d x d ``sigma`` and ``v``; ``std_errors`` is ``None``.
 
     Raises
     ------
     ValueError
-        If ``m`` is not a component index, or ``co_moments`` is not a
-        symmetric M x M matrix.
+        If ``co_moments`` is not M x M x M or a slab is not symmetric.
     SingularD
-        If the target component's second-moment matrix is singular.
+        If some component's second-moment matrix is singular.
     """
-    if not 0 <= m < len(moments):
-        raise ValueError(f"component index {m} out of range")
-    sigma = _assemble_sigma(
-        [mom.d2 for mom in moments],
+    n_comp = len(moments)
+    co = np.asarray(co_moments, dtype=float)
+    if co.shape != (n_comp,) * 3:
+        raise ValueError("co_moments must be M x M x M")
+    if not np.allclose(co, co.transpose(0, 2, 1), atol=1e-8):
+        raise ValueError("co_moments must be symmetric")
+    d2 = [mom.d2 for mom in moments]
+    for m, matrix in enumerate(d2):
+        eig = np.abs(np.linalg.eigvalsh(matrix))
+        condition = eig.max() / eig.min() if eig.min() else np.inf
+        if condition > _D_CONDITION_LIMIT:
+            raise SingularD(m, f"condition number {condition:.3g}")
+    sigma, v = _sandwiches(
+        d2,
         [mom.sigma2 for mom in moments],
         [mom.b for mom in moments],
-        co_moments,
-        m,
-        np.array([_gaussian_quartic(mom, mom.b - moments[m].b) for mom in moments]),
+        co,
+        np.array(
+            [[_gaussian_quartic(mom, mom.b - target.b) for mom in moments] for target in moments]
+        ),
     )
-    v = _sandwich(moments[m].d2, sigma, m)
-    return AsymptoticCovariance(sigma=sigma, v=v, component=m, mode="analytic")
+    return AsymptoticCovariance(sigma=sigma, v=v)
 
 
-def plug_in_covariances(
+def plug_in_covariance(
     data: Dataset, p: ConcentrationMatrix, fit: FitResult
-) -> tuple[AsymptoticCovariance, ...]:
-    """Plug-in estimates of the sandwich covariance of every component.
+) -> AsymptoticCovariance:
+    """Plug-in estimate of the sandwich covariance of every component.
 
     Every population quantity in Sigma is replaced by its weighted-empirical
     counterpart: component ``s``'s moments use the weights of component
     ``s``, the error variance is the weighted mean squared residual at that
     component's fitted coefficients, and the co-moment limits are replaced by
     their finite-sample averages.  Each component's D2 is the normal matrix
-    its fit already solved.  The rest takes one pass per component ``s``,
-    which forms its weight column ``a[:, s]`` once and from it the error
-    variance, the weight co-moments and, for every target ``m``, the
-    fourth-moment term, which enters only contracted, as
-    ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
+    its fit already solved, behind the fit's own condition gate.  The rest
+    takes one pass per component ``s``, which forms its weight column
+    ``a[:, s]`` once and from it the error variance, the weight co-moments
+    and, for every target ``m``, the fourth-moment term, which enters only
+    contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
     ``delta = b_s - b_m``.
 
     A negative weighted residual variance (possible with signed weights) is
     clamped to zero and reported through ``warnings`` instead of failing the
-    whole covariance.  Every target's Sigma depends on every component's
-    error variance, so each result's ``warnings`` carries all clamp notes,
-    followed by that target's own note when its V has a negative diagonal.
+    whole covariance, as is a target whose V has a negative diagonal.
 
     Parameters
     ----------
@@ -197,13 +223,9 @@ def plug_in_covariances(
 
     Returns
     -------
-    tuple of AsymptoticCovariance
-        One entry per component, in component order.
-
-    Raises
-    ------
-    SingularD
-        If some component's second-moment matrix is singular.
+    AsymptoticCovariance
+        M x d x d ``sigma`` and ``v`` and M x d ``std_errors``, in component
+        order.
     """
     if fit.errors:
         bad = sorted(fit.errors)
@@ -215,13 +237,12 @@ def plug_in_covariances(
     n = data.n_obs
     x = data.x
     b = fit.coefficients
-    d2 = fit.normal_matrices
     n_comp = p.n_components
     # quartic[m, s] = delta' L4_s delta with delta = b_s - b_m, zero where
     # s == m; co[m] = the weight co-moments of a_m
     quartic = np.zeros((n_comp, n_comp, data.n_regressors, data.n_regressors))
     co = []
-    clamp_notes: list[str] = []
+    notes: list[str] = []
     sigma2 = []
     for s in range(n_comp):
         weights = p.values @ fit.gamma_inverse[:, s]  # a_s
@@ -234,7 +255,7 @@ def plug_in_covariances(
         np.square(scratch, out=scratch)
         sigma2_s = float(np.einsum("j,j->", weights, scratch) / n)
         if sigma2_s < 0.0:
-            clamp_notes.append(
+            notes.append(
                 f"degenerate-variance: component index {s} plug-in error variance "
                 f"{sigma2_s:.6g} clamped to 0"
             )
@@ -249,39 +270,16 @@ def plug_in_covariances(
                 quartic[m, s] /= n
         del weights, scratch  # before the next component's
 
-    covs = []
-    for m in range(n_comp):
-        sigma = _assemble_sigma(d2, sigma2, b, co[m], m, quartic[m])
-        v = _sandwich(d2[m], sigma, m)
-        notes = list(clamp_notes)
-        variances = np.diag(v).copy()
-        if np.any(variances < -1e-10):
-            notes.append(
-                f"degenerate-variance: component index {m} plug-in V has negative "
-                f"diagonal entries (min {variances.min():.6g}); standard errors clamped"
-            )
-        covs.append(
-            AsymptoticCovariance(
-                sigma=sigma,
-                v=v,
-                component=m,
-                mode="plug_in",
-                std_errors=np.sqrt(np.maximum(variances, 0.0) / n),
-                warnings=tuple(notes),
-            )
+    sigma, v = _sandwiches(fit.normal_matrices, sigma2, b, co, quartic)
+    variances = np.diagonal(v, axis1=1, axis2=2)
+    for m in np.flatnonzero(np.any(variances < -1e-10, axis=1)):
+        notes.append(
+            f"degenerate-variance: component index {m} plug-in V has negative "
+            f"diagonal entries (min {variances[m].min():.6g}); standard errors clamped"
         )
-    return tuple(covs)
-
-
-def plug_in_covariance(
-    data: Dataset, p: ConcentrationMatrix, fit: FitResult, m: int
-) -> AsymptoticCovariance:
-    """Plug-in sandwich covariance of component ``m``.
-
-    Entry ``m`` of :func:`plug_in_covariances`, which it computes for every
-    component: the pass over component ``s`` serves every target at once,
-    so covering several components takes one call of that function.
-    """
-    if not 0 <= m < p.n_components:
-        raise ValueError(f"component index {m} out of range")
-    return plug_in_covariances(data, p, fit)[m]
+    return AsymptoticCovariance(
+        sigma=sigma,
+        v=v,
+        std_errors=np.sqrt(np.maximum(variances, 0.0) / n),
+        warnings=tuple(notes),
+    )

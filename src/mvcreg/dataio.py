@@ -433,11 +433,9 @@ def dumps(obj) -> str:
 # --------------------------------------------------------------------------
 
 
-def fit_result_to_dict(
-    fit: FitResult, covs: tuple[AsymptoticCovariance, ...] | None = None
-) -> dict:
-    """The fit as a document; with the plug-in covariances ``covs`` of every
-    component, in component order, also their ``v`` and standard errors."""
+def fit_result_to_dict(fit: FitResult, cov: AsymptoticCovariance | None = None) -> dict:
+    """The fit as a document; with the plug-in covariance ``cov`` of every
+    component, also its ``v``, standard errors and any ``warnings``."""
     doc = {
         "n_obs": fit.n_obs,
         "n_components": fit.n_components,
@@ -450,9 +448,11 @@ def fit_result_to_dict(
             for m, err in sorted(fit.errors.items())
         },
     }
-    if covs is not None:
-        doc["plug_in_cov"] = [cov.v for cov in covs]
-        doc["std_errors"] = [cov.std_errors for cov in covs]
+    if cov is not None:
+        doc["plug_in_cov"] = cov.v
+        doc["std_errors"] = cov.std_errors
+        if cov.warnings:
+            doc["warnings"] = list(cov.warnings)
     return doc
 
 
@@ -505,13 +505,11 @@ def comparison_to_dict(cmp: ComparisonReport) -> dict:
 # --------------------------------------------------------------------------
 
 
-def format_fit_table(
-    fit: FitResult, covs: tuple[AsymptoticCovariance, ...] | None = None
-) -> str:
+def format_fit_table(fit: FitResult, cov: AsymptoticCovariance | None = None) -> str:
     """Aligned coefficient table, one row per component.
 
-    With the plug-in covariances ``covs`` of every component, in component
-    order, each component's standard errors follow on an ``se`` row; failed
+    With the plug-in covariance ``cov`` of every component, each
+    component's standard errors follow on an ``se`` row; failed
     components render as ``nan`` with the error code appended.
     """
     d = fit.coefficients.shape[1]
@@ -526,8 +524,8 @@ def format_fit_table(
         if m in fit.errors:
             row += f"  [{fit.errors[m].code}]"
         lines.append(row)
-        if covs is not None:
-            se = covs[m].std_errors
+        if cov is not None:
+            se = cov.std_errors[m]
             lines.append(
                 f"{'se':>10}" + "".join(f"{se[i]:>{width}.4f}" for i in range(d))
             )

@@ -76,6 +76,8 @@ class SingularD(MvcregError):
     """Second-moment matrix D of the target component is singular.
 
     The sandwich covariance V = D^-1 Sigma D^-1 requires a nonsingular D.
+    Raised by the analytic covariance, whose D comes from the config; a
+    fitted D is judged by the fit's own condition gate.
     """
 
     code = "singular-d"

@@ -58,10 +58,11 @@ class FitResult:
 
     ``coefficients`` row ``m`` solves that component's normal equations; rows
     of failed components are NaN and the failure is recorded in ``errors``
-    keyed by component index.  ``normal_matrices`` holds each component's
-    ``X'AX / N`` (``None`` where the fit failed) and ``gamma_inverse`` the
-    inverse Gramian ``G`` the weights ``a = p G`` come from, both for reuse
-    by the plug-in covariance, which returns its own results.
+    keyed by component index.  ``normal_matrices`` is the M x d x d stack of
+    each component's ``X'AX / N``, failed ones included, and
+    ``gamma_inverse`` the inverse Gramian ``G`` the weights ``a = p G`` come
+    from, both for reuse by the plug-in covariance, which refuses a fit with
+    a failed component.
     """
 
     coefficients: np.ndarray
@@ -70,11 +71,11 @@ class FitResult:
     negative_eigenvalues: tuple[int, ...]
     n_obs: int
     errors: dict[int, SingularNormalMatrix]
-    normal_matrices: tuple[np.ndarray | None, ...]
+    normal_matrices: np.ndarray
     gamma_inverse: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "coefficients", "xtx_condition", "gamma_inverse")
+        freeze(self, "coefficients", "xtx_condition", "normal_matrices", "gamma_inverse")
 
     @property
     def n_components(self) -> int:
@@ -222,7 +223,6 @@ def fit_all(
         raise ValueError("dataset and concentration matrix disagree on N")
     basis = fit_basis(p, gamma_tol)
     normal, rhs = normal_equations(data, basis)
-    normal.flags.writeable = False  # its slabs are kept as FitResult.normal_matrices
     coef, cond, negative, failed = (
         part[0] for part in solve_normal_equations(normal, rhs, xtx_tol)
     )
@@ -234,8 +234,6 @@ def fit_all(
         negative_eigenvalues=tuple(negative.tolist()),
         n_obs=data.n_obs,
         errors={m: SingularNormalMatrix(m, cond[m], xtx_tol) for m in failed},
-        normal_matrices=tuple(
-            None if m in failed else matrix for m, matrix in enumerate(normal[0])
-        ),
+        normal_matrices=normal[0],
         gamma_inverse=basis.gamma_inverse,
     )

@@ -146,13 +146,7 @@ def _analytic_limit(config: SimulationConfig) -> np.ndarray:
     NaN limit.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        moments = true_component_moments(config)
-        analytic = np.stack(
-            [
-                analytic_sigma(moments, limit_co_moments(config, m), m).v
-                for m in range(config.n_components)
-            ]
-        )
+        analytic = analytic_sigma(true_component_moments(config), limit_co_moments(config)).v
     if not np.isfinite(analytic).all():
         raise ConfigError(
             "components",

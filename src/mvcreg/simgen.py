@@ -487,32 +487,33 @@ def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:
     ]
 
 
-def limit_co_moments(config: SimulationConfig, m: int) -> np.ndarray:
+def limit_co_moments(config: SimulationConfig) -> np.ndarray:
     """Limiting weight co-moments ``<(a^m)^2 p^s p^t>`` of the design.
 
-    For the linear ramp the concentration columns converge to t and 1 - t
-    with t = j/N, so the limits are integrals over [0, 1] of polynomials of
-    degree at most 4 in t.  Three-point Gauss-Legendre quadrature is exact
-    for them, and the Gramian, the weights ``a = p Gamma^-1`` and the
-    co-moments become the same matrix products as the finite-sample path,
-    with the quadrature weights in place of 1/N.  An explicit concentration
-    matrix has no limiting structure; its finite-sample co-moments are
-    returned instead.
+    Returns the M x M x M array whose slab ``m`` is target ``m``'s
+    symmetric M x M matrix over ``(s, t)``, as
+    :func:`~mvcreg.covariance.analytic_sigma` takes it.  For the linear ramp
+    the concentration columns converge to t and 1 - t with t = j/N, so the
+    limits are integrals over [0, 1] of polynomials of degree at most 4 in t.
+    Three-point Gauss-Legendre quadrature is exact for them, and the
+    Gramian, the weights ``a = p Gamma^-1`` and the co-moments become the
+    same matrix products as the finite-sample path, with the quadrature
+    weights in place of 1/N.  An explicit concentration matrix has no
+    limiting structure; its finite-sample co-moments are returned instead.
+    Either way the Gramian is inverted once for every target.
     """
-    if not 0 <= m < config.n_components:
-        raise ValueError(f"component index {m} out of range")
     model = config.concentrations
     if isinstance(model, LinearRamp):
         nodes, node_weights = np.polynomial.legendre.leggauss(3)
         t = (nodes + 1.0) / 2.0  # mapped from [-1, 1] to [0, 1]
         w = node_weights / 2.0
         conc = np.column_stack([t, 1.0 - t])
-        gram = conc.T @ (w[:, None] * conc)
-        a_m = conc @ np.linalg.inv(gram)[:, m]
-        co = conc.T @ ((w * a_m**2)[:, None] * conc)
-        return (co + co.T) / 2.0
+        inverse = np.linalg.inv(conc.T @ (w[:, None] * conc))
+        co = np.array([conc.T @ ((w * (conc @ g) ** 2)[:, None] * conc) for g in inverse.T])
+        return (co + co.transpose(0, 2, 1)) / 2.0
     p = model.matrix(config.n_obs)
-    return weight_co_moments(p.values @ invert_gramian(build_gramian(p))[:, m], p)
+    inverse = invert_gramian(build_gramian(p))
+    return np.array([weight_co_moments(p.values @ g, p) for g in inverse.T])
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,7 @@ VALUE_CLASSES = {
     Dataset: dict(y=[1.0, 2.0, 3.0], x=[[1.0, 0.5], [2.0, 0.1], [3.0, 0.7]]),
     ConcentrationMatrix: dict(values=_P),
     GramianSummary: dict(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3),
-    AsymptoticCovariance: dict(
-        sigma=_EYE, v=_EYE, component=0, mode="plug_in", std_errors=[0.1, 0.2]
-    ),
+    AsymptoticCovariance: dict(sigma=[_EYE], v=[_EYE], std_errors=[[0.1, 0.2]]),
     FitResult: dict(
         coefficients=[[1.0, 2.0], [3.0, 4.0]],
         det_gamma=0.15,
@@ -35,7 +33,7 @@ VALUE_CLASSES = {
         negative_eigenvalues=(0, 0),
         n_obs=3,
         errors={},
-        normal_matrices=(np.eye(2), np.eye(2)),
+        normal_matrices=[_EYE, _EYE],
         gamma_inverse=[[2.5, -0.5], [-0.5, 2.5]],
     ),
     FitBasis: dict(

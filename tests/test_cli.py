@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import multiprocessing
@@ -18,10 +19,12 @@ import mvcreg.moments
 import mvcreg.montecarlo
 import mvcreg.simgen
 from mvcreg import (
+    ConcentrationMatrix,
+    Dataset,
     compute_weights,
     fit_all,
     generate,
-    plug_in_covariances,
+    plug_in_covariance,
     reference_study_config,
     run_study,
 )
@@ -232,6 +235,45 @@ def test_unwritable_output_exit_2(tmp_path, capsys, dataset_csv, smoke_config_pa
     (line,) = captured.err.splitlines()
     assert line.startswith(f"mvcreg: config-error: --output: cannot write {out}: ")
     assert captured.out == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("via", ["output", "stdout"])
+def test_full_device_is_one_diagnostic(via):
+    # every write to /dev/full fails with ENOSPC: one diagnostic line and
+    # exit 2, with nothing more from the flush of stdout at exit
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
+    argv = [sys.executable, "-m", "mvcreg.cli", "simulate"]
+    with open("/dev/full", "wb") as full:
+        if via == "output":
+            out = subprocess.run([*argv, "-o", "/dev/full"], env=env, capture_output=True)
+        else:
+            out = subprocess.run(argv, env=env, stdout=full, stderr=subprocess.PIPE)
+    name = "/dev/full" if via == "output" else "standard output"
+    assert (out.returncode, out.stderr.decode()) == (
+        2,
+        f"mvcreg: config-error: --output: cannot write {name}: No space left on device\n",
+    )
+
+
+def test_full_disk_leaves_existing_output(tmp_path, capsys, smoke_config_path, monkeypatch):
+    # a write that fails part way leaves the file as it was and no temporary
+    # file beside it
+    def fill_disk(fh, data, p):
+        fh.write("y,x1,x2,p1,p2\n")
+        fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(mvcreg.dataio, "write_csv", fill_disk)
+    out = tmp_path / "out.csv"
+    out.write_text("kept\n")
+    assert main(["simulate", "-i", str(smoke_config_path), "-o", str(out)]) == 2
+    assert capsys.readouterr() == (
+        "",
+        f"mvcreg: config-error: --output: cannot write {out}: No space left on device\n",
+    )
+    assert out.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["out.csv", "smoke.json"]
 
 
 def test_failed_command_leaves_existing_output(tmp_path, capsys, dataset_csv):
@@ -598,16 +640,15 @@ class TestFit:
         # the JSON std_errors and the table's se rows print the plug-in
         # covariances' own std_errors
         data, p = read_csv(dataset_csv)
-        covs = plug_in_covariances(data, p, fit_all(data, p))
+        cov = plug_in_covariance(data, p, fit_all(data, p))
         assert main(["fit", "-i", str(dataset_csv)]) == 0
         doc = json.loads(capsys.readouterr().out)
-        assert len(doc["std_errors"]) == len(covs) == 2
-        for got, cov in zip(doc["std_errors"], covs):
-            assert np.array(got).tobytes() == cov.std_errors.tobytes()
+        assert len(doc["std_errors"]) == len(cov.std_errors) == 2
+        assert np.array(doc["std_errors"]).tobytes() == cov.std_errors.tobytes()
         assert main(["fit", "-i", str(dataset_csv), "--format", "table"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert [row[1:] for row in rows if row[0] == "se"] == [
-            [f"{se:.4f}" for se in cov.std_errors] for cov in covs
+            [f"{se:.4f}" for se in row] for row in cov.std_errors
         ]
 
     def test_table_format(self, dataset_csv, capsys):
@@ -704,6 +745,25 @@ class TestFit:
         err = capsys.readouterr().err
         assert "singular-normal-matrix" in err
         assert "nonsingular" in err
+
+    def test_xtx_tol_is_the_only_condition_gate(self, tmp_path, capsys):
+        # x2 = x1 + 1e-7 noise: cond(X'AX) near 1e14 passes --xtx-tol 1e20,
+        # and the plug-in covariance of those matrices adds no gate of its own
+        rng = np.random.default_rng(3)
+        n = 2000
+        t = np.arange(1, n + 1) / n
+        x1 = rng.normal(size=n)
+        x = np.column_stack([x1, x1 + 1e-7 * rng.normal(size=n)])
+        y = x @ [1.0, 1.0] + 0.1 * rng.normal(size=n)
+        path = tmp_path / "near-collinear.csv"
+        write_csv(path, Dataset(y=y, x=x), ConcentrationMatrix(np.column_stack([t, 1 - t])))
+        assert main(["fit", "-i", str(path), "--xtx-tol", "1e20"]) == 0
+        out, err = capsys.readouterr()
+        doc = json.loads(out)
+        assert doc["errors"] == {} and min(doc["xtx_condition"]) > 1e12
+        assert np.isfinite(doc["coefficients"]).all()
+        assert np.isfinite(doc["std_errors"]).all()
+        assert "singular-d" not in err
 
 
 class TestWeights:

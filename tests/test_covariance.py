@@ -23,7 +23,6 @@ from mvcreg import (
     generate,
     limit_co_moments,
     plug_in_covariance,
-    plug_in_covariances,
     reference_study_config,
     true_component_moments,
     weight_co_moments,
@@ -62,10 +61,10 @@ class TestAnalyticSigma:
     def test_single_component_classical_form(self):
         rng = np.random.default_rng(0)
         moments = random_moments(rng, 3, 1)
-        cov = analytic_sigma(moments, np.array([[1.0]]), 0)
-        np.testing.assert_allclose(cov.sigma, moments[0].d2 * moments[0].sigma2, atol=1e-12)
+        cov = analytic_sigma(moments, np.array([[[1.0]]]))
+        np.testing.assert_allclose(cov.sigma[0], moments[0].d2 * moments[0].sigma2, atol=1e-12)
         np.testing.assert_allclose(
-            cov.v, moments[0].sigma2 * np.linalg.inv(moments[0].d2), atol=1e-10
+            cov.v[0], moments[0].sigma2 * np.linalg.inv(moments[0].d2), atol=1e-10
         )
 
     def test_equal_coefficients_collapse(self):
@@ -77,16 +76,15 @@ class TestAnalyticSigma:
             ComponentMoments(d2=mo.d2, mean=mo.mean, sigma2=mo.sigma2, b=b) for mo in moments
         ]
         co = random_co(rng, 3)
-        cov = analytic_sigma(moments, co, 1)
+        cov = analytic_sigma(moments, np.stack([co] * 3))
         w = co.sum(axis=1)
         expected = sum(w[s] * moments[s].d2 * moments[s].sigma2 for s in range(3))
-        np.testing.assert_allclose(cov.sigma, expected, atol=1e-10)
+        np.testing.assert_allclose(cov.sigma, [expected] * 3, atol=1e-10)
 
     def test_reference_design_limit_values(self):
         config, _ = reference_study_config()
         moments = true_component_moments(config)
-        v1 = analytic_sigma(moments, limit_co_moments(config, 0), 0).v
-        v2 = analytic_sigma(moments, limit_co_moments(config, 1), 1).v
+        v1, v2 = analytic_sigma(moments, limit_co_moments(config)).v
         np.testing.assert_allclose(v1, V_COMPONENT_1, rtol=0.005)
         np.testing.assert_allclose(v2, V_COMPONENT_2, rtol=0.005)
 
@@ -94,9 +92,9 @@ class TestAnalyticSigma:
         rng = np.random.default_rng(2)
         for trial in range(5):
             moments = random_moments(rng, 3, 2)
-            cov = analytic_sigma(moments, random_co(rng, 2), 0)
-            np.testing.assert_allclose(cov.sigma, cov.sigma.T, atol=1e-10)
-            np.testing.assert_allclose(cov.v, cov.v.T, atol=1e-10)
+            cov = analytic_sigma(moments, np.stack([random_co(rng, 2) for _ in range(2)]))
+            np.testing.assert_allclose(cov.sigma, cov.sigma.transpose(0, 2, 1), atol=1e-10)
+            np.testing.assert_allclose(cov.v, cov.v.transpose(0, 2, 1), atol=1e-10)
 
     def test_singular_d_raises(self):
         d2 = np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -104,7 +102,7 @@ class TestAnalyticSigma:
             ComponentMoments(d2=d2, mean=np.ones(2), sigma2=1.0, b=np.zeros(2))
         ]
         with pytest.raises(SingularD):
-            analytic_sigma(moments, np.array([[1.0]]), 0)
+            analytic_sigma(moments, np.array([[[1.0]]]))
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_closed_form_matches_raw_moment_tensor(self, d):
@@ -114,8 +112,8 @@ class TestAnalyticSigma:
             moments = true_component_moments(config)
             l4 = [raw_moment_tensor(comp) for comp in config.components]
             co = random_co(rng, config.n_components)
+            cov = analytic_sigma(moments, np.stack([co] * config.n_components))
             for m in range(config.n_components):
-                cov = analytic_sigma(moments, co, m)
                 expected = tensor_sigma_v(
                     [mo.d2 for mo in moments],
                     l4,
@@ -124,7 +122,7 @@ class TestAnalyticSigma:
                     co,
                     m,
                 )
-                for got, want in zip((cov.sigma, cov.v), expected):
+                for got, want in zip((cov.sigma[m], cov.v[m]), expected):
                     err = np.max(np.abs(got - want))
                     assert err <= 1e-13 * np.max(np.abs(want)), (trial, m, err)
 
@@ -141,11 +139,9 @@ class TestAnalyticSigma:
             )
 
         config = SimulationConfig(n_obs=100, components=(spec(0.0), spec(1.0)))
-        co = [limit_co_moments(config, m) for m in range(2)]
+        co = limit_co_moments(config)
         start = time.perf_counter()
-        moments = true_component_moments(config)
-        for m in range(2):
-            analytic_sigma(moments, co[m], m)
+        analytic_sigma(true_component_moments(config), co)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"analytic covariance at d={d} took {elapsed:.2f}s"
 
@@ -225,13 +221,13 @@ class TestPlugInCovariance:
         data = Dataset(y=y, x=x)
         p = ConcentrationMatrix(np.ones((80, 1)))
         fit = fit_all(data, p)
-        cov = plug_in_covariance(data, p, fit, 0)
+        cov = plug_in_covariance(data, p, fit)
         resid = y - x @ fit.coefficients[0]
         sigma2 = float(np.mean(resid**2))
         expected = sigma2 * np.linalg.inv(x.T @ x / 80)
-        np.testing.assert_allclose(cov.v, expected, atol=1e-10)
+        np.testing.assert_allclose(cov.v[0], expected, atol=1e-10)
         np.testing.assert_allclose(
-            cov.std_errors, np.sqrt(np.diag(expected) / 80), atol=1e-12
+            cov.std_errors[0], np.sqrt(np.diag(expected) / 80), atol=1e-12
         )
 
     def test_noiseless_data_gives_zero(self):
@@ -240,8 +236,8 @@ class TestPlugInCovariance:
         data = Dataset(y=x @ np.array([2.0, 1.0]), x=x)
         p = ConcentrationMatrix(np.ones((50, 1)))
         fit = fit_all(data, p)
-        cov = plug_in_covariance(data, p, fit, 0)
-        np.testing.assert_allclose(cov.v, np.zeros((2, 2)), atol=1e-10)
+        cov = plug_in_covariance(data, p, fit)
+        np.testing.assert_allclose(cov.v, np.zeros((1, 2, 2)), atol=1e-10)
 
     def test_rejects_failed_fit(self):
         rng = np.random.default_rng(5)
@@ -252,7 +248,7 @@ class TestPlugInCovariance:
         fit = fit_all(data, p)
         assert fit.errors
         with pytest.raises(ValueError):
-            plug_in_covariance(data, p, fit, 0)
+            plug_in_covariance(data, p, fit)
 
     def test_negative_variance_clamped_with_warning(self):
         # the tiny error scale of component 1 makes its weighted residual
@@ -260,7 +256,7 @@ class TestPlugInCovariance:
         config, _ = reference_study_config()
         sim = generate(with_seed(config, 12345))
         fit = fit_all(sim.data, sim.p)
-        cov = plug_in_covariance(sim.data, sim.p, fit, 0)
+        cov = plug_in_covariance(sim.data, sim.p, fit)
         assert any("clamped" in w for w in cov.warnings)
 
     def test_cross_validates_analytic_sigma(self):
@@ -269,10 +265,9 @@ class TestPlugInCovariance:
         sim = generate(with_seed(with_n_obs(config, 50000), 2024))
         fit = fit_all(sim.data, sim.p)
         moments = true_component_moments(config)
-        for m in range(2):
-            plug = plug_in_covariance(sim.data, sim.p, fit, m)
-            exact = analytic_sigma(moments, limit_co_moments(config, m), m)
-            np.testing.assert_allclose(plug.sigma, exact.sigma, rtol=0.05)
+        plug = plug_in_covariance(sim.data, sim.p, fit)
+        exact = analytic_sigma(moments, limit_co_moments(config))
+        np.testing.assert_allclose(plug.sigma, exact.sigma, rtol=0.05)
 
     def test_mean_plug_in_tracks_limit(self):
         config, _ = reference_study_config()
@@ -281,8 +276,7 @@ class TestPlugInCovariance:
         for rep in range(reps):
             sim = generate(with_seed(config, 5000 + rep))
             fit = fit_all(sim.data, sim.p)
-            for m in range(2):
-                acc[m] += plug_in_covariance(sim.data, sim.p, fit, m).v
+            acc += plug_in_covariance(sim.data, sim.p, fit).v
         acc /= reps
         np.testing.assert_allclose(acc[0], V_COMPONENT_1, rtol=0.15)
         np.testing.assert_allclose(acc[1], V_COMPONENT_2, rtol=0.15)
@@ -303,20 +297,13 @@ def tensor_route(data, p, fit, m):
 
 
 def assert_matches_tensor_route(data, p, fit):
-    covs = plug_in_covariances(data, p, fit)
-    assert [c.component for c in covs] == list(range(p.n_components))
-    for m, cov in enumerate(covs):
+    cov = plug_in_covariance(data, p, fit)
+    for m in range(p.n_components):
         oracle = tensor_route(data, p, fit, m)
         for name, expected in zip(("sigma", "v"), oracle):
-            err = np.max(np.abs(getattr(cov, name) - expected))
+            err = np.max(np.abs(getattr(cov, name)[m] - expected))
             assert err <= 1e-10 * np.max(np.abs(expected)), (m, name, err)
-    return covs
-
-
-def assert_same_bytes(a, b):
-    for name in ("sigma", "v", "std_errors"):
-        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
-    assert (a.component, a.mode, a.warnings) == (b.component, b.mode, b.warnings)
+    return cov
 
 
 def clamped_design():
@@ -346,8 +333,8 @@ class TestContractedPlugIn:
 
     def test_matches_tensor_route_with_clamped_variance(self):
         data, p = clamped_design()
-        covs = assert_matches_tensor_route(data, p, fit_all(data, p))
-        assert all(any("clamped to 0" in w for w in c.warnings) for c in covs)
+        cov = assert_matches_tensor_route(data, p, fit_all(data, p))
+        assert any("clamped to 0" in w for w in cov.warnings)
 
     @pytest.mark.parametrize(
         "design",
@@ -360,11 +347,22 @@ class TestContractedPlugIn:
         ids=["M1-d2", "M3-d4", "M4-d6", "clamped"],
     )
     def test_single_target_is_entry_of_all_targets(self, design):
+        # one value covers every target m: its sigma and v are slab m, its
+        # standard errors row m, from that slab's clamped diagonal; each note
+        # appears once, clamps in component order before negative-V notes
         data, p = design()
-        fit = fit_all(data, p)
-        covs = plug_in_covariances(data, p, fit)
+        cov = plug_in_covariance(data, p, fit_all(data, p))
+        d = data.n_regressors
+        assert cov.sigma.shape == cov.v.shape == (p.n_components, d, d)
+        assert cov.std_errors.shape == (p.n_components, d)
         for m in range(p.n_components):
-            assert_same_bytes(plug_in_covariance(data, p, fit, m), covs[m])
+            variances = np.maximum(np.diag(cov.v[m]), 0.0)
+            assert cov.std_errors[m].tobytes() == np.sqrt(variances / data.n_obs).tobytes()
+        assert len(set(cov.warnings)) == len(cov.warnings)
+        clamps = [w for w in cov.warnings if w.endswith("clamped to 0")]
+        assert list(cov.warnings[: len(clamps)]) == clamps
+        indices = [int(w.split()[3]) for w in clamps]
+        assert indices == sorted(indices)
 
     def test_holds_at_most_two_weight_sized_arrays(self):
         # one weight column and one more N-sized array beside it (squared
@@ -374,18 +372,11 @@ class TestContractedPlugIn:
         n = 13 * mvcreg.moments._CHUNK_ROWS + 5
         data, p = dirichlet_design(5, 3, 3, n=n)
         fit = fit_all(data, p)
-        plug_in_covariances(data, p, fit)  # first-call set-up is not its memory
+        plug_in_covariance(data, p, fit)  # first-call set-up is not its memory
         tracemalloc.start()
         try:
-            plug_in_covariances(data, p, fit)
+            plug_in_covariance(data, p, fit)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 3 * 8 * n
-
-    def test_rejects_target_out_of_range(self):
-        data, p = dirichlet_design(3, 2, 2)
-        fit = fit_all(data, p)
-        for m in (-1, 2):
-            with pytest.raises(ValueError):
-                plug_in_covariance(data, p, fit, m)

@@ -584,8 +584,7 @@ class TestResultDocs:
     def test_fit_result_document(self):
         sim = small_sim(n=400)
         fit = fit_all(sim.data, sim.p)
-        covs = tuple(plug_in_covariance(sim.data, sim.p, fit, m) for m in range(2))
-        doc = fit_result_to_dict(fit, covs)
+        doc = fit_result_to_dict(fit, plug_in_covariance(sim.data, sim.p, fit))
         parsed = json.loads(dumps(doc))
         assert parsed["n_obs"] == 400
         assert len(parsed["coefficients"]) == 2

@@ -13,8 +13,7 @@ from mvcreg import (
     analytic_sigma,
     component_regression_moments,
     fit_all,
-    limit_co_moments,
-    plug_in_covariances,
+    plug_in_covariance,
     reference_study_config,
     true_component_moments,
     weight_co_moments,
@@ -47,7 +46,7 @@ def _other_p():
 
 def _plug_in_mismatch():
     data, p = _design()
-    plug_in_covariances(data, _other_p(), fit_all(data, p))
+    plug_in_covariance(data, _other_p(), fit_all(data, p))
 
 
 def _component_moments(**bad):
@@ -57,24 +56,14 @@ def _component_moments(**bad):
 
 REFUSALS = {
     "analytic_sigma co-moments not M x M": (
-        lambda: analytic_sigma(_moments(), np.eye(3), 0),
+        lambda: analytic_sigma(_moments(), np.eye(2)),
         ValueError,
-        "co_moments must be M x M",
+        "co_moments must be M x M x M",
     ),
     "analytic_sigma co-moments asymmetric": (
-        lambda: analytic_sigma(_moments(), np.array([[1.0, 0.5], [0.0, 1.0]]), 0),
+        lambda: analytic_sigma(_moments(), np.stack([np.eye(2), [[1.0, 0.5], [0.0, 1.0]]])),
         ValueError,
         "co_moments must be symmetric",
-    ),
-    "analytic_sigma component past the last": (
-        lambda: analytic_sigma(_moments(), np.eye(2), 2),
-        ValueError,
-        "component index 2 out of range",
-    ),
-    "analytic_sigma negative component": (
-        lambda: analytic_sigma(_moments(), np.eye(2), -1),
-        ValueError,
-        "component index -1 out of range",
     ),
     "plug_in_covariances N mismatch": (_plug_in_mismatch, ValueError, _N_MISMATCH),
     "fit_all N mismatch": (
@@ -111,16 +100,6 @@ REFUSALS = {
         lambda: weight_co_moments(np.ones(301), _design()[1]),
         ValueError,
         _LENGTH,
-    ),
-    "limit_co_moments component past the last": (
-        lambda: limit_co_moments(_config(), 2),
-        ValueError,
-        "component index 2 out of range",
-    ),
-    "limit_co_moments negative component": (
-        lambda: limit_co_moments(_config(), -1),
-        ValueError,
-        "component index -1 out of range",
     ),
 }
 

@@ -689,21 +689,21 @@ class TestTrueMoments:
 class TestLimitCoMoments:
     def test_ramp_quadrature_values(self):
         config, _ = reference_study_config()
-        co = limit_co_moments(config, 0)
+        co = limit_co_moments(config)[0]
         np.testing.assert_allclose(
             co, [[38 / 15, 7 / 15], [7 / 15, 8 / 15]], atol=1e-9
         )
 
     def test_mirrored_component(self):
         config, _ = reference_study_config()
-        co = limit_co_moments(config, 1)
+        co = limit_co_moments(config)[1]
         np.testing.assert_allclose(
             co, [[8 / 15, 7 / 15], [7 / 15, 38 / 15]], atol=1e-9
         )
 
     def test_explicit_model_uses_finite_sample(self):
         config = one_component_config(n=40)
-        np.testing.assert_allclose(limit_co_moments(config, 0), [[1.0]], atol=1e-12)
+        np.testing.assert_allclose(limit_co_moments(config), [[[1.0]]], atol=1e-12)
 
 
 def test_config_json_roundtrip(tmp_path):
