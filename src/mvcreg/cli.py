@@ -148,8 +148,10 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = with_seed(config, args.seed)
     sim = generate(config)
+    data, p = sim.data, sim.p
+    del sim  # the CSV holds no labels: they go before the render
     with _open_output(args) as fh:
-        dataio.write_csv(fh, sim.data, sim.p)  # chunk by chunk, never the whole text
+        dataio.write_csv(fh, data, p)  # chunk by chunk, never the whole text
     return 0
 
 

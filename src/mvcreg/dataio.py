@@ -30,13 +30,13 @@ text is accepted.  Messages name physical lines, the header being line 1 (a
 header that spans lines is refused), and a record that spans lines by the
 line it ends on.
 
-Both directions map one function over the chunks through ``_pool``'s
-ordered map: from ``_POOL_MIN_CELLS`` cells on in forked workers, a few
-chunks ahead at a time, and below that in the calling process.  Render
-workers inherit the columns and return each chunk's text, which the parent
-writes in row order; parse workers return each chunk's rows, or raise its
-error, which the parent stores or raises in chunk order.  So the bytes,
-arrays and messages are the same whatever the worker count.
+Both directions map one function over the chunks: from ``_POOL_MIN_CELLS``
+cells on with ``_pool``'s ordered map, whose forked workers each send every
+W-th chunk through a pipe, below that with the builtin ``map``.  Render
+workers inherit the columns and send each chunk's text, which the parent
+writes in row order; parse workers send each chunk's rows, or its error,
+which the parent stores or raises in chunk order.  So the bytes, arrays
+and messages are the same whatever the worker count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import _pool
 from .concentrations import ConcentrationMatrix
 from .errors import DataFormatError
 from .moments import _CHUNK_ROWS, Dataset
@@ -79,15 +78,21 @@ _ROW_SUM_TOL = 1e-6
 # --------------------------------------------------------------------------
 
 
-#: cells below which CSV text is rendered and parsed in the calling process:
-#: on two CPUs a pool saves more than it costs to start from about 250000
-#: cells when rendering and 500000 when parsing
+#: cells below which CSV text is rendered and parsed in the calling process.
+#: CLI wall on two CPUs (s, median of 13 alternating runs, serial/pooled):
+#:   cells      100k       200k       300k       400k       500k
+#:   simulate   0.27/0.26  0.32/0.32  0.41/0.40  0.39/0.32  0.41/0.36
+#:   fit        0.22/0.20  0.29/0.26  0.30/0.32  0.26/0.23  0.26/0.25
+#: A fork costs little, but below ~400k cells the gain is within the spread.
 _POOL_MIN_CELLS = 500_000
 
 
-def _workers(cells: int, blocks: int) -> int:
-    """Processes that render or parse ``cells`` CSV cells split into ``blocks`` blocks."""
-    return _pool.worker_count(blocks) if cells >= _POOL_MIN_CELLS else 1
+def _chunk_map(cells: int, chunks: int, fn):
+    """``_pool``'s ordered map of ``fn`` from ``_POOL_MIN_CELLS`` cells on, else ``map``."""
+    if cells < _POOL_MIN_CELLS:
+        return contextlib.nullcontext(partial(map, fn))  # and _pool stays unloaded
+    from . import _pool
+    return _pool.ordered_map(_pool.worker_count(chunks), fn)
 
 
 def _render_rows(columns: list[np.ndarray], start: int) -> str:
@@ -112,8 +117,8 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     """
     yield ",".join(header) + "\n"
     starts = range(0, columns[0].shape[0], _CHUNK_ROWS)
-    workers = _workers(columns[0].shape[0] * len(header), len(starts))
-    with _pool.ordered_map(workers, partial(_render_rows, columns)) as render:
+    cells = columns[0].shape[0] * len(header)
+    with _chunk_map(cells, len(starts), partial(_render_rows, columns)) as render:
         yield from render(starts)
 
 
@@ -264,8 +269,7 @@ def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...]:
     width = 1 + d + n_comp
     firsts = range(2, n + 2, _CHUNK_ROWS)  # the header is line 1
     sizes = [min(_CHUNK_ROWS, n + 2 - first) for first in firsts]
-    workers = _workers(n * width, len(sizes))
-    with _pool.ordered_map(workers, partial(_parse_block, fh.name, width=width)) as parse:
+    with _chunk_map(n * width, len(sizes), partial(_parse_block, fh.name, width=width)) as parse:
         return _fill(n, d, n_comp, parse(firsts, offsets, sizes))
 
 
@@ -505,6 +509,12 @@ def comparison_to_dict(cmp: ComparisonReport) -> dict:
 # --------------------------------------------------------------------------
 
 
+def _cells(texts) -> str:
+    """``texts`` right-aligned in cells of 12 characters, each with a space
+    before it, so a longer text widens its cell and stays apart."""
+    return "".join(" " + text.rjust(11) for text in texts)
+
+
 def format_fit_table(fit: FitResult, cov: AsymptoticCovariance | None = None) -> str:
     """Aligned coefficient table, one row per component.
 
@@ -513,22 +523,14 @@ def format_fit_table(fit: FitResult, cov: AsymptoticCovariance | None = None) ->
     components render as ``nan`` with the error code appended.
     """
     d = fit.coefficients.shape[1]
-    width = 12
-    lines = [
-        f"{'component':>10}" + "".join(f"{f'b[{i + 1}]':>{width}}" for i in range(d))
-    ]
+    lines = [f"{'component':>10}" + _cells(f"b[{i + 1}]" for i in range(d))]
     for m in range(fit.n_components):
-        row = f"{m + 1:>10}" + "".join(
-            f"{fit.coefficients[m, i]:>{width}.4f}" for i in range(d)
-        )
+        row = f"{m + 1:>10}" + _cells(f"{b:.4f}" for b in fit.coefficients[m])
         if m in fit.errors:
             row += f"  [{fit.errors[m].code}]"
         lines.append(row)
         if cov is not None:
-            se = cov.std_errors[m]
-            lines.append(
-                f"{'se':>10}" + "".join(f"{se[i]:>{width}.4f}" for i in range(d))
-            )
+            lines.append(f"{'se':>10}" + _cells(f"{se:.4f}" for se in cov.std_errors[m]))
     lines.append(f"det(Gamma) = {fit.det_gamma:.6g}")
     return "\n".join(lines) + "\n"
 
@@ -540,28 +542,16 @@ def format_report_table(report: MonteCarloReport) -> str:
     upper-triangle covariances; the final ``inf`` row is the analytic limit.
     """
     n_comp, d = report.true_b.shape
-    pairs = [(i, i) for i in range(d)] + [
-        (i, k) for i in range(d) for k in range(i + 1, d)
-    ]
-    width = 12
+    pairs = [(i, i) for i in range(d)] + [(i, k) for i in range(d) for k in range(i + 1, d)]
+    names = [f"V[{i + 1},{k + 1}]" for i, k in pairs]
+    upper = tuple(zip(*pairs))  # the rows and the columns of the pairs
     lines = []
     for m in range(n_comp):
-        lines.append(f"component {m + 1}")
-        head = f"{'n':>8}" + "".join(
-            f"{f'V[{i + 1},{k + 1}]':>{width}}" for i, k in pairs
-        )
-        head += f"{'failures':>{width}}"
-        lines.append(head)
+        lines += [f"component {m + 1}", f"{'n':>8}" + _cells([*names, "failures"])]
         for pt in report.points:
-            row = f"{pt.n_obs:>8}"
-            for i, k in pairs:
-                row += f"{pt.scaled_cov[m, i, k]:>{width}.4f}"
-            row += f"{pt.failures:>{width}}"
-            lines.append(row)
-        row = f"{'inf':>8}"
-        for i, k in pairs:
-            row += f"{report.analytic_v[m, i, k]:>{width}.4f}"
-        lines.append(row)
+            cov = [f"{v:.4f}" for v in pt.scaled_cov[m][upper]]
+            lines.append(f"{pt.n_obs:>8}" + _cells([*cov, str(pt.failures)]))
+        lines.append(f"{'inf':>8}" + _cells(f"{v:.4f}" for v in report.analytic_v[m][upper]))
         if m < n_comp - 1:
             lines.append("")
     return "\n".join(lines) + "\n"

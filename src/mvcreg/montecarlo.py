@@ -25,13 +25,14 @@ weight matrix is built or sent to a worker.
 
 The replications run in the worker processes of ``_pool``, one per usable
 CPU, forked once per study.  The study is one flat list of tasks, one per
-contiguous range of replication indices per worker and grid point, run
-through the pool's ordered map, which yields the results in task order.  A
-task's result is two arrays, the coefficients of its replications and the
-mask of those that failed, so a grid point's arrays are its tasks' arrays
-joined in replication order, and the report is byte-identical to a serial
-run whatever the worker count.  With one worker (one CPU, no ``fork``, or a
-daemonic caller) the same map runs the tasks in the calling process.
+contiguous range of replication indices per worker and grid point; worker
+k runs task k of every grid point, and the pool's ordered map yields the
+results in task order.  A task's result is two arrays, the coefficients of
+its replications and the mask of those that failed, so a grid point's
+arrays are its tasks' arrays joined in replication order, and the report
+is byte-identical to a serial run whatever the worker count.  With one
+worker (one CPU, no ``fork``, or a daemonic caller) the same map runs the
+tasks in the calling process.
 """
 
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,12 +21,32 @@ hypothesis.settings.load_profile("ci")
 _REF_CACHE = {}
 
 
+def children_left() -> str | None:
+    """What is left of this process's children: None when there is none,
+    else each one that has ended and is not reaped, and whether one still runs.
+
+    Asks the operating system, so it sees every child, however started; it
+    reaps the ones it reports as ended.
+    """
+    left = []
+    while True:
+        try:
+            pid, _ = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:  # no child at all
+            break
+        if not pid:
+            left.append("a child still running")
+            break
+        left.append(f"child {pid} not reaped")
+    return ", ".join(left) or None
+
+
 @pytest.fixture(autouse=True)
 def no_leaked_workers():
-    """Fail a test that leaves a worker process of a study running."""
+    """Fail a test that leaves a child process running or unreaped."""
     yield
-    leaked = multiprocessing.active_children()
-    assert not leaked, f"worker processes outlived the test: {leaked}"
+    left = children_left()
+    assert left is None, f"a child process outlived the test: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 import errno
 import hashlib
 import json
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -31,7 +30,7 @@ from mvcreg import (
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, render_weights_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
-from conftest import dirichlet_design
+from conftest import children_left, dirichlet_design
 
 SMOKE_CONFIG = {
     "n_obs": 100,
@@ -309,6 +308,33 @@ def _processes_naming(text: str) -> list[int]:
     return found
 
 
+_FORCED_POOL = """
+import json, sys
+import mvcreg._pool, mvcreg.dataio
+from mvcreg.cli import main
+
+mvcreg._pool.worker_count = lambda tasks: 2  # the pool path on any host,
+mvcreg.dataio._POOL_MIN_CELLS = 0  # at any size
+forks = []
+fork = mvcreg._pool._fork
+mvcreg._pool._fork = lambda *args: forks.append(1) or fork(*args)
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, len(forks), sorted(sys.modules)]), file=sys.stderr)
+"""
+
+
+def run_forced_pool(commands, stdout) -> tuple[list[int], int, set[str]]:
+    """Run ``commands`` through ``main`` in a fresh interpreter whose pools
+    fork two workers at any size; the exit codes, the workers forked and
+    the modules and packages loaded."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", _FORCED_POOL, json.dumps(commands)],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120, check=True,
+    )
+    codes, forks, modules = json.loads(out.stderr.splitlines()[-1])
+    return codes, forks, set(modules) | {m.split(".")[0] for m in modules}
+
 _render_rows = mvcreg.dataio._render_rows
 _replicate = mvcreg.montecarlo._replicate
 
@@ -388,6 +414,31 @@ class TestIoPool:
             args = ["-c", code, pin, str(io_config), str(tmp_path / pin)]
             assert fresh_python(args, 1).decode() == f"{workers}\n{digests}", pin
 
+    def test_pooled_simulate_to_stdout_writes_one_header(self, tmp_path, io_config):
+        # stdout is a file, so the header waits in the buffer when the render
+        # workers fork; they end without flushing it
+        serial, out = tmp_path / "serial.csv", tmp_path / "stdout.csv"
+        assert main(["simulate", "-i", str(io_config), "-o", str(serial)]) == 0
+        with open(out, "wb") as fh:
+            codes, forks, _ = run_forced_pool([["simulate", "-i", str(io_config)]], fh)
+        assert (codes, forks) == ([0], 2)
+        text = out.read_bytes()
+        assert text.count(b"y,x1") == 1
+        assert text == serial.read_bytes()
+
+    def test_pooled_commands_load_no_multiprocessing(self, tmp_path, io_config, smoke_config_path):
+        sim, fit, study = (str(tmp_path / name) for name in ("sim.csv", "fit.json", "study.json"))
+        codes, forks, loaded = run_forced_pool(
+            [
+                ["simulate", "-i", str(io_config), "-o", sim],
+                ["fit", "-i", sim, "-o", fit],
+                ["study", "-i", str(smoke_config_path), "-o", study],
+            ],
+            subprocess.DEVNULL,
+        )
+        assert (codes, forks) == ([0, 0, 0], 6)
+        assert loaded.isdisjoint({"multiprocessing", "concurrent"}), loaded
+
     @pytest.mark.skipif(sys.platform != "linux", reason="looks for leftover workers in /proc")
     def test_simulate_into_a_closed_pipe_exits_cleanly(self, tmp_path):
         # `mvcreg simulate | head -2` at a size the workers render: the
@@ -432,7 +483,7 @@ class TestIoPool:
         assert "Traceback" not in captured.err + captured.out
         assert out.read_bytes() == b"kept\n"
         assert sorted(os.listdir(work)) == ["out"]
-        assert multiprocessing.active_children() == []
+        assert children_left() is None
 
 
 def test_output_is_replaced_whole_with_the_mode_open_gives(tmp_path, smoke_config_path):

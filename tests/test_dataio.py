@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -624,6 +625,32 @@ class TestTables:
         assert sum("inf" in line for line in lines) == 2
         header = next(line for line in lines if "V[1,1]" in line)
         assert "V[2,2]" in header and "V[1,2]" in header
+
+    def test_wide_cells_stay_apart(self):
+        # a cell of 12 or more characters gets a space before it, so every
+        # row of either table splits on whitespace into its label and one
+        # field per column
+        sim = small_sim(n=400)
+        data = Dataset(y=-1e9 * sim.data.y, x=sim.data.x)
+        fit = fit_all(data, sim.p)
+        fit_rows = format_fit_table(fit, plug_in_covariance(data, sim.p, fit)).splitlines()
+        config, _ = reference_study_config()
+        report = run_study(with_n_obs(config, 120), rep_count=8, n_grid=(60, 120))
+        report = dataclasses.replace(
+            report,
+            analytic_v=-1e9 * report.analytic_v,
+            points=tuple(
+                dataclasses.replace(pt, scaled_cov=-1e9 * pt.scaled_cov) for pt in report.points
+            ),
+        )
+        report_rows = format_report_table(report).splitlines()
+        widths = [len(row.split()) for row in fit_rows[:-1]]
+        assert widths == [3] * len(widths)  # label, b[1], b[2]; det(Gamma) apart
+        rows = [row for row in report_rows if row and not row.startswith("component")]
+        # label, three covariances, failures; the analytic row has no failures
+        assert [len(row.split()) for row in rows] == [5, 5, 5, 4] * 2
+        fields = [f for row in fit_rows[1:-1] + rows for f in row.split()[1:]]
+        assert max(map(len, fields)) >= 12
 
     def test_fit_table_mentions_failures(self):
         rng = np.random.default_rng(0)

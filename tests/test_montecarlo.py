@@ -1,5 +1,4 @@
 import dataclasses
-import multiprocessing
 import os
 import warnings
 from collections import Counter
@@ -30,6 +29,7 @@ import mvcreg.moments
 from mvcreg.estimator import fit_basis, normal_equations
 from mvcreg.montecarlo import GridPointSummary, _summarize
 from mvcreg.simgen import StudyOptions, derive_seeds, draw, plan_draws, with_n_obs, with_seed
+from conftest import children_left
 
 
 def small_config(seed=17):
@@ -303,7 +303,7 @@ class TestRunStudy:
         with pytest.raises(ExcessiveFailures) as info:
             run_study(small_config(), rep_count=8, n_grid=(50, 80, 110))
         assert info.value.n_obs == 80
-        assert multiprocessing.active_children() == []
+        assert children_left() is None
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         # a typed error raised in a worker crosses the pool with its fields;
@@ -320,7 +320,7 @@ class TestRunStudy:
         with pytest.raises(ConfigError) as info:
             run_study(small_config(), rep_count=6, n_grid=(100,))
         assert info.value.field == "components"
-        assert multiprocessing.active_children() == []
+        assert children_left() is None
 
     @pytest.mark.parametrize(
         "field, value",
