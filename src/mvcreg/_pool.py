@@ -1,13 +1,14 @@
 """Worker processes shared by the replication study and the CSV reader and writer.
 
-A pool's map forks one worker per usable CPU when it is called; the workers
-inherit the function and its calls unpickled.  Of W workers, worker k runs
-calls k, k + W, k + 2W, ... and writes each result, or the exception its
-call raised, pickled and length-prefixed to its own pipe, where it waits
-until the caller, reading the pipes in call order, takes it.  A worker ends
-with ``os._exit``, never flushing the output buffers it inherited.  With
-one CPU, without ``fork``, or in a daemonic process, the map is the builtin
-``map``.  Nothing here loads ``multiprocessing``.
+A pool's map is one-shot: on entry it forks one worker per usable CPU, at
+most one per call, and the workers inherit the function and its calls
+unpickled.  Of W workers, worker k runs calls k, k + W, k + 2W, ... and
+writes each result, or the exception its call raised, pickled and
+length-prefixed to its own pipe, of the kernel's default size, where it
+waits until the caller, reading the pipes in call order, takes it.  A
+worker ends with ``os._exit``, never flushing the output buffers it
+inherited.  With one CPU, without ``fork``, or in a daemonic process, the
+map is the builtin ``map``.  Nothing here loads ``multiprocessing``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,8 @@ import contextlib
 import os
 import pickle
 import sys
-from functools import partial
 
 from .errors import MvcregError, WorkerLost
-
-#: bytes of a worker's pipe where the kernel lets it grow: two chunks of CSV
-#: text, where the default 64 KiB would stall a render worker at every chunk
-PIPE_BYTES = 1 << 20
 
 
 def worker_count(tasks: int) -> int:
@@ -38,35 +34,28 @@ def worker_count(tasks: int) -> int:
 
 
 @contextlib.contextmanager
-def ordered_map(workers: int, fn):
-    """Yield a function that maps ``fn`` over its iterables in ``workers``
-    processes, forked at each call, and returns the results in call order.
+def ordered_map(workers: int, fn, *iterables):
+    """Yield the results of ``fn`` mapped over ``iterables`` in ``workers``
+    processes, forked on entry, in call order.
 
     A call's exception is raised, with its type, where its result would be
     taken, and a worker that dies raises ``WorkerLost`` there.  Exit kills
     and reaps every worker, however the context is left.
     """
     if workers == 1:
-        yield partial(map, fn)
+        yield map(fn, *iterables)
         return
-    with contextlib.ExitStack() as children:  # the pipes, kills and reaps of the workers
-        yield partial(_striped_map, workers, fn, children)
-
-
-def _striped_map(workers: int, fn, children: contextlib.ExitStack, *iterables):
     calls = list(zip(*iterables))
-    readers = [_fork(fn, calls[k::workers], children) for k in range(min(workers, len(calls)))]
-    return (_receive(readers[i % len(readers)]) for i in range(len(calls)))
+    with contextlib.ExitStack() as children:  # the pipes, kills and reaps of the workers
+        readers = [_fork(fn, calls[k::workers], children) for k in range(min(workers, len(calls)))]
+        yield (_receive(readers[i % len(readers)]) for i in range(len(calls)))
 
 
 def _fork(fn, calls: list, children: contextlib.ExitStack):
     """The read end of the pipe of a worker forked to run ``calls`` of ``fn``."""
-    import fcntl
     import signal
 
     read_fd, write_fd = os.pipe()
-    with contextlib.suppress(AttributeError, OSError):  # F_SETPIPE_SZ is Linux's
-        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, PIPE_BYTES)
     reader = children.enter_context(open(read_fd, "rb"))
     with open(write_fd, "wb") as writer:  # the caller's copy closes once forked
         pid = os.fork()

@@ -7,9 +7,11 @@ round trip reproduces the array bytes exactly.
 
 The writer renders fixed chunks of rows: it stacks one chunk of the
 columns, maps ``repr`` over its cells and joins them row by row, so it holds
-one chunk's table and text at a time when it writes to a file.  The reader
-of a file skips one leading byte-order mark, checks the header, counts the
-lines with a numpy scan for newlines over fixed-size reads of the file,
+one chunk's table and text at a time when it writes to a file.  One reader
+serves a file and text alike: it is given an opener of the input's bytes,
+which reopens the file, refusing it if it changed, or wraps the text's
+UTF-8 bytes.  It skips one leading byte-order mark, checks the header,
+counts the lines with a numpy scan for newlines over fixed-size reads,
 recording the byte offset of every chunk's first line, and fills
 preallocated y, x and p in chunk order, so it holds the parsed arrays once,
 with nothing N-sized beside them.  Each chunk of lines is parsed by itself
@@ -20,23 +22,21 @@ what ``float`` accepts, names the line of the first bad record, and holds
 one Python list per row of that chunk.  Both paths convert with CPython's
 string-to-double routine, so they give the same values.  ``np.loadtxt``
 drops blank lines; where they leave fewer rows than lines, the arrays are
-shrunk in place.  Text given to ``parse_csv_text`` is parsed row by row
-as a whole.  Both readers are strict about quotes: a closing quote must end
-its cell, and a quoted cell must close before the input ends.  A file gives
-the same arrays or the same message as its text, except for a record that a
-quoted line break carries across the end of a chunk: that chunk ends inside
-a quoted cell, so the file is refused at the chunk's last line where its
-text is accepted.  Messages name physical lines, the header being line 1 (a
-header that spans lines is refused), and a record that spans lines by the
-line it ends on.
+shrunk in place.  Quotes are read strictly: a closing quote must end its
+cell, and a quoted cell must close before its chunk ends, so a record that
+a quoted line break carries across the end of a chunk is refused at the
+chunk's last line, in a file and in its text.  Messages name physical
+lines, the header being line 1 (a header that spans lines is refused), and
+a record that spans lines by the line it ends on.
 
 Both directions map one function over the chunks: from ``_POOL_MIN_CELLS``
 cells on with ``_pool``'s ordered map, whose forked workers each send every
 W-th chunk through a pipe, below that with the builtin ``map``.  Render
 workers inherit the columns and send each chunk's text, which the parent
-writes in row order; parse workers send each chunk's rows, or its error,
-which the parent stores or raises in chunk order.  So the bytes, arrays
-and messages are the same whatever the worker count.
+writes in row order; parse workers inherit the opener and send each
+chunk's rows, or its error, which the parent stores or raises in chunk
+order.  So the bytes, arrays and messages are the same whatever the worker
+count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
@@ -50,7 +50,9 @@ import csv
 import io
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from functools import partial
 from itertools import islice
@@ -87,12 +89,13 @@ _ROW_SUM_TOL = 1e-6
 _POOL_MIN_CELLS = 500_000
 
 
-def _chunk_map(cells: int, chunks: int, fn):
-    """``_pool``'s ordered map of ``fn`` from ``_POOL_MIN_CELLS`` cells on, else ``map``."""
+def _chunk_map(cells: int, fn, chunks, *iterables):
+    """``fn`` mapped over ``chunks`` and ``iterables`` by ``_pool``'s ordered
+    map from ``_POOL_MIN_CELLS`` cells on, else by ``map``."""
     if cells < _POOL_MIN_CELLS:
-        return contextlib.nullcontext(partial(map, fn))  # and _pool stays unloaded
+        return contextlib.nullcontext(map(fn, chunks, *iterables))  # and _pool stays unloaded
     from . import _pool
-    return _pool.ordered_map(_pool.worker_count(chunks), fn)
+    return _pool.ordered_map(_pool.worker_count(len(chunks)), fn, chunks, *iterables)
 
 
 def _render_rows(columns: list[np.ndarray], start: int) -> str:
@@ -118,8 +121,8 @@ def _csv_chunks(header: list[str], columns: list[np.ndarray]):
     yield ",".join(header) + "\n"
     starts = range(0, columns[0].shape[0], _CHUNK_ROWS)
     cells = columns[0].shape[0] * len(header)
-    with _chunk_map(cells, len(starts), partial(_render_rows, columns)) as render:
-        yield from render(starts)
+    with _chunk_map(cells, partial(_render_rows, columns), starts) as chunks:
+        yield from chunks
 
 
 def _write_chunks(path, chunks) -> None:
@@ -136,80 +139,90 @@ def _header(d: int, n_comp: int) -> list[str]:
     return ["y"] + [f"x{i + 1}" for i in range(d)] + [f"p{k + 1}" for k in range(n_comp)]
 
 
-def _dataset_chunks(data: Dataset, p: ConcentrationMatrix):
+def render_csv(data: Dataset, p: ConcentrationMatrix) -> str:
+    """Serialize a dataset and its concentration rows to CSV text."""
+    out = io.StringIO()
+    write_csv(out, data, p)
+    return out.getvalue()
+
+
+def write_csv(path, data: Dataset, p: ConcentrationMatrix) -> None:
+    """Write a dataset and its concentration rows as CSV to a path or an
+    open text stream, chunk by chunk."""
     if p.values.shape[0] != data.n_obs:
         raise ValueError(
             f"dataset has {data.n_obs} rows but concentration matrix has "
             f"{p.values.shape[0]}"
         )
     header = _header(data.n_regressors, p.values.shape[1])
-    return _csv_chunks(header, [data.y, data.x, p.values])
-
-
-def _weights_chunks(a: np.ndarray):
-    return _csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], [a])
-
-
-def render_csv(data: Dataset, p: ConcentrationMatrix) -> str:
-    """Serialize a dataset and its concentration rows to CSV text."""
-    return "".join(_dataset_chunks(data, p))
-
-
-def write_csv(path, data: Dataset, p: ConcentrationMatrix) -> None:
-    """Write ``render_csv``'s text to a path or an open text stream, chunk by chunk."""
-    _write_chunks(path, _dataset_chunks(data, p))
-
-
-def render_weights_csv(a: np.ndarray) -> str:
-    """The N x M weight matrix as CSV: header ``a1,...,aM``, one row per observation."""
-    return "".join(_weights_chunks(a))
+    _write_chunks(path, _csv_chunks(header, [data.y, data.x, p.values]))
 
 
 def write_weights_csv(path, a: np.ndarray) -> None:
-    """Write ``render_weights_csv``'s text to a path or an open text stream, chunk by chunk."""
-    _write_chunks(path, _weights_chunks(a))
+    """Write the N x M weight matrix as CSV, header ``a1,...,aM`` and one
+    row per observation, to a path or an open text stream, chunk by chunk."""
+    _write_chunks(path, _csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], [a]))
 
 
 def parse_csv_text(text: str, source: str = "<string>") -> tuple[Dataset, ConcentrationMatrix]:
-    """Parse CSV text into a dataset plus concentration matrix, row by row.
+    """Parse CSV text into a dataset plus concentration matrix.
 
-    The header fixes the column split: ``x`` columns must be numbered
-    1..d and ``p`` columns 1..M, in order.  Any malformed cell raises
-    DataFormatError naming the line.  Concentration rows must sum to one
-    within ``_ROW_SUM_TOL``.
+    The text is read as its UTF-8 bytes, by ``read_csv``'s reader, so it
+    gives what its file gives.  The header fixes the column split: ``x``
+    columns must be numbered 1..d and ``p`` columns 1..M, in order.  Any
+    malformed cell raises DataFormatError naming the line.  Concentration
+    rows must sum to one within ``_ROW_SUM_TOL``.
     """
-    return _parse_stream(io.StringIO(text), source, by_blocks=False)
+    return _parse_stream(partial(io.BytesIO, text.encode("utf-8", "surrogatepass")), source)
 
 
 def read_csv(path) -> tuple[Dataset, ConcentrationMatrix]:
     """Parse the CSV file ``path`` in blocks of lines, without holding its text.
 
-    Lines end at ``\\n`` only, as in ``io.StringIO``, so the file gives what
-    ``parse_csv_text`` gives for its text, except where a record that a
-    quoted line break carries onto the next line is split between two
-    blocks: that is refused at the first block's last line.  Each block
-    opens the file again by its name and seeks to its first line, so a file
-    descriptor, a pipe or a FIFO is refused.
+    Lines end at ``\\n`` only.  Each block opens the file again by its name
+    and seeks to its first line, so a file descriptor, a pipe or a FIFO is
+    refused, and so is a file that is replaced or changed while it is read.
     """
     if isinstance(path, int):
         raise DataFormatError(f"cannot read {path}: a path is needed, not a file descriptor")
     try:
-        with open(path, "r", encoding="utf-8", newline="\n") as fh:
-            if not fh.seekable():  # a pipe or FIFO: every block reopens and seeks the file
+        # a FIFO with no writer would hold open() for ever; every block
+        # reopens and seeks the file, which a pipe or tty cannot do
+        if stat.S_ISFIFO(os.stat(path).st_mode):
+            raise DataFormatError(f"cannot read {path}: a regular file is needed, not a pipe")
+        with open(path, "rb") as fh:
+            if not fh.seekable():
                 raise DataFormatError(f"cannot read {path}: a regular file is needed, not a pipe")
-            return _parse_stream(fh, str(path), by_blocks=True)
+            stamp = _stamp(fh)
+        return _parse_stream(partial(_open_unchanged, path, stamp), str(path))
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _parse_stream(fh, source: str, by_blocks: bool):
+def _stamp(fh) -> tuple[int, ...]:
+    """What changes when the file open as ``fh`` is replaced or written."""
+    st = os.fstat(fh.fileno())
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _open_unchanged(path, stamp: tuple[int, ...]):
+    """The file ``path`` opened for binary reading, if ``stamp`` is still its stamp."""
+    fh = open(path, "rb")
+    if _stamp(fh) != stamp:
+        fh.close()
+        raise DataFormatError(f"{path}: the file changed while it was read")
+    return fh
+
+
+def _parse_stream(opener, source: str):
+    """The dataset and concentrations of the CSV bytes that ``opener()``
+    opens a new binary stream of each time it is called."""
     try:
-        d, n_comp = _read_header(fh, source)
-        if by_blocks:
-            y, x, p_values = _load_table(fh, d, n_comp)
-        else:
-            rows = _parse_rows(fh, 1 + d + n_comp, source, 2)
-            y, x, p_values = _fill(len(rows), d, n_comp, [rows])
+        with io.TextIOWrapper(opener(), encoding="utf-8", newline="\n") as fh:
+            d, n_comp = _read_header(fh, source)
+            # a UTF-8 stream's position after a whole line is its byte offset
+            n, offsets = _count_lines(fh.buffer, fh.tell())
+        y, x, p_values = _load_table(opener, source, n, offsets, d, n_comp)
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"{source}: not UTF-8 text ({exc.reason})") from None
     if not len(y):
@@ -251,26 +264,23 @@ def _read_header(fh, source: str) -> tuple[int, int]:
     return d, len(names) - 1 - d
 
 
-def _load_table(fh, d: int, n_comp: int) -> tuple[np.ndarray, ...]:
-    """Read-only y, x and p of the data rows of the file ``fh`` reads, from
-    its position on.
+def _load_table(opener, source: str, n: int, offsets: list[int], d: int, n_comp: int):
+    """Read-only y, x and p of the ``n`` lines of data rows whose blocks of
+    ``_CHUNK_ROWS`` lines begin at byte ``offsets`` of what ``opener`` opens.
 
-    A scan of the bytes for newlines counts the lines and records the byte
-    offset of every block of ``_CHUNK_ROWS`` lines; the arrays are then
-    allocated for that many rows and filled, in block order, by
+    The arrays are allocated for ``n`` rows and filled, in block order, by
     ``_parse_block``, so nothing N-sized exists beside them.  From
     ``_POOL_MIN_CELLS`` cells on, forked workers parse the blocks; below
     that, the calling process maps the same function over them.  A block
     is parsed by itself wherever it is parsed, row by row where
-    ``np.loadtxt`` refuses it, and its errors name the file's own lines.
+    ``np.loadtxt`` refuses it, and its errors name the input's own lines.
     """
-    # a UTF-8 stream's position after a whole line is its byte offset
-    n, offsets = _count_lines(fh.buffer, fh.tell())
     width = 1 + d + n_comp
     firsts = range(2, n + 2, _CHUNK_ROWS)  # the header is line 1
     sizes = [min(_CHUNK_ROWS, n + 2 - first) for first in firsts]
-    with _chunk_map(n * width, len(sizes), partial(_parse_block, fh.name, width=width)) as parse:
-        return _fill(n, d, n_comp, parse(firsts, offsets, sizes))
+    parse = partial(_parse_block, opener, source, width)
+    with _chunk_map(n * width, parse, firsts, offsets, sizes) as blocks:
+        return _fill(n, d, n_comp, blocks)
 
 
 def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...]:
@@ -321,24 +331,25 @@ def _count_lines(buffer, start: int) -> tuple[int, list[int]]:
     return n, offsets[: -(-n // _CHUNK_ROWS)]  # no block begins at the end of the file
 
 
-def _parse_block(path, first: int, offset: int, lines: int, width: int) -> np.ndarray:
-    """The rows of the ``lines`` lines of the file ``path`` that begin at
-    byte ``offset`` with line ``first``.
+def _parse_block(opener, source: str, width: int, first: int, offset: int, lines: int):
+    """The rows of the ``lines`` lines that begin at byte ``offset`` with
+    line ``first`` of what ``opener`` opens.
 
     ``np.loadtxt`` parses them; where it refuses them (quoted cells, ``1_0``,
     blank lines alone, or a genuine error) or they are not ``width`` columns
     wide, ``_parse_rows`` parses the same lines again, and refuses them if
     they end inside a quoted cell.
     """
-    with open(path, "r", encoding="utf-8", newline="\n") as fh, warnings.catch_warnings():
+    with io.TextIOWrapper(opener(), encoding="utf-8", newline="\n") as fh:
         fh.seek(offset)
-        warnings.simplefilter("error")  # "input contained no data" and kin
-        with contextlib.suppress(ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        # UnicodeDecodeError is a ValueError
+        with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
+            warnings.simplefilter("error")  # "input contained no data" and kin
             block = np.loadtxt(islice(fh, lines), delimiter=",", comments=None, ndmin=2)
             if block.shape[1] == width:
                 return block
         fh.seek(offset)
-        return _parse_rows(islice(fh, lines), width, str(path), first)
+        return _parse_rows(islice(fh, lines), width, source, first)
 
 
 def _parse_rows(lines, n_col: int, source: str, first: int) -> np.ndarray:

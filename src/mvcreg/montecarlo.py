@@ -220,8 +220,8 @@ def run_study(
         plans += [plan] * workers
         bases += [fit_basis(plan.p)] * workers
         ranges += [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    with _pool.ordered_map(workers, _replicate) as replicate:
-        results = replicate(plans, bases, repeat(xtx_tol), repeat(config.seed), ranges)
+    tasks = plans, bases, repeat(xtx_tol), repeat(config.seed), ranges
+    with _pool.ordered_map(workers, _replicate, *tasks) as results:
         points = [
             _summarize(n_obs, *map(np.concatenate, zip(*islice(results, workers))))
             for n_obs in grid

@@ -577,31 +577,36 @@ def _as_number(value, path: str) -> float:
     return float(value)
 
 
-def _parse_regressor(entry, path: str) -> RegressorSpec:
+def _number(mapping: dict, key: str, path: str) -> float:
+    return _as_number(_require(mapping, key, path), f"{path}.{key}")
+
+
+def _object(entry, path: str) -> dict:
     if not isinstance(entry, dict):
         raise ConfigError(path, "must be an object")
-    kind = entry.get("kind")
+    return entry
+
+
+def _known_keys(entry: dict, path: str, keys: set[str], what: str = "") -> None:
+    """Refuse any key of ``entry`` outside ``keys``; ``what`` ends the message."""
+    extra = set(entry) - keys
+    if extra:
+        raise ConfigError(path, f"unknown keys {sorted(extra)}{what}")
+
+
+def _parse_regressor(entry, path: str) -> RegressorSpec:
+    kind = _object(entry, path).get("kind")
     if kind == "constant":
-        extra = set(entry) - {"kind"}
-        if extra:
-            raise ConfigError(path, f"unknown keys {sorted(extra)} for constant regressor")
+        _known_keys(entry, path, {"kind"}, " for constant regressor")
         return ConstantRegressor()
     if kind == "gaussian":
-        extra = set(entry) - {"kind", "mean", "sd"}
-        if extra:
-            raise ConfigError(path, f"unknown keys {sorted(extra)} for gaussian regressor")
-        mean = _as_number(_require(entry, "mean", path), f"{path}.mean")
-        sd = _as_number(_require(entry, "sd", path), f"{path}.sd")
-        return GaussianRegressor(mean=mean, sd=sd)
+        _known_keys(entry, path, {"kind", "mean", "sd"}, " for gaussian regressor")
+        return GaussianRegressor(mean=_number(entry, "mean", path), sd=_number(entry, "sd", path))
     raise ConfigError(f"{path}.kind", f"must be 'constant' or 'gaussian', got {kind!r}")
 
 
 def _parse_component(entry, path: str) -> ComponentSpec:
-    if not isinstance(entry, dict):
-        raise ConfigError(path, "must be an object")
-    extra = set(entry) - {"regressors", "error_sd", "coefficients"}
-    if extra:
-        raise ConfigError(path, f"unknown keys {sorted(extra)}")
+    _known_keys(_object(entry, path), path, {"regressors", "error_sd", "coefficients"})
     regressors = _require(entry, "regressors", path)
     if not isinstance(regressors, list):
         raise ConfigError(f"{path}.regressors", "must be a list")
@@ -612,7 +617,7 @@ def _parse_component(entry, path: str) -> ComponentSpec:
         regressors=tuple(
             _parse_regressor(r, f"{path}.regressors[{j}]") for j, r in enumerate(regressors)
         ),
-        error_sd=_as_number(_require(entry, "error_sd", path), f"{path}.error_sd"),
+        error_sd=_number(entry, "error_sd", path),
         coefficients=tuple(
             _as_number(c, f"{path}.coefficients[{j}]") for j, c in enumerate(coefficients)
         ),
@@ -622,18 +627,12 @@ def _parse_component(entry, path: str) -> ComponentSpec:
 def _parse_concentrations(entry, path: str) -> ConcentrationModel:
     if entry is None:
         return LinearRamp()
-    if not isinstance(entry, dict):
-        raise ConfigError(path, "must be an object")
-    model = entry.get("model")
+    model = _object(entry, path).get("model")
     if model == "linear_ramp":
-        extra = set(entry) - {"model"}
-        if extra:
-            raise ConfigError(path, f"unknown keys {sorted(extra)} for linear_ramp")
+        _known_keys(entry, path, {"model"}, " for linear_ramp")
         return LinearRamp()
     if model == "explicit":
-        extra = set(entry) - {"model", "values"}
-        if extra:
-            raise ConfigError(path, f"unknown keys {sorted(extra)} for explicit model")
+        _known_keys(entry, path, {"model", "values"}, " for explicit model")
         values = _require(entry, "values", path)
         try:
             arr = np.array(values, dtype=float)

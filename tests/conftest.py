@@ -130,10 +130,10 @@ class IoPools:
         self.started = []
         ordered_map = mvcreg._pool.ordered_map
 
-        def recording(workers, fn):
+        def recording(workers, fn, *iterables):
             if workers > 1:
                 self.started.append(workers)
-            return ordered_map(workers, fn)
+            return ordered_map(workers, fn, *iterables)
 
         monkeypatch.setattr(mvcreg._pool, "ordered_map", recording)
 

@@ -28,7 +28,7 @@ from mvcreg import (
     run_study,
 )
 from mvcreg.cli import main
-from mvcreg.dataio import read_csv, render_weights_csv, write_csv
+from mvcreg.dataio import read_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
 from conftest import children_left, dirichlet_design
 
@@ -746,6 +746,23 @@ class TestFit:
         )
         assert out.stdout == b""
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_fifo_without_a_writer_exit_2(self, tmp_path, command):
+        # refused before open(), which would wait for a writer for ever
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.moments.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-m", "mvcreg.cli", command, "-i", str(fifo)],
+            env=env, capture_output=True, timeout=60,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.decode() == (
+            f"mvcreg: data-format: cannot read {fifo}: a regular file is needed, not a pipe\n"
+        )
+        assert out.stdout == b""
+
     @pytest.mark.parametrize("command", ["fit", "weights"])
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys, dataset_csv, command):
         # as spreadsheet programs save "CSV UTF-8"
@@ -851,22 +868,29 @@ class TestWeights:
         assert lines[1] == "2.0,0.0"
 
     def test_csv_is_streamed_with_the_rendered_bytes(self, tmp_path, capsys, monkeypatch):
-        # more than two chunks of rows, written without joining the whole text
-        n = 2 * mvcreg.dataio._CHUNK_ROWS + 3
+        # more than two chunks of rows, each written before the next is
+        # rendered, with the bytes of a row-by-row writer
+        chunk = mvcreg.dataio._CHUNK_ROWS
         config, _ = reference_study_config()
-        sim = generate(with_n_obs(config, n))
+        sim = generate(with_n_obs(config, 2 * chunk + 3))
         path, out = tmp_path / "ramp.csv", tmp_path / "a.csv"
         write_csv(path, sim.data, sim.p)
-        expected = render_weights_csv(compute_weights(sim.p))
+        rows = [",".join(map(repr, row)) + "\n" for row in compute_weights(sim.p).tolist()]
+        expected = "a1,a2\n" + "".join(rows)
+        written, render_rows = [], mvcreg.dataio._render_rows
 
-        def whole_text(*args, **kwargs):
-            raise AssertionError("mvcreg weights joined the whole CSV text")
+        def recording_render_rows(columns, start):
+            written.append(len(sys.stdout.getvalue()))  # the text written before this chunk
+            return render_rows(columns, start)
 
-        monkeypatch.setattr(mvcreg.dataio, "render_weights_csv", whole_text)
+        monkeypatch.setattr(mvcreg.dataio, "_render_rows", recording_render_rows)
         assert main(["weights", "-i", str(path), "--format", "csv", "-o", str(out)]) == 0
         assert out.read_bytes() == expected.encode("utf-8")
+        written.clear()
         assert main(["weights", "-i", str(path), "--format", "csv"]) == 0
         assert capsys.readouterr().out == expected
+        starts = (0, chunk, 2 * chunk)
+        assert written == [len("a1,a2\n" + "".join(rows[:start])) for start in starts]
 
 
 class TestStudy:

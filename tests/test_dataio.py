@@ -30,10 +30,10 @@ from mvcreg.dataio import (
     parse_csv_text,
     read_csv,
     render_csv,
-    render_weights_csv,
     report_to_dict,
     weights_to_dict,
     write_csv,
+    write_weights_csv,
 )
 from mvcreg.concentrations import build_gramian, compute_weights
 from mvcreg.montecarlo import compare_report, run_study
@@ -178,6 +178,29 @@ def outcome(parse, *args, **kwargs):
     return ("ok", data.y.tobytes(), data.x.tobytes(), p.values.tobytes())
 
 
+def parse_whole_body(text: str, source: str):
+    """The dataset and concentrations of ``text`` with every line after the
+    header parsed at once by ``dataio._parse_rows``: the row-wise reference
+    that the block reader must match, wherever no block boundary splits a
+    quoted record."""
+    fh = io.StringIO(text)  # lines end at \n only, as in the reader
+    d, n_comp = mvcreg.dataio._read_header(fh, source)
+    rows = mvcreg.dataio._parse_rows(fh, 1 + d + n_comp, source, 2)
+    if not len(rows):
+        raise DataFormatError(f"{source}: no data rows")
+    try:
+        data = Dataset(y=rows[:, 0], x=rows[:, 1 : 1 + d])
+        p = ConcentrationMatrix(rows[:, 1 + d :], row_sum_tol=mvcreg.dataio._ROW_SUM_TOL)
+    except ValueError as exc:
+        raise DataFormatError(f"{source}: {exc}") from None
+    return data, p
+
+
+def row_wise(text: str, source: str = "<string>"):
+    """``outcome`` of ``parse_whole_body``."""
+    return outcome(parse_whole_body, text, source)
+
+
 _HEADER = "y,x1,p1\n"
 _ROWS = "1.5,2.0,1.0\n-3.25,0.5,1.0\n"
 #: (text, parsed by the row-wise path?) for inputs at the edge of the format
@@ -242,24 +265,26 @@ class TestCsvParity:
 
     def test_weights_csv_matches_row_writer(self):
         a = np.array([[2.0, -0.0], [1e16, 1e-5], [5e-324, -1 / 3]])
-        expected = reference_csv(["a1", "a2"], a)
-        assert render_weights_csv(a) == expected
+        out = io.StringIO()
+        write_weights_csv(out, a)
+        assert out.getvalue() == reference_csv(["a1", "a2"], a)
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
     def test_edge_case_matches_row_wise_path(self, case, tmp_path, monkeypatch, io_pools):
-        # blocks of one to three lines put every line at every place in a
-        # block; with one line per block in a pool, a refused line is parsed
-        # row by row in a worker and its error crosses the pool
+        # blocks of one to four lines put every line at every place in a
+        # block; in a pool, a refused line is parsed row by row in a worker
+        # and its error crosses the pool.  A file and its text are one reader
         text, accepted = _EDGE_CASES[case]
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
-        expected = outcome(parse_csv_text, text, source=str(path))
+        expected = row_wise(text, str(path))
         assert (expected[0] == "ok") == accepted
-        runs = [(chunk, 1) for chunk in (1, 2, 3, mvcreg.dataio._CHUNK_ROWS)] + [(1, 2), (1, 3)]
-        for chunk, workers in runs:
+        for chunk in (1, 2, 3, 4, mvcreg.dataio._CHUNK_ROWS):
             monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
-            io_pools.force(workers)
-            assert outcome(read_csv, path) == expected, (chunk, workers)
+            for workers in (1, 2, 3):
+                io_pools.force(workers)
+                assert outcome(read_csv, path) == expected, (chunk, workers)
+                assert outcome(parse_csv_text, text, source=str(path)) == expected, (chunk, workers)
 
     @pytest.mark.parametrize("case", list(_EDGE_CASES))
     def test_file_and_text_agree(self, case, tmp_path):
@@ -267,6 +292,7 @@ class TestCsvParity:
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
         assert outcome(read_csv, path) == outcome(parse_csv_text, text, source=str(path))
+        assert outcome(read_csv, path) == row_wise(text, str(path))
 
     @staticmethod
     def tall_text(case):
@@ -283,7 +309,7 @@ class TestCsvParity:
         elif case == "bad cell in the last chunk":
             lines[2 * chunk + 1] = "1.0,oops,0.5,0.5"
         elif case == "short row in the second chunk":
-            lines[chunk + 7] = "1.0,2.0,1.0"
+            lines[chunk + min(7, chunk - 1)] = "1.0,2.0,1.0"
         elif case == "trailing whitespace line":
             lines.append("   ")
         return "y,x1,p1,p2\n" + "\n".join(lines) + "\n"
@@ -302,19 +328,20 @@ class TestCsvParity:
         text = self.tall_text(case)
         path = tmp_path / "tall.csv"
         path.write_bytes(text.encode("utf-8"))
-        row_wise = []
+        row_wise_calls = []
         parse_rows = mvcreg.dataio._parse_rows
 
         def recording_parse_rows(*args):
-            row_wise.append(args)
+            row_wise_calls.append(args)
             return parse_rows(*args)
 
         monkeypatch.setattr(mvcreg.dataio, "_parse_rows", recording_parse_rows)
         got = outcome(read_csv, path)
         accepted = case in ("plain", "blank lines at chunk ends")
         assert (got[0] == "ok") == accepted
-        assert bool(row_wise) != accepted  # accepted input is never parsed row by row
-        assert got == outcome(parse_csv_text, text, source=str(path))
+        assert bool(row_wise_calls) != accepted  # accepted input is never parsed row by row
+        assert outcome(parse_csv_text, text, source=str(path)) == got
+        assert got == row_wise(text, str(path))
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
@@ -327,16 +354,24 @@ class TestCsvParity:
             "trailing whitespace line",
         ],
     )
-    def test_pooled_tall_file_matches_serial_path(self, case, workers, tmp_path, io_pools):
+    def test_pooled_tall_file_matches_serial_path(
+        self, case, workers, tmp_path, monkeypatch, io_pools
+    ):
         # a refused block is parsed row by row in the worker that refused it,
-        # and its error is raised where its result is taken: same text, same line
+        # and its error is raised where its result is taken: same text, same
+        # line, for a file and its text, with the case's rows scaled to blocks
+        # of one to four lines and to the default block
         path = tmp_path / "tall.csv"
-        path.write_bytes(self.tall_text(case).encode("utf-8"))
-        serial = outcome(read_csv, path)
-        assert io_pools.started == []
-        io_pools.force(workers)
-        assert outcome(read_csv, path) == serial
-        assert io_pools.started == [workers]
+        for chunk in (1, 2, 3, 4, mvcreg.dataio._CHUNK_ROWS):
+            monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
+            text = self.tall_text(case)
+            path.write_bytes(text.encode("utf-8"))
+            expected = row_wise(text, str(path))
+            for forced in (1, workers):
+                io_pools.force(forced)
+                assert outcome(read_csv, path) == expected, (chunk, forced)
+                assert outcome(parse_csv_text, text, source=str(path)) == expected, (chunk, forced)
+        assert io_pools.started == [workers] * 10
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_leading_byte_order_mark_is_skipped(self, workers, tmp_path, io_pools):
@@ -349,7 +384,7 @@ class TestCsvParity:
         io_pools.force(workers)
         assert outcome(read_csv, marked) == expected
         assert outcome(parse_csv_text, "\ufeff" + text) == expected
-        assert io_pools.started == ([workers] if workers > 1 else [])
+        assert io_pools.started == ([workers] * 2 if workers > 1 else [])
         # only one mark is the file's; a second is the header's first character
         marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8-sig"))
         with pytest.raises(DataFormatError, match=r"header must be .*got '\\ufeffy,x1"):
@@ -385,8 +420,11 @@ class TestCsvParity:
             calls.write_text("")
             got = outcome(read_csv, path)
             assert [int(line) for line in calls.read_text().split()] == firsts, case
-            assert got == outcome(parse_csv_text, text, source=str(path)), case
-        assert io_pools.started == ([workers] * 3 if workers > 1 else [])
+            calls.write_text("")
+            assert outcome(parse_csv_text, text, source=str(path)) == got, case
+            assert [int(line) for line in calls.read_text().split()] == firsts, case
+        # a file and its text each start a pool
+        assert io_pools.started == ([workers] * 6 if workers > 1 else [])
 
     @pytest.mark.parametrize(
         "text, refused",
@@ -400,25 +438,31 @@ class TestCsvParity:
             (_HEADER + '0.5,0.5,1.0\n1,2,"1.0\n"4",5,1.0\n', "line 4: ',' expected after '\"'"),
         ],
     )
-    def test_quoted_line_break_is_split_at_a_block_boundary(self, text, refused, tmp_path, monkeypatch):
-        # the one way a file and its text differ: a record that a quoted line
-        # break carries from line 3 onto line 4 is read within one block of
-        # lines, and refused where a block ends at line 3, inside the quote
+    def test_quoted_line_break_is_split_at_a_block_boundary(
+        self, text, refused, tmp_path, monkeypatch, io_pools
+    ):
+        # a record that a quoted line break carries from line 3 onto line 4
+        # is read within one block of lines, as the whole body is read row
+        # by row, and refused where a block ends at line 3, inside the
+        # quote: in a file and in its text alike, whatever the worker count
         path = tmp_path / "case.csv"
         path.write_bytes(text.encode("utf-8"))
-        expected = outcome(parse_csv_text, text, source=str(path))
+        whole = row_wise(text, str(path))
         if refused is None:
-            assert expected == ("ok", *(np.array(c).tobytes() for c in (
+            assert whole == ("ok", *(np.array(c).tobytes() for c in (
                 [0.5, 1.5, -3.25], [[1.0], [2.0], [0.5]], [[1.0]] * 3
             )))
         else:
-            assert expected == ("error", f"{path}: {refused}")
-        for chunk in (3, 4, mvcreg.dataio._CHUNK_ROWS):  # lines 3 and 4 in one block
+            assert whole == ("error", f"{path}: {refused}")
+        split = ("error", f"{path}: line 3: unexpected end of data")
+        # lines 3 and 4 in one block, or a block that ends at line 3
+        runs = [(3, whole), (4, whole), (mvcreg.dataio._CHUNK_ROWS, whole), (1, split), (2, split)]
+        for chunk, expected in runs:
             monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
-            assert outcome(read_csv, path) == expected, chunk
-        for chunk in (1, 2):  # a block ends at line 3
-            monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
-            assert outcome(read_csv, path) == ("error", f"{path}: line 3: unexpected end of data")
+            for workers in (1, 2, 3):
+                io_pools.force(workers)
+                assert outcome(read_csv, path) == expected, (chunk, workers)
+                assert outcome(parse_csv_text, text, source=str(path)) == expected, (chunk, workers)
 
     @staticmethod
     def line_loop(raw: bytes, start: int, chunk: int) -> tuple[int, list[int]]:
@@ -469,7 +513,9 @@ class TestCsvParity:
         monkeypatch.setattr(mvcreg.dataio, "_COUNT_BLOCK_BYTES", read_bytes)
         monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", chunk)
         text = self._COUNT_CASES[case].decode("utf-8")
-        assert outcome(read_csv, path) == outcome(parse_csv_text, text, source=str(path))
+        expected = row_wise(text, str(path))
+        assert outcome(read_csv, path) == expected
+        assert outcome(parse_csv_text, text, source=str(path)) == expected
 
     def test_read_arrays_are_handed_over_once(self, tmp_path, monkeypatch, io_pools):
         # serial and pooled reads parse each block of lines once, with one function
@@ -479,10 +525,10 @@ class TestCsvParity:
         calls = tmp_path / "calls"
         parse_block = mvcreg.dataio._parse_block
 
-        def recording_parse_block(path, first, offset, lines, width):
+        def recording_parse_block(opener, source, width, first, offset, lines):
             with open(calls, "a") as log:  # one small append per call, from any process
                 log.write(f"{first} {offset} {lines}\n")
-            return parse_block(path, first, offset, lines, width)
+            return parse_block(opener, source, width, first, offset, lines)
 
         monkeypatch.setattr(mvcreg.dataio, "_parse_rows", forbidden)
         monkeypatch.setattr(mvcreg.dataio, "_parse_block", recording_parse_block)
@@ -533,6 +579,36 @@ class TestCsvParity:
         y, x, p_values = filled[0]
         assert data.y is y and data.x is x and p.values is p_values
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("change", ["replaced", "appended"])
+    def test_file_changed_while_read_is_refused(
+        self, change, workers, tmp_path, monkeypatch, io_pools
+    ):
+        # every block reopens the file by its name after the count pass: a
+        # file replaced there, as `simulate -o` replaces its target, or
+        # written to in place, would be read at the old offsets
+        path, other = tmp_path / "data.csv", tmp_path / "other.csv"
+        old, new = small_sim(n=20), small_sim(n=40, seed=9)
+        write_csv(path, old.data, old.p)
+        write_csv(other, new.data, new.p)
+        count_lines = mvcreg.dataio._count_lines
+
+        def changing_count_lines(buffer, start):
+            counted = count_lines(buffer, start)
+            if change == "replaced":
+                os.replace(other, path)
+            else:
+                with open(path, "a", encoding="utf-8") as fh:
+                    fh.write(other.read_text(encoding="utf-8").split("\n", 1)[1])
+            return counted
+
+        monkeypatch.setattr(mvcreg.dataio, "_count_lines", changing_count_lines)
+        io_pools.force(workers)
+        with pytest.raises(DataFormatError) as info:
+            read_csv(path)
+        assert str(info.value) == f"{path}: the file changed while it was read"
+        assert io_pools.started == ([workers] if workers > 1 else [])
+
     def test_header_only_warns_nothing(self, recwarn):
         with pytest.raises(DataFormatError, match="no data rows"):
             parse_csv_text(_HEADER)
@@ -543,6 +619,11 @@ class TestCsvParity:
         path.write_bytes((_HEADER + _ROWS * 2000).encode() + b"\xe9,1.0,1.0\n")
         with pytest.raises(DataFormatError, match="latin1.csv: not UTF-8"):
             read_csv(path)
+
+    def test_text_with_no_utf8_form_is_refused(self):
+        # a lone surrogate has no UTF-8 bytes, so the reader cannot decode the text
+        with pytest.raises(DataFormatError, match="^s.csv: not UTF-8 text"):
+            parse_csv_text(_HEADER + "\ud800,1.0,1.0\n", source="s.csv")
 
     def test_well_formed_output_never_takes_the_fallback(self, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):

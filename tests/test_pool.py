@@ -1,3 +1,4 @@
+import fcntl
 import multiprocessing
 import os
 import time
@@ -8,7 +9,7 @@ import pytest
 import mvcreg._pool
 from conftest import children_left
 from mvcreg import MvcregError, WorkerLost
-from mvcreg._pool import PIPE_BYTES, ordered_map, worker_count
+from mvcreg._pool import ordered_map, worker_count
 
 
 def slow_square(i):
@@ -20,8 +21,8 @@ def slow_square(i):
 def daemonic_map():
     """What the pool does inside a daemonic process; sent to a pool by name."""
     workers = worker_count(8)
-    with ordered_map(workers, slow_square) as run:
-        return workers, list(run(range(8)))
+    with ordered_map(workers, slow_square, range(8)) as results:
+        return workers, list(results)
 
 
 def test_worker_count_follows_usable_cpus():
@@ -58,8 +59,7 @@ def test_one_worker_is_the_builtin_map():
         pids.append(os.getpid())
         return i * i
 
-    with ordered_map(1, square) as run:
-        results = run(range(3))
+    with ordered_map(1, square, range(3)) as results:
         assert isinstance(results, map) and pids == []
         assert list(results) == [0, 1, 4]
     assert pids == [os.getpid()] * 3
@@ -68,33 +68,37 @@ def test_one_worker_is_the_builtin_map():
 @pytest.mark.parametrize("workers", [2, 3])
 def test_children_run_ahead_by_at_most_a_pipe_of_results(workers, tmp_path):
     # each call appends a byte to a file as it starts, and returns half a
-    # pipe of bytes; a child waits once its pipe is full, so per child the
-    # calls started run ahead of the results taken by at most the results
-    # a pipe holds and the one call that runs or waits to write.  The
-    # results come in call order
+    # pipe of bytes, of the size the kernel gives a new pipe; a child waits
+    # once its pipe is full, so per child the calls started run ahead of the
+    # results taken by at most the results a pipe holds and the one call
+    # that runs or waits to write.  The results come in call order
     started = tmp_path / "started"
     started.touch()
+    read_fd, write_fd = os.pipe()
+    pipe_bytes = fcntl.fcntl(write_fd, fcntl.F_GETPIPE_SZ)
+    os.close(read_fd)
+    os.close(write_fd)
 
     def half_a_pipe(i):
         fd = os.open(started, os.O_WRONLY | os.O_APPEND)
         os.write(fd, b".")
         os.close(fd)
-        return bytes([i]) * (PIPE_BYTES // 2)
+        return bytes([i]) * (pipe_bytes // 2)
 
     ahead, results = [], []
-    with ordered_map(workers, half_a_pipe) as run:
-        for result in run(range(40)):
+    with ordered_map(workers, half_a_pipe, range(40)) as mapped:
+        for result in mapped:
             time.sleep(0.01)  # the children fill their pipes meanwhile
             results.append(result[0])
             ahead.append(started.stat().st_size - len(results))
     assert results == list(range(40))
-    assert 0 < max(ahead) <= workers * (PIPE_BYTES // len(result) + 1)
+    assert 0 < max(ahead) <= workers * (pipe_bytes // len(result) + 1)
     assert ahead[-1] == 0
 
 
 def test_caller_that_stops_early_leaves_no_worker():
-    with ordered_map(2, slow_square) as run:
-        for i, result in enumerate(run(range(1000))):
+    with ordered_map(2, slow_square, range(1000)) as results:
+        for i, result in enumerate(results):
             if i == 3:
                 break
     assert children_left() is None
@@ -110,8 +114,8 @@ def test_results_and_errors_come_in_call_order():
 
     results = []
     with pytest.raises(KeyError, match="call 5"):
-        with ordered_map(2, fails_at_five) as run:
-            results.extend(run(range(9)))
+        with ordered_map(2, fails_at_five, range(9)) as mapped:
+            results.extend(mapped)
     assert results == [i * i for i in range(5)]
     assert children_left() is None
 
@@ -138,8 +142,8 @@ def test_error_that_does_not_pickle_is_an_mvcreg_error(error):
 
     results = []
     with pytest.raises(MvcregError) as info:
-        with ordered_map(2, fails_at_three) as run:
-            results.extend(run(range(6)))
+        with ordered_map(2, fails_at_three, range(6)) as mapped:
+            results.extend(mapped)
     assert results == [0, 1, 2]
     assert type(info.value) is MvcregError and "worker process" in str(info.value)
     assert children_left() is None
@@ -153,8 +157,8 @@ def test_dead_child_is_worker_lost_at_its_turn():
 
     results = []
     with pytest.raises(WorkerLost):
-        with ordered_map(3, dies_at_four) as run:
-            results.extend(run(range(9)))
+        with ordered_map(3, dies_at_four, range(9)) as mapped:
+            results.extend(mapped)
     assert results == [0, 1, 2, 3]
     assert children_left() is None
 
@@ -165,8 +169,8 @@ def test_workers_inherit_the_function_unpickled():
     # the pool module
     table = np.arange(12.0).reshape(6, 2)
     fn = lambda i: (os.getpid(), table[i].tolist())  # noqa: E731
-    with ordered_map(2, fn) as run:
-        got = list(run(range(6)))
+    with ordered_map(2, fn, range(6)) as mapped:
+        got = list(mapped)
         assert all(value is not fn for value in vars(mvcreg._pool).values())
     assert [row for _, row in got] == table.tolist()
     assert os.getpid() not in {pid for pid, _ in got}

@@ -1,9 +1,11 @@
 """Static checks of the package source, with the standard library only.
 
-No linter is a dependency, so ``ast`` makes the two checks that catch what a
-refactor leaves behind: an import that nothing in its module uses, and a
-private module-level name that nothing in the package refers to.  An import
-kept on purpose carries ``# noqa: F401`` on its line.
+No linter is a dependency, so ``ast`` makes the three checks that catch what
+a refactor leaves behind: an import that nothing in its module uses, a
+private module-level name that nothing in the package refers to, and a
+public function that no other code in the package refers to, which only
+tests would call.  An import kept on purpose carries ``# noqa: F401`` on its
+line, and is no reference to what it imports.
 """
 
 import ast
@@ -15,13 +17,20 @@ import mvcreg
 
 SOURCES = sorted(Path(mvcreg.__file__).parent.glob("*.py"))
 
+#: public functions that nothing in the package calls, kept for the benchmark
+UNCALLED_PUBLIC = {
+    "dataio.parse_csv_text",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
+    "dataio.render_csv",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
+    "moments.weighted_fourth_moment",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
+}
+
 
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _references(tree: ast.Module) -> set[str]:
-    """Every name the module reads, attribute it reads, or name it imports from elsewhere."""
+def _references(tree: ast.AST) -> set[str]:
+    """Every name the code reads, attribute it reads, or name it imports from elsewhere."""
     found = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -31,6 +40,34 @@ def _references(tree: ast.Module) -> set[str]:
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
     return found
+
+
+def _references_elsewhere(path: Path) -> set[str]:
+    """``_references`` of the module at ``path``, less a module-level
+    function's calls of itself and the imports marked ``# noqa: F401``."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    found = set()
+    for top in ast.parse(source, filename=str(path)).body:
+        if isinstance(top, ast.ImportFrom) and "# noqa: F401" in lines[top.end_lineno - 1]:
+            continue
+        names = _references(top)
+        if isinstance(top, ast.FunctionDef):
+            names.discard(top.name)
+        found |= names
+    return found
+
+
+def _unreferenced_public_functions(paths: list[Path]) -> list[str]:
+    referenced = set().union(*map(_references_elsewhere, paths))
+    return [
+        f"{path.stem}.{node.name}"
+        for path in paths
+        for node in _parse(path).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in referenced
+    ]
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -90,10 +127,15 @@ def test_every_private_name_is_referenced():
     assert unreferenced == []
 
 
+def test_every_public_function_is_referenced():
+    assert sorted(_unreferenced_public_functions(SOURCES)) == sorted(UNCALLED_PUBLIC)
+
+
 def test_checks_find_what_they_look_for(tmp_path):
-    # the checks themselves: an unused import, an honoured noqa, and a
-    # private helper nothing calls
-    source = tmp_path / "sample.py"
+    # the checks themselves: an unused import, an honoured noqa, a private
+    # helper nothing calls, and public functions that only call themselves
+    # or are imported under noqa
+    source, other = tmp_path / "sample.py", tmp_path / "other.py"
     source.write_text(
         "import os\n"
         "import sys  # noqa: F401\n"
@@ -103,7 +145,18 @@ def test_checks_find_what_they_look_for(tmp_path):
         "    return loads\n"
         "def _unused():\n"
         "    return _LIMIT\n"
+        "def recursive(n):\n"
+        "    return recursive(n - 1)\n"
+        "def imported():\n"
+        "    return None\n"
+        "def called():\n"
+        "    return None\n"
     )
+    other.write_text("from sample import imported  # noqa: F401\nfrom sample import called\n")
+    assert _unreferenced_public_functions([other, source]) == [
+        "sample.recursive",
+        "sample.imported",
+    ]
     assert _unused_imports(source) == ["sample.py:1: os", "sample.py:3: dumps"]
     tree = _parse(source)
     private = [name for _, name in _private_definitions(tree)]
