@@ -9,6 +9,17 @@ waits until the caller, reading the pipes in call order, takes it.  A
 worker ends with ``os._exit``, never flushing the output buffers it
 inherited.  With one CPU, without ``fork``, or in a daemonic process, the
 map is the builtin ``map``.  Nothing here loads ``multiprocessing``.
+
+A worker's peak memory is the caller's at the fork plus what the worker
+loads and makes.  A study worker's first draw imports ``numpy.random``,
+which in a fresh process adds about 6 MiB, some 3.3 MiB of it OpenSSL's
+``libcrypto`` (``numpy.random.bit_generator`` imports ``secrets``, which
+imports ``hmac`` and so ``_hashlib``).  So a caller forks holding only what
+its workers run.  On Python 3.12 and later, where numpy's BLAS threads make
+the caller multi-threaded, each fork may emit one ``DeprecationWarning``
+("use of fork() may lead to deadlocks in the child") when warnings are
+shown.  No filter hides it; under an ``error`` filter the map still
+returns its results, as CPython clears that warning's error.
 """
 
 from __future__ import annotations

@@ -156,7 +156,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_study(args) -> int:
-    from . import dataio
     from .montecarlo import compare_report, run_study
     from .simgen import with_seed
 
@@ -167,6 +166,8 @@ def cmd_study(args) -> int:
     if reps is None:
         raise ConfigError("rep_count", "not set in the config and no override given")
     report = run_study(config, reps, options.n_grid)
+    from . import dataio  # not before the study's workers fork: none of them use it
+
     rel_tol = args.rel_tol if args.rel_tol is not None else options.rel_tol
     comparison = None
     if rel_tol is not None:

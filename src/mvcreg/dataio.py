@@ -16,18 +16,19 @@ recording the byte offset of every chunk's first line, and fills
 preallocated y, x and p in chunk order, so it holds the parsed arrays once,
 with nothing N-sized beside them.  Each chunk of lines is parsed by itself
 from its offset: by ``np.loadtxt``, and where ``np.loadtxt`` refuses it
-(quoted cells, ``1_0``, blank lines alone, or a genuine error) by the
-row-wise ``csv.reader`` path over the same lines, which accepts exactly
-what ``float`` accepts, names the line of the first bad record, and holds
-one Python list per row of that chunk.  Both paths convert with CPython's
-string-to-double routine, so they give the same values.  ``np.loadtxt``
-drops blank lines; where they leave fewer rows than lines, the arrays are
-shrunk in place.  Quotes are read strictly: a closing quote must end its
-cell, and a quoted cell must close before its chunk ends, so a record that
-a quoted line break carries across the end of a chunk is refused at the
-chunk's last line, in a file and in its text.  Messages name physical
-lines, the header being line 1 (a header that spans lines is refused), and
-a record that spans lines by the line it ends on.
+(quoted cells, ``1_0``, blank lines alone, or a genuine error) or gives a
+value that is not finite, by the row-wise ``csv.reader`` path over the same
+lines, which accepts exactly the finite values that ``float`` accepts,
+names the line of the first bad record, and holds one Python list per row
+of that chunk.  Both paths convert with CPython's string-to-double routine,
+so they give the same values.  ``np.loadtxt`` drops blank lines; where they
+leave fewer rows than lines, the arrays are shrunk in place.  Quotes are
+read strictly: a closing quote must end its cell, and a quoted cell must
+close before its chunk ends, so a record that a quoted line break carries
+across the end of a chunk is refused at the chunk's last line, in a file
+and in its text.  Messages name physical lines, the header being line 1 (a
+header that spans lines is refused), and a record that spans lines by the
+line it ends on.
 
 Both directions map one function over the chunks: from ``_POOL_MIN_CELLS``
 cells on with ``_pool``'s ordered map, whose forked workers each send every
@@ -336,9 +337,9 @@ def _parse_block(opener, source: str, width: int, first: int, offset: int, lines
     line ``first`` of what ``opener`` opens.
 
     ``np.loadtxt`` parses them; where it refuses them (quoted cells, ``1_0``,
-    blank lines alone, or a genuine error) or they are not ``width`` columns
-    wide, ``_parse_rows`` parses the same lines again, and refuses them if
-    they end inside a quoted cell.
+    blank lines alone, or a genuine error), they are not ``width`` columns
+    wide or a cell is not finite, ``_parse_rows`` parses the same lines
+    again, and refuses them if they end inside a quoted cell.
     """
     with io.TextIOWrapper(opener(), encoding="utf-8", newline="\n") as fh:
         fh.seek(offset)
@@ -346,7 +347,7 @@ def _parse_block(opener, source: str, width: int, first: int, offset: int, lines
         with warnings.catch_warnings(), contextlib.suppress(ValueError, Warning):
             warnings.simplefilter("error")  # "input contained no data" and kin
             block = np.loadtxt(islice(fh, lines), delimiter=",", comments=None, ndmin=2)
-            if block.shape[1] == width:
+            if block.shape[1] == width and np.isfinite(block).all():
                 return block
         fh.seek(offset)
         return _parse_rows(islice(fh, lines), width, source, first)
@@ -354,7 +355,9 @@ def _parse_block(opener, source: str, width: int, first: int, offset: int, lines
 
 def _parse_rows(lines, n_col: int, source: str, first: int) -> np.ndarray:
     """Row-wise parse of the records of ``lines``, the first of which is
-    line ``first`` of ``source``; names the line the first bad record ends on.
+    line ``first`` of ``source``; names the line the first bad record ends
+    on, a cell that is not a number or not finite (``nan``, ``inf``,
+    ``1e400``) being bad.
 
     The reader is strict: a closing quote must end its cell, and a quoted
     cell must close before ``lines`` end, so a block of a file that ends
@@ -372,12 +375,16 @@ def _parse_rows(lines, n_col: int, source: str, first: int) -> np.ndarray:
                     f"{source}: line {lineno}: expected {n_col} fields, got {len(cells)}"
                 )
             try:
-                rows.append([float(c) for c in cells])
+                row = [float(c) for c in cells]
             except ValueError:
                 bad = next(c for c in cells if not _is_float(c))
                 raise DataFormatError(
                     f"{source}: line {lineno}: not a number: {bad!r}"
                 ) from None
+            if not all(map(math.isfinite, row)):
+                bad = next(c for c, v in zip(cells, row) if not math.isfinite(v))
+                raise DataFormatError(f"{source}: line {lineno}: not a finite number: {bad!r}")
+            rows.append(row)
     except csv.Error as exc:
         raise DataFormatError(f"{source}: line {first - 1 + reader.line_num}: {exc}") from None
     return np.array(rows).reshape(len(rows), n_col)

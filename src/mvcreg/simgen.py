@@ -32,7 +32,7 @@ from typing import Union
 
 import numpy as np
 
-from ._arrays import freeze
+from ._arrays import freeze, frozen
 from .concentrations import ConcentrationMatrix, build_gramian, invert_gramian, weight_co_moments
 from .errors import ConfigError
 from .moments import _CHUNK_ROWS, ComponentMoments, Dataset
@@ -487,6 +487,15 @@ def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:
     ]
 
 
+# Three-point Gauss-Legendre rule on [-1, 1]: the float64 values that
+# numpy's ``leggauss(3)`` returns, written out so that no command imports
+# ``numpy.polynomial`` (six modules) for six numbers.  The outer weight is
+# 5/9 rounded up by one ulp (0x1.1c71c71c71c73p-1), not ``5 / 9``: the
+# analytic limits, and the study's output bytes, follow these exact values.
+_GAUSS3_NODES = frozen([-0.7745966692414834, 0.0, 0.7745966692414834])
+_GAUSS3_WEIGHTS = frozen([0.5555555555555557, 0.8888888888888888, 0.5555555555555557])
+
+
 def limit_co_moments(config: SimulationConfig) -> np.ndarray:
     """Limiting weight co-moments ``<(a^m)^2 p^s p^t>`` of the design.
 
@@ -504,9 +513,8 @@ def limit_co_moments(config: SimulationConfig) -> np.ndarray:
     """
     model = config.concentrations
     if isinstance(model, LinearRamp):
-        nodes, node_weights = np.polynomial.legendre.leggauss(3)
-        t = (nodes + 1.0) / 2.0  # mapped from [-1, 1] to [0, 1]
-        w = node_weights / 2.0
+        t = (_GAUSS3_NODES + 1.0) / 2.0  # mapped from [-1, 1] to [0, 1]
+        w = _GAUSS3_WEIGHTS / 2.0
         conc = np.column_stack([t, 1.0 - t])
         inverse = np.linalg.inv(conc.T @ (w[:, None] * conc))
         co = np.array([conc.T @ ((w * (conc @ g) ** 2)[:, None] * conc) for g in inverse.T])

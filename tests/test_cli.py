@@ -634,16 +634,22 @@ class TestFit:
                 assert run_study(config, rep_count=4).points[0].failures == 0
                 assert built == {"build_gramian": 1, "invert_gramian": 1}, workers
 
-    def test_cli_import_does_not_load_scipy(self, dataset_csv, tmp_path):
+    def test_cli_import_does_not_load_scipy(self, dataset_csv, smoke_config_path, tmp_path):
         # a fresh interpreter per run, so modules loaded by other tests or by
-        # another command do not count; no run loads scipy or the study's
-        # pool, which only a pooled study imports, and each command loads
-        # only the modules it runs
+        # another command do not count; no run loads scipy, multiprocessing
+        # or numpy.polynomial, and each command loads only the modules it
+        # runs.  The study's pool forks two workers on any host, and each
+        # fork records whether the workers inherit dataio, which none runs
         src = str(Path(mvcreg.moments.__file__).parents[1])
         code = (
-            "import json, sys, mvcreg.cli\n"
+            "import json, sys, mvcreg._pool, mvcreg.cli\n"
+            "mvcreg._pool.worker_count = lambda tasks: 2\n"
+            "fork, forks = mvcreg._pool._fork, []\n"
+            "mvcreg._pool._fork = (\n"
+            "    lambda *args: forks.append('mvcreg.dataio' in sys.modules) or fork(*args)\n"
+            ")\n"
             "codes = [mvcreg.cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
-            "print(json.dumps([codes, sorted(sys.modules)]))"
+            "print(json.dumps([codes, forks, sorted(sys.modules)]))"
         )
         data, out = str(dataset_csv), str(tmp_path / "out")
         fit_only = {"mvcreg.covariance", "mvcreg.estimator"}
@@ -655,6 +661,7 @@ class TestFit:
                 {"mvcreg.simgen", "mvcreg.montecarlo"} | fit_only,
             ),
             "simulate": ([["simulate", "-o", out]], {"mvcreg.montecarlo"} | fit_only),
+            "study": ([["study", "-i", str(smoke_config_path), "-o", out]], set()),
         }
         env = dict(os.environ, PYTHONPATH=src)
         for run, (commands, unloaded) in runs.items():
@@ -662,11 +669,12 @@ class TestFit:
                 [sys.executable, "-c", code, json.dumps(commands)],
                 env=env, capture_output=True, text=True, check=True,
             )
-            codes, modules = json.loads(result.stdout)
+            codes, forks, modules = json.loads(result.stdout)
             assert codes == [0] * len(commands), run
+            assert forks == ([False, False] if run == "study" else []), run
             loaded = set(modules) | {m.split(".")[0] for m in modules}
             assert "mvcreg.cli" in loaded
-            unloaded |= {"scipy", "multiprocessing", "concurrent"}
+            unloaded |= {"scipy", "multiprocessing", "concurrent", "numpy.polynomial"}
             assert loaded.isdisjoint(unloaded), (run, loaded & unloaded)
 
     def test_chunked_fit_bytes_do_not_depend_on_blas_threads(self, tmp_path, fresh_python):

@@ -227,6 +227,7 @@ _EDGE_CASES = {
     "no final newline": (_HEADER + _ROWS.rstrip("\n"), True),
     "nan cell": (_HEADER + "nan,2.0,1.0\n-3.25,0.5,1.0\n", False),
     "inf cell": (_HEADER + "1.5,-inf,1.0\n-3.25,0.5,1.0\n", False),
+    "overflowing cell": (_HEADER + "1.5,2.0,1.0\n-3.25,0.5,1e400\n", False),
     "header only": (_HEADER, False),
     "header and blank lines": (_HEADER + "\n\n", False),
     "cr-only line endings": (_HEADER.replace("\n", "\r") + _ROWS.replace("\n", "\r"), False),
@@ -390,11 +391,9 @@ class TestCsvParity:
         with pytest.raises(DataFormatError, match=r"header must be .*got '\\ufeffy,x1"):
             read_csv(marked)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_row_wise_path_runs_on_the_refused_block_only(
-        self, workers, tmp_path, monkeypatch, io_pools
-    ):
-        calls = tmp_path / "calls"
+    @staticmethod
+    def log_row_wise_blocks(monkeypatch, calls):
+        """Make every ``_parse_rows`` call append the line it starts at to ``calls``."""
         parse_rows = mvcreg.dataio._parse_rows
 
         def recording_parse_rows(lines, n_col, source, first):
@@ -403,6 +402,13 @@ class TestCsvParity:
             return parse_rows(lines, n_col, source, first)
 
         monkeypatch.setattr(mvcreg.dataio, "_parse_rows", recording_parse_rows)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_row_wise_path_runs_on_the_refused_block_only(
+        self, workers, tmp_path, monkeypatch, io_pools
+    ):
+        calls = tmp_path / "calls"
+        self.log_row_wise_blocks(monkeypatch, calls)
         io_pools.force(workers)
         chunk = mvcreg.dataio._CHUNK_ROWS
         lines = self.tall_text("plain").split("\n")
@@ -425,6 +431,38 @@ class TestCsvParity:
             assert [int(line) for line in calls.read_text().split()] == firsts, case
         # a file and its text each start a pool
         assert io_pools.started == ([workers] * 6 if workers > 1 else [])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["loadtxt", "quoted"])
+    @pytest.mark.parametrize("column, cell", [(0, "nan"), (1, "1e400"), (3, "-inf")], ids="yxp")
+    def test_non_finite_cell_names_its_line(
+        self, column, cell, quoted, workers, tmp_path, monkeypatch, io_pools
+    ):
+        # np.loadtxt reads nan, inf and an overflow as floats, so its block
+        # goes to the row-wise path, as a block with a quoted cell does
+        # anyway; that path names the first non-finite cell and its line, in
+        # the block past the first, wherever the block is parsed
+        calls = tmp_path / "calls"
+        self.log_row_wise_blocks(monkeypatch, calls)
+        chunk = mvcreg.dataio._CHUNK_ROWS
+        lines = self.tall_text("plain").split("\n")
+        at = 1 + chunk + 7  # line at + 1 of the file, in its second block
+        cells = lines[at].split(",")
+        cells[column] = cell
+        lines[at] = ",".join(cells)
+        lines[at + 2] = "inf," + lines[at + 2].split(",", 1)[1]  # a later one is not named
+        if quoted:
+            lines[at - 3] = '"' + lines[at - 3].replace(",", '",', 1)
+        text = "\n".join(lines)
+        path = tmp_path / "tall.csv"
+        path.write_bytes(text.encode("utf-8"))
+        io_pools.force(workers)
+        expected = ("error", f"{path}: line {at + 1}: not a finite number: {cell!r}")
+        assert outcome(read_csv, path) == expected
+        assert outcome(parse_csv_text, text, source=str(path)) == expected
+        assert row_wise(text, str(path)) == expected
+        assert [int(line) for line in calls.read_text().split()] == [2 + chunk] * 2 + [2]
+        assert io_pools.started == ([workers] * 2 if workers > 1 else [])
 
     @pytest.mark.parametrize(
         "text, refused",

@@ -705,6 +705,32 @@ class TestLimitCoMoments:
         config = one_component_config(n=40)
         np.testing.assert_allclose(limit_co_moments(config), [[[1.0]]], atol=1e-12)
 
+    def test_quadrature_literals_are_numpys_rule(self):
+        # the study's analytic limit, and so its golden bytes, follow the
+        # rule's exact float64 values; numpy computes them, the module writes
+        # them out, so they may differ by rounding on another numpy build
+        nodes, weights = np.polynomial.legendre.leggauss(3)
+        rule = {
+            "nodes": (mvcreg.simgen._GAUSS3_NODES, nodes),
+            "weights": (mvcreg.simgen._GAUSS3_WEIGHTS, weights),
+        }
+        for name, (ours, numpys) in rule.items():
+            assert ours.dtype == np.float64 and ours.shape == (3,), name
+            assert np.all(np.abs(ours - numpys) <= np.spacing(np.abs(numpys))), name
+            if np.__version__ == "2.4.6":  # the build the golden digests were recorded with
+                assert ours.tobytes() == numpys.tobytes(), name
+        # the outer weight is 5/9 rounded up by one ulp, not 5 / 9
+        assert mvcreg.simgen._GAUSS3_WEIGHTS[0] == np.nextafter(5 / 9, 1.0)
+
+    @pytest.mark.parametrize("power, integral", [(0, 2.0), (2, 2 / 3), (4, 2 / 5)])
+    def test_quadrature_integrates_the_limit_polynomials(self, power, integral):
+        # three points integrate every polynomial of degree at most 5 over
+        # [-1, 1] exactly; the co-moment limits have degree at most 4.  In
+        # float64 that is exact to a few roundings
+        nodes, weights = mvcreg.simgen._GAUSS3_NODES, mvcreg.simgen._GAUSS3_WEIGHTS
+        got = weights @ nodes**power
+        assert got == pytest.approx(integral, rel=4 * np.finfo(float).eps, abs=0.0)
+
 
 def test_config_json_roundtrip(tmp_path):
     raw = {

@@ -5,10 +5,13 @@ a refactor leaves behind: an import that nothing in its module uses, a
 private module-level name that nothing in the package refers to, and a
 public function that no other code in the package refers to, which only
 tests would call.  An import kept on purpose carries ``# noqa: F401`` on its
-line, and is no reference to what it imports.
+line, and is no reference to what it imports.  A fourth parses every module
+with the grammar of the oldest Python that ``pyproject.toml`` declares, as
+the suite itself runs on one version only.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 import mvcreg
 
 SOURCES = sorted(Path(mvcreg.__file__).parent.glob("*.py"))
+PYPROJECT = Path(mvcreg.__file__).parents[2] / "pyproject.toml"
 
 #: public functions that nothing in the package calls, kept for the benchmark
 UNCALLED_PUBLIC = {
@@ -129,6 +133,19 @@ def test_every_private_name_is_referenced():
 
 def test_every_public_function_is_referenced():
     assert sorted(_unreferenced_public_functions(SOURCES)) == sorted(UNCALLED_PUBLIC)
+
+
+def test_sources_parse_on_the_declared_python_minimum():
+    # ast takes an older grammar when asked: 3.10 has no except*
+    with pytest.raises(SyntaxError, match="3.11"):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    text = PYPROJECT.read_text(encoding="utf-8")
+    match = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)', text, re.MULTILINE)
+    assert match, "pyproject.toml declares no requires-python minimum"
+    minimum = int(match[1]), int(match[2])
+    assert SOURCES
+    for path in SOURCES:
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=minimum)
 
 
 def test_checks_find_what_they_look_for(tmp_path):
