@@ -10,7 +10,7 @@ study      run a seeded replication study and compare to the analytic limit
 Diagnostics go to stderr as one line ``mvcreg: <code>: <message>``.  Exit
 codes: 0 success, 1 a worker process lost, 2 bad input or config, 3
 singular concentration Gramian, 4 estimation failure, 5 study comparison
-outside tolerance.
+outside tolerance; each error type carries its own as ``exit_code``.
 
 Each subcommand imports the modules it runs when it runs: ``fit`` and
 ``weights`` never load ``simgen`` or ``montecarlo``, ``weights`` loads neither
@@ -30,7 +30,7 @@ import sys
 import numpy as np
 
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
-from .errors import ConfigError, DataFormatError, MvcregError, SingularGramian, WorkerLost
+from .errors import ConfigError, DataFormatError, MvcregError, SingularNormalMatrix
 from .moments import Dataset
 
 
@@ -119,11 +119,9 @@ def cmd_fit(args) -> int:
     _write_output(args, text)
     for note in cov.warnings if cov is not None else ():
         print(f"mvcreg: warning: {note}", file=sys.stderr)
-    if fit.errors:
-        for err in fit.errors.values():
-            _diag(err)
-        return 4
-    return 0
+    for err in fit.errors.values():
+        _diag(err)
+    return SingularNormalMatrix.exit_code if fit.errors else 0
 
 
 def cmd_weights(args) -> int:
@@ -282,18 +280,9 @@ def main(argv=None) -> int:
     try:
         _check_tolerances(args)
         return args.func(args)
-    except (DataFormatError, ConfigError) as exc:
-        _diag(exc)
-        return 2
-    except SingularGramian as exc:
-        _diag(exc)
-        return 3
-    except WorkerLost as exc:
-        _diag(exc)
-        return 1
     except MvcregError as exc:
         _diag(exc)
-        return 4
+        return exc.exit_code
     except BrokenPipeError:
         # downstream consumer (head, less) closed the pipe; not our error
         try:

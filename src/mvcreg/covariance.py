@@ -21,29 +21,31 @@ Two modes are provided: analytic (true component moments supplied, used to
 validate simulations) and plug-in (every population quantity replaced by its
 weighted-empirical estimate from one dataset).  Each returns one
 :class:`AsymptoticCovariance` for all M components, whose ``sigma`` and ``v``
-are M x d x d with slab ``m`` for target ``m``.  Both feed one assembler with
-the M x M d x d contractions ``delta_s' L4_s delta_s`` and never form L4.
-The analytic mode assumes Gaussian regressors (a constant has sd 0), for
+are M x d x d with slab ``m`` for target ``m``.  Both call one assembler
+with every component's D2, sigma^2 and b stacked, the M x M x M co-moments
+and the M x M d x d contractions ``delta_s' L4_s delta_s``, and never form
+L4.  The analytic mode assumes Gaussian regressors (a constant has sd 0), for
 which Isserlis' theorem gives, with means mu and ``u = D2 delta``,
 
     delta' L4 delta = (delta' D2 delta) D2 + 2 (u u' - (mu' delta)^2 mu mu').
 
 Only the analytic mode refuses a singular D (``SingularD``), since there D
 comes from the config; the plug-in's D are the normal matrices the fit
-already gated with its own ``xtx_tol``.
+already gated with its own ``xtx_tol``.  Both gates take the condition
+number from :func:`~mvcreg.estimator.conditions`.
 
-The plug-in mode makes one pass per component ``s``.  It forms the weight
-column ``a[:, s] = p G[:, s]`` once, from the fit's inverse Gramian ``G``,
-and from it takes the component's error variance, its weight co-moments as
-a target, and, for every target ``m``, the contraction
-``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with ``delta = b_s - b_m``.
-The column is freed before the next component's, so the N x M weight matrix
-is never held: at most two N-vectors exist at a time.
+The plug-in mode forms each component's weight column ``a[:, s] = p G[:, s]``
+once, from the fit's inverse Gramian ``G``, and takes M + 1 weighted sums
+over the rows from it: its weight co-moments as a target, its error
+variance, and, for each of the M - 1 other targets ``m``, the contraction
+``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with ``delta = b_s - b_m``;
+M (M + 1) row sums in all.  The column is freed before the next
+component's, so the N x M weight matrix is never held: at most two
+N-vectors exist at a time.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +53,8 @@ import numpy as np
 from ._arrays import freeze
 from .concentrations import ConcentrationMatrix, weight_co_moments
 from .errors import SingularD
-from .estimator import FitResult
-from .moments import ComponentMoments, Dataset, _row_block_products
+from .estimator import FitResult, conditions
+from .moments import ComponentMoments, Dataset, _row_block_products, _symmetric
 
 # Unused here since neither mode forms L4; kept so code that reaches the
 # tensor route through this module (the benchmark's tracer self-test does)
@@ -83,72 +85,54 @@ class AsymptoticCovariance:
         freeze(self, "sigma", "v", "std_errors")
 
 
-def _assemble_sigma(
-    d2: Sequence[np.ndarray],
-    sigma2: Sequence[float],
-    b: Sequence[np.ndarray],
-    co: np.ndarray,
-    m: int,
-    quartic: np.ndarray,
-) -> np.ndarray:
-    """Sigma for target ``m`` from per-component D2, sigma^2 and b.
-
-    ``co`` is the target's M x M weight co-moments and ``quartic[s]`` the
-    d x d contraction ``delta' L4_s delta`` of component ``s``'s fourth
-    moments with ``delta = b_s - b_m``.
-    """
-    n_comp = len(d2)
-    d = d2[m].shape[0]
-    w = co.sum(axis=1)  # <(a^m)^2 p^s>: rows of p sum to one
-    sigma = np.zeros((d, d))
-    u = np.zeros((d, n_comp))  # u[:, s] = D2_s (b_s - b_m)
-    for s in range(n_comp):
-        sigma += w[s] * (d2[s] * sigma2[s] + quartic[s])
-        u[:, s] = d2[s] @ (b[s] - b[m])
-    sigma -= u @ co @ u.T
-    return (sigma + sigma.T) / 2.0
-
-
 def _sandwiches(
-    d2: Sequence[np.ndarray],
-    sigma2: Sequence[float],
-    b: Sequence[np.ndarray],
-    co: np.ndarray,
-    quartic: np.ndarray,
+    d2: np.ndarray, sigma2: np.ndarray, b: np.ndarray, co: np.ndarray, quartic: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sigma and V of every target, each M x d x d.
 
-    ``co[m]`` holds target ``m``'s weight co-moments and ``quartic[m]`` its
-    contractions, as :func:`_assemble_sigma` takes them.
+    ``d2`` (M x d x d), ``sigma2`` (length M) and ``b`` (M x d) hold every
+    component's D2, error variance and coefficients.  ``co[m]`` is target
+    ``m``'s M x M weight co-moments and ``quartic[m, s]`` the d x d
+    contraction ``delta' L4_s delta`` of component ``s``'s fourth moments
+    with ``delta = b_s - b_m``.
     """
-    sigma = np.array(
-        [_assemble_sigma(d2, sigma2, b, co[m], m, quartic[m]) for m in range(len(d2))]
+    w = co.sum(axis=2)  # w[m, s] = <(a^m)^2 p^s>: rows of p sum to one
+    sigma = np.zeros_like(d2)
+    for s in range(len(d2)):
+        sigma += w[:, s, None, None] * (d2[s] * sigma2[s] + quartic[:, s])
+    u = np.swapaxes(_times(d2, b - b[:, None]), 1, 2)  # u[m, :, s] = D2_s (b_s - b_m)
+    sigma -= u @ co @ np.swapaxes(u, 1, 2)
+    sigma = (sigma + np.swapaxes(sigma, 1, 2)) / 2.0
+    half = np.linalg.solve(d2, sigma)  # D^-1 Sigma
+    v = np.swapaxes(np.linalg.solve(d2, np.swapaxes(half, 1, 2)), 1, 2)  # (D^-1 Sigma) D^-1
+    return sigma, (v + np.swapaxes(v, 1, 2)) / 2.0
+
+
+def _times(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``matrices @ vectors``, each product the same BLAS call as a lone ``matrix @ vector``."""
+    return (matrices @ vectors[..., None])[..., 0]
+
+
+def _gaussian_quartic(d2: np.ndarray, mean: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """``delta' L4 delta`` of Gaussian regressors, by Isserlis' theorem.
+
+    ``d2`` (... x d x d), ``mean`` and ``delta`` (... x d) broadcast over
+    their leading axes.
+    """
+    u = _times(d2, delta)
+    shift = mean * _times(mean[..., None, :], delta)
+    return _times(delta[..., None, :], u)[..., None] * d2 + 2.0 * (
+        u[..., :, None] * u[..., None, :] - shift[..., :, None] * shift[..., None, :]
     )
-    v = np.empty_like(sigma)
-    for m, matrix in enumerate(d2):
-        half = np.linalg.solve(matrix, sigma[m])  # D^-1 Sigma
-        v[m] = np.linalg.solve(matrix, half.T).T  # (D^-1 Sigma) D^-1
-    return sigma, (v + v.transpose(0, 2, 1)) / 2.0
 
 
-def _gaussian_quartic(moments: ComponentMoments, delta: np.ndarray) -> np.ndarray:
-    """``delta' L4 delta`` of Gaussian regressors, by Isserlis' theorem."""
-    d2, mean = moments.d2, moments.mean
-    u = d2 @ delta
-    shift = mean * (mean @ delta)
-    return (delta @ u) * d2 + 2.0 * (np.outer(u, u) - np.outer(shift, shift))
-
-
-def analytic_sigma(
-    moments: list[ComponentMoments] | tuple[ComponentMoments, ...],
-    co_moments: np.ndarray,
-) -> AsymptoticCovariance:
+def analytic_sigma(moments: ComponentMoments, co_moments: np.ndarray) -> AsymptoticCovariance:
     """Assemble Sigma and V of every component from true component moments.
 
     Parameters
     ----------
-    moments : sequence of ComponentMoments
-        One entry per component: second moments and means of its Gaussian
+    moments : ComponentMoments
+        Every component's second moments and means of its Gaussian
         regressors, error variance, and coefficient vector.
     co_moments : ndarray
         M x M x M array whose slab ``m`` holds the symmetric limits
@@ -167,27 +151,19 @@ def analytic_sigma(
     SingularD
         If some component's second-moment matrix is singular.
     """
-    n_comp = len(moments)
+    d2, b = moments.d2, moments.b
     co = np.asarray(co_moments, dtype=float)
-    if co.shape != (n_comp,) * 3:
+    if co.shape != (len(d2),) * 3:
         raise ValueError("co_moments must be M x M x M")
-    if not np.allclose(co, co.transpose(0, 2, 1), atol=1e-8):
+    if not _symmetric(co):
         raise ValueError("co_moments must be symmetric")
-    d2 = [mom.d2 for mom in moments]
-    for m, matrix in enumerate(d2):
-        eig = np.abs(np.linalg.eigvalsh(matrix))
-        condition = eig.max() / eig.min() if eig.min() else np.inf
-        if condition > _D_CONDITION_LIMIT:
-            raise SingularD(m, f"condition number {condition:.3g}")
-    sigma, v = _sandwiches(
-        d2,
-        [mom.sigma2 for mom in moments],
-        [mom.b for mom in moments],
-        co,
-        np.array(
-            [[_gaussian_quartic(mom, mom.b - target.b) for mom in moments] for target in moments]
-        ),
-    )
+    cond, _ = conditions(d2)
+    singular = np.flatnonzero(cond > _D_CONDITION_LIMIT)
+    if singular.size:
+        raise SingularD(singular[0], f"condition number {cond[singular[0]]:.3g}")
+    # quartic[m, s] with delta = b_s - b_m
+    quartic = _gaussian_quartic(d2, moments.mean, b - b[:, None])
+    sigma, v = _sandwiches(d2, moments.sigma2, b, co, quartic)
     return AsymptoticCovariance(sigma=sigma, v=v)
 
 
@@ -202,10 +178,10 @@ def plug_in_covariance(
     component's fitted coefficients, and the co-moment limits are replaced by
     their finite-sample averages.  Each component's D2 is the normal matrix
     its fit already solved, behind the fit's own condition gate.  The rest
-    takes one pass per component ``s``, which forms its weight column
-    ``a[:, s]`` once and from it the error variance, the weight co-moments
-    and, for every target ``m``, the fourth-moment term, which enters only
-    contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
+    forms each component's weight column ``a[:, s]`` once and takes M + 1
+    weighted row sums from it: the weight co-moments, the error variance
+    and, for each other target ``m``, the fourth-moment term, which enters
+    only contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
     ``delta = b_s - b_m``.
 
     A negative weighted residual variance (possible with signed weights) is
@@ -241,26 +217,25 @@ def plug_in_covariance(
     # quartic[m, s] = delta' L4_s delta with delta = b_s - b_m, zero where
     # s == m; co[m] = the weight co-moments of a_m
     quartic = np.zeros((n_comp, n_comp, data.n_regressors, data.n_regressors))
-    co = []
+    co = np.empty((n_comp,) * 3)
+    sigma2 = np.empty(n_comp)
     notes: list[str] = []
-    sigma2 = []
     for s in range(n_comp):
         weights = p.values @ fit.gamma_inverse[:, s]  # a_s
-        co.append(weight_co_moments(weights, p))
+        co[s] = weight_co_moments(weights, p)
         # the one N-sized array beside a_s: the squared residuals of the
         # weighted mean squared residual, then for each target the row
         # weights a_s (x' delta)^2 of delta' L4_s delta, summed over row blocks
         scratch = x @ b[s]
         np.subtract(data.y, scratch, out=scratch)
         np.square(scratch, out=scratch)
-        sigma2_s = float(np.einsum("j,j->", weights, scratch) / n)
-        if sigma2_s < 0.0:
+        sigma2[s] = np.einsum("j,j->", weights, scratch) / n
+        if sigma2[s] < 0.0:
             notes.append(
                 f"degenerate-variance: component index {s} plug-in error variance "
-                f"{sigma2_s:.6g} clamped to 0"
+                f"{sigma2[s]:.6g} clamped to 0"
             )
-            sigma2_s = 0.0
-        sigma2.append(sigma2_s)
+            sigma2[s] = 0.0
         for m in range(n_comp):
             if m != s:
                 np.matmul(x, b[s] - b[m], out=scratch)

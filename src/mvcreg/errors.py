@@ -19,6 +19,8 @@ class MvcregError(Exception):
 
     #: short machine-parsable slug, used by the CLI diagnostic prefix
     code = "error"
+    #: the CLI's exit status when this error stops a command
+    exit_code = 4
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
@@ -39,6 +41,7 @@ class SingularGramian(MvcregError):
     """
 
     code = "singular-gramian"
+    exit_code = 3
 
     def __init__(self, det: float, condition: float, tol: float):
         self.det = float(det)
@@ -97,12 +100,14 @@ class DataFormatError(MvcregError):
     """Input data file does not follow the expected layout."""
 
     code = "data-format"
+    exit_code = 2
 
 
 class ConfigError(MvcregError):
     """Invalid simulation or study configuration."""
 
     code = "config-error"
+    exit_code = 2
 
     def __init__(self, field: str, message: str):
         self.field = field
@@ -133,3 +138,4 @@ class WorkerLost(MvcregError):
     """
 
     code = "worker-lost"
+    exit_code = 1

@@ -171,6 +171,23 @@ def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.nda
     return normal, rhs
 
 
+def conditions(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition numbers and negative-eigenvalue counts of a stack of symmetric matrices.
+
+    The condition number is the largest over the smallest eigenvalue
+    magnitude, infinite where the smallest is 0.  The eigenvalues of the
+    whole stack are one call that works one matrix at a time, so a matrix's
+    results do not depend on the stack it comes in.
+    """
+    magnitudes = np.linalg.eigvalsh(matrices)
+    negative = np.count_nonzero(magnitudes < 0.0, axis=-1)
+    np.abs(magnitudes, out=magnitudes)
+    smallest = magnitudes.min(axis=-1)
+    cond = np.full(smallest.shape, np.inf)
+    np.divide(magnitudes.max(axis=-1), smallest, out=cond, where=smallest != 0.0)
+    return cond, negative
+
+
 def solve_normal_equations(
     normal: np.ndarray, rhs: np.ndarray, xtx_tol: float = DEFAULT_XTX_TOL
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -178,18 +195,11 @@ def solve_normal_equations(
 
     Returns the S x M x d coefficients, NaN where the fit failed, and the
     S x M condition numbers, negative-eigenvalue counts (0 where failed) and
-    failure flags.  A normal matrix whose condition number (largest over smallest
-    eigenvalue magnitude) is not at most ``xtx_tol`` fails its own
-    (sample, component).  The eigenvalues of the whole stack are one call,
-    and so is the solve of the matrices that pass; both work one matrix at a
-    time, so a matrix's results do not depend on the stack it comes in.
+    failure flags.  A normal matrix whose :func:`conditions` number is not at
+    most ``xtx_tol`` fails its own (sample, component).  The solve of the
+    matrices that pass is one call too, one matrix at a time.
     """
-    magnitudes = np.linalg.eigvalsh(normal)
-    negative = np.count_nonzero(magnitudes < 0.0, axis=-1)
-    np.abs(magnitudes, out=magnitudes)
-    smallest = magnitudes.min(axis=-1)
-    cond = np.full(smallest.shape, np.inf)
-    np.divide(magnitudes.max(axis=-1), smallest, out=cond, where=smallest != 0.0)
+    cond, negative = conditions(normal)
     failed = ~(np.isfinite(cond) & (cond <= xtx_tol))
     negative[failed] = 0
     coef = np.full(rhs.shape, np.nan)

@@ -78,34 +78,48 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ComponentMoments:
-    """Population moments of one component with Gaussian regressors.
+    """Population moments of every component with Gaussian regressors.
 
-    ``d2`` is the d x d second-moment matrix of the regressors, ``mean`` their
-    means (a constant regressor is a Gaussian with sd 0), ``sigma2`` the error
-    variance and ``b`` the coefficient vector.  The fourth moments follow
-    from ``d2`` and ``mean`` by Isserlis' theorem.
+    ``d2`` is M x d x d, slab ``m`` the second-moment matrix of component
+    ``m``'s regressors; ``mean`` (M x d) holds their means (a constant
+    regressor is a Gaussian with sd 0), ``sigma2`` (length M) the error
+    variances and ``b`` (M x d) the coefficient vectors.  The fourth moments
+    follow from ``d2`` and ``mean`` by Isserlis' theorem.
     """
 
     d2: np.ndarray
     mean: np.ndarray
-    sigma2: float
+    sigma2: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "d2", "mean", "b")
-        d2, mean, b = self.d2, self.mean, self.b
-        d = d2.shape[0]
-        if d2.shape != (d, d):
-            raise ValueError("d2 must be square")
-        if mean.shape != (d,):
-            raise ValueError("mean must have one entry per regressor")
-        if b.shape != (d,):
-            raise ValueError("b must have one entry per regressor")
-        if not np.allclose(d2, d2.T, atol=1e-10):
+        freeze(self, "d2", "mean", "sigma2", "b")
+        d2 = self.d2
+        if d2.ndim != 3 or d2.shape[1] != d2.shape[2]:
+            raise ValueError("d2 must be M x d x d")
+        n_comp, d, _ = d2.shape
+        if self.mean.shape != (n_comp, d):
+            raise ValueError("mean must have one entry per component and regressor")
+        if self.b.shape != (n_comp, d):
+            raise ValueError("b must have one entry per component and regressor")
+        if self.sigma2.shape != (n_comp,):
+            raise ValueError("sigma2 must have one entry per component")
+        if not _symmetric(d2):
             raise ValueError("d2 must be symmetric")
-        if self.sigma2 < 0:
+        if np.any(self.sigma2 < 0):
             raise ValueError("sigma2 must be nonnegative")
-        object.__setattr__(self, "sigma2", float(self.sigma2))
+
+
+def _symmetric(stack: np.ndarray) -> bool:
+    """Whether every d x d slab of ``stack`` is symmetric, scale-free.
+
+    An entry may differ from its transpose by 1e-10 of its slab's largest
+    magnitude; equal infinities are equal, and a NaN is never symmetric.
+    """
+    flipped = np.swapaxes(stack, -1, -2)
+    gap = np.subtract(stack, flipped, out=np.zeros_like(stack), where=stack != flipped)
+    scale = np.abs(stack).max(axis=(-2, -1), keepdims=True)
+    return bool(np.all(np.abs(gap) <= 1e-10 * scale))
 
 
 def _row_block_products(left, weights, *rights) -> list[np.ndarray]:

@@ -469,22 +469,23 @@ def generate(config: SimulationConfig) -> SimulatedDataset:
     return draw(plan_draws(config), config.seed)
 
 
-def true_component_moments(config: SimulationConfig) -> list[ComponentMoments]:
+def true_component_moments(config: SimulationConfig) -> ComponentMoments:
     """Closed-form population moments of every component.
 
     Regressors are independent Gaussians within a component (a constant has
     sd 0), so ``D2 = diag(sd^2) + mu mu'``.
     """
     means, sds = _regressor_laws(config)
-    return [
-        ComponentMoments(
-            d2=np.diag(sd**2) + np.outer(mean, mean),
-            mean=mean,
-            sigma2=np.square(comp.error_sd),  # inf, not OverflowError, when huge
-            b=np.array(comp.coefficients),
-        )
-        for comp, mean, sd in zip(config.components, means, sds)
-    ]
+    diagonal = np.arange(config.n_regressors)
+    d2 = np.zeros((config.n_components, config.n_regressors, config.n_regressors))
+    d2[:, diagonal, diagonal] = sds**2
+    d2 += means[:, :, None] * means[:, None, :]
+    return ComponentMoments(
+        d2=d2,
+        mean=means,
+        sigma2=np.square([comp.error_sd for comp in config.components]),
+        b=config.true_coefficients,
+    )
 
 
 # Three-point Gauss-Legendre rule on [-1, 1]: the float64 values that

@@ -42,7 +42,7 @@ VALUE_CLASSES = {
         columns=[[0.1, -0.2, 0.1], [1.0, 1.0, 1.0]],
         combination=[[3.0, -3.0], [1.0, 1.0]],
     ),
-    ComponentMoments: dict(d2=_EYE, mean=[0.0, 1.0], sigma2=0.25, b=[1.0, 2.0]),
+    ComponentMoments: dict(d2=[_EYE], mean=[[0.0, 1.0]], sigma2=[0.25], b=[[1.0, 2.0]]),
     GridPointSummary: dict(
         n_obs=10,
         rep_count=2,

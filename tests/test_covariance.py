@@ -1,3 +1,4 @@
+import dataclasses
 import time
 import tracemalloc
 from collections import Counter
@@ -39,17 +40,14 @@ V_COMPONENT_2 = np.array([[62.20, -20.47], [-20.47, 7.34]])
 
 
 def random_moments(rng, d, n_comp):
-    out = []
+    d2, mean, sigma2, b = [], [], [], []
     for _ in range(n_comp):
         root = rng.normal(size=(d, d))
-        mean = rng.normal(size=d)
-        d2 = root @ root.T + d * np.eye(d) + np.outer(mean, mean)
-        out.append(
-            ComponentMoments(
-                d2=d2, mean=mean, sigma2=float(rng.uniform(0.1, 2.0)), b=rng.normal(size=d)
-            )
-        )
-    return out
+        mean.append(rng.normal(size=d))
+        d2.append(root @ root.T + d * np.eye(d) + np.outer(mean[-1], mean[-1]))
+        sigma2.append(float(rng.uniform(0.1, 2.0)))
+        b.append(rng.normal(size=d))
+    return ComponentMoments(d2=d2, mean=mean, sigma2=sigma2, b=b)
 
 
 def random_co(rng, n_comp):
@@ -62,23 +60,20 @@ class TestAnalyticSigma:
         rng = np.random.default_rng(0)
         moments = random_moments(rng, 3, 1)
         cov = analytic_sigma(moments, np.array([[[1.0]]]))
-        np.testing.assert_allclose(cov.sigma[0], moments[0].d2 * moments[0].sigma2, atol=1e-12)
+        np.testing.assert_allclose(cov.sigma[0], moments.d2[0] * moments.sigma2[0], atol=1e-12)
         np.testing.assert_allclose(
-            cov.v[0], moments[0].sigma2 * np.linalg.inv(moments[0].d2), atol=1e-10
+            cov.v[0], moments.sigma2[0] * np.linalg.inv(moments.d2[0]), atol=1e-10
         )
 
     def test_equal_coefficients_collapse(self):
         # with identical b vectors both difference terms vanish exactly
         rng = np.random.default_rng(1)
         moments = random_moments(rng, 2, 3)
-        b = moments[0].b
-        moments = [
-            ComponentMoments(d2=mo.d2, mean=mo.mean, sigma2=mo.sigma2, b=b) for mo in moments
-        ]
+        moments = dataclasses.replace(moments, b=[moments.b[0]] * 3)
         co = random_co(rng, 3)
         cov = analytic_sigma(moments, np.stack([co] * 3))
         w = co.sum(axis=1)
-        expected = sum(w[s] * moments[s].d2 * moments[s].sigma2 for s in range(3))
+        expected = sum(w[s] * moments.d2[s] * moments.sigma2[s] for s in range(3))
         np.testing.assert_allclose(cov.sigma, [expected] * 3, atol=1e-10)
 
     def test_reference_design_limit_values(self):
@@ -97,10 +92,8 @@ class TestAnalyticSigma:
             np.testing.assert_allclose(cov.v, cov.v.transpose(0, 2, 1), atol=1e-10)
 
     def test_singular_d_raises(self):
-        d2 = np.array([[1.0, 1.0], [1.0, 1.0]])
-        moments = [
-            ComponentMoments(d2=d2, mean=np.ones(2), sigma2=1.0, b=np.zeros(2))
-        ]
+        d2 = np.array([[[1.0, 1.0], [1.0, 1.0]]])
+        moments = ComponentMoments(d2=d2, mean=np.ones((1, 2)), sigma2=[1.0], b=np.zeros((1, 2)))
         with pytest.raises(SingularD):
             analytic_sigma(moments, np.array([[[1.0]]]))
 
@@ -114,14 +107,7 @@ class TestAnalyticSigma:
             co = random_co(rng, config.n_components)
             cov = analytic_sigma(moments, np.stack([co] * config.n_components))
             for m in range(config.n_components):
-                expected = tensor_sigma_v(
-                    [mo.d2 for mo in moments],
-                    l4,
-                    [mo.sigma2 for mo in moments],
-                    [mo.b for mo in moments],
-                    co,
-                    m,
-                )
+                expected = tensor_sigma_v(moments.d2, l4, moments.sigma2, moments.b, co, m)
                 for got, want in zip((cov.sigma[m], cov.v[m]), expected):
                     err = np.max(np.abs(got - want))
                     assert err <= 1e-13 * np.max(np.abs(want)), (trial, m, err)

@@ -41,3 +41,20 @@ def test_round_trips_through_pickle(cls):
     assert back.args == exc.args
     assert vars(back) == vars(exc)
     assert back.where == "raised in a worker"
+
+
+#: the exit status each error type stops a command with, as the CLI documents it
+EXIT_CODES = {
+    errors.MvcregError: 4,
+    errors.SingularGramian: 3,
+    errors.SingularNormalMatrix: 4,
+    errors.SingularD: 4,
+    errors.DataFormatError: 2,
+    errors.ConfigError: 2,
+    errors.ExcessiveFailures: 4,
+    errors.WorkerLost: 1,
+}
+
+
+def test_every_error_type_has_its_exit_code():
+    assert {cls: cls.exit_code for cls in all_error_types()} == EXIT_CODES

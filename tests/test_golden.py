@@ -7,9 +7,16 @@ two pins hold across BLAS builds.  The JSON documents print every float to
 clamped, so its ``warnings`` are pinned too) and the study's ``analytic_v``
 can move in the last digits with another BLAS or numpy build.  A change that
 alters these bytes on purpose updates the digest here and says why.
+
+The bundled design has M=2 and d=2, so two more pins use a three-component
+design with an intercept and two Gaussian regressors (d=3), built here from a
+closed-form rule: the fit of the CSV that ``simulate --seed 2`` draws from
+it, and its study, whose analytic V takes every product of the covariance at
+M=3.
 """
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +28,39 @@ import mvcreg
 
 #: stands for the CSV that ``simulate --seed 12345`` prints
 CLAMPED_CSV = "<simulate --seed 12345>"
+#: stands for the JSON file of :func:`three_component_config`
+THREE_CONFIG = "<three-component config>"
+#: stands for the CSV that ``simulate --seed 2`` draws from that config
+THREE_CSV = "<simulate -i three-component config --seed 2>"
+
+
+def three_component_config() -> dict:
+    """M=3, d=3, N=600 explicit design: row j of p is proportional to
+    1 + (j (2k + 3) mod 11) in column k."""
+    rows = []
+    for j in range(600):
+        raw = [1 + j * (2 * k + 3) % 11 for k in range(3)]
+        rows.append([v / sum(raw) for v in raw])
+
+    def component(means, sds, error_sd, coefficients):
+        gaussians = [{"kind": "gaussian", "mean": m, "sd": s} for m, s in zip(means, sds)]
+        return {
+            "regressors": [{"kind": "constant"}, *gaussians],
+            "error_sd": error_sd,
+            "coefficients": coefficients,
+        }
+
+    return {
+        "n_obs": 600,
+        "components": [
+            component([1.0, -0.5], [1.0, 2.0], 0.5, [1.0, 2.0, -1.0]),
+            component([0.0, 1.0], [1.5, 0.5], 1.0, [-1.0, 0.5, 3.0]),
+            component([2.0, 0.0], [1.0, 1.0], 0.25, [0.0, -2.0, 1.0]),
+        ],
+        "concentrations": {"model": "explicit", "values": rows},
+        "seed": 3,
+    }
+
 
 GOLDEN = {
     "simulate": (
@@ -48,6 +88,16 @@ GOLDEN = {
         0,
         "d991f56e0aa542f7ee6157341f668a7dc568d18119dfb7c93b0100c8533e310a",
     ),
+    "fit-three-component-json": (
+        ["fit", "-i", THREE_CSV],
+        0,
+        "9621597c9eed64a1e171d4452561b8c7c9db8ed1a85949c762d0cb074716026a",
+    ),
+    "study-three-component-json": (
+        ["study", "-i", THREE_CONFIG, "--reps", "20"],
+        0,
+        "fdd819cbe58bcfc9a2dc8be0b1ad73b2708307d20fac57963c4e750ea647924f",
+    ),
 }
 
 
@@ -60,10 +110,18 @@ def _mvcreg(*args):
 
 @pytest.mark.parametrize("args, code, digest", GOLDEN.values(), ids=GOLDEN.keys())
 def test_stdout_digest(args, code, digest, tmp_path):
-    if CLAMPED_CSV in args:
-        csv = tmp_path / "clamped.csv"
-        csv.write_bytes(_mvcreg("simulate", "--seed", "12345").stdout)
-        args = [str(csv) if arg == CLAMPED_CSV else arg for arg in args]
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps(three_component_config()), encoding="utf-8")
+    inputs = {
+        CLAMPED_CSV: ("simulate", "--seed", "12345"),
+        THREE_CSV: ("simulate", "-i", str(config), "--seed", "2"),
+    }
+    for placeholder, command in inputs.items():
+        if placeholder in args:
+            csv = tmp_path / "input.csv"
+            csv.write_bytes(_mvcreg(*command).stdout)
+            args = [str(csv) if arg == placeholder else arg for arg in args]
+    args = [str(config) if arg == THREE_CONFIG else arg for arg in args]
     out = _mvcreg(*args)
     assert out.returncode == code, out.stderr.decode()
     assert hashlib.sha256(out.stdout).hexdigest() == digest

@@ -9,6 +9,7 @@ from mvcreg import (
     ComponentMoments,
     ConcentrationMatrix,
     Dataset,
+    analytic_sigma,
     component_regression_moments,
     compute_weights,
     fit_all,
@@ -88,21 +89,48 @@ class TestDataset:
         assert not d.y.flags.writeable
 
 
+def _moments(n_comp=1, **changes):
+    args = dict(
+        d2=[np.eye(2)] * n_comp,
+        mean=np.zeros((n_comp, 2)),
+        sigma2=[1.0] * n_comp,
+        b=np.zeros((n_comp, 2)),
+    )
+    return ComponentMoments(**{**args, **changes})
+
+
+#: a 2 x 2 slab whose off-diagonal entries differ by half its largest entry
+_LOPSIDED = np.array([[1.0, 0.5], [0.0, 1.0]])
+
+
 class TestComponentMoments:
     def test_rejects_asymmetric_d2(self):
-        with pytest.raises(ValueError):
-            ComponentMoments(
-                d2=np.array([[1.0, 0.5], [0.1, 1.0]]),
-                mean=np.zeros(2),
-                sigma2=1.0,
-                b=np.zeros(2),
-            )
+        # the second component's slab is the asymmetric one
+        with pytest.raises(ValueError, match="d2 must be symmetric"):
+            _moments(2, d2=[np.eye(2), [[1.0, 0.5], [0.1, 1.0]]])
 
     def test_rejects_negative_variance(self):
-        with pytest.raises(ValueError):
-            ComponentMoments(
-                d2=np.eye(1), mean=np.zeros(1), sigma2=-0.1, b=np.zeros(1)
-            )
+        with pytest.raises(ValueError, match="sigma2 must be nonnegative"):
+            _moments(sigma2=[-0.1])
+
+    @pytest.mark.parametrize("scale", [10.0**k for k in range(-12, 13, 3)])
+    def test_symmetry_verdict_is_scale_free(self, scale):
+        # each slab is judged against its own largest magnitude, so an
+        # asymmetry of half that magnitude is refused at every scale and an
+        # exactly symmetric slab, or one off by a rounding error, accepted
+        with pytest.raises(ValueError, match="d2 must be symmetric"):
+            _moments(d2=[scale * _LOPSIDED])
+        _moments(d2=[scale * np.array([[1.0, 0.5], [0.5, 1.0]])])
+        _moments(d2=[scale * np.array([[1.0, 0.5], [0.5 * (1 + 1e-15), 1.0]])])
+        co = np.stack([scale * np.eye(2), scale * _LOPSIDED])
+        moments = _moments(2)
+        with pytest.raises(ValueError, match="co_moments must be symmetric"):
+            analytic_sigma(moments, co)
+        analytic_sigma(moments, np.stack([scale * np.eye(2), scale * (_LOPSIDED + _LOPSIDED.T)]))
+
+    def test_nan_is_not_symmetric(self):
+        with pytest.raises(ValueError, match="d2 must be symmetric"):
+            _moments(d2=[[[1.0, np.nan], [np.nan, 1.0]]])
 
 
 def weighted_rss(data, a_col, b):

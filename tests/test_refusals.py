@@ -50,7 +50,7 @@ def _plug_in_mismatch():
 
 
 def _component_moments(**bad):
-    args = dict(d2=np.eye(2), mean=np.zeros(2), sigma2=1.0, b=np.zeros(2))
+    args = dict(d2=[np.eye(2)], mean=np.zeros((1, 2)), sigma2=[1.0], b=np.zeros((1, 2)))
     ComponentMoments(**{**args, **bad})
 
 
@@ -72,19 +72,29 @@ REFUSALS = {
         _N_MISMATCH,
     ),
     "ComponentMoments d2 not square": (
-        lambda: _component_moments(d2=np.ones((2, 3))),
+        lambda: _component_moments(d2=np.ones((1, 2, 3))),
         ValueError,
-        "d2 must be square",
+        "d2 must be M x d x d",
+    ),
+    "ComponentMoments d2 not stacked": (
+        lambda: _component_moments(d2=np.eye(2)),
+        ValueError,
+        "d2 must be M x d x d",
     ),
     "ComponentMoments mean length": (
-        lambda: _component_moments(mean=np.zeros(3)),
+        lambda: _component_moments(mean=np.zeros((1, 3))),
         ValueError,
-        "mean must have one entry per regressor",
+        "mean must have one entry per component and regressor",
     ),
     "ComponentMoments b length": (
-        lambda: _component_moments(b=np.zeros(1)),
+        lambda: _component_moments(b=np.zeros((1, 1))),
         ValueError,
-        "b must have one entry per regressor",
+        "b must have one entry per component and regressor",
+    ),
+    "ComponentMoments sigma2 length": (
+        lambda: _component_moments(sigma2=[1.0, 1.0]),
+        ValueError,
+        "sigma2 must have one entry per component",
     ),
     "component_regression_moments weight length": (
         lambda: component_regression_moments(_design()[0], np.ones(299)),

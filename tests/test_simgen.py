@@ -629,14 +629,16 @@ class TestTrueMoments:
     def test_reference_design_closed_forms(self):
         config, _ = reference_study_config()
         moments = true_component_moments(config)
-        np.testing.assert_allclose(moments[0].d2, [[1.0, 1.0], [1.0, 2.0]])
-        np.testing.assert_allclose(moments[1].d2, [[1.0, 2.0], [2.0, 6.25]])
+        np.testing.assert_allclose(
+            moments.d2, [[[1.0, 1.0], [1.0, 2.0]], [[1.0, 2.0], [2.0, 6.25]]]
+        )
         # fourth raw moments of the slope regressor: mu^4 + 6 mu^2 s^2 + 3 s^4
         slope = np.array([0.0, 1.0])
-        assert _gaussian_quartic(moments[0], slope)[1, 1] == pytest.approx(10.0)
-        assert _gaussian_quartic(moments[1], slope)[1, 1] == pytest.approx(85.1875)
-        assert moments[0].sigma2 == pytest.approx(0.01**2)
-        np.testing.assert_allclose(moments[1].b, [-2.0, 1.0])
+        quartic = _gaussian_quartic(moments.d2, moments.mean, slope)
+        assert quartic[0, 1, 1] == pytest.approx(10.0)
+        assert quartic[1, 1, 1] == pytest.approx(85.1875)
+        np.testing.assert_allclose(moments.sigma2, [0.01**2, 0.05**2])
+        np.testing.assert_allclose(moments.b, [[3.0, 0.5], [-2.0, 1.0]])
 
     def test_constant_regressor_moments(self):
         # a constant is a Gaussian with mean 1 and sd 0
@@ -651,13 +653,12 @@ class TestTrueMoments:
             ),
             concentrations=ExplicitConcentrations(np.ones((10, 1))),
         )
-        (mom,) = true_component_moments(config)
-        assert mom.mean.tolist() == [1.0, 2.0]
-        assert mom.d2[0].tolist() == [1.0, 2.0]
-        assert mom.d2[:, 0].tolist() == [1.0, 2.0]
-        assert _gaussian_quartic(mom, np.array([1.0, 0.0])).tolist() == [
-            [1.0, 2.0],
-            [2.0, 6.25],
+        mom = true_component_moments(config)
+        assert mom.mean.tolist() == [[1.0, 2.0]]
+        assert mom.d2[0, 0].tolist() == [1.0, 2.0]
+        assert mom.d2[0, :, 0].tolist() == [1.0, 2.0]
+        assert _gaussian_quartic(mom.d2, mom.mean, np.array([1.0, 0.0])).tolist() == [
+            [[1.0, 2.0], [2.0, 6.25]]
         ]
 
     def test_gaussian_moment_table(self):
@@ -677,13 +678,12 @@ class TestTrueMoments:
             ),
             concentrations=ExplicitConcentrations(np.ones((10, 1))),
         )
-        (mom,) = true_component_moments(config)
-        assert mom.mean.tolist() == [2.0, -1.0]
-        assert mom.d2.tolist() == [[6.25, -2.0], [-2.0, 1.25]]
-        assert _gaussian_quartic(mom, np.array([1.0, 0.0]))[0, 0] == pytest.approx(85.1875)
-        assert _gaussian_quartic(mom, np.array([0.0, 1.0]))[1, 1] == pytest.approx(
-            1.0 + 6 * 0.25 + 3 * 0.0625
-        )
+        mom = true_component_moments(config)
+        assert mom.mean.tolist() == [[2.0, -1.0]]
+        assert mom.d2.tolist() == [[[6.25, -2.0], [-2.0, 1.25]]]
+        first, second = _gaussian_quartic(mom.d2[0], mom.mean[0], np.eye(2))
+        assert first[0, 0] == pytest.approx(85.1875)
+        assert second[1, 1] == pytest.approx(1.0 + 6 * 0.25 + 3 * 0.0625)
 
 
 class TestLimitCoMoments:
