@@ -47,8 +47,9 @@ class SingularGramian(MvcregError):
         self.det = float(det)
         self.condition = float(condition)
         self.tol = float(tol)
+        over = f"cond(Gamma)={condition:.6g} > tol={tol:.6g}"
         super().__init__(
-            f"cond(Gamma)={condition:.6g} > tol={tol:.6g} (det(Gamma)={det:.6g}); "
+            f"{over if condition > tol else 'Gamma is singular'} (det(Gamma)={det:.6g}); "
             "concentration columns are (near-)linearly dependent, violating the "
             "identifiability condition det(Gamma) > C > 0 required for consistency"
         )
@@ -67,9 +68,10 @@ class SingularNormalMatrix(MvcregError):
         self.component = int(component)
         self.condition = float(condition)
         self.tol = float(tol)
+        over = f"has condition number {condition:.6g} > tol={tol:.6g}"
         super().__init__(
-            f"weighted normal matrix X'AX for component index {component} has "
-            f"condition number {condition:.6g} > tol={tol:.6g}; the second-moment "
+            f"weighted normal matrix X'AX for component index {component} "
+            f"{over if condition > tol else 'is singular'}; the second-moment "
             "matrix D of the regressors must be nonsingular for the estimator to "
             "be consistent"
         )

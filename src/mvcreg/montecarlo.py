@@ -50,6 +50,7 @@ from .estimator import DEFAULT_XTX_TOL, fit_basis, normal_equations, solve_norma
 from .moments import _CHUNK_ROWS
 from .simgen import (
     SimulationConfig,
+    StudyOptions,
     derive_seeds,
     draw_stack,
     limit_co_moments,
@@ -252,7 +253,7 @@ class ComparisonReport:
 
 
 def compare_report(
-    report: MonteCarloReport, rel_tol: float, mean_abs_tol: float = 0.05
+    report: MonteCarloReport, rel_tol: float, mean_abs_tol: float = StudyOptions.mean_tol
 ) -> ComparisonReport:
     """Check the largest grid point against the analytic limit.
 

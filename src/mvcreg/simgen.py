@@ -375,10 +375,11 @@ def _draw_rows(
     Each key's stream is drawn whole before the next key's, from ``rng``
     re-keyed for it, in a fixed layout whatever the component specs: N
     label uniforms, then the N x d regressor normals, then N error normals,
-    each into its draw's rows of the stack.  The per-row arithmetic then runs over the stack a block of rows at a time
-    and in place, so the uniforms become the labels and the normals ``x``
-    and ``y``.  Every step works row by row, so a draw's bytes do not
-    depend on the draws stacked with it.
+    each into its draw's rows of the stack.  One pass then visits every
+    draw's rows a block at a time, in place: the block's uniforms become
+    labels, the labels gather the parameters that turn the normals into
+    ``x`` and ``y``, and an overflow is refused.  Every step works row by
+    row, so a draw's bytes do not depend on the draws stacked with it.
     """
     n, count = plan.n_obs, len(keys)
     labels = np.empty(count * n, dtype=np.int64)
@@ -391,30 +392,27 @@ def _draw_rows(
         _rekeyed(rng, key).random(out=u[lo : lo + n])
         rng.standard_normal(out=x[lo : lo + n])
         rng.standard_normal(out=y[lo : lo + n])
+    # per-draw views: the flat arrays own their memory, so they are handed over
+    draw_u, draw_x, draw_y = u.reshape(count, n), x.reshape(count, n, -1), y.reshape(count, n)
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        block_u = u.reshape(count, n)[:, rows]
+        block_u = draw_u[:, rows]
         block_labels = np.zeros(block_u.shape, dtype=np.int64)
         # label k: exactly k of the left-to-right prefix sums of p's row are <= u
         for threshold in accumulate(plan.p.values[rows, :-1].T):
             block_labels += threshold <= block_u
         labels.reshape(count, n)[:, rows] = block_labels
-
-    for start in range(0, count * n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        block_labels = labels[rows]
         # np.take gathers the per-row parameters far faster than fancy
         # indexing; every label is in range, and mode="clip" skips the check
-        x_block = x[rows]
+        x_block = draw_x[:, rows]
         x_block *= np.take(plan.sds, block_labels, axis=0, mode="clip")
         x_block += np.take(plan.means, block_labels, axis=0, mode="clip")
         # sd_e * e + x . coef: addition and multiplication commute exactly, so
         # these are the bytes of x . coef + sd_e * e
-        y_block = y[rows]
+        y_block = draw_y[:, rows]
         y_block *= np.take(plan.error_sds, block_labels, mode="clip")
-        y_block += np.einsum(
-            "ji,ji->j", x_block, np.take(plan.coefficients, block_labels, axis=0, mode="clip")
-        )
+        coefficients = np.take(plan.coefficients, block_labels, axis=0, mode="clip")
+        y_block += np.einsum("sji,sji->sj", x_block, coefficients)
         # a non-finite regressor makes its row's response non-finite too
         if not np.isfinite(y_block).all():
             raise ConfigError(
@@ -431,11 +429,9 @@ def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
     """Draw one dataset from ``plan`` with the Philox stream keyed by ``seed``.
 
     The one-draw case of :func:`draw_stack`, keyed as
-    ``np.random.Philox(seed)`` is.  Each draw becomes its output in
-    place, a block of rows at a time: the uniforms become the labels, the
-    regressor normals ``x`` and the error normals ``y``, which go to the
-    ``Dataset`` without a copy.  A config whose finite numbers overflow in
-    the draw is refused with a ``ConfigError`` on ``components``.
+    ``np.random.Philox(seed)`` is; its labels, ``x`` and ``y`` go to the
+    result without a copy.  A config whose finite numbers overflow in the
+    draw is refused with a ``ConfigError`` on ``components``.
     """
     rng = np.random.Generator(np.random.Philox())  # re-keyed for the stream of seed
     labels, x, y = _draw_rows(plan, philox_keys([seed]), rng)
@@ -448,11 +444,11 @@ def draw_stack(plan: DrawPlan, keys: np.ndarray, rng: np.random.Generator) -> Da
     ``keys[k]`` (see :func:`philox_keys`).
 
     ``rng`` is a ``Generator`` on a ``Philox``, re-keyed for every stream,
-    so its state before the call does not matter.  A study task keys its
-    range of replications with one ``philox_keys`` call, draws consecutive
-    replications this way from one generator, as many as fit in
-    ``_CHUNK_ROWS`` rows, and forms their normal equations with one
-    ``normal_equations`` call.
+    so its state before the call does not matter.  Every stream is drawn
+    before the one pass over row blocks, which finishes a block of all the
+    draws at once.  A study task keys a range of replications with one
+    ``philox_keys`` call, draws as many as fit in ``_CHUNK_ROWS`` rows this
+    way, and forms their normal equations with one ``normal_equations`` call.
     """
     _, x, y = _draw_rows(plan, keys, rng)
     return Dataset(y=y, x=x)
@@ -700,7 +696,7 @@ def study_options_from_dict(raw: dict) -> StudyOptions:
     rel_tol = raw.get("rel_tol")
     if rel_tol is not None:
         rel_tol = _as_number(rel_tol, "rel_tol")
-    mean_tol = _as_number(raw.get("mean_tol", 0.05), "mean_tol")
+    mean_tol = _as_number(raw.get("mean_tol", StudyOptions.mean_tol), "mean_tol")
     return StudyOptions(rep_count=rep_count, n_grid=n_grid, rel_tol=rel_tol, mean_tol=mean_tol)
 
 

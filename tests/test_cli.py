@@ -841,6 +841,28 @@ class TestFit:
         assert np.isfinite(doc["std_errors"]).all()
         assert "singular-d" not in err
 
+    def test_singular_gramian_under_infinite_tol_states_no_inequality(self, tmp_path, capsys):
+        # cond(Gamma) = inf passes --gamma-tol inf, and the LU solve then fails
+        rows = ["y,x1,p1,p2"] + [f"{j},{j % 3},0.5,0.5" for j in range(10)]
+        path = tmp_path / "dup.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert main(["fit", "-i", str(path), "--gamma-tol", "inf"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("mvcreg: singular-gramian: Gamma is singular (det(Gamma)=0); ")
+        assert ">" not in err.split(";")[0]
+
+    def test_singular_normal_matrix_under_infinite_tol_states_no_inequality(
+        self, tmp_path, capsys
+    ):
+        # component 0's rows both have x1 = 1: with the intercept, X'AX is singular
+        path = tmp_path / "xtx.csv"
+        path.write_text("y,x1,p1,p2\n1,1,1,0\n2,2,0,1\n3,1,1,0\n5,7,0,1\n")
+        assert main(["fit", "-i", str(path), "--intercept", "--xtx-tol", "inf"]) == 4
+        out, err = capsys.readouterr()
+        message = "weighted normal matrix X'AX for component index 0 is singular; "
+        assert json.loads(out)["errors"]["0"]["message"].startswith(message)
+        assert err.startswith("mvcreg: singular-normal-matrix: " + message)
+
 
 class TestWeights:
     def test_two_row_identity(self, tmp_path, capsys):

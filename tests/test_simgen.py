@@ -519,6 +519,47 @@ class TestDraw:
             assert stacked.x[rows].tobytes() == single.x.tobytes()
             assert stacked.y[rows].tobytes() == single.y.tobytes()
 
+    @staticmethod
+    def design_config(d, m, n):
+        # d Gaussian regressors per component, Dirichlet concentrations over m
+        specs = tuple(
+            ComponentSpec(
+                regressors=tuple(
+                    GaussianRegressor(mean=float(i - k), sd=0.5 + k + 0.25 * i) for i in range(d)
+                ),
+                error_sd=0.1 * (k + 1),
+                coefficients=tuple(1.0 - k + 0.5 * i for i in range(d)),
+            )
+            for k in range(m)
+        )
+        values = np.random.default_rng(10 * d + m).dirichlet(np.ones(m), size=n)
+        return SimulationConfig(
+            n_obs=n, components=specs, concentrations=ExplicitConcentrations(values)
+        )
+
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_blocked_draw_matches_whole_array_formula_across_shapes(self, d, m):
+        plan = plan_draws(self.design_config(d, m, self.N))
+        sim = draw(plan, 9)
+        y, x, labels = whole_array_draw(plan, 9)
+        assert sim.labels.tobytes() == labels.tobytes()
+        assert sim.data.x.tobytes() == x.tobytes()
+        assert sim.data.y.tobytes() == y.tobytes()
+
+    @pytest.mark.parametrize("n", [700, N])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_stacked_draws_match_single_draws_across_shapes(self, d, m, n):
+        plan = plan_draws(self.design_config(d, m, n))
+        seeds = derive_seeds(6, n, range(5 if n < self.N else 2)).tolist()
+        stacked = draw_stack(plan, philox_keys(seeds), np.random.Generator(np.random.Philox()))
+        for k, seed in enumerate(seeds):
+            single = draw(plan, seed).data
+            rows = slice(k * n, (k + 1) * n)
+            assert stacked.x[rows].tobytes() == single.x.tobytes()
+            assert stacked.y[rows].tobytes() == single.y.tobytes()
+
     def test_caller_labels_are_copied(self):
         sim = generate(one_component_config(n=20, seed=1))
         labels = np.zeros(20, dtype=np.int64)

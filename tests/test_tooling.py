@@ -8,7 +8,8 @@ tests would call; the few allowed are the benchmark's layers, which its
 runner names.  An import kept on purpose carries ``# noqa: F401`` on its
 line, and is no reference to what it imports.  A fourth parses every module
 with the grammar of the oldest Python that ``pyproject.toml`` declares, as
-the suite itself runs on one version only.
+the suite itself runs on one version only, and a fifth bounds the length of
+every line.
 """
 
 import ast
@@ -29,6 +30,9 @@ UNCALLED_PUBLIC = {
     "dataio.render_csv",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
     "moments.weighted_fourth_moment",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
 }
+
+#: the most characters a source line may hold
+MAX_LINE = 99
 
 
 def _parse(path: Path) -> ast.Module:
@@ -100,6 +104,15 @@ def _unused_imports(path: Path) -> list[str]:
     return unused
 
 
+def _long_lines(path: Path) -> list[str]:
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return [
+        f"{path.name}:{number}: {len(line)} characters"
+        for number, line in enumerate(lines, 1)
+        if len(line) > MAX_LINE
+    ]
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     names = []
     for node in tree.body:
@@ -119,6 +132,11 @@ def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_unused_import(path):
     assert _unused_imports(path) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_line_over_the_limit(path):
+    assert _long_lines(path) == []
 
 
 def test_every_private_name_is_referenced():
@@ -195,3 +213,6 @@ def test_checks_find_what_they_look_for(tmp_path):
         "_helper",
         "_unused",
     ]
+    assert _long_lines(source) == []
+    source.write_text("x = 1\n" + "#" * MAX_LINE + "\n" + "#" * (MAX_LINE + 1) + "\n")
+    assert _long_lines(source) == [f"sample.py:3: {MAX_LINE + 1} characters"]
