@@ -27,7 +27,6 @@ _EXPORTS = {
             "GramianSummary",
             "build_gramian",
             "compute_weights",
-            "invert_gramian",
             "weight_co_moments",
         ),
         "covariance": (

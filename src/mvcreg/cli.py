@@ -127,9 +127,9 @@ def cmd_fit(args) -> int:
 def cmd_weights(args) -> int:
     from . import dataio
 
-    data, p = dataio.read_csv(args.input)
-    gramian = build_gramian(p)
-    weights = compute_weights(p, gramian, gamma_tol=args.gamma_tol)
+    p = dataio.read_csv(args.input)[1]  # y and x are read to be checked, then dropped
+    gramian = build_gramian(p, args.gamma_tol)
+    weights = compute_weights(p, gramian)
     if args.format == "csv":
         with _open_output(args) as fh:
             dataio.write_weights_csv(fh, weights)  # chunk by chunk, never the whole text

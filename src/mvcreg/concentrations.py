@@ -11,8 +11,9 @@ the unique linear-in-p weight system satisfying the biorthogonality identity
 ``(1/N) sum_j a[j, m] p[j, k] = delta(m, k)``.  Because they are linear in
 ``p``, every weighted sum over the observations is G applied to the same sums
 weighted by the concentration columns, so the fit and the covariance need
-only the M x M ``G`` from :func:`invert_gramian`; the N x M weight matrix is
-built only where it is the output (``mvcreg weights``).
+only the M x M ``G`` that :func:`build_gramian` returns with ``Gamma``; the
+N x M weight matrix is built only where it is the output (``mvcreg
+weights``).
 
 Identifiability is judged by ``cond(Gamma)``, not by ``det(Gamma)``: the
 determinant of a well-conditioned Gramian still shrinks geometrically with M
@@ -92,85 +93,68 @@ class ConcentrationMatrix:
 
 @dataclass(frozen=True)
 class GramianSummary:
-    """Gramian of the concentration columns with determinant and condition.
+    """Gramian of the concentration columns with its determinant, condition and inverse.
 
     ``condition`` is the ratio of the largest to the smallest eigenvalue of
-    ``gamma``, infinite when the smallest is not positive.
+    ``gamma``, infinite when the smallest is not positive; ``inverse`` is
+    ``G = Gamma^-1``.
     """
 
     gamma: np.ndarray
     det_gamma: float
     condition: float
+    inverse: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "gamma")
+        freeze(self, "gamma", "inverse")
         object.__setattr__(self, "det_gamma", float(self.det_gamma))
         object.__setattr__(self, "condition", float(self.condition))
 
 
-def build_gramian(p: ConcentrationMatrix) -> GramianSummary:
-    """Compute the concentration Gramian with its determinant and condition.
+def build_gramian(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> GramianSummary:
+    """The concentration Gramian and its inverse, behind the identifiability gate.
 
     Parameters
     ----------
     p : ConcentrationMatrix
         Validated concentrations.
-
-    Returns
-    -------
-    GramianSummary
-        ``gamma = (1/N) p'p`` with ``det_gamma`` and ``condition``, both
-        from its eigenvalues.  Singularity is diagnosed downstream, not
-        here: a degenerate design still gets its Gramian reported.
-    """
-    values = p.values
-    n = p.n_obs
-    gamma = np.einsum("jl,jm->lm", values, values) / n
-    gamma = (gamma + gamma.T) / 2.0
-    eig = np.linalg.eigvalsh(gamma)  # ascending
-    condition = np.inf if eig[0] <= 0.0 else float(eig[-1] / eig[0])
-    return GramianSummary(gamma=gamma, det_gamma=float(np.prod(eig)), condition=condition)
-
-
-def invert_gramian(g: GramianSummary, gamma_tol: float = DEFAULT_GAMMA_TOL) -> np.ndarray:
-    """The inverse Gramian ``G = Gamma^-1`` behind the identifiability gate.
-
-    Parameters
-    ----------
-    g : GramianSummary
-        Gramian of the concentrations, from :func:`build_gramian`.
     gamma_tol : float, optional
         Ceiling for ``cond(Gamma)``.
 
     Returns
     -------
-    ndarray
-        Read-only M x M ``G`` from one LU solve (partial pivoting) of
-        ``Gamma`` against the identity; it takes no square roots, so hand
-        values such as ``1 / 0.5`` stay exact.
+    GramianSummary
+        ``gamma = (1/N) p'p`` with ``det_gamma`` and ``condition``, both
+        from its eigenvalues, and ``inverse``, from one LU solve (partial
+        pivoting) of ``gamma`` against the identity; it takes no square
+        roots, so hand values such as ``1 / 0.5`` stay exact.
 
     Raises
     ------
     SingularGramian
         If ``cond(Gamma) > gamma_tol``: the concentration columns are
         (near-)linearly dependent and the components are not identifiable.
+        The error carries the determinant and the condition.
     """
-    if not g.condition <= gamma_tol:
-        raise SingularGramian(g.det_gamma, g.condition, gamma_tol)
+    values = p.values
+    n = p.n_obs
+    gamma = np.einsum("jl,jm->lm", values, values) / n
+    gamma = (gamma + gamma.T) / 2.0
+    eig = np.linalg.eigvalsh(gamma)  # ascending
+    det = float(np.prod(eig))
+    condition = np.inf if eig[0] <= 0.0 else float(eig[-1] / eig[0])
+    if not condition <= gamma_tol:
+        raise SingularGramian(det, condition, gamma_tol)
     try:
-        inv = np.linalg.solve(g.gamma, np.eye(g.gamma.shape[0]))
+        inverse = np.linalg.solve(gamma, np.eye(gamma.shape[0]))
     except np.linalg.LinAlgError:
         # only a ceiling near 1/eps lets a Gramian this close to singular through
-        raise SingularGramian(g.det_gamma, np.inf, gamma_tol) from None
-    inv.flags.writeable = False
-    return inv
+        raise SingularGramian(det, np.inf, gamma_tol) from None
+    inverse.flags.writeable = False  # handed over to GramianSummary
+    return GramianSummary(gamma=gamma, det_gamma=det, condition=condition, inverse=inverse)
 
 
-def compute_weights(
-    p: ConcentrationMatrix,
-    g: GramianSummary | None = None,
-    gamma_tol: float = DEFAULT_GAMMA_TOL,
-) -> np.ndarray:
+def compute_weights(p: ConcentrationMatrix, g: GramianSummary | None = None) -> np.ndarray:
     """Build the minimax weight matrix ``a = p Gamma^-1``.
 
     Parameters
@@ -178,27 +162,25 @@ def compute_weights(
     p : ConcentrationMatrix
         Concentrations the weights are built from.
     g : GramianSummary, optional
-        Precomputed Gramian of ``p``; computed here when omitted.
-    gamma_tol : float, optional
-        Ceiling for ``cond(Gamma)``, as in :func:`invert_gramian`.
+        Gramian of ``p`` from :func:`build_gramian`; built here at the
+        default ceiling when omitted.
 
     Returns
     -------
     ndarray
-        Read-only N x M ``p`` times the inverse Gramian of
-        :func:`invert_gramian`, one column per component.  Column ``m``
-        weights the observations when component ``m`` is the estimation
-        target; whenever M > 1 some weights must be negative for the
-        biorthogonality identity to hold.
+        Read-only N x M ``p`` times ``g.inverse``, one column per component.
+        Column ``m`` weights the observations when component ``m`` is the
+        estimation target; whenever M > 1 some weights must be negative for
+        the biorthogonality identity to hold.
 
     Raises
     ------
     SingularGramian
-        If ``cond(Gamma) > gamma_tol``.
+        If ``g`` is omitted and ``cond(Gamma) > DEFAULT_GAMMA_TOL``.
     """
     if g is None:
         g = build_gramian(p)
-    a = p.values @ invert_gramian(g, gamma_tol)
+    a = p.values @ g.inverse
     a.flags.writeable = False
     return a
 

@@ -37,13 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import freeze
-from .concentrations import (
-    DEFAULT_GAMMA_TOL,
-    ConcentrationMatrix,
-    GramianSummary,
-    build_gramian,
-    invert_gramian,
-)
+from .concentrations import DEFAULT_GAMMA_TOL, ConcentrationMatrix, GramianSummary, build_gramian
 from .errors import SingularNormalMatrix
 from .moments import Dataset, component_regression_moments
 
@@ -98,16 +92,15 @@ class FitBasis:
     Centred weights average to zero, so their sums round like sums against
     the signed weights ``a``; sums against ``p_k`` itself round at the size of
     the whole mean, which ``G`` magnifies (threefold in the median over 60
-    random designs).  ``gramian`` and ``gamma_inverse`` are those of ``p``.
+    random designs).  ``gramian`` is that of ``p``, with its inverse ``G``.
     """
 
     gramian: GramianSummary
-    gamma_inverse: np.ndarray
     columns: np.ndarray
     combination: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "gamma_inverse", "columns", "combination")
+        freeze(self, "columns", "combination")
 
     @property
     def n_obs(self) -> int:
@@ -122,8 +115,7 @@ def fit_basis(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> F
     SingularGramian
         If ``cond(Gamma) > gamma_tol``.
     """
-    gramian = build_gramian(p)
-    gamma_inverse = invert_gramian(gramian, gamma_tol)
+    gramian = build_gramian(p, gamma_tol)
     n_comp = p.n_components
     # a_m = p G[:, m] = sum_k (G[k, m] - G[-1, m]) (p_k - c_k r) + (c'G)_m r,
     # with the last entry of c set to 1 minus the others
@@ -134,14 +126,12 @@ def fit_basis(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> F
     for q in range(n_comp - 1):
         np.multiply(c[q], columns[-1], out=columns[q])
         np.subtract(p.values[:, q], columns[q], out=columns[q])
-    combination = gamma_inverse - gamma_inverse[-1]
-    combination[-1] = c @ gamma_inverse
+    combination = gramian.inverse - gramian.inverse[-1]
+    combination[-1] = c @ gramian.inverse
     # handed over to FitBasis: a copy would add the N x M basis to fit's peak
     columns.flags.writeable = False
     combination.flags.writeable = False
-    return FitBasis(
-        gramian=gramian, gamma_inverse=gamma_inverse, columns=columns, combination=combination
-    )
+    return FitBasis(gramian=gramian, columns=columns, combination=combination)
 
 
 def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -245,5 +235,5 @@ def fit_all(
         n_obs=data.n_obs,
         errors={m: SingularNormalMatrix(m, cond[m], xtx_tol) for m in failed},
         normal_matrices=normal[0],
-        gamma_inverse=basis.gamma_inverse,
+        gamma_inverse=basis.gramian.inverse,
     )

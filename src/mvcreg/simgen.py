@@ -33,7 +33,7 @@ from typing import Union
 import numpy as np
 
 from ._arrays import freeze, frozen
-from .concentrations import ConcentrationMatrix, build_gramian, invert_gramian, weight_co_moments
+from .concentrations import ConcentrationMatrix, build_gramian, weight_co_moments
 from .errors import ConfigError
 from .moments import _CHUNK_ROWS, ComponentMoments, Dataset
 
@@ -517,7 +517,7 @@ def limit_co_moments(config: SimulationConfig) -> np.ndarray:
         co = np.array([conc.T @ ((w * (conc @ g) ** 2)[:, None] * conc) for g in inverse.T])
         return (co + co.transpose(0, 2, 1)) / 2.0
     p = model.matrix(config.n_obs)
-    inverse = invert_gramian(build_gramian(p))
+    inverse = build_gramian(p).inverse
     return np.array([weight_co_moments(p.values @ g, p) for g in inverse.T])
 
 

@@ -18,13 +18,14 @@ from mvcreg.simgen import DrawPlan, ExplicitConcentrations, SimulatedDataset
 _P = [[0.2, 0.8], [0.6, 0.4], [0.9, 0.1]]
 _EYE = [[1.0, 0.0], [0.0, 1.0]]
 _GAMMA = [[0.4, 0.1], [0.1, 0.4]]
+_GAMMA_INVERSE = [[8 / 3, -2 / 3], [-2 / 3, 8 / 3]]
 
 #: constructor arguments of each value class; lists of floats become float
 #: arrays and the one list of ints an int64 array
 VALUE_CLASSES = {
     Dataset: dict(y=[1.0, 2.0, 3.0], x=[[1.0, 0.5], [2.0, 0.1], [3.0, 0.7]]),
     ConcentrationMatrix: dict(values=_P),
-    GramianSummary: dict(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3),
+    GramianSummary: dict(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3, inverse=_GAMMA_INVERSE),
     AsymptoticCovariance: dict(sigma=[_EYE], v=[_EYE], std_errors=[[0.1, 0.2]]),
     FitResult: dict(
         coefficients=[[1.0, 2.0], [3.0, 4.0]],
@@ -37,8 +38,9 @@ VALUE_CLASSES = {
         gamma_inverse=[[2.5, -0.5], [-0.5, 2.5]],
     ),
     FitBasis: dict(
-        gramian=GramianSummary(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3),
-        gamma_inverse=[[2.5, -0.5], [-0.5, 2.5]],
+        gramian=GramianSummary(
+            gamma=_GAMMA, det_gamma=0.15, condition=5 / 3, inverse=_GAMMA_INVERSE
+        ),
         columns=[[0.1, -0.2, 0.1], [1.0, 1.0, 1.0]],
         combination=[[3.0, -3.0], [1.0, 1.0]],
     ),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import mvcreg._pool
+import mvcreg.cli
 import mvcreg.concentrations
 import mvcreg.dataio
 import mvcreg.estimator
@@ -604,8 +606,8 @@ class TestFit:
         write_csv(path, mvcreg.moments.Dataset(y=y, x=x), mvcreg.ConcentrationMatrix(p))
         assert main(["fit", "-i", str(path), "--intercept", "-o", str(tmp_path / "fit.json")]) == 0
 
-        # nor does a replication rebuild its grid point's Gramian or inverse:
-        # the study builds each once, in the parent
+        # nor does a replication rebuild its grid point's Gramian and inverse:
+        # the study builds them once, in the parent
         parent, built = os.getpid(), Counter()
 
         def per_grid_point(original):
@@ -617,10 +619,9 @@ class TestFit:
 
             return counted
 
-        for name in ("build_gramian", "invert_gramian"):
-            monkeypatch.setattr(
-                mvcreg.estimator, name, per_grid_point(getattr(mvcreg.estimator, name))
-            )
+        monkeypatch.setattr(
+            mvcreg.estimator, "build_gramian", per_grid_point(mvcreg.estimator.build_gramian)
+        )
         t = np.arange(1, 101) / 100
         rows = np.column_stack([1.0 - t, t]).tolist()
         ramp = mvcreg.simgen.simulation_config_from_dict(SMOKE_CONFIG)
@@ -632,7 +633,7 @@ class TestFit:
             for config in (ramp, explicit):
                 built.clear()
                 assert run_study(config, rep_count=4).points[0].failures == 0
-                assert built == {"build_gramian": 1, "invert_gramian": 1}, workers
+                assert built == {"build_gramian": 1}, workers
 
     def test_cli_import_does_not_load_scipy(self, dataset_csv, smoke_config_path, tmp_path):
         # a fresh interpreter per run, so modules loaded by other tests or by
@@ -781,14 +782,15 @@ class TestFit:
         assert main([command, "-i", str(marked)]) == 0
         assert capsys.readouterr() == expected
 
-    def test_duplicate_concentrations_exit_3(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_duplicate_concentrations_exit_3(self, tmp_path, capsys, command):
         rng = np.random.default_rng(2)
         rows = ["y,x1,p1,p2"]
         for _ in range(20):
             rows.append(f"{rng.normal()!r},{rng.normal()!r},0.5,0.5")
         path = tmp_path / "dup.csv"
         path.write_text("\n".join(rows) + "\n")
-        assert main(["fit", "-i", str(path)]) == 3
+        assert main([command, "-i", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("mvcreg: singular-gramian:")
         assert "identifiability" in err
@@ -841,15 +843,33 @@ class TestFit:
         assert np.isfinite(doc["std_errors"]).all()
         assert "singular-d" not in err
 
-    def test_singular_gramian_under_infinite_tol_states_no_inequality(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_singular_gramian_under_infinite_tol_states_no_inequality(
+        self, tmp_path, capsys, command
+    ):
         # cond(Gamma) = inf passes --gamma-tol inf, and the LU solve then fails
         rows = ["y,x1,p1,p2"] + [f"{j},{j % 3},0.5,0.5" for j in range(10)]
         path = tmp_path / "dup.csv"
         path.write_text("\n".join(rows) + "\n")
-        assert main(["fit", "-i", str(path), "--gamma-tol", "inf"]) == 3
+        assert main([command, "-i", str(path), "--gamma-tol", "inf"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("mvcreg: singular-gramian: Gamma is singular (det(Gamma)=0); ")
         assert ">" not in err.split(";")[0]
+
+    @pytest.mark.parametrize("command", ["fit", "weights"])
+    def test_gamma_tol_gates_at_the_condition_number(self, tmp_path, capsys, command):
+        # Gamma = diag(3/4, 1/4): cond exactly 3, refused just below the
+        # ceiling and accepted at it
+        path = tmp_path / "cond3.csv"
+        path.write_text("y,x1,p1,p2\n1,1,1,0\n2,3,1,0\n4,2,1,0\n3,5,0,1\n")
+        assert main([command, "-i", str(path), "--gamma-tol", "2.9"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "mvcreg: singular-gramian: cond(Gamma)=3 > tol=2.9 (det(Gamma)=0.1875); "
+            "concentration columns are (near-)linearly dependent, violating the "
+            "identifiability condition det(Gamma) > C > 0 required for consistency\n",
+        )
+        assert main([command, "-i", str(path), "--gamma-tol", "3"]) == 0
 
     def test_singular_normal_matrix_under_infinite_tol_states_no_inequality(
         self, tmp_path, capsys
@@ -921,6 +941,26 @@ class TestWeights:
         assert capsys.readouterr().out == expected
         starts = (0, chunk, 2 * chunk)
         assert written == [len("a1,a2\n" + "".join(rows[:start])) for start in starts]
+
+
+    def test_y_and_x_are_dropped_before_the_weights(self, tmp_path, dataset_csv, monkeypatch):
+        # the weights need p alone; read_csv still validates every column
+        read_csv, datasets, alive = mvcreg.dataio.read_csv, [], []
+
+        def recording_read_csv(*args, **kwargs):
+            data, p = read_csv(*args, **kwargs)
+            datasets.append(weakref.ref(data))
+            return data, p
+
+        def checking_build_gramian(*args, _build=mvcreg.cli.build_gramian, **kwargs):
+            alive.extend(ref() is not None for ref in datasets)
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(mvcreg.dataio, "read_csv", recording_read_csv)
+        monkeypatch.setattr(mvcreg.cli, "build_gramian", checking_build_gramian)
+        out = tmp_path / "a.json"
+        assert main(["weights", "-i", str(dataset_csv), "-o", str(out)]) == 0
+        assert alive == [False]
 
 
 class TestStudy:

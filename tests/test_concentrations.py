@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from mvcreg import (
@@ -16,6 +16,14 @@ from conftest import random_stochastic_rows
 def ramp(n):
     t = np.arange(1, n + 1) / n
     return ConcentrationMatrix(np.column_stack([t, 1.0 - t]))
+
+
+def ungated_gramian(p):
+    """The Gramian of ``p`` under no ceiling; an exactly singular one is rejected."""
+    try:
+        return build_gramian(p, gamma_tol=np.inf)
+    except SingularGramian:
+        reject()
 
 
 class TestConcentrationMatrix:
@@ -90,8 +98,8 @@ class TestBuildGramian:
         assume(n >= m)
         rows = random_stochastic_rows(rng, n, m)
         perm = rng.permutation(n)
-        g = build_gramian(ConcentrationMatrix(rows))
-        g2 = build_gramian(ConcentrationMatrix(rows[perm]))
+        g = ungated_gramian(ConcentrationMatrix(rows))
+        g2 = ungated_gramian(ConcentrationMatrix(rows[perm]))
         np.testing.assert_allclose(g.gamma, g2.gamma, atol=1e-12)
 
 
@@ -123,10 +131,9 @@ class TestComputeWeights:
         # Gamma = diag(3/4, 1/4): cond exactly 3, accepted at the ceiling,
         # rejected just below it
         p = ConcentrationMatrix(np.array([[1.0, 0.0]] * 3 + [[0.0, 1.0]]))
-        assert build_gramian(p).condition == 3.0
-        compute_weights(p, gamma_tol=3.0)
+        assert build_gramian(p, 3.0).condition == 3.0
         with pytest.raises(SingularGramian) as exc_info:
-            compute_weights(p, gamma_tol=2.9)
+            build_gramian(p, 2.9)
         assert exc_info.value.condition == 3.0
         assert exc_info.value.tol == 2.9
         assert exc_info.value.det == pytest.approx(3 / 16)
@@ -135,14 +142,14 @@ class TestComputeWeights:
         np.testing.assert_allclose(a, 10 * np.eye(10), rtol=1e-14)
         # even an infinite ceiling does not let an exactly singular Gramian through
         with pytest.raises(SingularGramian):
-            compute_weights(ConcentrationMatrix(np.full((10, 2), 0.5)), gamma_tol=np.inf)
+            build_gramian(ConcentrationMatrix(np.full((10, 2), 0.5)), np.inf)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 10))
     def test_biorthogonality(self, seed, n, m):
         rng = np.random.default_rng(seed)
         assume(n >= m)
         p = ConcentrationMatrix(random_stochastic_rows(rng, n, m))
-        g = build_gramian(p)
+        g = ungated_gramian(p)
         assume(g.condition < 1e6)
         a = compute_weights(p, g)
         cross = a.T @ p.values / n
@@ -162,7 +169,7 @@ class TestComputeWeights:
         rng = np.random.default_rng(seed)
         rows = random_stochastic_rows(rng, n, 2)
         p = ConcentrationMatrix(rows)
-        g = build_gramian(p)
+        g = ungated_gramian(p)
         assume(g.det_gamma > 0.01)
         perm = rng.permutation(n)
         a = compute_weights(p)

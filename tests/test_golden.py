@@ -8,11 +8,11 @@ clamped, so its ``warnings`` are pinned too) and the study's ``analytic_v``
 can move in the last digits with another BLAS or numpy build.  A change that
 alters these bytes on purpose updates the digest here and says why.
 
-The bundled design has M=2 and d=2, so two more pins use a three-component
+The bundled design has M=2 and d=2, so more pins use a three-component
 design with an intercept and two Gaussian regressors (d=3), built here from a
 closed-form rule: the fit of the CSV that ``simulate --seed 2`` draws from
-it, and its study, whose analytic V takes every product of the covariance at
-M=3.
+it, the weights of that CSV as JSON and as CSV, and its study, whose
+analytic V takes every product of the covariance at M=3.
 """
 
 import hashlib
@@ -97,6 +97,16 @@ GOLDEN = {
         ["study", "-i", THREE_CONFIG, "--reps", "20"],
         0,
         "fdd819cbe58bcfc9a2dc8be0b1ad73b2708307d20fac57963c4e750ea647924f",
+    ),
+    "weights-three-component-json": (
+        ["weights", "-i", THREE_CSV],
+        0,
+        "4968992820f71962cd3cde32d90a20d882832334cec150165c145ef708e84fbb",
+    ),
+    "weights-three-component-csv": (
+        ["weights", "-i", THREE_CSV, "--format", "csv"],
+        0,
+        "53b0e1216ad49a93c2accce70b64fa91d8c2951111ddffbc47858fabcb003d4a",
     ),
 }
 

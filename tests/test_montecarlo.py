@@ -148,7 +148,6 @@ class TestRunStudy:
         calls = Counter()
         for module, name in (
             (mvcreg.estimator, "build_gramian"),
-            (mvcreg.estimator, "invert_gramian"),
             (mvcreg.montecarlo, "fit_basis"),
         ):
             original = getattr(module, name)
@@ -164,7 +163,7 @@ class TestRunStudy:
             monkeypatch.setattr(mvcreg._pool, "worker_count", lambda _, w=workers: w)
             calls.clear()
             run_study(small_config(), rep_count=7, n_grid=(50, 80, 110))
-            assert calls == {"build_gramian": 3, "invert_gramian": 3, "fit_basis": 3}, workers
+            assert calls == {"build_gramian": 3, "fit_basis": 3}, workers
 
     @pytest.mark.parametrize("n_obs", [500, 1000])
     def test_ranges_starting_mid_stack_give_the_same_outcomes(self, n_obs):

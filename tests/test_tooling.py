@@ -8,8 +8,10 @@ tests would call; the few allowed are the benchmark's layers, which its
 runner names.  An import kept on purpose carries ``# noqa: F401`` on its
 line, and is no reference to what it imports.  A fourth parses every module
 with the grammar of the oldest Python that ``pyproject.toml`` declares, as
-the suite itself runs on one version only, and a fifth bounds the length of
-every line.
+the suite itself runs on one version only, a fifth bounds the length of
+every line, and a sixth finds the function, class or module that each
+``:func:``, ``:class:`` or ``:mod:`` cross-reference names, as a deleted
+function leaves stale references behind.
 """
 
 import ast
@@ -33,6 +35,9 @@ UNCALLED_PUBLIC = {
 
 #: the most characters a source line may hold
 MAX_LINE = 99
+
+#: a cross-reference: its role and its target, less a leading ``~``
+REFERENCE = re.compile(r":(func|class|mod):`~?([\w.]+)`")
 
 
 def _parse(path: Path) -> ast.Module:
@@ -113,6 +118,34 @@ def _long_lines(path: Path) -> list[str]:
     ]
 
 
+def _unresolved_references(paths: list[Path]) -> list[str]:
+    """Each cross-reference whose target is no module-level function or class
+    of the modules at ``paths`` (its own module when unqualified, else
+    ``mvcreg.<module>.<name>``), nor, under ``:mod:``, ``mvcreg.<module>``."""
+    defined = {
+        (path.stem, node.name, "class" if isinstance(node, ast.ClassDef) else "func")
+        for path in paths
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    modules = {path.stem for path in paths}
+    unresolved = []
+    for path in paths:
+        text = path.read_text(encoding="utf-8")
+        for match in REFERENCE.finditer(text):
+            role, target = match.groups()
+            prefix, _, name = target.rpartition(".")
+            if role == "mod":
+                found = prefix == "mvcreg" and name in modules
+            else:
+                module = prefix.removeprefix("mvcreg.") if prefix else path.stem
+                found = prefix in ("", f"mvcreg.{module}") and (module, name, role) in defined
+            if not found:
+                line = text.count("\n", 0, match.start()) + 1
+                unresolved.append(f"{path.name}:{line}: {match[0]}")
+    return unresolved
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     names = []
     for node in tree.body:
@@ -137,6 +170,10 @@ def test_no_unused_import(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_line_over_the_limit(path):
     assert _long_lines(path) == []
+
+
+def test_every_cross_reference_resolves():
+    assert _unresolved_references(SOURCES) == []
 
 
 def test_every_private_name_is_referenced():
@@ -216,3 +253,22 @@ def test_checks_find_what_they_look_for(tmp_path):
     assert _long_lines(source) == []
     source.write_text("x = 1\n" + "#" * MAX_LINE + "\n" + "#" * (MAX_LINE + 1) + "\n")
     assert _long_lines(source) == [f"sample.py:3: {MAX_LINE + 1} characters"]
+    # an unqualified target names its own module's function or class, a
+    # qualified one that of the module it names
+    source.write_text(
+        '"""Uses :func:`helper`, :func:`~mvcreg.other.gone`, :mod:`mvcreg.other`\n'
+        'and :class:`Thing`."""\n'
+        "def helper():\n"
+        "    return None\n"
+    )
+    other.write_text(
+        '"""See :func:`mvcreg.sample.helper`, :mod:`mvcreg.gone` and :func:`helper`."""\n'
+        "class Thing:\n"
+        "    pass\n"
+    )
+    assert _unresolved_references([source, other]) == [
+        "sample.py:1: :func:`~mvcreg.other.gone`",
+        "sample.py:2: :class:`Thing`",
+        "other.py:1: :mod:`mvcreg.gone`",
+        "other.py:1: :func:`helper`",
+    ]
