@@ -154,16 +154,16 @@ def build_gramian(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) 
     return GramianSummary(gamma=gamma, det_gamma=det, condition=condition, inverse=inverse)
 
 
-def compute_weights(p: ConcentrationMatrix, g: GramianSummary | None = None) -> np.ndarray:
+def compute_weights(p: ConcentrationMatrix, g: GramianSummary) -> np.ndarray:
     """Build the minimax weight matrix ``a = p Gamma^-1``.
 
     Parameters
     ----------
     p : ConcentrationMatrix
         Concentrations the weights are built from.
-    g : GramianSummary, optional
-        Gramian of ``p`` from :func:`build_gramian`; built here at the
-        default ceiling when omitted.
+    g : GramianSummary
+        Gramian of ``p`` from :func:`build_gramian`, which applied the
+        identifiability gate at the caller's ceiling.
 
     Returns
     -------
@@ -172,14 +172,7 @@ def compute_weights(p: ConcentrationMatrix, g: GramianSummary | None = None) -> 
         Column ``m`` weights the observations when component ``m`` is the
         estimation target; whenever M > 1 some weights must be negative for
         the biorthogonality identity to hold.
-
-    Raises
-    ------
-    SingularGramian
-        If ``g`` is omitted and ``cond(Gamma) > DEFAULT_GAMMA_TOL``.
     """
-    if g is None:
-        g = build_gramian(p)
     a = p.values @ g.inverse
     a.flags.writeable = False
     return a

@@ -221,7 +221,7 @@ def plug_in_covariance(
     sigma2 = np.empty(n_comp)
     notes: list[str] = []
     for s in range(n_comp):
-        weights = p.values @ fit.gamma_inverse[:, s]  # a_s
+        weights = p.values @ fit.gramian.inverse[:, s]  # a_s
         co[s] = weight_co_moments(weights, p)
         # the one N-sized array beside a_s: the squared residuals of the
         # weighted mean squared residual, then for each target the row

@@ -461,7 +461,7 @@ def fit_result_to_dict(fit: FitResult, cov: AsymptoticCovariance | None = None) 
     doc = {
         "n_obs": fit.n_obs,
         "n_components": fit.n_components,
-        "det_gamma": fit.det_gamma,
+        "det_gamma": fit.gramian.det_gamma,
         "coefficients": fit.coefficients,
         "xtx_condition": fit.xtx_condition,
         "negative_eigenvalues": list(fit.negative_eigenvalues),
@@ -549,7 +549,7 @@ def format_fit_table(fit: FitResult, cov: AsymptoticCovariance | None = None) ->
         lines.append(row)
         if cov is not None:
             lines.append(f"{'se':>10}" + _cells(f"{se:.4f}" for se in cov.std_errors[m]))
-    lines.append(f"det(Gamma) = {fit.det_gamma:.6g}")
+    lines.append(f"det(Gamma) = {fit.gramian.det_gamma:.6g}")
     return "\n".join(lines) + "\n"
 
 

@@ -52,24 +52,23 @@ class FitResult:
 
     ``coefficients`` row ``m`` solves that component's normal equations; rows
     of failed components are NaN and the failure is recorded in ``errors``
-    keyed by component index.  ``normal_matrices`` is the M x d x d stack of
-    each component's ``X'AX / N``, failed ones included, and
-    ``gamma_inverse`` the inverse Gramian ``G`` the weights ``a = p G`` come
-    from, both for reuse by the plug-in covariance, which refuses a fit with
-    a failed component.
+    keyed by component index.  ``gramian`` is the one the fit basis was built
+    from, with its inverse ``G`` the weights ``a = p G`` come from, and
+    ``normal_matrices`` the M x d x d stack of each component's ``X'AX / N``,
+    failed ones included; the plug-in covariance, which refuses a fit with a
+    failed component, reuses both.  Nothing here is N-sized.
     """
 
     coefficients: np.ndarray
-    det_gamma: float
+    gramian: GramianSummary
     xtx_condition: np.ndarray
     negative_eigenvalues: tuple[int, ...]
     n_obs: int
     errors: dict[int, SingularNormalMatrix]
     normal_matrices: np.ndarray
-    gamma_inverse: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "coefficients", "xtx_condition", "normal_matrices", "gamma_inverse")
+        freeze(self, "coefficients", "xtx_condition", "normal_matrices")
 
     @property
     def n_components(self) -> int:
@@ -229,11 +228,10 @@ def fit_all(
     failed = np.flatnonzero(failed).tolist()
     return FitResult(
         coefficients=coef,
-        det_gamma=basis.gramian.det_gamma,
+        gramian=basis.gramian,
         xtx_condition=cond,
         negative_eigenvalues=tuple(negative.tolist()),
         n_obs=data.n_obs,
         errors={m: SingularNormalMatrix(m, cond[m], xtx_tol) for m in failed},
         normal_matrices=normal[0],
-        gamma_inverse=basis.gramian.inverse,
     )

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -77,6 +78,26 @@ def ref_report(ref_config):
 def ref_report_elapsed(ref_report):
     """Wall-clock seconds the shared full-grid study took to run."""
     return _REF_CACHE["elapsed"]
+
+
+def openblas_core() -> str | None:
+    """The OpenBLAS kernel numpy's BLAS runs in this process, such as ``SkylakeX``.
+
+    A DYNAMIC_ARCH OpenBLAS picks its kernel at run time, from the CPU or
+    from ``OPENBLAS_CORETYPE``.  Read through ctypes from the OpenBLAS that
+    numpy bundles (in ``numpy.libs`` beside the package, or ``.dylibs``
+    inside it); None where numpy bundles none.
+    """
+    root = Path(np.__file__).parent
+    libs = [*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]
+    for lib in sorted(libs):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(handle, symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def random_stochastic_rows(rng: np.random.Generator, n: int, m: int) -> np.ndarray:

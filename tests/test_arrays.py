@@ -19,6 +19,7 @@ _P = [[0.2, 0.8], [0.6, 0.4], [0.9, 0.1]]
 _EYE = [[1.0, 0.0], [0.0, 1.0]]
 _GAMMA = [[0.4, 0.1], [0.1, 0.4]]
 _GAMMA_INVERSE = [[8 / 3, -2 / 3], [-2 / 3, 8 / 3]]
+_GRAMIAN = GramianSummary(gamma=_GAMMA, det_gamma=0.15, condition=5 / 3, inverse=_GAMMA_INVERSE)
 
 #: constructor arguments of each value class; lists of floats become float
 #: arrays and the one list of ints an int64 array
@@ -29,18 +30,15 @@ VALUE_CLASSES = {
     AsymptoticCovariance: dict(sigma=[_EYE], v=[_EYE], std_errors=[[0.1, 0.2]]),
     FitResult: dict(
         coefficients=[[1.0, 2.0], [3.0, 4.0]],
-        det_gamma=0.15,
+        gramian=_GRAMIAN,
         xtx_condition=[1.0, 2.0],
         negative_eigenvalues=(0, 0),
         n_obs=3,
         errors={},
         normal_matrices=[_EYE, _EYE],
-        gamma_inverse=[[2.5, -0.5], [-0.5, 2.5]],
     ),
     FitBasis: dict(
-        gramian=GramianSummary(
-            gamma=_GAMMA, det_gamma=0.15, condition=5 / 3, inverse=_GAMMA_INVERSE
-        ),
+        gramian=_GRAMIAN,
         columns=[[0.1, -0.2, 0.1], [1.0, 1.0, 1.0]],
         combination=[[3.0, -3.0], [1.0, 1.0]],
     ),

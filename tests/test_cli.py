@@ -22,6 +22,7 @@ import mvcreg.simgen
 from mvcreg import (
     ConcentrationMatrix,
     Dataset,
+    build_gramian,
     compute_weights,
     fit_all,
     generate,
@@ -925,7 +926,8 @@ class TestWeights:
         sim = generate(with_n_obs(config, 2 * chunk + 3))
         path, out = tmp_path / "ramp.csv", tmp_path / "a.csv"
         write_csv(path, sim.data, sim.p)
-        rows = [",".join(map(repr, row)) + "\n" for row in compute_weights(sim.p).tolist()]
+        weights = compute_weights(sim.p, build_gramian(sim.p))
+        rows = [",".join(map(repr, row)) + "\n" for row in weights.tolist()]
         expected = "a1,a2\n" + "".join(rows)
         written, render_rows = [], mvcreg.dataio._render_rows
 

@@ -1,8 +1,11 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
+import mvcreg.concentrations
 from mvcreg import (
     ConcentrationMatrix,
     SingularGramian,
@@ -106,24 +109,26 @@ class TestBuildGramian:
 class TestComputeWeights:
     def test_single_component_all_ones(self):
         p = ConcentrationMatrix(np.ones((5, 1)))
-        a = compute_weights(p)
+        a = compute_weights(p, build_gramian(p))
         np.testing.assert_array_equal(a, np.ones((5, 1)))
 
     def test_two_row_identity_hand_values(self):
-        a = compute_weights(ConcentrationMatrix(np.eye(2)))
+        p = ConcentrationMatrix(np.eye(2))
+        a = compute_weights(p, build_gramian(p))
         np.testing.assert_allclose(a, [[2.0, 0.0], [0.0, 2.0]], atol=1e-12)
 
     def test_ramp_limit_form(self):
         n = 10**5
         t = np.arange(1, n + 1) / n
-        a = compute_weights(ramp(n))
+        p = ramp(n)
+        a = compute_weights(p, build_gramian(p))
         np.testing.assert_allclose(a[:, 0], 6 * t - 2, atol=1e-3)
         np.testing.assert_allclose(a[:, 1], 4 - 6 * t, atol=1e-3)
 
     def test_duplicate_columns_raise(self):
         rows = np.full((10, 2), 0.5)
         with pytest.raises(SingularGramian) as exc_info:
-            compute_weights(ConcentrationMatrix(rows))
+            build_gramian(ConcentrationMatrix(rows))
         assert exc_info.value.det == pytest.approx(0.0, abs=1e-15)
         assert "identifiability" in str(exc_info.value)
 
@@ -138,7 +143,8 @@ class TestComputeWeights:
         assert exc_info.value.tol == 2.9
         assert exc_info.value.det == pytest.approx(3 / 16)
         # Gamma = I/10: det 1e-10, yet perfectly conditioned and accepted
-        a = compute_weights(ConcentrationMatrix(np.eye(10)))
+        p = ConcentrationMatrix(np.eye(10))
+        a = compute_weights(p, build_gramian(p))
         np.testing.assert_allclose(a, 10 * np.eye(10), rtol=1e-14)
         # even an infinite ceiling does not let an exactly singular Gramian through
         with pytest.raises(SingularGramian):
@@ -162,7 +168,7 @@ class TestComputeWeights:
         assume(n >= m)
         rows = random_stochastic_rows(rng, n, m)
         assume(np.linalg.cond(rows.T @ rows / n) < 1e6)
-        compute_weights(ConcentrationMatrix(rows))
+        build_gramian(ConcentrationMatrix(rows))
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
     def test_row_permutation_permutes_weights(self, seed, n):
@@ -172,28 +178,43 @@ class TestComputeWeights:
         g = ungated_gramian(p)
         assume(g.det_gamma > 0.01)
         perm = rng.permutation(n)
-        a = compute_weights(p)
-        a2 = compute_weights(ConcentrationMatrix(rows[perm]))
+        p2 = ConcentrationMatrix(rows[perm])
+        a = compute_weights(p, g)
+        a2 = compute_weights(p2, build_gramian(p2))
         np.testing.assert_allclose(a2, a[perm], atol=1e-12)
+
+
+    def test_weights_come_from_the_given_gramian_alone(self, monkeypatch):
+        p = ramp(50)
+        g = build_gramian(p)
+
+        def refusing_build_gramian(*args, **kwargs):
+            raise AssertionError("compute_weights built a Gramian")
+
+        monkeypatch.setattr(mvcreg.concentrations, "build_gramian", refusing_build_gramian)
+        a = compute_weights(p, g)
+        np.testing.assert_array_equal(a, p.values @ g.inverse)
+        g_param = inspect.signature(compute_weights).parameters["g"]
+        assert g_param.default is inspect.Parameter.empty
 
 
 class TestWeightCoMoments:
     def test_single_component(self):
         p = ConcentrationMatrix(np.ones((4, 1)))
-        a = compute_weights(p)
+        a = compute_weights(p, build_gramian(p))
         np.testing.assert_allclose(weight_co_moments(a[:, 0], p), [[1.0]])
 
     def test_ramp_limit_values(self):
         # integrals of (6t-2)^2 against t^2, t(1-t), (1-t)^2
         p = ramp(10**6)
-        a = compute_weights(p)
+        a = compute_weights(p, build_gramian(p))
         co = weight_co_moments(a[:, 0], p)
         expected = np.array([[38 / 15, 7 / 15], [7 / 15, 8 / 15]])
         np.testing.assert_allclose(co, expected, atol=1e-4)
 
     def test_two_row_identity_hand_values(self):
         p = ConcentrationMatrix(np.eye(2))
-        a = compute_weights(p)
+        a = compute_weights(p, build_gramian(p))
         np.testing.assert_allclose(
             weight_co_moments(a[:, 0], p), [[2.0, 0.0], [0.0, 0.0]], atol=1e-12
         )
@@ -201,7 +222,7 @@ class TestWeightCoMoments:
     def test_symmetric(self):
         rng = np.random.default_rng(3)
         p = ConcentrationMatrix(random_stochastic_rows(rng, 50, 3))
-        a = compute_weights(p)
+        a = compute_weights(p, build_gramian(p))
         for m in range(3):
             co = weight_co_moments(a[:, m], p)
             np.testing.assert_array_equal(co, co.T)
@@ -221,6 +242,6 @@ class TestHandOver:
 
     def test_weights_own_their_memory(self):
         p = ramp(50)
-        a = compute_weights(p)
+        a = compute_weights(p, build_gramian(p))
         assert a.flags.owndata and a.flags.c_contiguous and not a.flags.writeable
         assert not np.shares_memory(a, p.values)

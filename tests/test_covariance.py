@@ -18,6 +18,7 @@ from mvcreg import (
     SimulationConfig,
     SingularD,
     analytic_sigma,
+    build_gramian,
     component_regression_moments,
     compute_weights,
     fit_all,
@@ -270,7 +271,7 @@ class TestPlugInCovariance:
 
 def tensor_route(data, p, fit, m):
     """Plug-in Sigma and V of component m through the full d^4 tensor."""
-    weights = compute_weights(p)
+    weights = compute_weights(p, build_gramian(p))
     d2, l4, sigma2 = [], [], []
     for s in range(p.n_components):
         a_s = weights[:, s]

@@ -1,13 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mvcreg.estimator
 from mvcreg import (
     ConcentrationMatrix,
     Dataset,
     SingularGramian,
     SingularNormalMatrix,
+    build_gramian,
     component_regression_moments,
     compute_weights,
     fit_all,
@@ -95,7 +99,37 @@ class TestFitAll:
         assert fit.ok
         assert fit.errors == {}
         assert np.all(np.isfinite(fit.coefficients))
-        assert fit.det_gamma > 0
+        assert fit.gramian.det_gamma > 0
+
+    def test_result_keeps_the_gramian_of_its_basis(self, monkeypatch):
+        built = []
+
+        def recording_build_gramian(*args, **kwargs):
+            built.append(build_gramian(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(mvcreg.estimator, "build_gramian", recording_build_gramian)
+        fit = fit_all(HAND_DATA, HAND_P)
+        assert len(built) == 1 and fit.gramian is built[0]
+        fields = {f.name for f in dataclasses.fields(fit)}
+        assert not fields & {"det_gamma", "gamma_inverse"}
+
+    def test_result_holds_no_n_sized_array(self):
+        # the fit keeps the M x M Gramian, never the N x M basis it was built from
+        def array_bytes(obj):
+            values = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+            return sum(
+                v.nbytes if isinstance(v, np.ndarray) else array_bytes(v)
+                for v in values
+                if isinstance(v, np.ndarray) or dataclasses.is_dataclass(v)
+            )
+
+        config, _ = reference_study_config()
+        held = [
+            array_bytes(fit_all(sim.data, sim.p))
+            for sim in (generate(with_n_obs(config, n)) for n in (500, 5000))
+        ]
+        assert held[0] == held[1] > 0
 
     def test_duplicate_concentrations_fatal(self):
         data, _, _ = single_component(10, 1, seed=4)
@@ -122,7 +156,7 @@ class TestFitAll:
         config, _ = reference_study_config()
         sim = generate(with_seed(with_n_obs(config, 2000), 21))
         fit = fit_all(sim.data, sim.p)
-        a = compute_weights(sim.p)
+        a = compute_weights(sim.p, build_gramian(sim.p))
         for m in range(2):
             xtx, xty = component_regression_moments(sim.data, a[:, m])
             resid = xtx @ fit.coefficients[m] - xty
@@ -178,7 +212,8 @@ def test_coefficients_match_extended_precision(n_comp, d, seed):
     # sums with weights G[:, m], so it is rounded at about eps * sum|G[:, m]|
     # of its size, and the solve magnifies that by its condition number; the
     # worst ratio seen over 40 seeds per shape was 7.9
-    bound = 16 * np.finfo(float).eps * fit.xtx_condition * np.abs(fit.gamma_inverse).sum(axis=0)
+    g_size = np.abs(fit.gramian.inverse).sum(axis=0)
+    bound = 16 * np.finfo(float).eps * fit.xtx_condition * g_size
     assert np.all(err <= bound), (err, bound)
 
 

@@ -1,12 +1,18 @@
 """Seed-to-bytes pins: fixed commands must print the same bytes on every commit.
 
-The digests were recorded with numpy 2.4.6 on x86-64 with OpenBLAS.  The draw
-does no matrix product, and the study table rounds to 4 decimals, so those
-two pins hold across BLAS builds.  The JSON documents print every float to
-17 digits: the fit of the seed-12345 draw (whose plug-in error variance is
-clamped, so its ``warnings`` are pinned too) and the study's ``analytic_v``
-can move in the last digits with another BLAS or numpy build.  A change that
-alters these bytes on purpose updates the digest here and says why.
+The digests were recorded with numpy 2.4.6 on x86-64, under the ``SkylakeX``
+kernel that numpy's bundled OpenBLAS 0.3.31 picked at run time.  Three pins
+also hold under the ``Haswell``, ``Sandybridge`` and ``Prescott`` kernels
+(forced with ``OPENBLAS_CORETYPE``): ``simulate``, whose draw does no matrix
+product, and ``study-table`` and ``fit-clamped-table``, which round to 4
+decimals.  The JSON documents print every float to 17 digits, and another
+kernel, BLAS or numpy build can move their last digits: the fit of the
+seed-12345 draw (whose plug-in error variance is clamped, so its
+``warnings`` are pinned too), the study's ``analytic_v``, and the weights.
+So a failed digest names the numpy version and the kernel it ran under, and
+:func:`test_json_within_and_across_blas_kernels` checks what does hold under
+a forced kernel.  A change that alters these bytes on purpose updates the
+digest here and says why.
 
 The bundled design has M=2 and d=2, so more pins use a three-component
 design with an intercept and two Gaussian regressors (d=3), built here from a
@@ -18,13 +24,16 @@ analytic V takes every product of the covariance at M=3.
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mvcreg
+from conftest import openblas_core
 
 #: stands for the CSV that ``simulate --seed 12345`` prints
 CLAMPED_CSV = "<simulate --seed 12345>"
@@ -111,11 +120,24 @@ GOLDEN = {
 }
 
 
-def _mvcreg(*args):
-    env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.__file__).parents[1]))
+def _one_cpu():
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
+def _python(*args, pin=False, **env):
+    """``python <args>`` in a fresh interpreter with ``env`` added to its
+    environment; ``pin`` keeps it to one CPU."""
+    env = dict(os.environ, PYTHONPATH=str(Path(mvcreg.__file__).parents[1]), **env)
     return subprocess.run(
-        [sys.executable, "-m", "mvcreg.cli", *args], env=env, capture_output=True
+        [sys.executable, *args],
+        env=env,
+        capture_output=True,
+        preexec_fn=_one_cpu if pin else None,
     )
+
+
+def _mvcreg(*args, **options):
+    return _python("-m", "mvcreg.cli", *args, **options)
 
 
 @pytest.mark.parametrize("args, code, digest", GOLDEN.values(), ids=GOLDEN.keys())
@@ -134,4 +156,74 @@ def test_stdout_digest(args, code, digest, tmp_path):
     args = [str(config) if arg == THREE_CONFIG else arg for arg in args]
     out = _mvcreg(*args)
     assert out.returncode == code, out.stderr.decode()
-    assert hashlib.sha256(out.stdout).hexdigest() == digest
+    assert hashlib.sha256(out.stdout).hexdigest() == digest, (
+        "recorded with numpy 2.4.6 and OpenBLAS kernel SkylakeX; this run: "
+        f"numpy {np.__version__}, OpenBLAS kernel {openblas_core()}"
+    )
+
+
+#: the kernel forced, one that an x86-64 OpenBLAS can run on any x86-64 CPU
+FORCED_CORE = "Prescott"
+
+
+@pytest.mark.skipif(
+    platform.machine() not in ("x86_64", "AMD64") or not hasattr(os, "sched_setaffinity"),
+    reason="forces an x86-64 OpenBLAS kernel and pins the process to one CPU",
+)
+def test_json_within_and_across_blas_kernels(tmp_path):
+    # within a forced kernel, the JSON bytes depend on neither the BLAS
+    # thread count nor the CPU count (pinned, the study runs serially);
+    # across kernels only the last digits of its floats move: at most 1.5e-15
+    # (fit) and 2.7e-14 (study) of the document's largest value, measured
+    # under Prescott against SkylakeX, and 8e-14 under Haswell
+    default_core = openblas_core()
+    if default_core is None:
+        pytest.skip("numpy bundles no OpenBLAS")
+    tests = str(Path(__file__).parent)
+    report = f"import sys; sys.path.insert(0, {tests!r}); import conftest\n"
+    report += "print(conftest.openblas_core())"
+    out = _python("-c", report, OPENBLAS_CORETYPE=FORCED_CORE)
+    assert out.returncode == 0, out.stderr.decode()
+    forced_core = out.stdout.decode().strip()
+    if forced_core in ("None", default_core):
+        pytest.skip(f"OpenBLAS does not switch from {default_core} under {FORCED_CORE}")
+
+    config = tmp_path / "three.json"
+    config.write_text(json.dumps(three_component_config()), encoding="utf-8")
+    csv = tmp_path / "three.csv"
+    csv.write_bytes(_mvcreg("simulate", "-i", str(config), "--seed", "2").stdout)
+    for args in (["fit", "-i", str(csv)], ["study", "-i", str(config), "--reps", "20"]):
+        default = _mvcreg(*args)
+        forced = [
+            _mvcreg(*args, pin=pin, OPENBLAS_CORETYPE=FORCED_CORE, OPENBLAS_NUM_THREADS=threads)
+            for pin, threads in ((False, "1"), (False, "2"), (True, "1"))
+        ]
+        for out in forced[1:]:
+            assert (out.returncode, out.stdout) == (forced[0].returncode, forced[0].stdout), args
+        assert forced[0].returncode == default.returncode == 0, args
+
+        # ints too: a float that one kernel prints as a whole number
+        # parses as an int
+        expected, got = (
+            _numbers(json.loads(out.stdout, parse_int=float)) for out in (default, forced[0])
+        )
+        assert got[0] == expected[0], args  # keys and shapes
+        scale = np.abs(expected[1][np.isfinite(expected[1])]).max()
+        np.testing.assert_allclose(got[1], expected[1], rtol=0, atol=1e-11 * scale, err_msg=str(args))
+
+
+def _numbers(doc):
+    """``doc`` with each number replaced by ``float``, and its numbers in document order."""
+    numbers = []
+
+    def walk(value):
+        if isinstance(value, dict):
+            return {key: walk(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [walk(item) for item in value]
+        if isinstance(value, float):
+            numbers.append(value)
+            return float
+        return value
+
+    return walk(doc), np.array(numbers)

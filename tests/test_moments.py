@@ -10,6 +10,7 @@ from mvcreg import (
     ConcentrationMatrix,
     Dataset,
     analytic_sigma,
+    build_gramian,
     component_regression_moments,
     compute_weights,
     fit_all,
@@ -150,7 +151,7 @@ class TestWeightedMoment:
     def test_constant_function_is_one(self):
         # the design's first regressor is constant, so X'AX[0, 0] = mean(a)
         sim = _design(200)
-        a = compute_weights(sim.p)
+        a = compute_weights(sim.p, build_gramian(sim.p))
         for m in range(2):
             xtx, _ = component_regression_moments(sim.data, a[:, m])
             assert xtx[0, 0] == pytest.approx(1.0, abs=1e-10)
@@ -165,7 +166,7 @@ class TestWeightedMoment:
     def test_component_mean_of_regressor(self):
         # weighted first moment of the non-constant regressor targets E[X] = 1
         sim = _design(10**5, seed=11)
-        a = compute_weights(sim.p)
+        a = compute_weights(sim.p, build_gramian(sim.p))
         xtx, _ = component_regression_moments(sim.data, a[:, 0])
         assert xtx[0, 1] == pytest.approx(1.0, abs=0.05)
 
@@ -211,7 +212,7 @@ class TestRegressionMoments:
     def test_component_second_moments(self):
         # weights isolate component 1: moments of the pair (1, N(1,1))
         sim = _design(10**5, seed=5)
-        a = compute_weights(sim.p)
+        a = compute_weights(sim.p, build_gramian(sim.p))
         xtx, _ = component_regression_moments(sim.data, a[:, 0])
         np.testing.assert_allclose(xtx, [[1.0, 1.0], [1.0, 2.0]], atol=0.06)
 
@@ -298,7 +299,7 @@ def test_moment_error_decays_with_sample_size():
         errs = []
         for rep in range(50):
             sim = generate(with_seed(with_n_obs(config, n), 900 + rep))
-            a = compute_weights(sim.p)
+            a = compute_weights(sim.p, build_gramian(sim.p))
             est = np.einsum("jm,ji->mi", a, sim.data.x) / n
             errs.append(np.max(np.abs(est - true_means)))
         medians.append(np.median(errs))

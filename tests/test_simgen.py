@@ -13,6 +13,7 @@ from mvcreg import (
     GaussianRegressor,
     LinearRamp,
     SimulationConfig,
+    build_gramian,
     compute_weights,
     fit_all,
     generate,
@@ -423,7 +424,7 @@ class TestGenerate:
     def test_marginal_means_via_weights(self):
         config, _ = reference_study_config()
         sim = generate(with_seed(with_n_obs(config, 10**5), 47))
-        a = compute_weights(sim.p)
+        a = compute_weights(sim.p, build_gramian(sim.p))
         est = np.einsum("jm,ji->mi", a, sim.data.x) / sim.data.n_obs
         np.testing.assert_allclose(est, [[1.0, 1.0], [1.0, 2.0]], atol=0.05)
 
