@@ -7,6 +7,10 @@ weights    emit the minimax weight matrix and its consistency checks
 simulate   draw a synthetic dataset from a JSON config
 study      run a seeded replication study and compare to the analytic limit
 
+The commands compose no document: :mod:`mvcreg.dataio` renders every
+output, and a command picks its format and writes it.  This is the one
+module that writes to the process's streams.
+
 Diagnostics go to stderr as one line ``mvcreg: <code>: <message>``.  Exit
 codes: 0 success, 1 a worker process lost, 2 bad input or config, 3
 singular concentration Gramian, 4 estimation failure, 5 study comparison
@@ -85,11 +89,6 @@ def _open_output(args):
         raise ConfigError("--output", f"cannot write {name}: {exc.strerror or exc}") from None
 
 
-def _write_output(args, text: str) -> None:
-    with _open_output(args) as fh:
-        fh.write(text)
-
-
 def _with_intercept(data: Dataset, source: str) -> Dataset:
     x = np.empty((data.n_obs, data.n_regressors + 1))
     x[:, 0] = 1.0
@@ -116,7 +115,8 @@ def cmd_fit(args) -> int:
         text = dataio.format_fit_table(fit, cov)
     else:
         text = dataio.dumps(dataio.fit_result_to_dict(fit, cov))
-    _write_output(args, text)
+    with _open_output(args) as fh:
+        fh.write(text)
     for note in cov.warnings if cov is not None else ():
         print(f"mvcreg: warning: {note}", file=sys.stderr)
     for err in fit.errors.values():
@@ -130,22 +130,19 @@ def cmd_weights(args) -> int:
     p = dataio.read_csv(args.input)[1]  # y and x are read to be checked, then dropped
     gramian = build_gramian(p, args.gamma_tol)
     weights = compute_weights(p, gramian)
-    if args.format == "csv":
-        with _open_output(args) as fh:
-            dataio.write_weights_csv(fh, weights)  # chunk by chunk, never the whole text
-    else:
-        _write_output(args, dataio.dumps(dataio.weights_to_dict(gramian, weights, p)))
+    with _open_output(args) as fh:  # block by block, never the whole text
+        if args.format == "csv":
+            dataio.write_weights_csv(fh, weights)
+        else:
+            dataio.write_weights_json(fh, gramian, weights, p)
     return 0
 
 
 def cmd_simulate(args) -> int:
     from . import dataio
-    from .simgen import generate, with_seed
+    from .simgen import generate
 
-    config, _ = load_configuration(args)
-    if args.seed is not None:
-        config = with_seed(config, args.seed)
-    sim = generate(config)
+    sim = generate(load_configuration(args)[0])
     data, p = sim.data, sim.p
     del sim  # the CSV holds no labels: they go before the render
     with _open_output(args) as fh:
@@ -155,11 +152,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_study(args) -> int:
     from .montecarlo import compare_report, run_study
-    from .simgen import with_seed
 
     config, options = load_configuration(args)
-    if args.seed is not None:
-        config = with_seed(config, args.seed)
     reps = args.reps if args.reps is not None else options.rep_count
     if reps is None:
         raise ConfigError("rep_count", "not set in the config and no override given")
@@ -167,24 +161,13 @@ def cmd_study(args) -> int:
     from . import dataio  # not before the study's workers fork: none of them use it
 
     rel_tol = args.rel_tol if args.rel_tol is not None else options.rel_tol
-    comparison = None
-    if rel_tol is not None:
-        comparison = compare_report(report, rel_tol, options.mean_tol)
+    comparison = None if rel_tol is None else compare_report(report, rel_tol, options.mean_tol)
     if args.format == "table":
-        text = dataio.format_report_table(report)
-        if comparison is not None:
-            state = "ok" if comparison.ok else "FAILED"
-            text += (
-                f"comparison at n={comparison.n_obs}: {state} "
-                f"(worst cov rel err {comparison.worst_cov_rel:.3f}, "
-                f"tol {comparison.rel_tol})\n"
-            )
+        text = dataio.format_report_table(report, comparison)
     else:
-        doc = dataio.report_to_dict(report)
-        if comparison is not None:
-            doc["comparison"] = dataio.comparison_to_dict(comparison)
-        text = dataio.dumps(doc)
-    _write_output(args, text)
+        text = dataio.dumps(dataio.report_to_dict(report, comparison))
+    with _open_output(args) as fh:
+        fh.write(text)
     for pt in report.points:
         if pt.failures:
             codes = ", ".join(f"{code}: {count}" for code, count in pt.failure_codes.items())
@@ -201,11 +184,13 @@ def cmd_study(args) -> int:
 
 
 def load_configuration(args):
-    from .simgen import load_config_file, reference_study_config
+    from .simgen import load_config_file, reference_study_config, with_seed
 
     if args.input is None:
-        return reference_study_config()
-    return load_config_file(args.input)
+        config, options = reference_study_config()
+    else:
+        config, options = load_config_file(args.input)
+    return (config if args.seed is None else with_seed(config, args.seed)), options
 
 
 def build_parser() -> argparse.ArgumentParser:

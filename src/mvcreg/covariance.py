@@ -52,7 +52,7 @@ import numpy as np
 
 from ._arrays import freeze
 from .concentrations import ConcentrationMatrix, weight_co_moments
-from .errors import SingularD
+from .errors import DataFormatError, SingularD
 from .estimator import FitResult, conditions
 from .moments import ComponentMoments, Dataset, _row_block_products, _symmetric
 
@@ -167,6 +167,7 @@ def analytic_sigma(moments: ComponentMoments, co_moments: np.ndarray) -> Asympto
     return AsymptoticCovariance(sigma=sigma, v=v)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused below, once
 def plug_in_covariance(
     data: Dataset, p: ConcentrationMatrix, fit: FitResult
 ) -> AsymptoticCovariance:
@@ -186,7 +187,9 @@ def plug_in_covariance(
 
     A negative weighted residual variance (possible with signed weights) is
     clamped to zero and reported through ``warnings`` instead of failing the
-    whole covariance, as is a target whose V has a negative diagonal.
+    whole covariance, as is a target whose V has a negative diagonal, which
+    gives a standard error of 0.  Data whose sums here overflow the float
+    range are refused with ``DataFormatError``.
 
     Parameters
     ----------
@@ -246,8 +249,10 @@ def plug_in_covariance(
         del weights, scratch  # before the next component's
 
     sigma, v = _sandwiches(fit.normal_matrices, sigma2, b, co, quartic)
+    if not np.isfinite(v).all():
+        raise DataFormatError("the plug-in covariance of the data overflows the float range")
     variances = np.diagonal(v, axis1=1, axis2=2)
-    for m in np.flatnonzero(np.any(variances < -1e-10, axis=1)):
+    for m in np.flatnonzero(np.any(variances < 0.0, axis=1)):  # what np.maximum clamps
         notes.append(
             f"degenerate-variance: component index {m} plug-in V has negative "
             f"diagonal entries (min {variances[m].min():.6g}); standard errors clamped"

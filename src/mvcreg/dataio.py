@@ -41,7 +41,10 @@ count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
-byte-identical reports.
+byte-identical reports.  The weights document, the one with an N-sized
+value, is written block by block: its head, then the weights one chunk of
+rows at a time, each rendered by the same writer, then its tail.  This
+module composes every document and table the commands print.
 """
 
 from __future__ import annotations
@@ -61,7 +64,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .concentrations import ConcentrationMatrix
+from .concentrations import ConcentrationMatrix, GramianSummary
 from .errors import DataFormatError
 from .moments import _CHUNK_ROWS, Dataset
 
@@ -478,21 +481,26 @@ def fit_result_to_dict(fit: FitResult, cov: AsymptoticCovariance | None = None) 
     return doc
 
 
-def weights_to_dict(gramian, a: np.ndarray, p: ConcentrationMatrix) -> dict:
+def _weights_json_chunks(gramian: GramianSummary, a: np.ndarray, p: ConcentrationMatrix):
     n = a.shape[0]
     # (1/N) a' p should be the identity; report it so drift is visible
     cross = np.einsum("jm,jk->mk", a, p.values) / n
-    return {
-        "n_obs": n,
-        "det_gamma": gramian.det_gamma,
-        "gamma": gramian.gamma,
-        "weights": a,
-        "biorthogonality": cross,
-    }
+    doc = {"n_obs": n, "det_gamma": gramian.det_gamma, "gamma": gramian.gamma, "weights": []}
+    doc["biorthogonality"] = cross
+    head, tail = dumps(doc).split("[]")  # its one empty list, where the weights go
+    for start in range(0, n, _CHUNK_ROWS):  # each block's rows, less dumps' brackets around them
+        yield (", " if start else head + "[") + dumps(a[start : start + _CHUNK_ROWS])[1:-2]
+    yield "]" + tail
 
 
-def report_to_dict(report: MonteCarloReport) -> dict:
-    return {
+def write_weights_json(path, gramian: GramianSummary, a: np.ndarray, p: ConcentrationMatrix):
+    """Write the weights document of ``a`` and ``p`` to a path or an open text
+    stream, the N x M weights one block of rows at a time."""
+    _write_chunks(path, _weights_json_chunks(gramian, a, p))
+
+
+def report_to_dict(report: MonteCarloReport, comparison: ComparisonReport | None = None) -> dict:
+    doc = {
         "seed": report.seed,
         "true_b": report.true_b,
         "analytic_v": report.analytic_v,
@@ -507,6 +515,9 @@ def report_to_dict(report: MonteCarloReport) -> dict:
             for pt in report.points
         ],
     }
+    if comparison is not None:
+        doc["comparison"] = comparison_to_dict(comparison)
+    return doc
 
 
 def comparison_to_dict(cmp: ComparisonReport) -> dict:
@@ -553,11 +564,14 @@ def format_fit_table(fit: FitResult, cov: AsymptoticCovariance | None = None) ->
     return "\n".join(lines) + "\n"
 
 
-def format_report_table(report: MonteCarloReport) -> str:
+def format_report_table(
+    report: MonteCarloReport, comparison: ComparisonReport | None = None
+) -> str:
     """Aligned per-component table of scaled covariances over the grid.
 
     One block per component.  Columns are the variances in order, then the
     upper-triangle covariances; the final ``inf`` row is the analytic limit.
+    With ``comparison``, a last line gives its outcome.
     """
     n_comp, d = report.true_b.shape
     pairs = [(i, i) for i in range(d)] + [(i, k) for i in range(d) for k in range(i + 1, d)]
@@ -572,4 +586,8 @@ def format_report_table(report: MonteCarloReport) -> str:
         lines.append(f"{'inf':>8}" + _cells(f"{v:.4f}" for v in report.analytic_v[m][upper]))
         if m < n_comp - 1:
             lines.append("")
+    if comparison is not None:
+        state = "ok" if comparison.ok else "FAILED"
+        lines.append(f"comparison at n={comparison.n_obs}: {state} (worst cov rel err "
+                     f"{comparison.worst_cov_rel:.3f}, tol {comparison.rel_tol})")
     return "\n".join(lines) + "\n"

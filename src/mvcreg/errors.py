@@ -99,7 +99,8 @@ class SingularD(MvcregError):
 
 
 class DataFormatError(MvcregError):
-    """Input data file does not follow the expected layout."""
+    """Input data do not follow the expected layout, or their sums overflow
+    the float range."""
 
     code = "data-format"
     exit_code = 2

@@ -38,7 +38,7 @@ import numpy as np
 
 from ._arrays import freeze
 from .concentrations import DEFAULT_GAMMA_TOL, ConcentrationMatrix, GramianSummary, build_gramian
-from .errors import SingularNormalMatrix
+from .errors import DataFormatError, SingularNormalMatrix
 from .moments import Dataset, component_regression_moments
 
 #: default ceiling on cond(X'AX); beyond it the component is reported as
@@ -215,13 +215,18 @@ def fit_all(
     function for each.
 
     A Gramian refused by the ``gamma_tol`` gate (``SingularGramian``) aborts
-    the whole fit; a singular normal matrix only fails its own component,
-    which gets a NaN coefficient row and an entry in ``FitResult.errors``.
+    the whole fit, and so do sums of finite data that overflow the float
+    range (``DataFormatError``); a singular normal matrix only fails its own
+    component, which gets a NaN coefficient row and an entry in
+    ``FitResult.errors``.
     """
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
     basis = fit_basis(p, gamma_tol)
-    normal, rhs = normal_equations(data, basis)
+    with np.errstate(over="ignore", invalid="ignore"):
+        normal, rhs = normal_equations(data, basis)
+    if not (np.isfinite(normal).all() and np.isfinite(rhs).all()):
+        raise DataFormatError("the weighted sums of the data overflow the float range")
     coef, cond, negative, failed = (
         part[0] for part in solve_normal_equations(normal, rhs, xtx_tol)
     )

@@ -1,4 +1,5 @@
 import ctypes
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ import pytest
 import mvcreg
 import mvcreg._pool
 import mvcreg.dataio
-from mvcreg import ConcentrationMatrix, Dataset, reference_study_config, run_study
+from mvcreg import ConcentrationMatrix, Dataset, generate, reference_study_config, run_study
+from mvcreg.dataio import write_csv
+from mvcreg.simgen import simulation_config_from_dict, with_seed
 
 hypothesis.settings.register_profile(
     "ci", derandomize=True, deadline=None, max_examples=40
@@ -117,6 +120,34 @@ def dirichlet_design(seed, n_comp, d, n=300):
     noise = rng.uniform(0.1, 1.0, size=n_comp)[labels] * rng.normal(size=n)
     y = np.einsum("ji,ji->j", x, coef[labels]) + noise
     return Dataset(y=y, x=x), ConcentrationMatrix(p)
+
+
+def overflowing_inputs(folder: Path) -> dict[str, Path]:
+    """Two CSVs of finite cells, written into ``folder``, whose fit overflows
+    the float range, by the kind of sum that overflows.
+
+    ``sums``: the bundled design at N=100, with component 0's Gaussian
+    regressor at mean and sd 1e200, drawn as ``simulate --seed 1`` draws it;
+    its normal-equation sums overflow.  ``plug-in``: y near 1e300 on a
+    two-component linear ramp, N=200; its fit is finite, its plug-in
+    covariance is not.
+    """
+    bundled = Path(mvcreg.__file__).parent / "configs" / "reference_study.json"
+    raw = json.loads(bundled.read_text(encoding="utf-8"))
+    raw["n_obs"] = 100
+    raw["components"][0]["regressors"][1] = {"kind": "gaussian", "mean": 1e200, "sd": 1e200}
+    sim = generate(with_seed(simulation_config_from_dict(raw), 1))
+    write_csv(folder / "sums.csv", sim.data, sim.p)
+    rng = np.random.default_rng(0)
+    u = (np.arange(200) + 0.5) / 200
+    x = rng.normal(size=200)
+    y = 1e300 * (1.0 + 0.5 * x + 0.1 * rng.normal(size=200))
+    write_csv(
+        folder / "plug-in.csv",
+        Dataset(y=y, x=x[:, None]),
+        ConcentrationMatrix(np.column_stack([u, 1.0 - u])),
+    )
+    return {"sums": folder / "sums.csv", "plug-in": folder / "plug-in.csv"}
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from mvcreg import (
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
-from conftest import children_left, dirichlet_design
+from conftest import children_left, dirichlet_design, overflowing_inputs
 
 SMOKE_CONFIG = {
     "n_obs": 100,
@@ -824,6 +824,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert "singular-normal-matrix" in err
         assert "nonsingular" in err
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("sums", "the weighted sums of the data overflow the float range"),
+            ("plug-in", "the plug-in covariance of the data overflows the float range"),
+        ],
+    )
+    def test_overflowing_sums_exit_2(self, tmp_path, capsys, kind, message):
+        # finite cells whose sums overflow: one typed line, no numpy warning
+        # (which fails the test here), no NaN document and no singular matrix
+        path = overflowing_inputs(tmp_path)[kind]
+        assert main(["fit", "-i", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"mvcreg: data-format: {message}\n")
 
     def test_xtx_tol_is_the_only_condition_gate(self, tmp_path, capsys):
         # x2 = x1 + 1e-7 noise: cond(X'AX) near 1e14 passes --xtx-tol 1e20,

@@ -12,6 +12,7 @@ from mvcreg import (
     ComponentSpec,
     ConcentrationMatrix,
     ConstantRegressor,
+    DataFormatError,
     Dataset,
     ExplicitConcentrations,
     GaussianRegressor,
@@ -245,6 +246,37 @@ class TestPlugInCovariance:
         fit = fit_all(sim.data, sim.p)
         cov = plug_in_covariance(sim.data, sim.p, fit)
         assert any("clamped" in w for w in cov.warnings)
+
+    def test_negative_diagonal_notes_do_not_depend_on_units(self):
+        # V scales with y squared, so a fixed threshold on its diagonal
+        # noted a target at one unit of y and not at another; a target is
+        # noted exactly when a standard error of it is clamped to 0
+        data, p = dirichlet_design(2, 3, 3, n=200)
+        noted = []
+        for scale in (1e-8, 1.0, 1e4):
+            scaled = Dataset(y=data.y * scale, x=data.x)
+            cov = plug_in_covariance(scaled, p, fit_all(scaled, p))
+            targets = [
+                int(note.split()[3]) for note in cov.warnings if "plug-in V has negative" in note
+            ]
+            negative = np.diagonal(cov.v, axis1=1, axis2=2) < 0.0
+            assert targets == np.flatnonzero(negative.any(axis=1)).tolist()
+            assert np.all(cov.std_errors[negative] == 0.0)
+            noted.append(targets)
+        assert noted[0] and noted == [noted[0]] * 3
+
+    def test_overflowing_plug_in_is_refused(self):
+        # y near 1e300: the fit's sums are finite, its residuals squared are
+        # not; refused in one typed error, not with NaN standard errors
+        rng = np.random.default_rng(0)
+        u = (np.arange(200) + 0.5) / 200
+        x = rng.normal(size=200)
+        data = Dataset(y=1e300 * (1.0 + 0.5 * x + 0.1 * rng.normal(size=200)), x=x[:, None])
+        p = ConcentrationMatrix(np.column_stack([u, 1.0 - u]))
+        fit = fit_all(data, p)
+        assert fit.ok and np.isfinite(fit.coefficients).all()
+        with pytest.raises(DataFormatError, match="plug-in covariance .* overflows"):
+            plug_in_covariance(data, p, fit)
 
     def test_cross_validates_analytic_sigma(self):
         # one large draw: empirical plug-in Sigma within 5% of the limit

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,13 +32,15 @@ from mvcreg.dataio import (
     read_csv,
     render_csv,
     report_to_dict,
-    weights_to_dict,
     write_csv,
     write_weights_csv,
+    write_weights_json,
 )
 from mvcreg.concentrations import build_gramian, compute_weights
 from mvcreg.montecarlo import compare_report, run_study
 from mvcreg.simgen import with_n_obs, with_seed
+
+from conftest import random_stochastic_rows
 
 
 def small_sim(n=50, seed=8):
@@ -715,10 +718,12 @@ class TestResultDocs:
     def test_weights_document(self):
         sim = small_sim(n=100)
         gramian = build_gramian(sim.p)
-        weights = compute_weights(sim.p, gramian)
-        doc = weights_to_dict(gramian, weights, sim.p)
-        cross = np.array(doc["biorthogonality"])
-        np.testing.assert_allclose(cross, np.eye(2), atol=1e-10)
+        out = io.StringIO()
+        write_weights_json(out, gramian, compute_weights(sim.p, gramian), sim.p)
+        doc = json.loads(out.getvalue())
+        assert list(doc) == ["n_obs", "det_gamma", "gamma", "weights", "biorthogonality"]
+        assert doc["n_obs"] == 100 and np.shape(doc["weights"]) == (100, 2)
+        np.testing.assert_allclose(doc["biorthogonality"], np.eye(2), atol=1e-10)
 
     def test_report_and_comparison_documents(self):
         config, _ = reference_study_config()
@@ -727,10 +732,67 @@ class TestResultDocs:
         )
         doc = report_to_dict(report)
         assert doc["points"][0]["n_obs"] == 100
-        cmp_doc = comparison_to_dict(compare_report(report, rel_tol=10.0))
+        assert "comparison" not in doc
+        comparison = compare_report(report, rel_tol=10.0)
+        cmp_doc = comparison_to_dict(comparison)
         assert set(cmp_doc) >= {"ok", "worst_cov_rel", "cov_failures"}
+        assert report_to_dict(report, comparison) == {**doc, "comparison": cmp_doc}
         json.loads(dumps(doc))
         json.loads(dumps(cmp_doc))
+
+
+def whole_weights_document(gramian, a, p) -> dict:
+    """The weights document held whole, as it was built before it was streamed."""
+    cross = np.einsum("jm,jk->mk", a, p.values) / a.shape[0]
+    return {
+        "n_obs": a.shape[0],
+        "det_gamma": gramian.det_gamma,
+        "gamma": gramian.gamma,
+        "weights": a,
+        "biorthogonality": cross,
+    }
+
+
+class TestWeightsJson:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 16389])
+    def test_streamed_document_is_the_whole_document(self, n, workers, io_pools):
+        # one block, a block less one row, one block exactly, one row over,
+        # and two blocks and five rows; the JSON writer forks no worker, so
+        # the pools that CSV text would take change nothing
+        rng = np.random.default_rng(n)
+        p = ConcentrationMatrix(random_stochastic_rows(rng, n, 3) if n > 1 else np.ones((1, 1)))
+        gramian = build_gramian(p)
+        a = compute_weights(p, gramian)
+        io_pools.force(workers)
+        out = io.StringIO()
+        write_weights_json(out, gramian, a, p)
+        assert out.getvalue() == dumps(whole_weights_document(gramian, a, p))
+        assert io_pools.started == []
+
+    def test_holds_one_block_of_text_at_a_time(self, tmp_path, monkeypatch):
+        # the traced peak stays below the weights themselves: no list of
+        # every float or fragment, and no text of the whole document.  One
+        # block's floats, fragments and text take ~160 bytes a cell, so the
+        # blocks are made small, for the weights to outweigh one of them
+        # without tracing millions of cells
+        monkeypatch.setattr(mvcreg.dataio, "_CHUNK_ROWS", 256)
+        n = 80 * 256
+        u = np.linspace(0.0, 1.0, n)
+        p = ConcentrationMatrix(np.column_stack([u, 1.0 - u]))
+        gramian = build_gramian(p)
+        a = compute_weights(p, gramian)
+        path = tmp_path / "weights.json"
+        with open(os.devnull, "w", encoding="utf-8") as sink:
+            tracemalloc.start()
+            try:
+                write_weights_json(sink, gramian, a, p)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < a.nbytes / 2
+        write_weights_json(path, gramian, a, p)
+        assert json.loads(path.read_text(encoding="utf-8"))["n_obs"] == n
 
 
 class TestTables:

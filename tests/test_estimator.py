@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import mvcreg.estimator
 from mvcreg import (
     ConcentrationMatrix,
+    DataFormatError,
     Dataset,
     SingularGramian,
     SingularNormalMatrix,
@@ -136,6 +137,14 @@ class TestFitAll:
         p = ConcentrationMatrix(np.full((10, 2), 0.5))
         with pytest.raises(SingularGramian):
             fit_all(data, p)
+
+    def test_overflowing_sums_are_refused(self):
+        # finite regressors near 1e200 square past the float range: the fit
+        # is refused whole, not with every component singular
+        data, p, _ = single_component(50, 2, 6)
+        huge = Dataset(y=data.y, x=1e200 * data.x)
+        with pytest.raises(DataFormatError, match="overflow the float range"):
+            fit_all(huge, p)
 
     def test_per_component_failure_is_recorded(self):
         # collinear regressors break every component's normal matrix but the

@@ -19,12 +19,16 @@ design with an intercept and two Gaussian regressors (d=3), built here from a
 closed-form rule: the fit of the CSV that ``simulate --seed 2`` draws from
 it, the weights of that CSV as JSON and as CSV, and its study, whose
 analytic V takes every product of the covariance at M=3.
+
+The same commands, and a refusal of each kind, also pin the form of
+stderr: every line of it is ``mvcreg: <kind>: <message>``.
 """
 
 import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +37,8 @@ import numpy as np
 import pytest
 
 import mvcreg
-from conftest import openblas_core
+import mvcreg.errors
+from conftest import openblas_core, overflowing_inputs
 
 #: stands for the CSV that ``simulate --seed 12345`` prints
 CLAMPED_CSV = "<simulate --seed 12345>"
@@ -140,8 +145,9 @@ def _mvcreg(*args, **options):
     return _python("-m", "mvcreg.cli", *args, **options)
 
 
-@pytest.mark.parametrize("args, code, digest", GOLDEN.values(), ids=GOLDEN.keys())
-def test_stdout_digest(args, code, digest, tmp_path):
+def _with_inputs(args, tmp_path) -> list[str]:
+    """``args`` with each placeholder replaced by the file it stands for,
+    written into ``tmp_path``."""
     config = tmp_path / "three.json"
     config.write_text(json.dumps(three_component_config()), encoding="utf-8")
     inputs = {
@@ -153,8 +159,12 @@ def test_stdout_digest(args, code, digest, tmp_path):
             csv = tmp_path / "input.csv"
             csv.write_bytes(_mvcreg(*command).stdout)
             args = [str(csv) if arg == placeholder else arg for arg in args]
-    args = [str(config) if arg == THREE_CONFIG else arg for arg in args]
-    out = _mvcreg(*args)
+    return [str(config) if arg == THREE_CONFIG else arg for arg in args]
+
+
+@pytest.mark.parametrize("args, code, digest", GOLDEN.values(), ids=GOLDEN.keys())
+def test_stdout_digest(args, code, digest, tmp_path):
+    out = _mvcreg(*_with_inputs(args, tmp_path))
     assert out.returncode == code, out.stderr.decode()
     assert hashlib.sha256(out.stdout).hexdigest() == digest, (
         "recorded with numpy 2.4.6 and OpenBLAS kernel SkylakeX; this run: "
@@ -227,3 +237,61 @@ def _numbers(doc):
         return value
 
     return walk(doc), np.array(numbers)
+
+
+#: stand for a CSV whose two concentration columns are equal, one whose
+#: second regressor is twice the first, and the two CSVs of
+#: :func:`conftest.overflowing_inputs`
+EQUAL_COLUMNS_CSV = "<equal concentration columns>"
+COLLINEAR_CSV = "<collinear regressors>"
+OVERFLOWING_SUMS_CSV = "<overflowing sums>"
+OVERFLOWING_PLUG_IN_CSV = "<overflowing plug-in>"
+
+#: every golden command, and refusals of each kind
+STDERR_CASES = {
+    **{name: (args, code) for name, (args, code, _) in GOLDEN.items()},
+    "fit-singular-gramian": (["fit", "-i", EQUAL_COLUMNS_CSV], 3),
+    "fit-singular-normal-matrix": (["fit", "-i", COLLINEAR_CSV], 4),
+    "fit-overflowing-sums": (["fit", "-i", OVERFLOWING_SUMS_CSV], 2),
+    "fit-overflowing-plug-in": (["fit", "-i", OVERFLOWING_PLUG_IN_CSV], 2),
+    "study-failing-rel-tol": (["study", "-i", THREE_CONFIG, "--reps", "20", "--rel-tol", "0.01"], 5),
+}
+
+
+def _error_codes() -> set[str]:
+    """The ``code`` of :class:`~mvcreg.errors.MvcregError` and of every subclass."""
+    codes, types = set(), [mvcreg.errors.MvcregError]
+    while types:
+        error = types.pop()
+        codes.add(error.code)
+        types += error.__subclasses__()
+    return codes
+
+
+@pytest.mark.parametrize("args, code", STDERR_CASES.values(), ids=STDERR_CASES.keys())
+def test_every_stderr_line_is_an_mvcreg_line(args, code, tmp_path):
+    # stderr is for machines too: under Python's default warning filters,
+    # every line is "mvcreg: <kind>: <message>", and nothing else gets there
+    # (a numpy RuntimeWarning, a traceback)
+    rng = np.random.default_rng(2)
+    rows = rng.normal(size=(20, 2)).tolist()
+    refusals = {
+        EQUAL_COLUMNS_CSV: "y,x1,p1,p2\n" + "".join(f"{y!r},{x!r},0.5,0.5\n" for y, x in rows),
+        COLLINEAR_CSV: "y,x1,x2,p1\n" + "".join(f"{y!r},{x!r},{2 * x!r},1.0\n" for y, x in rows),
+    }
+    files = {placeholder: tmp_path / f"refused{i}.csv" for i, placeholder in enumerate(refusals)}
+    for placeholder, text in refusals.items():
+        files[placeholder].write_text(text, encoding="utf-8")
+    overflowing = overflowing_inputs(tmp_path)
+    files[OVERFLOWING_SUMS_CSV] = overflowing["sums"]
+    files[OVERFLOWING_PLUG_IN_CSV] = overflowing["plug-in"]
+    args = _with_inputs([str(files.get(arg, arg)) for arg in args], tmp_path)
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONDEVMODE")}
+    env["PYTHONPATH"] = str(Path(mvcreg.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-m", "mvcreg.cli", *args], env=env, capture_output=True)
+    kinds = {"warning", "note", "comparison-failure"} | _error_codes()
+    line = re.compile(f"mvcreg: ({'|'.join(map(re.escape, sorted(kinds)))}): ")
+    lines = out.stderr.decode().splitlines()
+    assert out.returncode == code, lines
+    assert [text for text in lines if not line.match(text)] == []
+    assert lines or code == 0

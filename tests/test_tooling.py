@@ -11,7 +11,9 @@ with the grammar of the oldest Python that ``pyproject.toml`` declares, as
 the suite itself runs on one version only, a fifth bounds the length of
 every line, and a sixth finds the function, class or module that each
 ``:func:``, ``:class:`` or ``:mod:`` cross-reference names, as a deleted
-function leaves stale references behind.
+function leaves stale references behind.  A seventh finds a ``print`` call
+or a ``sys.stdout`` or ``sys.stderr`` outside ``cli``: the other modules
+compose, and only the command line writes to the process's streams.
 """
 
 import ast
@@ -32,6 +34,9 @@ UNCALLED_PUBLIC = {
     "dataio.render_csv",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
     "moments.weighted_fourth_moment",  # in perfbench/run.py LAYER_FUNCTIONS until ROADMAP item 1
 }
+
+#: the one module that writes to the process's streams
+STREAM_WRITER = "cli.py"
 
 #: the most characters a source line may hold
 MAX_LINE = 99
@@ -146,6 +151,27 @@ def _unresolved_references(paths: list[Path]) -> list[str]:
     return unresolved
 
 
+def _stream_writes(path: Path) -> list[str]:
+    """Each ``print`` call, and each ``stdout`` or ``stderr`` of ``sys`` that
+    the module at ``path`` names, as an attribute or an import."""
+    found = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [node.func.id] if node.func.id == "print" else []
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = [f"sys.{node.attr}"] if node.value.id == "sys" else []
+        elif isinstance(node, ast.ImportFrom) and node.module == "sys":
+            names = [f"sys.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [
+            f"{path.name}:{node.lineno}: {name}"
+            for name in names
+            if name in ("print", "sys.stdout", "sys.stderr")
+        ]
+    return found
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     names = []
     for node in tree.body:
@@ -186,6 +212,12 @@ def test_every_private_name_is_referenced():
         if private not in referenced
     ]
     assert unreferenced == []
+
+
+def test_only_the_cli_writes_to_the_streams():
+    assert STREAM_WRITER in {path.name for path in SOURCES}
+    writes = [line for path in SOURCES if path.name != STREAM_WRITER for line in _stream_writes(path)]
+    assert writes == []
 
 
 def test_every_public_function_is_referenced():
@@ -271,4 +303,20 @@ def test_checks_find_what_they_look_for(tmp_path):
         "sample.py:2: :class:`Thing`",
         "other.py:1: :mod:`mvcreg.gone`",
         "other.py:1: :func:`helper`",
+    ]
+    # a print, the streams by attribute and by import; not sys.argv, a
+    # method named print, or a stream someone passes in
+    source.write_text(
+        "import sys\n"
+        "from sys import argv, stderr\n"
+        "def report(fh, log):\n"
+        "    print('done')\n"
+        "    sys.stdout.write(sys.argv[0])\n"
+        "    log.print(stderr)\n"
+        "    fh.write('ok')\n"
+    )
+    assert _stream_writes(source) == [
+        "sample.py:2: sys.stderr",
+        "sample.py:4: print",
+        "sample.py:5: sys.stdout",
     ]
