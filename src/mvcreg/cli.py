@@ -11,7 +11,8 @@ The commands compose no document: :mod:`mvcreg.dataio` renders every
 output, and a command picks its format and writes it.  This is the one
 module that writes to the process's streams.
 
-Diagnostics go to stderr as one line ``mvcreg: <code>: <message>``.  Exit
+Diagnostics go to stderr as one line ``mvcreg: <code>: <message>``, and so
+does a command line that the parser refuses, as a ``config-error``.  Exit
 codes: 0 success, 1 a worker process lost, 2 bad input or config, 3
 singular concentration Gramian, 4 estimation failure, 5 study comparison
 outside tolerance; each error type carries its own as ``exit_code``.
@@ -140,13 +141,14 @@ def cmd_weights(args) -> int:
 
 def cmd_simulate(args) -> int:
     from . import dataio
-    from .simgen import generate
+    from .simgen import draw_blocks, plan_draws
 
-    sim = generate(load_configuration(args)[0])
-    data, p = sim.data, sim.p
-    del sim  # the CSV holds no labels: they go before the render
+    config = load_configuration(args)[0]
+    rows = draw_blocks(plan_draws(config), config.seed)  # drawn block by block as rendered
     with _open_output(args) as fh:
-        dataio.write_csv(fh, data, p)  # chunk by chunk, never the whole text
+        dataio.write_csv_blocks(
+            fh, config.n_regressors, config.n_components, config.n_obs, rows
+        )
     return 0
 
 
@@ -193,8 +195,17 @@ def load_configuration(args):
     return (config if args.seed is None else with_seed(config, args.seed)), options
 
 
+class _Parser(argparse.ArgumentParser):
+    """The command line's parser: a command line it refuses is one
+    ``config-error`` line on stderr and exit 2, with no usage lines."""
+
+    def error(self, message):
+        print(f"mvcreg: {ConfigError.code}: {message}", file=sys.stderr)
+        sys.exit(ConfigError.exit_code)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mvcreg",
         description=(
             "Per-component linear regression for mixtures with known, "

@@ -31,7 +31,7 @@ import numpy as np
 
 from ._arrays import freeze
 from .errors import SingularGramian
-from .moments import _row_block_products
+from .moments import _CHUNK_ROWS, _finite, _row_block_products
 
 #: default ceiling on cond(Gamma); beyond it the concentration columns are
 #: treated as linearly dependent and the components as not identifiable
@@ -68,15 +68,20 @@ class ConcentrationMatrix:
             raise ValueError("need at least one component")
         if n < m:
             raise ValueError(f"need at least as many observations as components (N={n} < M={m})")
-        if not np.all(np.isfinite(values)):
+        if not _finite(values):
             raise ValueError("concentration matrix contains non-finite entries")
         if values.min() < 0.0 or values.max() > 1.0:
             raise ValueError("concentration entries must lie in [0, 1]")
-        row_err = values.sum(axis=1)  # the one N-sized temporary, worked in place
-        row_err -= 1.0
-        np.abs(row_err, out=row_err)
-        worst = int(np.argmax(row_err))
-        if row_err[worst] > row_sum_tol:
+        # the first of the rows whose sum is furthest from 1, a block at a time
+        worst, worst_err = 0, -1.0
+        for start in range(0, n, _CHUNK_ROWS):
+            row_err = values[start : start + _CHUNK_ROWS].sum(axis=1)
+            row_err -= 1.0
+            np.abs(row_err, out=row_err)
+            k = int(np.argmax(row_err))
+            if row_err[k] > worst_err:
+                worst, worst_err = start + k, row_err[k]
+        if worst_err > row_sum_tol:
             raise ValueError(
                 f"row {worst} sums to {values[worst].sum():.12g}, "
                 f"off 1 by more than {row_sum_tol:g}"
@@ -191,6 +196,6 @@ def weight_co_moments(a_col: np.ndarray, p: ConcentrationMatrix) -> np.ndarray:
     a_col = np.asarray(a_col, dtype=float)
     if a_col.shape != (p.n_obs,):
         raise ValueError("weight vector length must match the number of observations")
-    (out,) = _row_block_products(p.values, np.square(a_col), p.values)
+    (out,) = _row_block_products(p.values, np.square(a_col).__getitem__, p.values)
     out /= p.n_obs
     return (out + out.T) / 2.0

@@ -34,14 +34,14 @@ comes from the config; the plug-in's D are the normal matrices the fit
 already gated with its own ``xtx_tol``.  Both gates take the condition
 number from :func:`~mvcreg.estimator.conditions`.
 
-The plug-in mode forms each component's weight column ``a[:, s] = p G[:, s]``
-once, from the fit's inverse Gramian ``G``, and takes M + 1 weighted sums
-over the rows from it: its weight co-moments as a target, its error
-variance, and, for each of the M - 1 other targets ``m``, the contraction
-``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with ``delta = b_s - b_m``;
-M (M + 1) row sums in all.  The column is freed before the next
-component's, so the N x M weight matrix is never held: at most two
-N-vectors exist at a time.
+The plug-in mode takes, for each component ``s``, M + 1 weighted sums over
+the rows in one pass over its row blocks: its weight co-moments as a
+target, its error variance, and, for each of the M - 1 other targets ``m``,
+the contraction ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
+``delta = b_s - b_m``; M (M + 1) row sums in all.  A block forms its rows of
+the weight column ``a[:, s] = p G[:, s]``, from the fit's inverse Gramian
+``G``, and of the residuals and row weights, so no N-vector is made: a
+block's few ``_CHUNK_ROWS``-vectors are all there is beside the data.
 """
 
 from __future__ import annotations
@@ -51,10 +51,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import freeze
-from .concentrations import ConcentrationMatrix, weight_co_moments
+from .concentrations import ConcentrationMatrix
 from .errors import DataFormatError, SingularD
 from .estimator import FitResult, conditions
-from .moments import ComponentMoments, Dataset, _row_block_products, _symmetric
+from .moments import (
+    ComponentMoments,
+    Dataset,
+    _block_sums,
+    _rows_times,
+    _symmetric,
+    _weighted_products,
+)
 
 # Unused here since neither mode forms L4; kept so code that reaches the
 # tensor route through this module (the benchmark's tracer self-test does)
@@ -179,9 +186,10 @@ def plug_in_covariance(
     component's fitted coefficients, and the co-moment limits are replaced by
     their finite-sample averages.  Each component's D2 is the normal matrix
     its fit already solved, behind the fit's own condition gate.  The rest
-    forms each component's weight column ``a[:, s]`` once and takes M + 1
-    weighted row sums from it: the weight co-moments, the error variance
-    and, for each other target ``m``, the fourth-moment term, which enters
+    is M + 1 weighted row sums of each component ``s``, taken in one pass
+    over the row blocks, each of which forms its rows of the weight column
+    ``a[:, s]``: the weight co-moments, the error variance and, for each
+    other target ``m``, the fourth-moment term, which enters
     only contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
     ``delta = b_s - b_m``.
 
@@ -213,8 +221,7 @@ def plug_in_covariance(
         )
     if data.n_obs != p.n_obs:
         raise ValueError("dataset and concentration matrix disagree on N")
-    n = data.n_obs
-    x = data.x
+    n, x, y, values = data.n_obs, data.x, data.y, p.values
     b = fit.coefficients
     n_comp = p.n_components
     # quartic[m, s] = delta' L4_s delta with delta = b_s - b_m, zero where
@@ -224,29 +231,37 @@ def plug_in_covariance(
     sigma2 = np.empty(n_comp)
     notes: list[str] = []
     for s in range(n_comp):
-        weights = p.values @ fit.gramian.inverse[:, s]  # a_s
-        co[s] = weight_co_moments(weights, p)
-        # the one N-sized array beside a_s: the squared residuals of the
-        # weighted mean squared residual, then for each target the row
-        # weights a_s (x' delta)^2 of delta' L4_s delta, summed over row blocks
-        scratch = x @ b[s]
-        np.subtract(data.y, scratch, out=scratch)
-        np.square(scratch, out=scratch)
-        sigma2[s] = np.einsum("j,j->", weights, scratch) / n
+        others = [m for m in range(n_comp) if m != s]
+
+        def block(rows):  # summed before the next component's
+            weights = _rows_times(values, fit.gramian.inverse[:, s], rows)  # a_s
+            p_rows, x_rows = values[rows], x[rows]
+            # the squared residuals, then for each other target the row
+            # weights a_s (x' delta)^2 of delta' L4_s delta
+            scratch = _rows_times(x, b[s], rows)
+            np.subtract(y[rows], scratch, out=scratch)
+            np.square(scratch, out=scratch)
+            sums = [np.einsum("j,j->", weights, scratch)]
+            sums += _weighted_products(p_rows, np.square(weights), p_rows)
+            for m in others:
+                scratch = _rows_times(x, b[s] - b[m], rows)
+                np.square(scratch, out=scratch)
+                scratch *= weights
+                sums += _weighted_products(x_rows, scratch, x_rows)
+            return sums
+
+        residual_sum, co_sum, *quartic_sums = _block_sums(n, block)
+        co_sum /= n
+        co[s] = (co_sum + co_sum.T) / 2.0
+        sigma2[s] = residual_sum / n
         if sigma2[s] < 0.0:
             notes.append(
                 f"degenerate-variance: component index {s} plug-in error variance "
                 f"{sigma2[s]:.6g} clamped to 0"
             )
             sigma2[s] = 0.0
-        for m in range(n_comp):
-            if m != s:
-                np.matmul(x, b[s] - b[m], out=scratch)
-                np.square(scratch, out=scratch)
-                scratch *= weights
-                (quartic[m, s],) = _row_block_products(x, scratch, x)
-                quartic[m, s] /= n
-        del weights, scratch  # before the next component's
+        for m, total in zip(others, quartic_sums):
+            quartic[m, s] = total / n
 
     sigma, v = _sandwiches(fit.normal_matrices, sigma2, b, co, quartic)
     if not np.isfinite(v).all():

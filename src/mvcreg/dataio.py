@@ -5,9 +5,13 @@ The CSV layout is one observation per row with header
 the concentration columns.  Floats are written with ``repr`` so a write/read
 round trip reproduces the array bytes exactly.
 
-The writer renders fixed chunks of rows: it stacks one chunk of the
-columns, maps ``repr`` over its cells and joins them row by row, so it holds
-one chunk's table and text at a time when it writes to a file.  One reader
+The writer renders fixed chunks of rows: it takes one chunk's columns from a
+function of the chunk's first row, stacks them, maps ``repr`` over its cells
+and joins them row by row, so it holds one chunk's table and text at a time
+when it writes to a file.  The function slices arrays held in memory, or,
+for ``simulate``, draws the chunk (:func:`~mvcreg.simgen.draw_blocks`), so
+that the rows are drawn where they are rendered and the dataset is never
+held whole.  One reader
 serves a file and text alike: it is given an opener of the input's bytes,
 which reopens the file, refusing it if it changed, or wraps the text's
 UTF-8 bytes.  It skips one leading byte-order mark, checks the header,
@@ -33,17 +37,18 @@ line it ends on.
 Both directions map one function over the chunks: from ``_POOL_MIN_CELLS``
 cells on with ``_pool``'s ordered map, whose forked workers each send every
 W-th chunk through a pipe, below that with the builtin ``map``.  Render
-workers inherit the columns and send each chunk's text, which the parent
-writes in row order; parse workers inherit the opener and send each
-chunk's rows, or its error, which the parent stores or raises in chunk
-order.  So the bytes, arrays and messages are the same whatever the worker
-count.
+workers inherit the function that gives the columns and send each chunk's
+text, which the parent writes in row order; parse workers inherit the
+opener and send each chunk's rows, or its error, which the parent stores or
+raises in chunk order.  So the bytes, arrays and messages are the same
+whatever the worker count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
 keys, floats at 17 significant digits) so that byte-identical inputs yield
 byte-identical reports.  The weights document, the one with an N-sized
 value, is written block by block: its head, then the weights one chunk of
-rows at a time, each rendered by the same writer, then its tail.  This
+rows at a time, each rendered by the same writer and mapped over the chunks
+as CSV text is, then its tail.  This
 module composes every document and table the commands print.
 """
 
@@ -102,30 +107,35 @@ def _chunk_map(cells: int, fn, chunks, *iterables):
     return _pool.ordered_map(_pool.worker_count(len(chunks)), fn, chunks, *iterables)
 
 
-def _render_rows(columns: list[np.ndarray], start: int) -> str:
-    """CSV text of the ``_CHUNK_ROWS`` rows of ``columns`` from row ``start``.
+def _render_rows(rows, start: int) -> str:
+    """CSV text of the block of rows from row ``start`` whose columns
+    ``rows(start)`` gives.
 
-    ``columns`` are stacked side by side.  Every cell is ``repr`` of a Python
-    float, exactly what ``csv.writer`` writes for ``repr(float(v))``: a
-    float's repr never needs quoting.
+    The columns are stacked side by side.  Every cell is ``repr`` of a
+    Python float, exactly what ``csv.writer`` writes for ``repr(float(v))``:
+    a float's repr never needs quoting.
     """
-    rows = slice(start, start + _CHUNK_ROWS)
-    block = np.column_stack([column[rows] for column in columns])
+    block = np.column_stack(rows(start))
     cells = map(repr, block.ravel().tolist())
     return "\n".join(map(",".join, zip(*[cells] * block.shape[1]))) + "\n"
 
 
-def _csv_chunks(header: list[str], columns: list[np.ndarray]):
-    """Yield CSV text for ``header`` and the rows of ``columns``, chunk by chunk.
+def _column_rows(columns: list[np.ndarray], start: int) -> list[np.ndarray]:
+    """The ``_CHUNK_ROWS`` rows of each of ``columns`` from row ``start``."""
+    return [column[start : start + _CHUNK_ROWS] for column in columns]
+
+
+def _csv_chunks(header: list[str], n: int, rows):
+    """Yield CSV text for ``header`` and ``n`` rows, chunk by chunk, the
+    columns of the block from row ``start`` being ``rows(start)``.
 
     From ``_POOL_MIN_CELLS`` cells on, the chunks are rendered by forked
-    workers, which inherit ``columns`` copy-on-write, and yielded in row
+    workers, which inherit ``rows`` and what it reads, and yielded in row
     order, so the text is the same whatever the worker count.
     """
     yield ",".join(header) + "\n"
-    starts = range(0, columns[0].shape[0], _CHUNK_ROWS)
-    cells = columns[0].shape[0] * len(header)
-    with _chunk_map(cells, partial(_render_rows, columns), starts) as chunks:
+    starts = range(0, n, _CHUNK_ROWS)
+    with _chunk_map(n * len(header), partial(_render_rows, rows), starts) as chunks:
         yield from chunks
 
 
@@ -158,14 +168,27 @@ def write_csv(path, data: Dataset, p: ConcentrationMatrix) -> None:
             f"dataset has {data.n_obs} rows but concentration matrix has "
             f"{p.values.shape[0]}"
         )
-    header = _header(data.n_regressors, p.values.shape[1])
-    _write_chunks(path, _csv_chunks(header, [data.y, data.x, p.values]))
+    rows = partial(_column_rows, [data.y, data.x, p.values])
+    write_csv_blocks(path, data.n_regressors, p.n_components, data.n_obs, rows)
+
+
+def write_csv_blocks(path, n_regressors: int, n_components: int, n_obs: int, rows) -> None:
+    """Write ``n_obs`` rows as CSV to a path or an open text stream, chunk by
+    chunk: ``rows(start)`` gives the y, x and p of the block of
+    ``_CHUNK_ROWS`` rows from row ``start``, each time it is called.
+
+    So a dataset that is drawn a block at a time, as ``simulate``'s is, is
+    drawn in the render workers, and only a block of it is ever held.
+    """
+    header = _header(n_regressors, n_components)
+    _write_chunks(path, _csv_chunks(header, n_obs, rows))
 
 
 def write_weights_csv(path, a: np.ndarray) -> None:
     """Write the N x M weight matrix as CSV, header ``a1,...,aM`` and one
     row per observation, to a path or an open text stream, chunk by chunk."""
-    _write_chunks(path, _csv_chunks([f"a{m + 1}" for m in range(a.shape[1])], [a]))
+    header = [f"a{m + 1}" for m in range(a.shape[1])]
+    _write_chunks(path, _csv_chunks(header, a.shape[0], partial(_column_rows, [a])))
 
 
 def parse_csv_text(text: str, source: str = "<string>") -> tuple[Dataset, ConcentrationMatrix]:
@@ -488,14 +511,25 @@ def _weights_json_chunks(gramian: GramianSummary, a: np.ndarray, p: Concentratio
     doc = {"n_obs": n, "det_gamma": gramian.det_gamma, "gamma": gramian.gamma, "weights": []}
     doc["biorthogonality"] = cross
     head, tail = dumps(doc).split("[]")  # its one empty list, where the weights go
-    for start in range(0, n, _CHUNK_ROWS):  # each block's rows, less dumps' brackets around them
-        yield (", " if start else head + "[") + dumps(a[start : start + _CHUNK_ROWS])[1:-2]
+    yield head + "["
+    starts = range(0, n, _CHUNK_ROWS)
+    with _chunk_map(a.size, partial(_json_rows, a), starts) as blocks:
+        yield from blocks
     yield "]" + tail
+
+
+def _json_rows(a: np.ndarray, start: int) -> str:
+    """The block of rows of ``a`` from row ``start`` as ``dumps`` writes them
+    in a list, less the list's brackets, with the comma that parts it from
+    the rows before."""
+    return (", " if start else "") + dumps(a[start : start + _CHUNK_ROWS])[1:-2]
 
 
 def write_weights_json(path, gramian: GramianSummary, a: np.ndarray, p: ConcentrationMatrix):
     """Write the weights document of ``a`` and ``p`` to a path or an open text
-    stream, the N x M weights one block of rows at a time."""
+    stream, the N x M weights one block of rows at a time, rendered as the
+    CSV writer renders its chunks (by forked workers from
+    ``_POOL_MIN_CELLS`` cells on)."""
     _write_chunks(path, _weights_json_chunks(gramian, a, p))
 
 

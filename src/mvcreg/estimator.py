@@ -33,13 +33,14 @@ than assumed away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from ._arrays import freeze
 from .concentrations import DEFAULT_GAMMA_TOL, ConcentrationMatrix, GramianSummary, build_gramian
 from .errors import DataFormatError, SingularNormalMatrix
-from .moments import Dataset, component_regression_moments
+from .moments import _CHUNK_ROWS, Dataset, _rows_times, component_regression_moments
 
 #: default ceiling on cond(X'AX); beyond it the component is reported as
 #: rank-deficient instead of silently returning noise
@@ -84,26 +85,50 @@ class FitResult:
 class FitBasis:
     """What the fit needs of the concentrations, built once per ``p``.
 
-    ``columns`` is the N x M matrix, stored column by column (M x N), of the
-    centred concentration columns ``p_k - c_k r`` (every column of ``p`` but
-    the last; ``c`` the column means) and, last, the row sums ``r = p 1``.
-    They span the weights: ``a_m = sum_q combination[q, m] columns[q]``.
-    Centred weights average to zero, so their sums round like sums against
-    the signed weights ``a``; sums against ``p_k`` itself round at the size of
-    the whole mean, which ``G`` magnifies (threefold in the median over 60
-    random designs).  ``gramian`` is that of ``p``, with its inverse ``G``.
+    The basis columns are the centred concentration columns ``p_k - c_k r``
+    (every column of ``p`` but the last; ``c`` the column means, ``centre``)
+    and, last, the row sums ``r = p 1``.  They span the weights:
+    ``a_m = sum_q combination[q, m] column_q``.  Centred weights average to
+    zero, so their sums round like sums against the signed weights ``a``;
+    sums against ``p_k`` itself round at the size of the whole mean, which
+    ``G`` magnifies (threefold in the median over 60 random designs).
+    ``gramian`` is that of ``p``, with its inverse ``G``.
+
+    :meth:`column` forms a block of a column from its rows of ``p`` when the
+    block is summed, so the N x M basis is never held.  ``columns`` (M rows)
+    keeps the first block of every column, which is all of it when N is at
+    most ``_CHUNK_ROWS``: a study sums its samples against it without
+    forming it again for each.
     """
 
     gramian: GramianSummary
+    p: ConcentrationMatrix
+    centre: np.ndarray
     columns: np.ndarray
     combination: np.ndarray
 
     def __post_init__(self):
-        freeze(self, "columns", "combination")
+        freeze(self, "centre", "columns", "combination")
 
     @property
     def n_obs(self) -> int:
-        return self.columns.shape[1]
+        return self.p.n_obs
+
+    def column(self, q: int, rows: slice) -> np.ndarray:
+        """The block ``rows`` of basis column ``q``: ``_CHUNK_ROWS`` rows from
+        a multiple of it, or the rest."""
+        if rows.start == 0:
+            return self.columns[q]
+        return _basis_column(self.p.values, self.centre, q, rows)
+
+
+def _basis_column(values: np.ndarray, centre: np.ndarray, q: int, rows: slice) -> np.ndarray:
+    """The block ``rows`` of basis column ``q`` of the concentrations ``values``."""
+    column = _rows_times(values, np.ones(values.shape[1]), rows)  # r = p 1
+    if q < len(centre) - 1:
+        np.multiply(centre[q], column, out=column)
+        np.subtract(values[rows, q], column, out=column)
+    return column
 
 
 def fit_basis(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> FitBasis:
@@ -115,22 +140,19 @@ def fit_basis(p: ConcentrationMatrix, gamma_tol: float = DEFAULT_GAMMA_TOL) -> F
         If ``cond(Gamma) > gamma_tol``.
     """
     gramian = build_gramian(p, gamma_tol)
-    n_comp = p.n_components
     # a_m = p G[:, m] = sum_k (G[k, m] - G[-1, m]) (p_k - c_k r) + (c'G)_m r,
     # with the last entry of c set to 1 minus the others
-    c = gramian.gamma.sum(axis=1)  # the column means, since rows of p sum to 1
-    c[-1] = 1.0 - c[:-1].sum()
-    columns = np.empty((n_comp, p.n_obs))
-    np.matmul(p.values, np.ones(n_comp), out=columns[-1])
-    for q in range(n_comp - 1):
-        np.multiply(c[q], columns[-1], out=columns[q])
-        np.subtract(p.values[:, q], columns[q], out=columns[q])
+    centre = gramian.gamma.sum(axis=1)  # the column means, since rows of p sum to 1
+    centre[-1] = 1.0 - centre[:-1].sum()
+    head = slice(0, _CHUNK_ROWS)
+    columns = np.array([_basis_column(p.values, centre, q, head) for q in range(p.n_components)])
     combination = gramian.inverse - gramian.inverse[-1]
-    combination[-1] = c @ gramian.inverse
-    # handed over to FitBasis: a copy would add the N x M basis to fit's peak
-    columns.flags.writeable = False
-    combination.flags.writeable = False
-    return FitBasis(gramian=gramian, columns=columns, combination=combination)
+    combination[-1] = centre @ gramian.inverse
+    for arr in (centre, columns, combination):
+        arr.flags.writeable = False  # handed over to FitBasis
+    return FitBasis(
+        gramian=gramian, p=p, centre=centre, columns=columns, combination=combination
+    )
 
 
 def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -141,19 +163,21 @@ def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.nda
     S x M x d x d normal matrices ``X'AX / N`` and the S x M x d right-hand
     sides ``X'Ay / N``.  Each column of the basis is one
     :func:`~mvcreg.moments.component_regression_moments` call over the whole
-    stack, and a sample's equations have the same bytes alone as stacked
-    with others.
+    stack, which forms the column a block at a time, and a sample's
+    equations have the same bytes alone as stacked with others.
     """
     samples = data.n_obs // basis.n_obs
 
     def term(q):
-        xtx, xty = component_regression_moments(data, basis.columns[q], samples=samples)
+        xtx, xty = component_regression_moments(
+            data, partial(basis.column, q), samples=samples
+        )
         weight = basis.combination[q]
         return weight[:, None, None] * xtx[:, None], weight[:, None] * xty[:, None]
 
     # summed in basis order; symmetric because every summed matrix is
     normal, rhs = term(0)
-    for q in range(1, len(basis.columns)):
+    for q in range(1, len(basis.combination)):
         xtx, xty = term(q)
         normal += xtx
         rhs += xty

@@ -5,16 +5,19 @@ Given the signed minimax weights for component ``m``, the weighted average
 ``E[g | component m]``.  This module keeps to those integrals: the weighted
 empirical measure itself is never materialized.
 
-Every weighted sum over the rows (the normal equations here, the weight
-co-moments and the plug-in quartic elsewhere) is taken by
-:func:`_row_block_products`: one matrix product per block of ``_CHUNK_ROWS``
-rows, the blocks added in row order, so the blocks and their order depend on
-N alone.  Within a block the order is the BLAS library's; the tests check
-that results are byte-identical under one and two BLAS threads.  A study
-stacks several samples of N rows along a leading axis and sums them with the
-same products, one per sample, so a sample's sums do not depend on the
-samples stacked with it.  The fourth-moment tensor is formed only as a test
-reference, by a non-optimized einsum in a fixed sequential order.
+Every sum over the rows (the normal equations here, the weight
+co-moments, error variances and plug-in quartic elsewhere) is taken by
+:func:`_block_sums`: the sum of each block of ``_CHUNK_ROWS`` rows, the
+blocks added in row order, so the blocks and their order depend on N alone.
+A weighted sum is one matrix product per block (:func:`_row_block_products`),
+and the weights of a block are formed from its rows when it is summed, so
+nothing N-sized is made beside the data.  Within a block the order is the
+BLAS library's; the tests check that results are byte-identical under one
+and two BLAS threads.  A study stacks several samples of N rows along a
+leading axis and sums them with the same products, one per sample, so a
+sample's sums do not depend on the samples stacked with it.  The
+fourth-moment tensor is formed only as a test reference, by a non-optimized
+einsum in a fixed sequential order.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class Dataset:
             raise ValueError("need at least one regressor")
         if n <= d:
             raise ValueError(f"need more observations than regressors (N={n}, d={d})")
-        if not (np.all(np.isfinite(y)) and np.all(np.isfinite(x))):
+        if not (_finite(y) and _finite(x)):
             raise ValueError("dataset contains non-finite entries")
 
     @property
@@ -122,38 +125,78 @@ def _symmetric(stack: np.ndarray) -> bool:
     return bool(np.all(np.abs(gap) <= 1e-10 * scale))
 
 
+def _finite(values: np.ndarray) -> bool:
+    """Whether every entry of the non-empty ``values`` is finite.
+
+    The least and the greatest entry are finite exactly then: a NaN makes
+    both NaN and an infinity one of them infinite.  Two reductions make no
+    N-sized mask, as ``np.isfinite`` would.
+    """
+    return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def _block_sums(n: int, block) -> list:
+    """The sums over the blocks of ``_CHUNK_ROWS`` of ``n`` rows of what
+    ``block(rows)`` returns for each block's slice ``rows``, a list of
+    arrays or numbers, added in row order."""
+    sums = block(slice(0, _CHUNK_ROWS))
+    for start in range(_CHUNK_ROWS, n, _CHUNK_ROWS):
+        parts = block(slice(start, start + _CHUNK_ROWS))
+        sums = [total + part for total, part in zip(sums, parts)]
+    return sums
+
+
+def _weighted_products(left, weights, *rights) -> list[np.ndarray]:
+    """``sum_j weights[j] left_j right_j'`` over the rows of one block, for
+    each of ``rights``, as one matrix product each."""
+    # laid out k x rows, so the multiply runs along the rows
+    weighted = np.multiply(np.swapaxes(left, -1, -2), weights, order="C")
+    return [weighted @ right for right in rights]
+
+
 def _row_block_products(left, weights, *rights) -> list[np.ndarray]:
     """``sum_j weights[j] left_j right_j'`` over the rows, for each of ``rights``.
 
     ``left`` and every ``right`` hold the rows on their second-to-last axis:
-    N x k, or S x N x k for S stacked samples.  ``weights`` has one entry per
-    row, shared by the samples.  Each block of ``_CHUNK_ROWS`` rows is one
-    matrix product per right operand (per sample when stacked), and the
-    blocks are added in row order.
+    N x k, or S x N x k for S stacked samples.  ``weights(rows)`` gives the
+    weights of a slice of rows, one per row, shared by the samples.  Each
+    block of ``_CHUNK_ROWS`` rows is one matrix product per right operand
+    (per sample when stacked), and the blocks are added in row order.
     """
+    return _block_sums(
+        left.shape[-2],
+        lambda rows: _weighted_products(
+            left[..., rows, :], weights(rows), *(right[..., rows, :] for right in rights)
+        ),
+    )
 
-    def block(start):
-        rows = slice(start, start + _CHUNK_ROWS)
-        # laid out k x rows, so the multiply runs along the rows
-        weighted = np.multiply(np.swapaxes(left[..., rows, :], -1, -2), weights[rows], order="C")
-        return [weighted @ right[..., rows, :] for right in rights]
 
-    sums = block(0)
-    for start in range(_CHUNK_ROWS, weights.shape[0], _CHUNK_ROWS):
-        for total, product in zip(sums, block(start)):
-            total += product
-    return sums
+def _rows_times(matrix: np.ndarray, vector: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows ``rows``, one block, of ``matrix @ vector``, with the bytes of
+    the product of all of ``matrix``'s rows under one BLAS thread.
+
+    BLAS forms each row of a matrix-vector product the same way in a block
+    that begins at a multiple of ``_CHUNK_ROWS`` as in the whole product,
+    but numpy takes the product of one row as a dot product, whose sum can
+    differ; so a last block of one row is the last row of the product of
+    its block and the one before.
+    """
+    if rows.start and matrix.shape[0] - rows.start == 1:
+        return (matrix[rows.start - _CHUNK_ROWS :] @ vector)[-1:]
+    return matrix[rows] @ vector
 
 
 def component_regression_moments(
-    data: Dataset, a_col: np.ndarray, samples: int | None = None
+    data: Dataset, a_col, samples: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted normal-equation blocks for one weight column.
 
-    With ``samples`` given, ``data`` holds that many samples of
-    ``len(a_col)`` rows each, one after another, every one weighted by
-    ``a_col``, and both results gain a leading sample axis.  One sample gives
-    the same bytes whether it comes alone or stacked with others.
+    ``a_col`` is the column of N weights, or a function that gives the
+    weights of a block of rows from its slice, called as each block is
+    summed.  With ``samples`` given, ``data`` holds that many samples of N
+    rows each, one after another, every one weighted by ``a_col``, and both
+    results gain a leading sample axis.  One sample gives the same bytes
+    whether it comes alone or stacked with others.
 
     Returns
     -------
@@ -162,13 +205,16 @@ def component_regression_moments(
     xty : ndarray
         ``(1/N) sum_j a_j y_j x_j``, length d.
     """
-    a_col = np.asarray(a_col, dtype=float)
     count = 1 if samples is None else samples
-    if a_col.ndim != 1 or count < 1 or a_col.shape[0] * count != data.n_obs:
+    if callable(a_col):
+        weights, n = a_col, data.n_obs // max(count, 1)
+    else:
+        a_col = np.asarray(a_col, dtype=float)
+        weights, n = a_col.__getitem__, (a_col.shape[0] if a_col.ndim == 1 else -1)
+    if count < 1 or n * count != data.n_obs:
         raise ValueError("weight vector length must match the number of observations")
-    n = a_col.shape[0]
     x = data.x.reshape(count, n, data.n_regressors)
-    xtx, xty = _row_block_products(x, a_col, x, data.y.reshape(count, n, 1))
+    xtx, xty = _row_block_products(x, weights, x, data.y.reshape(count, n, 1))
     xtx /= n
     xtx = (xtx + np.swapaxes(xtx, -1, -2)) / 2.0
     xty = xty[..., 0] / n

@@ -14,7 +14,9 @@ that hash of (base seed, N, replication) too.  Both hashes are computed here
 on uint32 arrays, so a whole range of replications is seeded and keyed in
 one vectorised pass with numpy's values, and a task draws every stream from
 one generator, re-keyed for it, with the bytes of a freshly seeded
-``Generator(Philox(seed))``.
+``Generator(Philox(seed))``.  A stream drawn a block of rows at a time is
+drawn again from the generator's recorded state at the start of each block
+of each part of the layout, so the blocks have the bytes of the whole draw.
 
 The module also knows the closed-form population moments of its own designs,
 which is what the analytic covariance is validated against.
@@ -26,6 +28,7 @@ import json
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property, partial
 from importlib import resources
 from itertools import accumulate
 from typing import Union
@@ -70,15 +73,28 @@ class LinearRamp:
     """Two-component design with first-component probability j/N."""
 
     def matrix(self, n_obs: int) -> ConcentrationMatrix:
-        values = np.empty((n_obs, 2))
-        np.divide(np.arange(1, n_obs + 1, dtype=float), n_obs, out=values[:, 0])
-        np.subtract(1.0, values[:, 0], out=values[:, 1])
+        values = _ramp_rows(n_obs, slice(0, n_obs))
         values.flags.writeable = False  # handed over to ConcentrationMatrix
         return ConcentrationMatrix(values)
+
+    def rows(self, n_obs: int):
+        """The function that gives the concentration rows of a slice of the
+        ``n_obs`` observations; every ramp is concentrations."""
+        return partial(_ramp_rows, n_obs)
 
     @property
     def n_components(self) -> int:
         return 2
+
+
+def _ramp_rows(n_obs: int, rows: slice) -> np.ndarray:
+    """Rows ``rows`` of the ramp of ``n_obs`` observations: j/N and 1 - j/N
+    for observation j, counted from 1, each entry formed by itself."""
+    start, stop, _ = rows.indices(n_obs)
+    values = np.empty((stop - start, 2))
+    np.divide(np.arange(start + 1, stop + 1, dtype=float), n_obs, out=values[:, 0])
+    np.subtract(1.0, values[:, 0], out=values[:, 1])
+    return values
 
 
 @dataclass(frozen=True)
@@ -100,6 +116,11 @@ class ExplicitConcentrations:
             return ConcentrationMatrix(self.values)
         except ValueError as exc:
             raise ConfigError("concentrations.values", str(exc)) from None
+
+    def rows(self, n_obs: int):
+        """The function that gives the concentration rows of a slice of the
+        ``n_obs`` observations, once :meth:`matrix` has checked them all."""
+        return self.matrix(n_obs).values.__getitem__
 
     @property
     def n_components(self) -> int:
@@ -203,13 +224,15 @@ class SimulatedDataset:
 class DrawPlan:
     """The part of a draw that depends on the config but not on its seed.
 
+    ``concentrations`` is the model of the ``n_obs`` concentration rows.
     ``means``, ``sds`` and ``coefficients`` are M x d, one row per component
     (a constant regressor has mean 1 and sd 0), and ``error_sds`` has length
     M.  A study builds one plan per sample size and draws every replication
     from it.
     """
 
-    p: ConcentrationMatrix
+    concentrations: ConcentrationModel
+    n_obs: int
     means: np.ndarray
     sds: np.ndarray
     coefficients: np.ndarray
@@ -218,9 +241,12 @@ class DrawPlan:
     def __post_init__(self):
         freeze(self, "means", "sds", "coefficients", "error_sds")
 
-    @property
-    def n_obs(self) -> int:
-        return self.p.n_obs
+    @cached_property
+    def p(self) -> ConcentrationMatrix:
+        """The concentration matrix, built when first used; a draw written
+        block by block (:func:`draw_blocks`) takes its rows a block at a
+        time and never builds it."""
+        return self.concentrations.matrix(self.n_obs)
 
 
 def _regressor_laws(config: SimulationConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +267,8 @@ def plan_draws(config: SimulationConfig) -> DrawPlan:
     """Build the concentrations and per-component arrays of ``config``."""
     means, sds = _regressor_laws(config)
     return DrawPlan(
-        p=config.concentrations.matrix(config.n_obs),
+        concentrations=config.concentrations,
+        n_obs=config.n_obs,
         means=means,
         sds=sds,
         coefficients=config.true_coefficients,
@@ -367,6 +394,39 @@ def _rekeyed(rng: np.random.Generator, key: np.ndarray) -> np.random.Generator:
     return rng
 
 
+def _finish(plan: DrawPlan, p_rows: np.ndarray, u, x, y) -> np.ndarray:
+    """The labels of one block of rows of S draws, whose label uniforms
+    ``u`` (S x rows), regressor normals ``x`` (S x rows x d) and error
+    normals ``y`` (S x rows) are drawn; ``p_rows`` are the block's
+    concentration rows.
+
+    The uniforms become labels, and the labels gather the parameters that
+    turn ``x`` and ``y``, in place, into the regressors and responses.  A
+    block that overflows the float range is refused.  Every step works row
+    by row, so a row's bytes depend neither on its block nor on the draws
+    stacked with it.
+    """
+    labels = np.zeros(u.shape, dtype=np.int64)
+    # label k: exactly k of the left-to-right prefix sums of p's row are <= u
+    for threshold in accumulate(p_rows[:, :-1].T):
+        labels += threshold <= u
+    # np.take gathers the per-row parameters far faster than fancy
+    # indexing; every label is in range, and mode="clip" skips the check
+    x *= np.take(plan.sds, labels, axis=0, mode="clip")
+    x += np.take(plan.means, labels, axis=0, mode="clip")
+    # sd_e * e + x . coef: addition and multiplication commute exactly, so
+    # these are the bytes of x . coef + sd_e * e
+    y *= np.take(plan.error_sds, labels, mode="clip")
+    y += np.einsum("sji,sji->sj", x, np.take(plan.coefficients, labels, axis=0, mode="clip"))
+    # a non-finite regressor makes its row's response non-finite too
+    if not np.isfinite(y).all():
+        raise ConfigError(
+            "components",
+            "the draw overflows the float range; the coefficients, means or sds are too large",
+        )
+    return labels
+
+
 def _draw_rows(
     plan: DrawPlan, keys: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, ...]:
@@ -375,16 +435,12 @@ def _draw_rows(
     Each key's stream is drawn whole before the next key's, from ``rng``
     re-keyed for it, in a fixed layout whatever the component specs: N
     label uniforms, then the N x d regressor normals, then N error normals,
-    each into its draw's rows of the stack.  One pass then visits every
-    draw's rows a block at a time, in place: the block's uniforms become
-    labels, the labels gather the parameters that turn the normals into
-    ``x`` and ``y``, and an overflow is refused.  Every step works row by
-    row, so a draw's bytes do not depend on the draws stacked with it.
+    each into its draw's rows of the stack.  One pass then finishes every
+    draw's rows a block at a time, in place (:func:`_finish`); the uniforms
+    are drawn into the labels' memory, which takes the labels they give.
     """
     n, count = plan.n_obs, len(keys)
     labels = np.empty(count * n, dtype=np.int64)
-    # the uniforms are drawn into the labels' memory, which the blocks below
-    # overwrite with the labels they give
     u = labels.view(np.float64)
     x = np.empty((count * n, plan.means.shape[1]))
     y = np.empty(count * n)
@@ -396,42 +452,74 @@ def _draw_rows(
     draw_u, draw_x, draw_y = u.reshape(count, n), x.reshape(count, n, -1), y.reshape(count, n)
     for start in range(0, n, _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
-        block_u = draw_u[:, rows]
-        block_labels = np.zeros(block_u.shape, dtype=np.int64)
-        # label k: exactly k of the left-to-right prefix sums of p's row are <= u
-        for threshold in accumulate(plan.p.values[rows, :-1].T):
-            block_labels += threshold <= block_u
-        labels.reshape(count, n)[:, rows] = block_labels
-        # np.take gathers the per-row parameters far faster than fancy
-        # indexing; every label is in range, and mode="clip" skips the check
-        x_block = draw_x[:, rows]
-        x_block *= np.take(plan.sds, block_labels, axis=0, mode="clip")
-        x_block += np.take(plan.means, block_labels, axis=0, mode="clip")
-        # sd_e * e + x . coef: addition and multiplication commute exactly, so
-        # these are the bytes of x . coef + sd_e * e
-        y_block = draw_y[:, rows]
-        y_block *= np.take(plan.error_sds, block_labels, mode="clip")
-        coefficients = np.take(plan.coefficients, block_labels, axis=0, mode="clip")
-        y_block += np.einsum("sji,sji->sj", x_block, coefficients)
-        # a non-finite regressor makes its row's response non-finite too
-        if not np.isfinite(y_block).all():
-            raise ConfigError(
-                "components",
-                "the draw overflows the float range; the coefficients, means or "
-                "sds are too large",
-            )
+        block = draw_u[:, rows], draw_x[:, rows], draw_y[:, rows]
+        labels.reshape(count, n)[:, rows] = _finish(plan, plan.p.values[rows], *block)
     for arr in (labels, x, y):
         arr.flags.writeable = False  # handed over without a copy
     return labels, x, y
+
+
+def _block_states(plan: DrawPlan, key: np.ndarray) -> list[tuple[dict, ...]]:
+    """The state of the stream of ``key`` at the start of each block's label
+    uniforms, regressor normals and error normals, one triple per block.
+
+    The stream is drawn in the layout of :func:`_draw_rows`, each block into
+    one buffer of a block's size, so nothing N-sized is made.
+    """
+    n, d = plan.n_obs, plan.means.shape[1]
+    rng = _rekeyed(np.random.Generator(np.random.Philox()), key)
+    buffer = np.empty(min(n, _CHUNK_ROWS) * d)
+    phases = []
+    for fill, width in ((rng.random, 1), (rng.standard_normal, d), (rng.standard_normal, 1)):
+        states = []
+        for start in range(0, n, _CHUNK_ROWS):
+            states.append(rng.bit_generator.state)
+            fill(out=buffer[: min(_CHUNK_ROWS, n - start) * width])
+        phases.append(states)
+    return list(zip(*phases))
+
+
+def _draw_block(plan: DrawPlan, p_rows, states: list[tuple[dict, ...]], start: int):
+    """The responses, regressors and concentrations of the block of rows
+    from ``start``, drawn again from the stream ``states`` recorded and
+    finished as :func:`draw` finishes it."""
+    p_block = p_rows(slice(start, start + _CHUNK_ROWS))
+    rows = len(p_block)
+    u, x, y = np.empty((1, rows)), np.empty((1, rows, plan.means.shape[1])), np.empty((1, rows))
+    rng = np.random.Generator(np.random.Philox())
+    fills = (rng.random, rng.standard_normal, rng.standard_normal)
+    for state, fill, out in zip(states[start // _CHUNK_ROWS], fills, (u, x, y)):
+        rng.bit_generator.state = state
+        fill(out=out)
+    _finish(plan, p_block, u, x, y)
+    return y[0], x[0], p_block
+
+
+def draw_blocks(plan: DrawPlan, seed: int):
+    """The draw of ``plan`` with the stream keyed by ``seed``, as a function
+    that gives the responses, regressors and concentrations of the block of
+    ``_CHUNK_ROWS`` rows from a start, with the bytes of ``draw(plan, seed)``.
+
+    The stream's state at each block's uniforms and normals is recorded
+    here, in one pass over it, and each block is drawn again from them and
+    finished when it is asked for, so a CSV writer's workers draw the rows
+    they render and no N-sized array is made.  The concentration rows come
+    from the model a block at a time, and explicit rows are checked here,
+    all at once, as a draw checks them.
+    """
+    p_rows = plan.concentrations.rows(plan.n_obs)
+    return partial(_draw_block, plan, p_rows, _block_states(plan, philox_keys([seed])[0]))
 
 
 def draw(plan: DrawPlan, seed: int) -> SimulatedDataset:
     """Draw one dataset from ``plan`` with the Philox stream keyed by ``seed``.
 
     The one-draw case of :func:`draw_stack`, keyed as
-    ``np.random.Philox(seed)`` is; its labels, ``x`` and ``y`` go to the
-    result without a copy.  A config whose finite numbers overflow in the
-    draw is refused with a ``ConfigError`` on ``components``.
+    ``np.random.Philox(seed)`` is; its labels, ``x`` and ``y``, and ``p``,
+    are held whole and go to the result without a copy (``simulate`` writes
+    :func:`draw_blocks` instead, which holds one block at a time).  A config
+    whose finite numbers overflow in the draw is refused with a
+    ``ConfigError`` on ``components``.
     """
     rng = np.random.Generator(np.random.Philox())  # re-keyed for the stream of seed
     labels, x, y = _draw_rows(plan, philox_keys([seed]), rng)

@@ -39,6 +39,8 @@ VALUE_CLASSES = {
     ),
     FitBasis: dict(
         gramian=_GRAMIAN,
+        p=ConcentrationMatrix(_P),
+        centre=[0.4, 0.6],
         columns=[[0.1, -0.2, 0.1], [1.0, 1.0, 1.0]],
         combination=[[3.0, -3.0], [1.0, 1.0]],
     ),
@@ -59,7 +61,8 @@ VALUE_CLASSES = {
         labels=[0, 1, 0],
     ),
     DrawPlan: dict(
-        p=ConcentrationMatrix(_P),
+        concentrations=ExplicitConcentrations(values=_P),
+        n_obs=3,
         means=[[1.0, 0.0], [1.0, 2.0]],
         sds=[[0.0, 1.0], [0.0, 0.5]],
         coefficients=[[1.0, 2.0], [3.0, 4.0]],

@@ -261,12 +261,12 @@ def test_full_device_is_one_diagnostic(via):
 def test_full_disk_leaves_existing_output(tmp_path, capsys, smoke_config_path, monkeypatch):
     # a write that fails part way leaves the file as it was and no temporary
     # file beside it
-    def fill_disk(fh, data, p):
+    def fill_disk(fh, *table):
         fh.write("y,x1,x2,p1,p2\n")
         fh.flush()
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
-    monkeypatch.setattr(mvcreg.dataio, "write_csv", fill_disk)
+    monkeypatch.setattr(mvcreg.dataio, "write_csv_blocks", fill_disk)
     out = tmp_path / "out.csv"
     out.write_text("kept\n")
     assert main(["simulate", "-i", str(smoke_config_path), "-o", str(out)]) == 2
@@ -379,6 +379,24 @@ class TestIoPool:
         weights = ["weights", "-i", str(edited), "--format", "csv", "-o", str(work / "a.csv")]
         assert main(weights) == 0
         return {name: (work / name).read_bytes() for name in ("sim.csv", "fit.json", "a.csv")}
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, N])
+    def test_simulate_draws_in_its_workers_the_bytes_of_generate(self, n, tmp_path, io_pools):
+        # the render workers draw their own blocks from the recorded stream
+        # states; the CSV is write_csv of generate's arrays whatever their count
+        raw = dict(SMOKE_CONFIG, n_obs=n, seed=11)
+        raw.pop("rep_count")
+        config = tmp_path / "sim.json"
+        config.write_text(json.dumps(raw))
+        sim = generate(mvcreg.simgen.load_config_file(config)[0])
+        expected = tmp_path / "expected.csv"
+        write_csv(expected, sim.data, sim.p)
+        for workers in (1, 2, 3):
+            io_pools.force(workers)
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["simulate", "-i", str(config), "-o", str(out)]) == 0
+            assert out.read_bytes() == expected.read_bytes(), workers
+        assert io_pools.started == [2, 3]
 
     def test_worker_count_does_not_change_bytes(self, tmp_path, io_config, io_pools, monkeypatch):
         def no_row_wise(*args):
@@ -1131,11 +1149,15 @@ print(code, (peak_kib() - base) / 1024)
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_simulate_and_fit_peak_memory(tmp_path):
     # Each command runs in a fresh interpreter; its peak RSS above the
-    # interpreter with mvcreg.cli imported is measured against the bytes of
-    # the N x (1 + d + M) table it writes or reads.  With every N-sized array
-    # held once, simulate grows by ~2.6 tables and fit by ~1.9 at this N;
-    # copying each array at every layer took 4.6 and 2.6.
-    n = 200000
+    # interpreter with mvcreg.cli imported is measured.  simulate draws each
+    # block where it renders it, so its growth does not depend on N: ~9.2
+    # MiB at this N and at 200000 with render workers, ~12.3 MiB rendering
+    # in process on one CPU, numpy.random and a block's text (holding the
+    # draw took 32 MiB here).  fit holds the N x (1 + d + M)
+    # table it reads once, and every other N-sized array a block at a time:
+    # it grows by ~1.19 tables here (1.62 with an N x M basis and N-vectors
+    # beside the table).
+    n = 500000
     table_mib = n * (1 + 2 + 2) * 8 / 2**20
     config_path, csv_path = tmp_path / "tall.json", tmp_path / "tall.csv"
     raw = dict(SMOKE_CONFIG, n_obs=n)
@@ -1144,14 +1166,14 @@ def test_simulate_and_fit_peak_memory(tmp_path):
     src = str(Path(mvcreg.moments.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     commands = {
-        "simulate": (["simulate", "-i", str(config_path), "-o", str(csv_path)], 3.4),
-        "fit": (["fit", "-i", str(csv_path), "-o", str(tmp_path / "fit.json")], 2.4),
+        "simulate": (["simulate", "-i", str(config_path), "-o", str(csv_path)], 16.0),
+        "fit": (["fit", "-i", str(csv_path), "-o", str(tmp_path / "fit.json")], 1.3 * table_mib),
     }
-    for name, (argv, tables) in commands.items():
+    for name, (argv, bound_mib) in commands.items():
         out = subprocess.run(
             [sys.executable, "-c", _PEAK_GROWTH, *argv],
             env=env, capture_output=True, text=True, check=True,
         )
         code, growth_mib = out.stdout.split()
         assert code == "0", out.stderr
-        assert float(growth_mib) <= tables * table_mib, (name, growth_mib)
+        assert float(growth_mib) <= bound_mib, (name, growth_mib)

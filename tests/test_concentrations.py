@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,23 @@ class TestConcentrationMatrix:
         with pytest.raises(ValueError) as exc_info:
             ConcentrationMatrix(values)
         assert str(exc_info.value) == message
+
+    def test_refusal_names_the_first_worst_row_of_any_block(self):
+        # rows are checked a block at a time; the message names the row
+        # whose sum is furthest from 1, the first of them on a tie, and an
+        # infinity or an entry outside [0, 1] in a later block is found too
+        chunk = mvcreg.concentrations._CHUNK_ROWS
+        values = np.full((3 * chunk + 5, 2), 0.5)
+        values[chunk + 3] = [0.5, 0.501]
+        values[2 * chunk + 1] = [0.5, 0.503]
+        values[3 * chunk + 2] = [0.5, 0.503]
+        with pytest.raises(ValueError) as exc_info:
+            ConcentrationMatrix(values)
+        assert str(exc_info.value).startswith(f"row {2 * chunk + 1} sums to 1.003, ")
+        for bad, message in ((np.inf, "contains non-finite"), (1.5, "must lie in [0, 1]")):
+            values[3 * chunk + 4, 0] = bad
+            with pytest.raises(ValueError, match=re.escape(message)):
+                ConcentrationMatrix(values)
 
     def test_row_sum_tol_relaxation(self):
         rows = np.array([[0.5, 0.5 + 5e-8], [0.5, 0.5]])

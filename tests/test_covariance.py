@@ -31,6 +31,7 @@ from mvcreg import (
     weight_co_moments,
     weighted_fourth_moment,
 )
+import mvcreg.covariance
 import mvcreg.moments
 from mvcreg.simgen import with_n_obs, with_seed
 from conftest import dirichlet_design
@@ -332,6 +333,41 @@ def clamped_design():
     return sim.data, sim.p
 
 
+def whole_array_plug_in(data, p, fit):
+    """Sigma and V of the plug-in with every N-vector formed whole: each
+    weight column, residual and row-weight vector at full length, and each
+    error variance one einsum over the N rows."""
+    n, x, b = data.n_obs, data.x, fit.coefficients
+    n_comp, d = p.n_components, data.n_regressors
+    quartic = np.zeros((n_comp, n_comp, d, d))
+    co = np.empty((n_comp,) * 3)
+    sigma2 = np.empty(n_comp)
+    for s in range(n_comp):
+        weights = p.values @ fit.gramian.inverse[:, s]
+        co[s] = weight_co_moments(weights, p)
+        sigma2[s] = max(np.einsum("j,j->", weights, np.square(data.y - x @ b[s])) / n, 0.0)
+        for m in range(n_comp):
+            if m != s:
+                row_weights = np.square(x @ (b[s] - b[m])) * weights
+                (total,) = mvcreg.moments._row_block_products(x, row_weights.__getitem__, x)
+                quartic[m, s] = total / n
+    return mvcreg.covariance._sandwiches(fit.normal_matrices, sigma2, b, co, quartic)
+
+
+@pytest.mark.parametrize("n_comp, d", [(2, 2), (3, 3), (4, 6)])
+@pytest.mark.parametrize("n", [8191, 8192, 8193, 16389])
+def test_block_sums_have_the_bytes_of_whole_arrays(n, n_comp, d):
+    # a block less one row, one block, one row over (a last block of one
+    # row) and two blocks and five rows
+    data, p = dirichlet_design(n + d, n_comp, d, n=n)
+    fit = fit_all(data, p)
+    assert fit.ok
+    cov = plug_in_covariance(data, p, fit)
+    sigma, v = whole_array_plug_in(data, p, fit)
+    assert cov.sigma.tobytes() == sigma.tobytes()
+    assert cov.v.tobytes() == v.tobytes()
+
+
 class TestContractedPlugIn:
     """The O(N d^2) contraction against the d^4 tensor it replaces."""
 
@@ -383,11 +419,10 @@ class TestContractedPlugIn:
         indices = [int(w.split()[3]) for w in clamps]
         assert indices == sorted(indices)
 
-    def test_holds_at_most_two_weight_sized_arrays(self):
-        # one weight column and one more N-sized array beside it (squared
-        # weights, squared residuals or row weights), freed with their
-        # component; a third, such as the previous component's weight
-        # column, would cross the bound
+    def test_holds_no_weight_sized_array(self):
+        # every block forms its own rows of the weight column, residuals and
+        # row weights, so the traced peak stays below one weight column: a
+        # block's few vectors and products, not N-vectors
         n = 13 * mvcreg.moments._CHUNK_ROWS + 5
         data, p = dirichlet_design(5, 3, 3, n=n)
         fit = fit_all(data, p)
@@ -398,4 +433,4 @@ class TestContractedPlugIn:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 8 * n
+        assert peak < 8 * n

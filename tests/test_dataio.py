@@ -758,8 +758,8 @@ class TestWeightsJson:
     @pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 16389])
     def test_streamed_document_is_the_whole_document(self, n, workers, io_pools):
         # one block, a block less one row, one block exactly, one row over,
-        # and two blocks and five rows; the JSON writer forks no worker, so
-        # the pools that CSV text would take change nothing
+        # and two blocks and five rows; the weight blocks are rendered by the
+        # forced workers, as CSV text is
         rng = np.random.default_rng(n)
         p = ConcentrationMatrix(random_stochastic_rows(rng, n, 3) if n > 1 else np.ones((1, 1)))
         gramian = build_gramian(p)
@@ -768,7 +768,7 @@ class TestWeightsJson:
         out = io.StringIO()
         write_weights_json(out, gramian, a, p)
         assert out.getvalue() == dumps(whole_weights_document(gramian, a, p))
-        assert io_pools.started == []
+        assert io_pools.started == ([workers] if workers > 1 else [])
 
     def test_holds_one_block_of_text_at_a_time(self, tmp_path, monkeypatch):
         # the traced peak stays below the weights themselves: no list of

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mvcreg.estimator
+import mvcreg.moments
 from mvcreg import (
     ConcentrationMatrix,
     DataFormatError,
@@ -131,6 +132,30 @@ class TestFitAll:
             for sim in (generate(with_n_obs(config, n)) for n in (500, 5000))
         ]
         assert held[0] == held[1] > 0
+
+    @pytest.mark.parametrize("n_comp, d", [(2, 2), (3, 3), (4, 6)])
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16389])
+    def test_block_basis_has_the_bytes_of_whole_columns(self, n, n_comp, d):
+        # the basis is formed a block at a time as it is summed; its sums have
+        # the bytes of sums against whole columns, a last block of one row too
+        data, p = dirichlet_design(n + d, n_comp, d, n=n)
+        basis = mvcreg.estimator.fit_basis(p)
+        assert basis.columns.shape == (n_comp, min(n, mvcreg.moments._CHUNK_ROWS))
+        r = p.values @ np.ones(n_comp)
+        columns = [p.values[:, q] - basis.centre[q] * r for q in range(n_comp - 1)] + [r]
+        terms = [
+            (weight[:, None, None] * xtx, weight[:, None] * xty)
+            for (xtx, xty), weight in zip(
+                (component_regression_moments(data, column) for column in columns),
+                basis.combination,
+            )
+        ]
+        normal, rhs = terms[0]  # and the others added in basis order
+        for xtx, xty in terms[1:]:
+            normal, rhs = normal + xtx, rhs + xty
+        got_normal, got_rhs = mvcreg.estimator.normal_equations(data, basis)
+        assert got_normal[0].tobytes() == normal.tobytes()
+        assert got_rhs[0].tobytes() == rhs.tobytes()
 
     def test_duplicate_concentrations_fatal(self):
         data, _, _ = single_component(10, 1, seed=4)

@@ -20,8 +20,9 @@ closed-form rule: the fit of the CSV that ``simulate --seed 2`` draws from
 it, the weights of that CSV as JSON and as CSV, and its study, whose
 analytic V takes every product of the covariance at M=3.
 
-The same commands, and a refusal of each kind, also pin the form of
-stderr: every line of it is ``mvcreg: <kind>: <message>``.
+The same commands, a refusal of each kind and command lines that the
+parser refuses also pin the form of stderr: every line of it is
+``mvcreg: <kind>: <message>``.
 """
 
 import hashlib
@@ -247,7 +248,7 @@ COLLINEAR_CSV = "<collinear regressors>"
 OVERFLOWING_SUMS_CSV = "<overflowing sums>"
 OVERFLOWING_PLUG_IN_CSV = "<overflowing plug-in>"
 
-#: every golden command, and refusals of each kind
+#: every golden command, refusals of each kind, and refused command lines
 STDERR_CASES = {
     **{name: (args, code) for name, (args, code, _) in GOLDEN.items()},
     "fit-singular-gramian": (["fit", "-i", EQUAL_COLUMNS_CSV], 3),
@@ -255,6 +256,9 @@ STDERR_CASES = {
     "fit-overflowing-sums": (["fit", "-i", OVERFLOWING_SUMS_CSV], 2),
     "fit-overflowing-plug-in": (["fit", "-i", OVERFLOWING_PLUG_IN_CSV], 2),
     "study-failing-rel-tol": (["study", "-i", THREE_CONFIG, "--reps", "20", "--rel-tol", "0.01"], 5),
+    "fit-without-input": (["fit"], 2),
+    "unknown-subcommand": (["regress"], 2),
+    "fit-bad-format": (["fit", "-i", "data.csv", "--format", "xml"], 2),
 }
 
 

@@ -236,6 +236,24 @@ class TestRegressionMoments:
         assert xtx.tobytes() == xtx.T.tobytes()
 
 
+@pytest.mark.parametrize("k", [2, 3, 4, 6])
+@pytest.mark.parametrize("extra", [-1, 0, 1, 8193])
+def test_row_blocks_of_a_product_have_its_bytes(extra, k):
+    # the blocks of matrix @ vector have the bytes of the whole product: a
+    # last block of one row too, which numpy alone would take as a dot
+    # product, whose sum differs in the last bit for some of these seeds
+    chunk = mvcreg.moments._CHUNK_ROWS
+    n = chunk + extra
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        matrix, vector = rng.normal(size=(n, k)), rng.normal(size=k)
+        blocks = [
+            mvcreg.moments._rows_times(matrix, vector, slice(start, start + chunk))
+            for start in range(0, n, chunk)
+        ]
+        assert np.concatenate(blocks).tobytes() == (matrix @ vector).tobytes(), seed
+
+
 class TestFourthMoment:
     def test_hand_example(self):
         data = Dataset(y=np.array([1.0, 4.0]), x=np.array([[1.0], [2.0]]))
