@@ -1,4 +1,4 @@
-"""Worker processes shared by the replication study and the CSV reader and writer.
+"""Worker processes shared by the replication study, the CSV reader and writer, and the fit.
 
 A pool's map is one-shot: on entry it forks one worker per usable CPU, at
 most one per call, and the workers inherit the function and its calls
@@ -7,11 +7,13 @@ writes each result, or the exception its call raised, pickled and
 length-prefixed to its own pipe, of the kernel's default size, where it
 waits until the caller, reading the pipes in call order, takes it.  A
 worker ends with ``os._exit``, never flushing the output buffers it
-inherited.  With one CPU, without ``fork``, or in a daemonic process, the
-map is the builtin ``map``.  Nothing here loads ``multiprocessing``.
+inherited.  With one CPU, without ``fork``, in a daemonic process or in a
+worker, the map is the builtin ``map``, so pools do not nest.  Nothing
+here loads ``multiprocessing``.
 
-A worker's peak memory is the caller's at the fork plus what the worker
-loads and makes.  A study worker's first draw imports ``numpy.random``,
+A worker's peak memory is the caller's private memory at the fork, plus
+the rows of shared mappings it touches, plus what the worker loads and
+makes.  A study worker's first draw imports ``numpy.random``,
 which in a fresh process adds about 6 MiB, some 3.3 MiB of it OpenSSL's
 ``libcrypto`` (``numpy.random.bit_generator`` imports ``secrets``, which
 imports ``hmac`` and so ``_hashlib``).  So a caller forks holding only what
@@ -20,28 +22,91 @@ the caller multi-threaded, each fork may emit one ``DeprecationWarning``
 ("use of fork() may lead to deadlocks in the child") when warnings are
 shown.  No filter hides it; under an ``error`` filter the map still
 returns its results, as CPython clears that warning's error.
+
+The work over the rows of a table maps one function over its blocks
+(:func:`chunk_map`): in forked workers from ``_POOL_MIN_CELLS`` cells on,
+else in the calling process.  A table the workers read or write lives, from
+the same size on, in an anonymous shared mapping (:func:`table_empty`).
+Linux ``fork`` copies no page-table entry of a shared mapping, so a worker
+maps only the rows it touches, and the rows a worker writes are the
+caller's without a copy.  So the CSV reader's workers parse their blocks
+into y, x and p in place and send back row counts, and the fit's
+row-block sums run in workers that read their own rows and send back
+sums: the caller touches only what it reads itself.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
+import mmap
 import os
 import pickle
 import sys
 
+import numpy as np
+
 from .errors import MvcregError, WorkerLost
+
+#: cells below which work over the rows of a table runs in the calling
+#: process.  CLI wall on two CPUs (s, median of 13 alternating runs,
+#: serial/pooled CSV render and parse):
+#:   cells      100k       200k       300k       400k       500k
+#:   simulate   0.27/0.26  0.32/0.32  0.41/0.40  0.39/0.32  0.41/0.36
+#:   fit        0.22/0.20  0.29/0.26  0.30/0.32  0.26/0.23  0.26/0.25
+#: A fork costs little, but below ~400k cells the gain is within the spread.
+_POOL_MIN_CELLS = 500_000
+
+#: whether this process is a worker of a pool, where every map is ``map``
+_in_worker = False
 
 
 def worker_count(tasks: int) -> int:
-    """Worker processes for ``tasks`` tasks: one per usable CPU, at most one per task."""
+    """Worker processes for ``tasks`` tasks: one per usable CPU, at most one
+    per task, and one in a worker of a pool, which forks no workers of its own."""
     # no affinity call (macOS, Windows): one process, as macOS's libraries
     # are not fork-safe.  A daemonic process, a multiprocessing.Pool worker
     # say, may not start processes; one without multiprocessing is none
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     mp = sys.modules.get("multiprocessing")
-    if cpus == 1 or not hasattr(os, "fork") or (mp and mp.current_process().daemon):
+    daemonic = mp and mp.current_process().daemon
+    if _in_worker or cpus == 1 or not hasattr(os, "fork") or daemonic:
         return 1
     return min(cpus, tasks)
+
+
+def chunk_map(cells: int, fn, chunks, *iterables):
+    """``fn`` mapped over ``chunks`` and ``iterables`` by :func:`ordered_map`
+    from ``_POOL_MIN_CELLS`` cells on, else by ``map``, as a context."""
+    if cells < _POOL_MIN_CELLS:
+        return contextlib.nullcontext(map(fn, chunks, *iterables))
+    return ordered_map(worker_count(len(chunks)), fn, chunks, *iterables)
+
+
+class _SharedMap(mmap.mmap):
+    """An anonymous shared mapping that :func:`table_empty` made."""
+
+
+def table_empty(cells: int, shape: tuple[int, ...]) -> np.ndarray:
+    """A writeable, uninitialised float array of ``shape`` for a table of
+    ``cells`` cells that :func:`chunk_map` of ``cells`` writes or reads.
+
+    From ``_POOL_MIN_CELLS`` cells on it lives in a new anonymous shared
+    mapping, so what a worker forked after it writes there the caller reads.
+    Below that it is numpy's own memory: the benchmark's ``fit-wide``, in
+    one process, peaked 0.3 MiB higher with mappings.
+    """
+    if cells < _POOL_MIN_CELLS:
+        return np.empty(shape)
+    size = math.prod(shape)
+    return np.ndarray(shape, float, _SharedMap(-1, max(8 * size, 1)))  # no mapping is empty
+
+
+def is_shared(values: np.ndarray) -> bool:
+    """Whether the memory of the array ``values`` is a :func:`table_empty` mapping."""
+    while isinstance(values, np.ndarray):
+        values = values.base
+    return isinstance(values, _SharedMap)
 
 
 @contextlib.contextmanager
@@ -80,6 +145,8 @@ def _fork(fn, calls: list, children: contextlib.ExitStack):
 
 def _serve(fn, calls: list, writer) -> None:
     """Run ``calls`` of ``fn`` in a worker, writing each outcome; never returns."""
+    global _in_worker
+    _in_worker = True
     try:
         for args in calls:
             try:

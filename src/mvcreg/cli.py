@@ -31,12 +31,12 @@ import contextlib
 import os
 import stat
 import sys
+from functools import partial
 
-import numpy as np
-
+from ._pool import chunk_map, table_empty
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .errors import ConfigError, DataFormatError, MvcregError, SingularNormalMatrix
-from .moments import Dataset
+from .moments import _CHUNK_ROWS, Dataset
 
 
 def _diag(exc: MvcregError) -> None:
@@ -90,15 +90,24 @@ def _open_output(args):
         raise ConfigError("--output", f"cannot write {name}: {exc.strerror or exc}") from None
 
 
-def _with_intercept(data: Dataset, source: str) -> Dataset:
-    x = np.empty((data.n_obs, data.n_regressors + 1))
-    x[:, 0] = 1.0
-    x[:, 1:] = data.x
+def _with_intercept(data: Dataset, cells: int, source: str) -> Dataset:
+    # a column of ones before x, written a block of rows at a time, by
+    # workers into a shared mapping from as many cells as the read pools
+    x = table_empty(cells, (data.n_obs, data.n_regressors + 1))
+    rows = [slice(start, start + _CHUNK_ROWS) for start in range(0, data.n_obs, _CHUNK_ROWS)]
+    with chunk_map(cells, partial(_intercept_rows, data.x, x), rows) as blocks:
+        for _ in blocks:  # each block is written where it is mapped
+            pass
     x.flags.writeable = False  # handed over to Dataset, which keeps data.y as is
     try:
-        return Dataset(y=data.y, x=x)
+        return Dataset(y=data.y, x=x, known_finite=True)
     except ValueError as exc:  # the column of ones leaves too few rows
         raise DataFormatError(f"{source}: {exc}") from None
+
+
+def _intercept_rows(x, out, rows: slice) -> None:
+    out[rows, 0] = 1.0
+    out[rows, 1:] = x[rows]
 
 
 def cmd_fit(args) -> int:
@@ -108,7 +117,8 @@ def cmd_fit(args) -> int:
 
     data, p = dataio.read_csv(args.input)
     if args.intercept:
-        data = _with_intercept(data, args.input)
+        cells = data.n_obs * (1 + data.n_regressors + p.n_components)
+        data = _with_intercept(data, cells, args.input)
     xtx_tol = DEFAULT_XTX_TOL if args.xtx_tol is None else args.xtx_tol
     fit = fit_all(data, p, xtx_tol=xtx_tol, gamma_tol=args.gamma_tol)
     cov = None if fit.errors else plug_in_covariance(data, p, fit)

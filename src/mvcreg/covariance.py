@@ -35,13 +35,15 @@ already gated with its own ``xtx_tol``.  Both gates take the condition
 number from :func:`~mvcreg.estimator.conditions`.
 
 The plug-in mode takes, for each component ``s``, M + 1 weighted sums over
-the rows in one pass over its row blocks: its weight co-moments as a
-target, its error variance, and, for each of the M - 1 other targets ``m``,
-the contraction ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
-``delta = b_s - b_m``; M (M + 1) row sums in all.  A block forms its rows of
-the weight column ``a[:, s] = p G[:, s]``, from the fit's inverse Gramian
-``G``, and of the residuals and row weights, so no N-vector is made: a
-block's few ``_CHUNK_ROWS``-vectors are all there is beside the data.
+the rows: its weight co-moments as a target, its error variance, and, for
+each of the M - 1 other targets ``m``, the contraction
+``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with ``delta = b_s - b_m``;
+M (M + 1) row sums in all, taken in one pass over the row blocks.  A block
+forms its rows of each weight column ``a[:, s] = p G[:, s]``, from the
+fit's inverse Gramian ``G``, and of the residuals and row weights, so no
+N-vector is made: a block's few ``_CHUNK_ROWS``-vectors are all there is
+beside the data.  For a table the CSV reader would parse with workers,
+forked workers sum the blocks, each reading only its own rows.
 """
 
 from __future__ import annotations
@@ -186,9 +188,9 @@ def plug_in_covariance(
     component's fitted coefficients, and the co-moment limits are replaced by
     their finite-sample averages.  Each component's D2 is the normal matrix
     its fit already solved, behind the fit's own condition gate.  The rest
-    is M + 1 weighted row sums of each component ``s``, taken in one pass
-    over the row blocks, each of which forms its rows of the weight column
-    ``a[:, s]``: the weight co-moments, the error variance and, for each
+    is M + 1 weighted row sums of each component ``s``, all taken in one
+    pass over the row blocks, each of which forms its rows of the weight
+    columns ``a[:, s]``: the weight co-moments, the error variance and, for each
     other target ``m``, the fourth-moment term, which enters
     only contracted, as ``(1/N) sum_j a[j, s] (x_j' delta)^2 x_j x_j'`` with
     ``delta = b_s - b_m``.
@@ -224,33 +226,37 @@ def plug_in_covariance(
     n, x, y, values = data.n_obs, data.x, data.y, p.values
     b = fit.coefficients
     n_comp = p.n_components
+    cells = n * (1 + data.n_regressors + n_comp)
     # quartic[m, s] = delta' L4_s delta with delta = b_s - b_m, zero where
     # s == m; co[m] = the weight co-moments of a_m
     quartic = np.zeros((n_comp, n_comp, data.n_regressors, data.n_regressors))
     co = np.empty((n_comp,) * 3)
     sigma2 = np.empty(n_comp)
     notes: list[str] = []
-    for s in range(n_comp):
-        others = [m for m in range(n_comp) if m != s]
+    others = [[m for m in range(n_comp) if m != s] for s in range(n_comp)]
 
-        def block(rows):  # summed before the next component's
+    def block(rows):  # the M + 1 sums of every component, in component order
+        p_rows, x_rows = values[rows], x[rows]
+        sums = []
+        for s in range(n_comp):
             weights = _rows_times(values, fit.gramian.inverse[:, s], rows)  # a_s
-            p_rows, x_rows = values[rows], x[rows]
             # the squared residuals, then for each other target the row
             # weights a_s (x' delta)^2 of delta' L4_s delta
             scratch = _rows_times(x, b[s], rows)
             np.subtract(y[rows], scratch, out=scratch)
             np.square(scratch, out=scratch)
-            sums = [np.einsum("j,j->", weights, scratch)]
+            sums.append(np.einsum("j,j->", weights, scratch))
             sums += _weighted_products(p_rows, np.square(weights), p_rows)
-            for m in others:
+            for m in others[s]:
                 scratch = _rows_times(x, b[s] - b[m], rows)
                 np.square(scratch, out=scratch)
                 scratch *= weights
                 sums += _weighted_products(x_rows, scratch, x_rows)
-            return sums
+        return sums
 
-        residual_sum, co_sum, *quartic_sums = _block_sums(n, block)
+    totals = _block_sums(n, block, cells)
+    for s in range(n_comp):
+        residual_sum, co_sum, *quartic_sums = totals[s * (n_comp + 1) : (s + 1) * (n_comp + 1)]
         co_sum /= n
         co[s] = (co_sum + co_sum.T) / 2.0
         sigma2[s] = residual_sum / n
@@ -260,7 +266,7 @@ def plug_in_covariance(
                 f"{sigma2[s]:.6g} clamped to 0"
             )
             sigma2[s] = 0.0
-        for m, total in zip(others, quartic_sums):
+        for m, total in zip(others[s], quartic_sums):
             quartic[m, s] = total / n
 
     sigma, v = _sandwiches(fit.normal_matrices, sigma2, b, co, quartic)

@@ -16,8 +16,8 @@ serves a file and text alike: it is given an opener of the input's bytes,
 which reopens the file, refusing it if it changed, or wraps the text's
 UTF-8 bytes.  It skips one leading byte-order mark, checks the header,
 counts the lines with a numpy scan for newlines over fixed-size reads,
-recording the byte offset of every chunk's first line, and fills
-preallocated y, x and p in chunk order, so it holds the parsed arrays once,
+recording the byte offset of every chunk's first line, and fills y, x and
+p, allocated for every line, in place, so it holds the parsed arrays once,
 with nothing N-sized beside them.  Each chunk of lines is parsed by itself
 from its offset: by ``np.loadtxt``, and where ``np.loadtxt`` refuses it
 (quoted cells, ``1_0``, blank lines alone, or a genuine error) or gives a
@@ -25,8 +25,11 @@ value that is not finite, by the row-wise ``csv.reader`` path over the same
 lines, which accepts exactly the finite values that ``float`` accepts,
 names the line of the first bad record, and holds one Python list per row
 of that chunk.  Both paths convert with CPython's string-to-double routine,
-so they give the same values.  ``np.loadtxt`` drops blank lines; where they
-leave fewer rows than lines, the arrays are shrunk in place.  Quotes are
+so they give the same values, and both check every cell to be finite, so
+``Dataset`` need not read y and x again.  A chunk's rows are written from
+its first line's row on; ``np.loadtxt`` drops blank lines, and where they
+leave fewer rows than lines, the later chunks' rows are moved up and the
+arrays are cut to the rows read.  Quotes are
 read strictly: a closing quote must end its cell, and a quoted cell must
 close before its chunk ends, so a record that a quoted line break carries
 across the end of a chunk is refused at the chunk's last line, in a file
@@ -34,13 +37,17 @@ and in its text.  Messages name physical lines, the header being line 1 (a
 header that spans lines is refused), and a record that spans lines by the
 line it ends on.
 
-Both directions map one function over the chunks: from ``_POOL_MIN_CELLS``
-cells on with ``_pool``'s ordered map, whose forked workers each send every
-W-th chunk through a pipe, below that with the builtin ``map``.  Render
-workers inherit the function that gives the columns and send each chunk's
-text, which the parent writes in row order; parse workers inherit the
-opener and send each chunk's rows, or its error, which the parent stores or
-raises in chunk order.  So the bytes, arrays and messages are the same
+Both directions map one function over the chunks with
+:func:`mvcreg._pool.chunk_map`: from ``_POOL_MIN_CELLS`` cells on, forked
+workers each take every W-th chunk, below that the calling process takes
+them all.  Render workers inherit the function that gives the columns and
+send each chunk's text through a pipe, which the parent writes in row
+order.  Parse workers inherit the opener and y, x and p, which from that
+size on live in shared mappings (:func:`mvcreg._pool.table_empty`); they
+write each chunk's rows there and send its row count, or its error, which
+the parent raises in chunk order.  So the parent touches none of the rows
+it reads, and the fit's row sums, pooled from the same size on, leave y
+and x to the workers too.  The bytes, arrays and messages are the same
 whatever the worker count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
@@ -69,6 +76,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._pool import chunk_map, table_empty
 from .concentrations import ConcentrationMatrix, GramianSummary
 from .errors import DataFormatError
 from .moments import _CHUNK_ROWS, Dataset
@@ -87,24 +95,6 @@ _ROW_SUM_TOL = 1e-6
 # --------------------------------------------------------------------------
 # CSV
 # --------------------------------------------------------------------------
-
-
-#: cells below which CSV text is rendered and parsed in the calling process.
-#: CLI wall on two CPUs (s, median of 13 alternating runs, serial/pooled):
-#:   cells      100k       200k       300k       400k       500k
-#:   simulate   0.27/0.26  0.32/0.32  0.41/0.40  0.39/0.32  0.41/0.36
-#:   fit        0.22/0.20  0.29/0.26  0.30/0.32  0.26/0.23  0.26/0.25
-#: A fork costs little, but below ~400k cells the gain is within the spread.
-_POOL_MIN_CELLS = 500_000
-
-
-def _chunk_map(cells: int, fn, chunks, *iterables):
-    """``fn`` mapped over ``chunks`` and ``iterables`` by ``_pool``'s ordered
-    map from ``_POOL_MIN_CELLS`` cells on, else by ``map``."""
-    if cells < _POOL_MIN_CELLS:
-        return contextlib.nullcontext(map(fn, chunks, *iterables))  # and _pool stays unloaded
-    from . import _pool
-    return _pool.ordered_map(_pool.worker_count(len(chunks)), fn, chunks, *iterables)
 
 
 def _render_rows(rows, start: int) -> str:
@@ -135,7 +125,7 @@ def _csv_chunks(header: list[str], n: int, rows):
     """
     yield ",".join(header) + "\n"
     starts = range(0, n, _CHUNK_ROWS)
-    with _chunk_map(n * len(header), partial(_render_rows, rows), starts) as chunks:
+    with chunk_map(n * len(header), partial(_render_rows, rows), starts) as chunks:
         yield from chunks
 
 
@@ -255,7 +245,7 @@ def _parse_stream(opener, source: str):
     if not len(y):
         raise DataFormatError(f"{source}: no data rows")
     try:
-        data = Dataset(y=y, x=x)
+        data = Dataset(y=y, x=x, known_finite=True)  # the parse checked every cell
         p = ConcentrationMatrix(p_values, row_sum_tol=_ROW_SUM_TOL)
     except ValueError as exc:
         raise DataFormatError(f"{source}: {exc}") from None
@@ -295,40 +285,61 @@ def _load_table(opener, source: str, n: int, offsets: list[int], d: int, n_comp:
     """Read-only y, x and p of the ``n`` lines of data rows whose blocks of
     ``_CHUNK_ROWS`` lines begin at byte ``offsets`` of what ``opener`` opens.
 
-    The arrays are allocated for ``n`` rows and filled, in block order, by
-    ``_parse_block``, so nothing N-sized exists beside them.  From
-    ``_POOL_MIN_CELLS`` cells on, forked workers parse the blocks; below
-    that, the calling process maps the same function over them.  A block
-    is parsed by itself wherever it is parsed, row by row where
-    ``np.loadtxt`` refuses it, and its errors name the input's own lines.
+    The arrays are allocated for ``n`` rows and filled in place by
+    ``_parse_into``, so nothing N-sized exists beside them.  From
+    ``_POOL_MIN_CELLS`` cells on, they live in shared mappings, forked
+    workers parse the blocks and write their rows there, and the calling
+    process touches none of them; below that, it maps the same function
+    over the blocks itself.  A block is parsed by itself wherever it is
+    parsed, row by row where ``np.loadtxt`` refuses it, and its errors name
+    the input's own lines.
     """
     width = 1 + d + n_comp
     firsts = range(2, n + 2, _CHUNK_ROWS)  # the header is line 1
     sizes = [min(_CHUNK_ROWS, n + 2 - first) for first in firsts]
-    parse = partial(_parse_block, opener, source, width)
-    with _chunk_map(n * width, parse, firsts, offsets, sizes) as blocks:
-        return _fill(n, d, n_comp, blocks)
+    cells = n * width
+    table = tuple(table_empty(cells, shape) for shape in ((n,), (n, d), (n, n_comp)))
+    parse = partial(_parse_into, table, opener, source, width)
+    with chunk_map(cells, parse, firsts, offsets, sizes) as counts:
+        return _compact(table, counts)
 
 
-def _fill(n: int, d: int, n_comp: int, blocks) -> tuple[np.ndarray, ...]:
-    """Read-only y, x and p of the at most ``n`` rows ``blocks`` yields in order.
+def _parse_into(table, opener, source: str, width: int, first: int, offset: int, lines: int):
+    """Parse the block of ``lines`` lines from line ``first`` (see
+    ``_parse_block``) into the arrays ``table`` of y, x and p, from the row
+    of its first line on; its row count."""
+    block = _parse_block(opener, source, width, first, offset, lines)
+    start, (y, x, p) = first - 2, table
+    rows = slice(start, start + len(block))
+    d = x.shape[1]
+    y[rows], x[rows], p[rows] = block[:, 0], block[:, 1 : 1 + d], block[:, 1 + d :]
+    return len(block)
 
-    Where blank lines leave fewer than ``n`` rows, each array is shrunk in
-    place, so it still owns its memory and is held once.
+
+def _compact(table, counts) -> tuple[np.ndarray, ...]:
+    """Read-only y, x and p of the rows that ``table``'s blocks hold, each
+    block's ``counts`` rows from the row of its first line on.
+
+    Where blank lines leave a block fewer rows than lines, the rows of the
+    blocks after it are moved up, and each array is its leading rows: a
+    view of a shared mapping, or an array of numpy's shrunk in place, so
+    that it still owns its memory and is held once.
     """
-    y, x, p = np.empty(n), np.empty((n, d)), np.empty((n, n_comp))
     begin = 0
-    for block in blocks:
-        stop = begin + len(block)
-        y[begin:stop] = block[:, 0]
-        x[begin:stop] = block[:, 1 : 1 + d]
-        p[begin:stop] = block[:, 1 + d :]
-        begin = stop
-    for arr in (y, x, p):
-        if begin < n:
+    for start, count in zip(range(0, len(table[0]), _CHUNK_ROWS), counts):
+        if begin < start:
+            for arr in table:
+                arr[begin : begin + count] = arr[start : start + count]
+        begin += count
+    arrays = []
+    for arr in table:
+        if arr.flags.owndata:
             arr.resize((begin, *arr.shape[1:]), refcheck=False)
+        else:
+            arr = arr[:begin]
         arr.flags.writeable = False  # handed over to Dataset and ConcentrationMatrix
-    return y, x, p
+        arrays.append(arr)
+    return tuple(arrays)
 
 
 #: bytes the counting pass reads at a time; the block and its newline mask
@@ -513,7 +524,7 @@ def _weights_json_chunks(gramian: GramianSummary, a: np.ndarray, p: Concentratio
     head, tail = dumps(doc).split("[]")  # its one empty list, where the weights go
     yield head + "["
     starts = range(0, n, _CHUNK_ROWS)
-    with _chunk_map(a.size, partial(_json_rows, a), starts) as blocks:
+    with chunk_map(a.size, partial(_json_rows, a), starts) as blocks:
         yield from blocks
     yield "]" + tail
 

@@ -38,7 +38,7 @@ import numpy as np
 from ._arrays import freeze, frozen
 from .concentrations import ConcentrationMatrix, build_gramian, weight_co_moments
 from .errors import ConfigError
-from .moments import _CHUNK_ROWS, ComponentMoments, Dataset
+from .moments import _CHUNK_ROWS, ComponentMoments, Dataset, _rows_times
 
 _MAX_SEED = 2**64
 
@@ -593,8 +593,10 @@ def limit_co_moments(config: SimulationConfig) -> np.ndarray:
     Gramian, the weights ``a = p Gamma^-1`` and the co-moments become the
     same matrix products as the finite-sample path, with the quadrature
     weights in place of 1/N.  An explicit concentration matrix has no
-    limiting structure; its finite-sample co-moments are returned instead.
-    Either way the Gramian is inverted once for every target.
+    limiting structure; its finite-sample co-moments are returned instead,
+    each weight column ``p G[:, m]`` formed a block of rows at a time, as
+    the fit forms its own, so that its bytes do not depend on the BLAS
+    thread count.  Either way the Gramian is inverted once for every target.
     """
     model = config.concentrations
     if isinstance(model, LinearRamp):
@@ -606,7 +608,7 @@ def limit_co_moments(config: SimulationConfig) -> np.ndarray:
         return (co + co.transpose(0, 2, 1)) / 2.0
     p = model.matrix(config.n_obs)
     inverse = build_gramian(p).inverse
-    return np.array([weight_co_moments(p.values @ g, p) for g in inverse.T])
+    return np.array([weight_co_moments(partial(_rows_times, p.values, g), p) for g in inverse.T])
 
 
 # --------------------------------------------------------------------------

@@ -174,7 +174,8 @@ def fresh_python():
 
 
 class IoPools:
-    """The pools CSV render and parse start, and a switch that makes them pool any size."""
+    """The pools started by CSV render and parse, the fit's row sums and
+    ``fit --intercept``, and a switch that makes them pool any size."""
 
     def __init__(self, monkeypatch):
         self._monkeypatch = monkeypatch
@@ -190,8 +191,8 @@ class IoPools:
         monkeypatch.setattr(mvcreg._pool, "ordered_map", recording)
 
     def force(self, workers: int) -> None:
-        """Render and parse CSV of any size in ``workers`` processes."""
-        self._monkeypatch.setattr(mvcreg.dataio, "_POOL_MIN_CELLS", 0)
+        """Pool the work over the rows of a table of any size in ``workers`` processes."""
+        self._monkeypatch.setattr(mvcreg._pool, "_POOL_MIN_CELLS", 0)
         self._monkeypatch.setattr(mvcreg._pool, "worker_count", lambda blocks: workers)
 
 

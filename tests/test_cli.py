@@ -33,7 +33,12 @@ from mvcreg import (
 from mvcreg.cli import main
 from mvcreg.dataio import read_csv, write_csv
 from mvcreg.simgen import with_n_obs, with_seed
-from conftest import children_left, dirichlet_design, overflowing_inputs
+from conftest import (
+    children_left,
+    dirichlet_design,
+    overflowing_inputs,
+    random_stochastic_rows,
+)
 
 SMOKE_CONFIG = {
     "n_obs": 100,
@@ -317,7 +322,7 @@ import mvcreg._pool, mvcreg.dataio
 from mvcreg.cli import main
 
 mvcreg._pool.worker_count = lambda tasks: 2  # the pool path on any host,
-mvcreg.dataio._POOL_MIN_CELLS = 0  # at any size
+mvcreg._pool._POOL_MIN_CELLS = 0  # at any size
 forks = []
 fork = mvcreg._pool._fork
 mvcreg._pool._fork = lambda *args: forks.append(1) or fork(*args)
@@ -408,8 +413,54 @@ class TestIoPool:
         for workers in (1, 2, 3):
             io_pools.force(workers)
             assert self.outputs(io_config, tmp_path / f"w{workers}") == serial, workers
-        # simulate renders, fit parses, weights parses and renders
-        assert io_pools.started == [2] * 4 + [3] * 4
+        # simulate renders; fit parses, sums the normal equations of each of
+        # its two concentration columns and the plug-in; weights parses and
+        # renders
+        assert io_pools.started == [2] * 7 + [3] * 7
+
+    @pytest.mark.parametrize("n", [8191, 8192, 8193, 16389, 3 * 8192 + 1])
+    def test_fit_in_workers_gives_the_bytes_of_the_arrays(self, n, tmp_path, io_pools):
+        # the parse workers write y, x and p into shared mappings, and the
+        # fit's row sums run in workers that read them; with a blank line
+        # after each full row block, whose later rows are moved up, and with
+        # --intercept, whose x the workers write, the JSON is that of the
+        # arrays fitted in this process
+        rng = np.random.default_rng(n)
+        p = ConcentrationMatrix(random_stochastic_rows(rng, n, 3))
+        x = rng.normal(size=(n, 2)) + p.values[:, :2]
+        data = Dataset(y=x @ [1.0, -2.0] + p.values @ [0.5, 1.0, 2.0] + rng.normal(size=n), x=x)
+        path = tmp_path / "data.csv"
+        path.write_text(_edited_csv(mvcreg.dataio.render_csv(data, p)), encoding="utf-8")
+        intercept = Dataset(y=data.y, x=np.column_stack([np.ones(n), data.x]))
+        expected = {}
+        for flags, fitted in (((), data), (("--intercept",), intercept)):
+            fit = fit_all(fitted, p)
+            cov = plug_in_covariance(fitted, p, fit)
+            expected[flags] = mvcreg.dataio.dumps(mvcreg.dataio.fit_result_to_dict(fit, cov))
+        for flags, document in expected.items():
+            for workers in (1, 2, 3):
+                io_pools.force(workers)
+                out = tmp_path / f"fit{workers}.json"
+                assert main(["fit", "-i", str(path), "-o", str(out), *flags]) == 0
+                assert out.read_text() == document, (flags, workers)
+        # the parse, the normal equations of each of three concentration
+        # columns, the plug-in, and the intercept's x
+        assert io_pools.started == [2] * 5 + [3] * 5 + [2] * 6 + [3] * 6
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bad_cell_in_the_last_block_of_workers(self, workers, tmp_path, capsys, io_pools):
+        n = 3 * mvcreg.dataio._CHUNK_ROWS + 1
+        rng = np.random.default_rng(1)
+        p = ConcentrationMatrix(random_stochastic_rows(rng, n, 2))
+        text = mvcreg.dataio.render_csv(Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, 2))), p)
+        path = tmp_path / "bad.csv"
+        path.write_text(text[: text.rindex("\n", 0, -1) + 1] + "1.0,oops,2.0,0.5,0.5\n")
+        io_pools.force(workers)
+        assert main(["fit", "-i", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"mvcreg: data-format: {path}: line {n + 1}: not a number: 'oops'\n"
+        )
+        assert io_pools.started == ([workers] if workers > 1 else [])
 
     def test_cpu_count_does_not_change_bytes(self, tmp_path, io_config, fresh_python):
         # fresh interpreters, one pinned to a single CPU, so it renders and
@@ -423,7 +474,7 @@ class TestIoPool:
             "import mvcreg.dataio\n"
             "from mvcreg._pool import worker_count\n"
             "from test_cli import TestIoPool\n"
-            "mvcreg.dataio._POOL_MIN_CELLS = 0  # the pool path at this small N\n"
+            "mvcreg._pool._POOL_MIN_CELLS = 0  # the pool path at this small N\n"
             "print(worker_count(24))\n"
             "for name, data in TestIoPool.outputs(Path(sys.argv[2]), Path(sys.argv[3])).items():\n"
             "    print(name, hashlib.sha256(data).hexdigest())\n"
@@ -457,7 +508,9 @@ class TestIoPool:
             ],
             subprocess.DEVNULL,
         )
-        assert (codes, forks) == ([0, 0, 0], 6)
+        # two workers for simulate's render and the study; for fit, two for
+        # its parse and two for each of its three pooled row-block passes
+        assert (codes, forks) == ([0, 0, 0], 12)
         assert loaded.isdisjoint({"multiprocessing", "concurrent"}), loaded
 
     @pytest.mark.skipif(sys.platform != "linux", reason="looks for leftover workers in /proc")
@@ -1132,8 +1185,10 @@ def test_csv_round_trip_fit_matches_in_memory(tmp_path):
 
 
 _PEAK_GROWTH = """
-import sys
-import mvcreg.cli
+import resource, sys
+import mvcreg._pool, mvcreg.cli
+
+mvcreg._pool.worker_count = lambda tasks: 2  # the pool path on any host
 
 def peak_kib():
     # VmHWM is this process's own peak; ru_maxrss can carry the forking parent's
@@ -1142,21 +1197,26 @@ def peak_kib():
 
 base = peak_kib()
 code = mvcreg.cli.main(sys.argv[1:])
-print(code, (peak_kib() - base) / 1024)
+# the largest process, this one or a worker it reaped, as os.wait4 reports it
+peak = max(peak_kib(), resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+print(code, (peak - base) / 1024)
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads the peak RSS from /proc")
 def test_simulate_and_fit_peak_memory(tmp_path):
-    # Each command runs in a fresh interpreter; its peak RSS above the
-    # interpreter with mvcreg.cli imported is measured.  simulate draws each
-    # block where it renders it, so its growth does not depend on N: ~9.2
-    # MiB at this N and at 200000 with render workers, ~12.3 MiB rendering
-    # in process on one CPU, numpy.random and a block's text (holding the
-    # draw took 32 MiB here).  fit holds the N x (1 + d + M)
-    # table it reads once, and every other N-sized array a block at a time:
-    # it grows by ~1.19 tables here (1.62 with an N x M basis and N-vectors
-    # beside the table).
+    # Each command runs in a fresh interpreter, with two workers wherever it
+    # pools; its peak RSS, the largest of its own and its workers', above
+    # the interpreter with mvcreg.cli imported is measured.  simulate draws
+    # each block where it renders it, so its growth does not depend on N:
+    # ~9.2 MiB at this N and at 200000 with render workers, ~12.3 MiB
+    # rendering in process on one CPU, numpy.random and a block's text
+    # (holding the draw took 32 MiB here).  fit's y, x and p live in shared
+    # mappings that its workers parse into and sum over, each touching its
+    # own rows, and it reads p alone: it grows by ~0.57 tables here, 0.67
+    # with --intercept, whose x the workers write (1.2 and 1.7 when fit read
+    # the whole table).  This design has a constant regressor already, so
+    # an intercept makes its normal matrices singular: exit 4.
     n = 500000
     table_mib = n * (1 + 2 + 2) * 8 / 2**20
     config_path, csv_path = tmp_path / "tall.json", tmp_path / "tall.csv"
@@ -1165,15 +1225,17 @@ def test_simulate_and_fit_peak_memory(tmp_path):
     config_path.write_text(json.dumps(raw))
     src = str(Path(mvcreg.moments.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src)
+    fit = ["fit", "-i", str(csv_path), "-o", str(tmp_path / "fit.json")]
     commands = {
-        "simulate": (["simulate", "-i", str(config_path), "-o", str(csv_path)], 16.0),
-        "fit": (["fit", "-i", str(csv_path), "-o", str(tmp_path / "fit.json")], 1.3 * table_mib),
+        "simulate": (["simulate", "-i", str(config_path), "-o", str(csv_path)], "0", 16.0),
+        "fit": (fit, "0", 0.75 * table_mib),
+        "fit --intercept": ([*fit, "--intercept"], "4", 0.85 * table_mib),
     }
-    for name, (argv, bound_mib) in commands.items():
+    for name, (argv, exit_code, bound_mib) in commands.items():
         out = subprocess.run(
             [sys.executable, "-c", _PEAK_GROWTH, *argv],
             env=env, capture_output=True, text=True, check=True,
         )
         code, growth_mib = out.stdout.split()
-        assert code == "0", out.stderr
+        assert code == exit_code, out.stderr
         assert float(growth_mib) <= bound_mib, (name, growth_mib)

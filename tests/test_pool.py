@@ -44,6 +44,16 @@ def test_no_fork_runs_in_the_calling_process(monkeypatch):
     assert worker_count(1000) == 1
 
 
+def test_a_worker_forks_no_workers_of_its_own(monkeypatch):
+    # a study replication big enough for pooled row sums maps them in its
+    # own worker, with no grandchildren
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert worker_count(8) == 3
+    with ordered_map(2, worker_count, [8, 8, 8]) as results:
+        assert list(results) == [1, 1, 1]
+    assert worker_count(8) == 3
+
+
 def test_daemonic_process_runs_in_the_calling_process():
     # a daemonic pool worker may not start processes, so its map is the builtin one
     with multiprocessing.get_context("fork").Pool(1) as pool:

@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -746,6 +747,32 @@ class TestLimitCoMoments:
     def test_explicit_model_uses_finite_sample(self):
         config = one_component_config(n=40)
         np.testing.assert_allclose(limit_co_moments(config), [[[1.0]]], atol=1e-12)
+
+    def test_explicit_limits_and_weights_do_not_depend_on_blas_threads(self, fresh_python):
+        # with these rows, the limits differed between one and two OpenBLAS
+        # threads when the weight columns were whole-N products p @ g, which
+        # OpenBLAS splits between its threads; with each column formed a
+        # block of rows at a time they do not.  compute_weights' p @ G is
+        # pinned too
+        code = (
+            "import hashlib\n"
+            "from dataclasses import replace\n"
+            "import numpy as np\n"
+            "from mvcreg.concentrations import build_gramian, compute_weights\n"
+            "from mvcreg.simgen import ExplicitConcentrations, limit_co_moments\n"
+            "from test_simgen import one_component_config\n"
+            "values = np.random.default_rng(20).dirichlet(np.full(8, 0.5), size=73732)\n"
+            "single = one_component_config(n=73732)\n"
+            "config = replace(\n"
+            "    single, components=single.components * 8,\n"
+            "    concentrations=ExplicitConcentrations(values),\n"
+            ")\n"
+            "p = config.concentrations.matrix(config.n_obs)\n"
+            "for out in (limit_co_moments(config), compute_weights(p, build_gramian(p))):\n"
+            "    print(hashlib.sha256(out.tobytes()).hexdigest())\n"
+        )
+        args = ["-c", f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r})\n" + code]
+        assert fresh_python(args, 1) == fresh_python(args, 2)
 
     def test_quadrature_literals_are_numpys_rule(self):
         # the study's analytic limit, and so its golden bytes, follow the

@@ -13,7 +13,9 @@ every line, and a sixth finds the function, class or module that each
 ``:func:``, ``:class:`` or ``:mod:`` cross-reference names, as a deleted
 function leaves stale references behind.  A seventh finds a ``print`` call
 or a ``sys.stdout`` or ``sys.stderr`` outside ``cli``: the other modules
-compose, and only the command line writes to the process's streams.
+compose, and only the command line writes to the process's streams.  An
+eighth finds an import of ``mmap`` or a use of ``os.fork`` outside
+``_pool``, which alone starts processes and makes the memory they share.
 """
 
 import ast
@@ -38,6 +40,9 @@ UNCALLED_PUBLIC = {
 
 #: the one module that writes to the process's streams
 STREAM_WRITER = "cli.py"
+
+#: the one module that forks and makes shared mappings
+PROCESS_MAKER = "_pool.py"
 
 #: the most characters a source line may hold
 MAX_LINE = 99
@@ -173,6 +178,27 @@ def _stream_writes(path: Path) -> list[str]:
     return found
 
 
+def _process_calls(path: Path) -> list[str]:
+    """Each import of ``mmap``, and each ``fork`` of ``os`` that the module at
+    ``path`` names, as an attribute or an import."""
+    found = []
+    for node in ast.walk(_parse(path)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names if alias.name == "mmap"]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "mmap":
+                names = ["mmap"]
+            else:
+                fork = node.module == "os" and any(a.name == "fork" for a in node.names)
+                names = ["os.fork"] if fork else []
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names = ["os.fork"] if (node.value.id, node.attr) == ("os", "fork") else []
+        else:
+            continue
+        found += [f"{path.name}:{node.lineno}: {name}" for name in names]
+    return found
+
+
 def _private_definitions(tree: ast.Module) -> list[tuple[int, str]]:
     names = []
     for node in tree.body:
@@ -219,6 +245,12 @@ def test_only_the_cli_writes_to_the_streams():
     assert STREAM_WRITER in {path.name for path in SOURCES}
     writes = [line for path in SOURCES if path.name != STREAM_WRITER for line in _stream_writes(path)]
     assert writes == []
+
+
+def test_only_the_pool_forks_and_maps_memory():
+    assert _process_calls(Path(mvcreg.__file__).parent / PROCESS_MAKER) != []
+    calls = [line for path in SOURCES if path.name != PROCESS_MAKER for line in _process_calls(path)]
+    assert calls == []
 
 
 def test_every_public_function_is_referenced():
@@ -320,4 +352,20 @@ def test_checks_find_what_they_look_for(tmp_path):
         "sample.py:2: sys.stderr",
         "sample.py:4: print",
         "sample.py:5: sys.stdout",
+    ]
+    # mmap imported either way, os.fork by attribute and by import; not
+    # another name of os, or a fork method of something else
+    source.write_text(
+        "import os, mmap\n"
+        "from mmap import mmap as shared\n"
+        "from os import fork, getpid\n"
+        "def start(pool):\n"
+        "    pool.fork(os.getpid())\n"
+        "    return os.fork()\n"
+    )
+    assert _process_calls(source) == [
+        "sample.py:1: mmap",
+        "sample.py:2: mmap",
+        "sample.py:3: os.fork",
+        "sample.py:6: os.fork",
     ]
