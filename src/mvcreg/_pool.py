@@ -23,16 +23,19 @@ the caller multi-threaded, each fork may emit one ``DeprecationWarning``
 shown.  No filter hides it; under an ``error`` filter the map still
 returns its results, as CPython clears that warning's error.
 
-The work over the rows of a table maps one function over its blocks
-(:func:`chunk_map`): in forked workers from ``_POOL_MIN_CELLS`` cells on,
-else in the calling process.  A table the workers read or write lives, from
-the same size on, in an anonymous shared mapping (:func:`table_empty`).
-Linux ``fork`` copies no page-table entry of a shared mapping, so a worker
-maps only the rows it touches, and the rows a worker writes are the
-caller's without a copy.  So the CSV reader's workers parse their blocks
-into y, x and p in place and send back row counts, and the fit's
-row-block sums run in workers that read their own rows and send back
-sums: the caller touches only what it reads itself.
+The work over the rows of a table maps one function over its blocks: in
+forked workers from ``_POOL_MIN_CELLS`` cells on, else in the calling
+process (:func:`chunk_map`).  A table the workers write lives, from the
+same size on, in an anonymous shared mapping (:func:`table_empty`), and
+the work over a table in such a mapping runs in workers
+(:func:`table_map`).  Linux ``fork`` copies no page-table entry of a
+shared mapping, so a worker maps only the rows it touches, and the rows a
+worker writes are the caller's without a copy.  So the CSV reader's
+workers parse their blocks into y, x and p in place and send back row
+counts, and the fit's row-block sums run in workers that read their own
+rows and send back sums: the caller touches only what it reads itself.
+A table in the caller's own memory is summed by the caller, as a worker
+would only map the caller's pages again.
 """
 
 from __future__ import annotations
@@ -83,20 +86,40 @@ def chunk_map(cells: int, fn, chunks, *iterables):
     return ordered_map(worker_count(len(chunks)), fn, chunks, *iterables)
 
 
+def table_map(table: np.ndarray, fn, chunks):
+    """``fn`` mapped over ``chunks`` of the rows of ``table``, as a context:
+    by :func:`ordered_map` if ``table`` lives in a :func:`table_empty`
+    mapping, whose rows each worker reads in place, else by ``map``."""
+    if not is_shared(table):
+        return contextlib.nullcontext(map(fn, chunks))
+    return ordered_map(worker_count(len(chunks)), fn, chunks)
+
+
 class _SharedMap(mmap.mmap):
     """An anonymous shared mapping that :func:`table_empty` made."""
 
 
 def table_empty(cells: int, shape: tuple[int, ...]) -> np.ndarray:
     """A writeable, uninitialised float array of ``shape`` for a table of
-    ``cells`` cells that :func:`chunk_map` of ``cells`` writes or reads.
+    ``cells`` cells that :func:`chunk_map` of ``cells`` writes.
 
     From ``_POOL_MIN_CELLS`` cells on it lives in a new anonymous shared
     mapping, so what a worker forked after it writes there the caller reads.
     Below that it is numpy's own memory: the benchmark's ``fit-wide``, in
     one process, peaked 0.3 MiB higher with mappings.
     """
-    if cells < _POOL_MIN_CELLS:
+    return _empty(shape, cells >= _POOL_MIN_CELLS)
+
+
+def table_like(table: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """A writeable, uninitialised float array of ``shape`` that lives where
+    ``table`` does: in a new shared mapping if ``table`` is in one of
+    :func:`table_empty`, else in numpy's own memory."""
+    return _empty(shape, is_shared(table))
+
+
+def _empty(shape: tuple[int, ...], shared: bool) -> np.ndarray:
+    if not shared:
         return np.empty(shape)
     size = math.prod(shape)
     return np.ndarray(shape, float, _SharedMap(-1, max(8 * size, 1)))  # no mapping is empty

@@ -33,10 +33,10 @@ import stat
 import sys
 from functools import partial
 
-from ._pool import chunk_map, table_empty
+from ._pool import table_like, table_map
 from .concentrations import DEFAULT_GAMMA_TOL, build_gramian, compute_weights
 from .errors import ConfigError, DataFormatError, MvcregError, SingularNormalMatrix
-from .moments import _CHUNK_ROWS, Dataset
+from .moments import Dataset, _row_slices
 
 
 def _diag(exc: MvcregError) -> None:
@@ -90,17 +90,17 @@ def _open_output(args):
         raise ConfigError("--output", f"cannot write {name}: {exc.strerror or exc}") from None
 
 
-def _with_intercept(data: Dataset, cells: int, source: str) -> Dataset:
-    # a column of ones before x, written a block of rows at a time, by
-    # workers into a shared mapping from as many cells as the read pools
-    x = table_empty(cells, (data.n_obs, data.n_regressors + 1))
-    rows = [slice(start, start + _CHUNK_ROWS) for start in range(0, data.n_obs, _CHUNK_ROWS)]
-    with chunk_map(cells, partial(_intercept_rows, data.x, x), rows) as blocks:
+def _with_intercept(data: Dataset, source: str) -> Dataset:
+    # a column of ones before x, written a block of rows at a time where x
+    # lives: by workers into a new shared mapping if x is in one
+    x = table_like(data.x, (data.n_obs, data.n_regressors + 1))
+    rows = _row_slices(data.n_obs)
+    with table_map(x, partial(_intercept_rows, data.x, x), rows) as blocks:
         for _ in blocks:  # each block is written where it is mapped
             pass
     x.flags.writeable = False  # handed over to Dataset, which keeps data.y as is
     try:
-        return Dataset(y=data.y, x=x, known_finite=True)
+        return Dataset._parsed(data.y, x)
     except ValueError as exc:  # the column of ones leaves too few rows
         raise DataFormatError(f"{source}: {exc}") from None
 
@@ -117,8 +117,7 @@ def cmd_fit(args) -> int:
 
     data, p = dataio.read_csv(args.input)
     if args.intercept:
-        cells = data.n_obs * (1 + data.n_regressors + p.n_components)
-        data = _with_intercept(data, cells, args.input)
+        data = _with_intercept(data, args.input)
     xtx_tol = DEFAULT_XTX_TOL if args.xtx_tol is None else args.xtx_tol
     fit = fit_all(data, p, xtx_tol=xtx_tol, gamma_tol=args.gamma_tol)
     cov = None if fit.errors else plug_in_covariance(data, p, fit)

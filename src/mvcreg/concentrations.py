@@ -183,22 +183,19 @@ def compute_weights(p: ConcentrationMatrix, g: GramianSummary) -> np.ndarray:
     return a
 
 
-def weight_co_moments(a_col, p: ConcentrationMatrix) -> np.ndarray:
+def weight_co_moments(a_col: np.ndarray, p: ConcentrationMatrix) -> np.ndarray:
     """Averaged products of squared weights with concentration pairs.
 
-    ``a_col`` is one component's weight column ``a[:, m] = p G[:, m]``, or
-    a function that gives its rows of a slice of rows, called as each block
-    of rows is summed.  Returns the M x M matrix with (s, t) entry
+    ``a_col`` is one component's weight column ``a[:, m] = p G[:, m]``.
+    Returns the M x M matrix with (s, t) entry
     ``(1/N) sum_j a[j, m]**2 p[j, s] p[j, t]``, the finite-sample proxy for
     the limiting co-moments entering the asymptotic covariance.  Symmetric by
     construction; its row sums estimate ``<(a^m)^2 p^s>`` because the
     concentration rows sum to one.
     """
-    if not callable(a_col):
-        a_col = np.asarray(a_col, dtype=float)
-        if a_col.shape != (p.n_obs,):
-            raise ValueError("weight vector length must match the number of observations")
-        a_col = a_col.__getitem__
-    (out,) = _row_block_products(p.values, lambda rows: np.square(a_col(rows)), p.values)
+    a_col = np.asarray(a_col, dtype=float)
+    if a_col.shape != (p.n_obs,):
+        raise ValueError("weight vector length must match the number of observations")
+    (out,) = _row_block_products(p.values, np.square(a_col).__getitem__, p.values)
     out /= p.n_obs
     return (out + out.T) / 2.0

@@ -42,7 +42,7 @@ M (M + 1) row sums in all, taken in one pass over the row blocks.  A block
 forms its rows of each weight column ``a[:, s] = p G[:, s]``, from the
 fit's inverse Gramian ``G``, and of the residuals and row weights, so no
 N-vector is made: a block's few ``_CHUNK_ROWS``-vectors are all there is
-beside the data.  For a table the CSV reader would parse with workers,
+beside the data.  For a table in the CSV reader's shared mappings,
 forked workers sum the blocks, each reading only its own rows.
 """
 
@@ -226,7 +226,6 @@ def plug_in_covariance(
     n, x, y, values = data.n_obs, data.x, data.y, p.values
     b = fit.coefficients
     n_comp = p.n_components
-    cells = n * (1 + data.n_regressors + n_comp)
     # quartic[m, s] = delta' L4_s delta with delta = b_s - b_m, zero where
     # s == m; co[m] = the weight co-moments of a_m
     quartic = np.zeros((n_comp, n_comp, data.n_regressors, data.n_regressors))
@@ -254,7 +253,7 @@ def plug_in_covariance(
                 sums += _weighted_products(x_rows, scratch, x_rows)
         return sums
 
-    totals = _block_sums(n, block, cells)
+    totals = _block_sums(x, block)
     for s in range(n_comp):
         residual_sum, co_sum, *quartic_sums = totals[s * (n_comp + 1) : (s + 1) * (n_comp + 1)]
         co_sum /= n

@@ -46,8 +46,8 @@ order.  Parse workers inherit the opener and y, x and p, which from that
 size on live in shared mappings (:func:`mvcreg._pool.table_empty`); they
 write each chunk's rows there and send its row count, or its error, which
 the parent raises in chunk order.  So the parent touches none of the rows
-it reads, and the fit's row sums, pooled from the same size on, leave y
-and x to the workers too.  The bytes, arrays and messages are the same
+it reads, and the fit's row sums, pooled for a table in those mappings,
+leave y and x to the workers too.  The bytes, arrays and messages are the same
 whatever the worker count.
 
 JSON output is rendered by a small deterministic writer (insertion-ordered
@@ -245,7 +245,7 @@ def _parse_stream(opener, source: str):
     if not len(y):
         raise DataFormatError(f"{source}: no data rows")
     try:
-        data = Dataset(y=y, x=x, known_finite=True)  # the parse checked every cell
+        data = Dataset._parsed(y, x)  # the parse checked every cell
         p = ConcentrationMatrix(p_values, row_sum_tol=_ROW_SUM_TOL)
     except ValueError as exc:
         raise DataFormatError(f"{source}: {exc}") from None

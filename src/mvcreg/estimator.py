@@ -164,16 +164,13 @@ def normal_equations(data: Dataset, basis: FitBasis) -> tuple[np.ndarray, np.nda
     sides ``X'Ay / N``.  Each column of the basis is one
     :func:`~mvcreg.moments.component_regression_moments` call over the whole
     stack, which forms the column a block at a time, in forked workers for
-    a table the CSV reader would parse with workers, and a sample's
-    equations have the same bytes alone as stacked with others.
+    data in the CSV reader's shared mappings, and a sample's equations have
+    the same bytes alone as stacked with others.
     """
     samples = data.n_obs // basis.n_obs
-    cells = data.n_obs * (1 + data.n_regressors + basis.p.n_components)
 
     def term(q):
-        xtx, xty = component_regression_moments(
-            data, partial(basis.column, q), samples=samples, cells=cells
-        )
+        xtx, xty = component_regression_moments(data, partial(basis.column, q), samples=samples)
         weight = basis.combination[q]
         return weight[:, None, None] * xtx[:, None], weight[:, None] * xty[:, None]
 

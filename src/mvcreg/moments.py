@@ -11,21 +11,22 @@ co-moments, error variances and plug-in quartic elsewhere) is taken by
 blocks added in row order, so the blocks and their order depend on N alone.
 A weighted sum is one matrix product per block (:func:`_row_block_products`),
 and the weights of a block are formed from its rows when it is summed, so
-nothing N-sized is made beside the data.  A fit's table of as many cells
-as the CSV reader parses with workers is summed by workers too: each
-forked worker reads the rows of its blocks and sends their sums, and the
-calling process adds them in row order, so it reads no row of the data.
-Within a block the order is the BLAS library's; the tests check that
-results are byte-identical under one and two BLAS threads.  A study stacks
-several samples of N rows along a leading axis and sums them with the same
-products, one per sample, so a sample's sums do not depend on the samples
-stacked with it.  The fourth-moment tensor is formed only as a test
-reference, by a non-optimized einsum in a fixed sequential order.
+nothing N-sized is made beside the data.  A table that lives in a shared
+mapping, as the CSV reader's does from the size it parses with workers
+at, is summed by workers: each forked worker reads the rows of its blocks
+and sends their sums, and the calling process adds them in row order, so
+it reads no row of the data.  Within a block the order is the BLAS
+library's; the tests check that results are byte-identical under one and
+two BLAS threads.  A study stacks several samples of N rows along a
+leading axis and sums them with the same products, one per sample, so a
+sample's sums do not depend on the samples stacked with it.  The
+fourth-moment tensor is formed only as a test reference, by a
+non-optimized einsum in a fixed sequential order.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -50,19 +51,31 @@ class Dataset:
     x : ndarray
         N x d regressor matrix.  An intercept, if wanted, is an ordinary
         column of ones supplied by the caller; nothing here special-cases it.
-    known_finite : bool, optional
-        True when the caller has checked that every entry is finite, as the
-        CSV reader's parse does cell by cell; the check here, which reads
-        every row, is then left out.
 
     Both are kept read-only, as :mod:`mvcreg._arrays` sets out.
     """
 
     y: np.ndarray
     x: np.ndarray
-    known_finite: InitVar[bool] = False
 
-    def __post_init__(self, known_finite: bool):
+    def __post_init__(self):
+        self._take()
+        if not (_finite(self.y) and _finite(self.x)):
+            raise ValueError("dataset contains non-finite entries")
+
+    @classmethod
+    def _parsed(cls, y: np.ndarray, x: np.ndarray) -> Dataset:
+        """``Dataset(y, x)`` of arrays whose every entry the caller found
+        finite, as the CSV reader's parse tests each cell: the same checks
+        but the one for non-finite entries, which reads every row."""
+        data = cls.__new__(cls)
+        object.__setattr__(data, "y", y)
+        object.__setattr__(data, "x", x)
+        data._take()
+        return data
+
+    def _take(self) -> None:
+        """Freeze y and x and check their shapes."""
         freeze(self, "y", "x")
         y, x = self.y, self.x
         if y.ndim != 1:
@@ -76,8 +89,6 @@ class Dataset:
             raise ValueError("need at least one regressor")
         if n <= d:
             raise ValueError(f"need more observations than regressors (N={n}, d={d})")
-        if not (known_finite or (_finite(y) and _finite(x))):
-            raise ValueError("dataset contains non-finite entries")
 
     @property
     def n_obs(self) -> int:
@@ -144,20 +155,24 @@ def _finite(values: np.ndarray) -> bool:
     return bool(np.isfinite(values.min()) and np.isfinite(values.max()))
 
 
-def _block_sums(n: int, block, cells: int = 0) -> list:
-    """The sums over the blocks of ``_CHUNK_ROWS`` of ``n`` rows of what
-    ``block(rows)`` returns for each block's slice ``rows``, a list of
-    arrays or numbers, added in row order.
+def _row_slices(n: int) -> list[slice]:
+    """The blocks of ``_CHUNK_ROWS`` of ``n`` rows, as slices, in row order."""
+    return [slice(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
 
-    ``cells`` is the size of the table the blocks read.  From
-    ``_pool._POOL_MIN_CELLS`` cells on, as for the CSV reader, forked
-    workers run ``block``: each reads only the rows of its own blocks, in
-    the shared mappings the reader filled, and sends back their sums.  A
-    block gives the same bytes wherever it runs, and the calling process
-    adds the blocks in the same order either way.
+
+def _block_sums(table: np.ndarray, block) -> list:
+    """The sums over the blocks of ``_CHUNK_ROWS`` of the rows of ``table``,
+    on its second-to-last axis, of what ``block(rows)`` returns for each
+    block's slice ``rows``, a list of arrays or numbers, added in row order.
+
+    Where ``table`` lives in a shared mapping, as the CSV reader's y, x and
+    p do from ``_pool._POOL_MIN_CELLS`` cells on, forked workers run
+    ``block`` (:func:`mvcreg._pool.table_map`): each reads only the rows of
+    its own blocks and sends back their sums.  A block gives the same bytes
+    wherever it runs, and the calling process adds the blocks in the same
+    order either way.
     """
-    rows = [slice(start, start + _CHUNK_ROWS) for start in range(0, n, _CHUNK_ROWS)]
-    with _pool.chunk_map(cells, block, rows) as blocks:
+    with _pool.table_map(table, block, _row_slices(table.shape[-2])) as blocks:
         sums = next(blocks)
         for parts in blocks:
             sums = [total + part for total, part in zip(sums, parts)]
@@ -172,7 +187,7 @@ def _weighted_products(left, weights, *rights) -> list[np.ndarray]:
     return [weighted @ right for right in rights]
 
 
-def _row_block_products(left, weights, *rights, cells: int = 0) -> list[np.ndarray]:
+def _row_block_products(left, weights, *rights) -> list[np.ndarray]:
     """``sum_j weights[j] left_j right_j'`` over the rows, for each of ``rights``.
 
     ``left`` and every ``right`` hold the rows on their second-to-last axis:
@@ -180,14 +195,13 @@ def _row_block_products(left, weights, *rights, cells: int = 0) -> list[np.ndarr
     weights of a slice of rows, one per row, shared by the samples.  Each
     block of ``_CHUNK_ROWS`` rows is one matrix product per right operand
     (per sample when stacked), and the blocks are added in row order, by
-    :func:`_block_sums` of ``cells``.
+    :func:`_block_sums` of ``left``.
     """
     return _block_sums(
-        left.shape[-2],
+        left,
         lambda rows: _weighted_products(
             left[..., rows, :], weights(rows), *(right[..., rows, :] for right in rights)
         ),
-        cells,
     )
 
 
@@ -207,7 +221,7 @@ def _rows_times(matrix: np.ndarray, vector: np.ndarray, rows: slice) -> np.ndarr
 
 
 def component_regression_moments(
-    data: Dataset, a_col, samples: int | None = None, cells: int = 0
+    data: Dataset, a_col, samples: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weighted normal-equation blocks for one weight column.
 
@@ -216,9 +230,9 @@ def component_regression_moments(
     summed.  With ``samples`` given, ``data`` holds that many samples of N
     rows each, one after another, every one weighted by ``a_col``, and both
     results gain a leading sample axis.  One sample gives the same bytes
-    whether it comes alone or stacked with others.  ``cells``, the size of
-    the table the weights and the data come from, picks who sums the row
-    blocks, as :func:`_block_sums` sets out; the bytes are the same.
+    whether it comes alone or stacked with others.  Where ``data.x`` lives
+    in a shared mapping, forked workers sum the row blocks, as
+    :func:`_block_sums` sets out; the bytes are the same.
 
     Returns
     -------
@@ -236,7 +250,7 @@ def component_regression_moments(
     if count < 1 or n * count != data.n_obs:
         raise ValueError("weight vector length must match the number of observations")
     x = data.x.reshape(count, n, data.n_regressors)
-    xtx, xty = _row_block_products(x, weights, x, data.y.reshape(count, n, 1), cells=cells)
+    xtx, xty = _row_block_products(x, weights, x, data.y.reshape(count, n, 1))
     xtx /= n
     xtx = (xtx + np.swapaxes(xtx, -1, -2)) / 2.0
     xty = xty[..., 0] / n

@@ -38,7 +38,7 @@ import numpy as np
 from ._arrays import freeze, frozen
 from .concentrations import ConcentrationMatrix, build_gramian, weight_co_moments
 from .errors import ConfigError
-from .moments import _CHUNK_ROWS, ComponentMoments, Dataset, _rows_times
+from .moments import _CHUNK_ROWS, ComponentMoments, Dataset, _row_slices, _rows_times
 
 _MAX_SEED = 2**64
 
@@ -608,7 +608,9 @@ def limit_co_moments(config: SimulationConfig) -> np.ndarray:
         return (co + co.transpose(0, 2, 1)) / 2.0
     p = model.matrix(config.n_obs)
     inverse = build_gramian(p).inverse
-    return np.array([weight_co_moments(partial(_rows_times, p.values, g), p) for g in inverse.T])
+    rows = _row_slices(p.n_obs)
+    columns = (np.concatenate([_rows_times(p.values, g, r) for r in rows]) for g in inverse.T)
+    return np.array([weight_co_moments(a_col, p) for a_col in columns])
 
 
 # --------------------------------------------------------------------------

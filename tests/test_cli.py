@@ -447,6 +447,20 @@ class TestIoPool:
         # columns, the plug-in, and the intercept's x
         assert io_pools.started == [2] * 5 + [3] * 5 + [2] * 6 + [3] * 6
 
+    def test_arrays_in_process_memory_are_summed_in_process(self, io_pools):
+        # only a table in the reader's shared mappings is summed by workers:
+        # arrays in this process's own memory fork none, whatever their size
+        n = 3 * mvcreg.dataio._CHUNK_ROWS + 1
+        rng = np.random.default_rng(5)
+        p = ConcentrationMatrix(random_stochastic_rows(rng, n, 2))
+        data = Dataset(y=rng.normal(size=n), x=rng.normal(size=(n, 2)))
+        io_pools.force(2)
+        plug_in_covariance(data, p, fit_all(data, p))
+        intercept = mvcreg.cli._with_intercept(data, "arrays")
+        assert not mvcreg._pool.is_shared(intercept.x)
+        np.testing.assert_array_equal(intercept.x, np.column_stack([np.ones(n), data.x]))
+        assert io_pools.started == []
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_bad_cell_in_the_last_block_of_workers(self, workers, tmp_path, capsys, io_pools):
         n = 3 * mvcreg.dataio._CHUNK_ROWS + 1
